@@ -17,7 +17,6 @@ from .bounds import (
     BoundBreakdown,
     BoundParams,
     DerivedParams,
-    Measure1D,
     RLAMBDA_PAPER_LITERAL,
     RLAMBDA_REPRODUCING,
     THEOREM_DEFAULTS,
@@ -33,7 +32,6 @@ from .errors import (
     DomainError,
     EmptyFeasibleSet,
     KakeyaError,
-    QuadratureError,
 )
 from .geom import Arc, DirectionInterval, NeedleTriangle, Point, make_triangle
 from .optimizer import OptimizationResult, SearchBox, balance_p, optimize, refine_iterative
@@ -55,11 +53,9 @@ __all__ = [
     "EmptyFeasibleSet",
     "KakeyaError",
     "McEstimate",
-    "Measure1D",
     "NeedleTriangle",
     "OptimizationResult",
     "Point",
-    "QuadratureError",
     "RLAMBDA_PAPER_LITERAL",
     "RLAMBDA_REPRODUCING",
     "SearchBox",

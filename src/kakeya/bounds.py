@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from . import geom
-from .errors import CaseIIInfeasible, DomainError, QuadratureError
+from .errors import CaseIIInfeasible, DomainError
 
 __all__ = [
     "RLAMBDA_REPRODUCING",
@@ -26,24 +25,19 @@ __all__ = [
     "BoundParams",
     "DerivedParams",
     "BoundBreakdown",
-    "Measure1D",
     "THEOREM_DEFAULTS",
     "UPPER_BOUND_COEFF",
+    "R_STAR",
     "exterior_area_rate",
     "outside_area_rate",
     "direction_ratio_cap",
     "derive_params",
-    "adaptive_simpson",
     "g_branch_kinks",
     "case_i_integral",
     "case_i_bound",
     "case_ii_bound",
     "theorem_bound",
     "cunningham_bound",
-    "direction_set_area_bound",
-    "combined_area_bound",
-    "outside_area_bound",
-    "cross_section_bound",
 ]
 
 # Conventions for the intermediate radius r_lambda.  The displayed formula
@@ -59,6 +53,11 @@ _CONVENTIONS = (RLAMBDA_REPRODUCING, RLAMBDA_PAPER_LITERAL)
 # (5 - 2*sqrt(2))/24 as a coefficient of pi: every valid lower bound must
 # stay below it.
 UPPER_BOUND_COEFF = (5.0 - 2.0 * math.sqrt(2.0)) / 24.0
+
+# The radius where the two increasing branches of the g-cap meet,
+# (1+2r)/(1-2r) = pi/(pi/2 - atan(2r)); below it the arc branch is larger.
+# It depends on no parameter.  Correctly rounded root, from a 50-digit solve.
+R_STAR = 0.23529881692067725
 
 
 # ---------------------------------------------------------------------------
@@ -120,30 +119,9 @@ class BoundBreakdown:
     c_r1m1: float
 
 
-@dataclass(frozen=True)
-class Measure1D:
-    """One-dimensional (outer) measure of a direction set in [0, pi)."""
-
-    value: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= math.pi:
-            raise DomainError(f"direction measure must lie in [0, pi], got {self.value}")
-
-    def __float__(self) -> float:
-        return self.value
-
-
 # Parameters of the headline pi/98 bound: a = pi/49, r0 = 1/4, p = 9/10,
 # lambda = 9/10.
 THEOREM_DEFAULTS = BoundParams(a=math.pi / 49.0, r0=0.25, p=0.9, lam=0.9)
-
-
-def _measure(meas: Measure1D | float) -> float:
-    value = float(meas)
-    if not 0.0 <= value <= math.pi:
-        raise DomainError(f"direction measure must lie in [0, pi], got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +157,7 @@ def direction_ratio_cap(r: float, derived: DerivedParams) -> float:
     """
     if not 0.0 < r < 0.5:
         raise DomainError(f"r must lie in (0, 1/2), got {r}")
-    return max(
-        (1.0 + 2.0 * r) / (1.0 - 2.0 * r),
-        derived.g_mid,
-        math.pi / (0.5 * math.pi - math.atan(2.0 * r)),
-    )
+    return max(_branch_values(r, derived))
 
 
 def derive_params(
@@ -214,92 +188,59 @@ def derive_params(
 
 
 # ---------------------------------------------------------------------------
-# Quadrature
+# Closed-form Case I integral
 # ---------------------------------------------------------------------------
 
-def adaptive_simpson(
-    func: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float,
-    max_depth: int = 48,
-) -> float:
-    """Adaptive Simpson quadrature with absolute tolerance ``tol``.
-
-    Uses the standard estimate |S2 - S1|/15 per panel with Richardson
-    extrapolation.  Raises QuadratureError if a panel still misses its
-    local tolerance at ``max_depth``.
-    """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be > 0, got {tol}")
-    if hi <= lo:
-        return 0.0
-
-    def simpson(fa, fm, fb, width):
-        return width / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
-        x1 = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + x1)
-        xr = 0.5 * (x1 + x2)
-        fl = func(xl)
-        fr = func(xr)
-        left = simpson(f0, fl, f1, x1 - x0)
-        right = simpson(f1, fr, f2, x2 - x1)
-        err = (left + right - whole) / 15.0
-        if abs(err) <= tol:
-            return left + right + err
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"no convergence on [{x0}, {x2}] at depth {max_depth} "
-                f"(residual {abs(err):.3e} > {tol:.3e})"
-            )
-        return recurse(x0, x1, f0, fl, f1, left, 0.5 * tol, depth + 1) + recurse(
-            x1, x2, f1, fr, f2, right, 0.5 * tol, depth + 1
-        )
-
-    f_lo, f_mid, f_hi = func(lo), func(0.5 * (lo + hi)), func(hi)
-    whole = simpson(f_lo, f_mid, f_hi, hi - lo)
-    return recurse(lo, hi, f_lo, f_mid, f_hi, whole, tol, 0)
-
-
-def _bisect_root(func, lo, hi, tol=1e-13, max_iter=200):
-    f_lo = func(lo)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        f_mid = func(mid)
-        if (f_lo <= 0.0) == (f_mid <= 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _branch_crossings(lo: float, hi: float, derived: DerivedParams) -> list[float]:
-    """Radii in (lo, hi) where two components of the g-cap cross (to 1e-13)."""
-    comps = (
-        lambda r: (1.0 + 2.0 * r) / (1.0 - 2.0 * r),
-        lambda r: derived.g_mid,
-        lambda r: math.pi / (0.5 * math.pi - math.atan(2.0 * r)),
+def _branch_values(r: float, derived: DerivedParams) -> tuple[float, float, float]:
+    """The three branches of the g-cap at r, in the order of _antiderivative."""
+    return (
+        (1.0 + 2.0 * r) / (1.0 - 2.0 * r),
+        derived.g_mid,
+        math.pi / (0.5 * math.pi - math.atan(2.0 * r)),
     )
-    roots: list[float] = []
-    n_scan = 128
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            diff = lambda r, fi=comps[i], fj=comps[j]: fi(r) - fj(r)
-            prev_x, prev_f = lo, diff(lo)
-            for k in range(1, n_scan + 1):
-                x = lo + (hi - lo) * k / n_scan
-                f = diff(x)
-                if prev_f == 0.0:
-                    roots.append(prev_x)
-                elif (prev_f < 0.0) != (f < 0.0):
-                    roots.append(_bisect_root(diff, prev_x, x))
-                prev_x, prev_f = x, f
-    roots = sorted(set(x for x in roots if lo < x < hi))
-    return roots
+
+
+def _argmax_branch(r: float, derived: DerivedParams) -> int:
+    vals = _branch_values(r, derived)
+    return max(range(3), key=vals.__getitem__)
+
+
+def _antiderivative(branch: int, r: float, g_mid: float) -> float:
+    """An antiderivative of r / (branch of g) at r."""
+    if branch == 0:
+        s = 1.0 + 2.0 * r
+        return -s * s / 8.0 + 0.75 * s - 0.5 * math.log(s)
+    if branch == 1:
+        return r * r / (2.0 * g_mid)
+    t = math.atan(2.0 * r)
+    return (0.25 * math.pi * r * r - 0.5 * r * r * t + 0.25 * r - 0.125 * t) / math.pi
+
+
+def _g_pieces(lo: float, hi: float, derived: DerivedParams) -> list[tuple[float, float, int]]:
+    """[(x0, x1, branch)] covering [lo, hi], one entry per run of an active branch.
+
+    Each pair of branches meets at most once, at a closed-form radius:
+    r_lambda (branches 0 and 1), 1/(2 tan(pi/g_mid)) (branches 1 and 2;
+    branch 2 rises from 2 at r = 0, so only when g_mid > 2), and R_STAR
+    (branches 0 and 2).  Between consecutive kinks one branch is active;
+    neighbouring runs of the same branch are merged.
+    """
+    kinks = {derived.r_lambda, R_STAR}
+    if derived.g_mid > 2.0:
+        kinks.add(0.5 / math.tan(math.pi / derived.g_mid))
+    cuts = [lo] + sorted(x for x in kinks if lo < x < hi) + [hi]
+    pieces: list[tuple[float, float, int]] = []
+    for x0, x1 in zip(cuts, cuts[1:]):
+        branch = _argmax_branch(0.5 * (x0 + x1), derived)
+        if pieces and pieces[-1][2] == branch:
+            x0 = pieces.pop()[0]
+        pieces.append((x0, x1, branch))
+    return pieces
+
+
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:
+        raise DomainError(f"tol must be > 0, got {tol}")
 
 
 def g_branch_kinks(
@@ -308,31 +249,14 @@ def g_branch_kinks(
     lo: float | None = None,
     hi: float | None = None,
 ) -> list[float]:
-    """Radii where the active branch of the g-cap switches, to 1e-13.
+    """Radii in (lo, hi) where the active branch of the g-cap switches.
 
-    The search range defaults to (a, r0); crossings where the maximum does
-    not actually change hands are filtered out.
+    The range defaults to (a, r0).
     """
     derived = derive_params(params, convention)
     lo = params.a if lo is None else lo
     hi = params.r0 if hi is None else hi
-    kinks = []
-    eps = 1e-9
-    for x in _branch_crossings(lo, hi, derived):
-        left = _argmax_branch(max(lo, x - eps), derived)
-        right = _argmax_branch(min(hi, x + eps), derived)
-        if left != right:
-            kinks.append(x)
-    return kinks
-
-
-def _argmax_branch(r: float, derived: DerivedParams) -> int:
-    vals = (
-        (1.0 + 2.0 * r) / (1.0 - 2.0 * r),
-        derived.g_mid,
-        math.pi / (0.5 * math.pi - math.atan(2.0 * r)),
-    )
-    return max(range(3), key=lambda i: vals[i])
+    return [x1 for _, x1, _ in _g_pieces(lo, hi, derived)[:-1]]
 
 
 def case_i_integral(
@@ -340,25 +264,18 @@ def case_i_integral(
     tol: float = 1e-10,
     convention: str = RLAMBDA_REPRODUCING,
 ) -> float:
-    """Integral of r / g(r) over [a, r0] by kink-split adaptive Simpson.
+    """Integral of r / g(r) over [a, r0], in closed form.
 
-    The integrand is piecewise smooth (g is a max of three smooth
-    branches), so the interval is subdivided at the branch crossings,
-    located by bisection to 1e-13, before integrating each piece.
+    The interval is split where the active branch of g switches, and each
+    piece is the difference of that branch's elementary antiderivative.
+    The value is exact up to rounding, so ``tol`` does not change it; it
+    is accepted for callers that pass one and must be > 0.
     """
+    _check_tol(tol)
     derived = derive_params(params, convention)
-    return _case_i_integral_derived(params.a, params.r0, derived, tol)
-
-
-def _case_i_integral_derived(a, r0, derived, tol):
-    if r0 <= a:
-        return 0.0
-    integrand = lambda r: r / direction_ratio_cap(r, derived)
-    cuts = [a] + _branch_crossings(a, r0, derived) + [r0]
-    n_pieces = len(cuts) - 1
     return sum(
-        adaptive_simpson(integrand, cuts[i], cuts[i + 1], tol / n_pieces)
-        for i in range(n_pieces)
+        _antiderivative(branch, x1, derived.g_mid) - _antiderivative(branch, x0, derived.g_mid)
+        for x0, x1, branch in _g_pieces(params.a, params.r0, derived)
     )
 
 
@@ -366,12 +283,12 @@ def _case_i_integral_derived(a, r0, derived, tol):
 # Case bounds
 # ---------------------------------------------------------------------------
 
-def _case_i_terms(params, tol, convention):
+def _case_i_terms(params, convention):
     """(K0, K1) with case_i(p) = K0 + p*K1, both coefficients of pi."""
     if params.r0 < 0.15:
         raise DomainError(f"r0 must be >= 0.15 for the outer-area rate, got {params.r0}")
     f_r0 = exterior_area_rate(params.r0)
-    integral = case_i_integral(params, tol, convention)
+    integral = case_i_integral(params, convention=convention)
     k0 = 0.25 * f_r0
     k1 = (1.0 - f_r0 / (2.0 * params.r0 * params.r0)) / 3.0 * integral
     return k0, k1, f_r0, integral
@@ -385,8 +302,11 @@ def case_i_bound(
     """Case I coefficient of pi:
 
         p/3 * (1 - f(r0)/(2 r0^2)) * integral(r/g) + f(r0)/4.
+
+    ``tol`` must be > 0 and does not change the value (see case_i_integral).
     """
-    k0, k1, _, _ = _case_i_terms(params, tol, convention)
+    _check_tol(tol)
+    k0, k1, _, _ = _case_i_terms(params, convention)
     return k0 + params.p * k1
 
 
@@ -416,10 +336,12 @@ def theorem_bound(
     """Full breakdown: final = min(case_i, case_ii, a/(2*pi)).
 
     The a/(2*pi) term is the trivial bound from any needle at height >= a;
-    at the default parameters it equals exactly 1/98.
+    at the default parameters it equals exactly 1/98.  ``tol`` must be > 0
+    and does not change the value (see case_i_integral).
     """
+    _check_tol(tol)
     derived = derive_params(params, convention)
-    k0, k1, f_r0, integral = _case_i_terms(params, tol, convention)
+    k0, k1, f_r0, integral = _case_i_terms(params, convention)
     case_i = k0 + params.p * k1
     case_ii, c_r1m1 = _case_ii_from_derived(params.a, params.p, derived)
     half_a = params.a / (2.0 * math.pi)
@@ -437,49 +359,3 @@ def theorem_bound(
 def cunningham_bound() -> float:
     """The classical constant 1/108 (coefficient of pi): f(1/6)/4."""
     return 0.25 * exterior_area_rate(1.0 / 6.0)
-
-
-# ---------------------------------------------------------------------------
-# Area bounds from direction measures (absolute areas, not pi-coefficients)
-# ---------------------------------------------------------------------------
-
-def direction_set_area_bound(meas_a: Measure1D | float, r: float) -> float:
-    """Area swept by triangles over a direction set: meas(A)/4 * f(r).
-
-    Requires r >= 0.15, where the outer-area quotient is minimized in the
-    flat limit.
-    """
-    value = _measure(meas_a)
-    if r < 0.15:
-        raise DomainError(f"r must be >= 0.15, got {r}")
-    return 0.25 * value * exterior_area_rate(r)
-
-
-def combined_area_bound(meas_a: Measure1D | float, r: float, a0: float) -> float:
-    """Inner/outer combination: meas(A)/4 * f(r) + (1 - f(r)/(2r^2)) * a0.
-
-    ``a0`` is any known lower bound for the inner-part area.  The
-    coefficient of a0 is clamped at 0 if negative, which only drops a
-    nonnegative term and keeps the bound valid.
-    """
-    value = _measure(meas_a)
-    if r < 0.15:
-        raise DomainError(f"r must be >= 0.15, got {r}")
-    if a0 < 0.0:
-        raise DomainError(f"a0 must be >= 0, got {a0}")
-    f_r = exterior_area_rate(r)
-    coeff = max(0.0, 1.0 - f_r / (2.0 * r * r))
-    return 0.25 * value * f_r + coeff * a0
-
-
-def outside_area_bound(meas_a: Measure1D | float, r: float, a: float) -> float:
-    """Area bound for needles clear of the disk: meas(A)/4 * c(r)."""
-    value = _measure(meas_a)
-    return 0.25 * value * outside_area_rate(r, a)
-
-
-def cross_section_bound(p: float, r: float, derived: DerivedParams) -> float:
-    """Per-radius cross-section length bound: p * (pi/3) * r / g(r)."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must lie in [0, 1], got {p}")
-    return p * (math.pi / 3.0) * r / direction_ratio_cap(r, derived)

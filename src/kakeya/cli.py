@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import bounds, optimizer, oracle
@@ -24,7 +24,7 @@ from .bounds import (
     BoundParams,
     THEOREM_DEFAULTS,
 )
-from .errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet, QuadratureError
+from .errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet
 from .optimizer import SearchBox
 from .oracle import DEFAULT_SEED, CheckId
 
@@ -46,6 +46,11 @@ _SEC41_BOX = dict(
     grid=32,
     tol=1e-9,
 )
+# Keys a config file may set; each matches the long flag of the same name.
+_CONFIG_KEYS = frozenset(
+    ("a", "r0", "p", "lambda", "seed", "preset", "rlambda-convention", "output-dir",
+     "emit", "digits")
+)
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,6 @@ class Config:
 
     params: BoundParams
     rlambda_convention: str
-    quad_tol: float
     seed: int
     output_dir: Path
     emit: frozenset[str]
@@ -110,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=float, default=None, help="direction-proportion split, in [0, 1]")
         p.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="interpolation weight for r_lambda, in [0, 1]")
-        p.add_argument("--quad-tol", type=float, default=None, help="quadrature tolerance (default 1e-10)")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (default: KAKEYA_SEED env var, else 7)")
         p.add_argument("--preset", choices=_PRESETS, default=None)
@@ -162,6 +165,8 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise DomainError(f"config line is not 'key = value': {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise DomainError(f"unknown config key {key!r} in {path}")
         values[key] = value
     return values
 
@@ -177,6 +182,8 @@ def _resolve_config(args) -> Config:
         return default
 
     preset = pick(args.preset, "preset", str, None)
+    if preset is not None and preset not in _PRESETS:
+        raise DomainError(f"unknown preset {preset!r}")
     base = THEOREM_DEFAULTS
     a = pick(args.a, "a", float, base.a)
     r0 = pick(args.r0, "r0", float, base.r0)
@@ -200,16 +207,18 @@ def _resolve_config(args) -> Config:
     bad = emit - set(_EMIT_CHOICES)
     if bad:
         raise DomainError(f"unknown emit formats: {sorted(bad)}")
+    digits = pick(args.digits, "digits", int, 6)
+    if digits < 1:
+        raise DomainError(f"digits must be >= 1, got {digits}")
     return Config(
         params=BoundParams(a=a, r0=r0, p=p, lam=lam),
         rlambda_convention=pick(
             args.rlambda_convention, "rlambda-convention", str, RLAMBDA_REPRODUCING
         ),
-        quad_tol=pick(args.quad_tol, "quad-tol", float, 1e-10),
         seed=seed,
         output_dir=Path(pick(args.output_dir, "output-dir", str, ".")),
         emit=emit,
-        digits=pick(args.digits, "digits", int, 6),
+        digits=digits,
         preset=preset,
     )
 
@@ -219,6 +228,10 @@ def _write_json(cfg: Config, name: str, payload: dict) -> Path:
     path = cfg.output_dir / name
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
+
+
+def _params_json(params: BoundParams) -> dict:
+    return {"a": params.a, "r0": params.r0, "p": params.p, "lambda": params.lam}
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +318,7 @@ def _cmd_bound(cfg: Config) -> int:
         return 0
 
     params = cfg.params
-    breakdown = bounds.theorem_bound(params, cfg.quad_tol, cfg.rlambda_convention)
+    breakdown = bounds.theorem_bound(params, convention=cfg.rlambda_convention)
     derived = bounds.derive_params(params, cfg.rlambda_convention)
     print(
         f"a = {params.a:.{digits}g}  r0 = {params.r0:.{digits}g}  p = {params.p:.{digits}g}  "
@@ -333,15 +346,9 @@ def _cmd_bound(cfg: Config) -> int:
         print(f"wrote {cfg.output_dir / 'bound.csv'}")
     if "json" in cfg.emit:
         path = _write_json(cfg, "bound.json", {
-            "params": {"a": params.a, "r0": params.r0, "p": params.p, "lambda": params.lam},
+            "params": _params_json(params),
             "convention": cfg.rlambda_convention,
-            "case_i": breakdown.case_i,
-            "case_ii": breakdown.case_ii,
-            "half_a": breakdown.half_a,
-            "final": breakdown.final,
-            "integral_value": breakdown.integral_value,
-            "f_r0": breakdown.f_r0,
-            "c_r1m1": breakdown.c_r1m1,
+            **asdict(breakdown),
         })
         print(f"wrote {path}")
     return 0
@@ -360,7 +367,7 @@ def _cmd_optimize(cfg: Config, args) -> int:
         )
     if args.grid is not None:
         box = SearchBox(a=box.a, r0=box.r0, lam=box.lam, grid=args.grid, tol=box.tol)
-    result = optimizer.optimize(box, cfg.quad_tol, cfg.rlambda_convention)
+    result = optimizer.optimize(box, cfg.rlambda_convention)
     best = result.best
     print(
         f"optimum: a = {best.a:.{cfg.digits}g}  r0 = {best.r0:.{cfg.digits}g}  "
@@ -369,25 +376,14 @@ def _cmd_optimize(cfg: Config, args) -> int:
     print(f"bound coefficient_of_pi = {result.breakdown.final:.17g}")
     payload = {
         "box": {"a": box.a, "r0": box.r0, "lambda": box.lam, "grid": box.grid, "tol": box.tol},
-        "best": {"a": best.a, "r0": best.r0, "p": best.p, "lambda": best.lam},
+        "best": _params_json(best),
         "balanced_p": result.balanced_p,
-        "breakdown": {
-            "case_i": result.breakdown.case_i,
-            "case_ii": result.breakdown.case_ii,
-            "half_a": result.breakdown.half_a,
-            "final": result.breakdown.final,
-            "integral_value": result.breakdown.integral_value,
-            "f_r0": result.breakdown.f_r0,
-            "c_r1m1": result.breakdown.c_r1m1,
-        },
-        "trace": [
-            {"a": pt.a, "r0": pt.r0, "p": pt.p, "lambda": pt.lam, "value": value}
-            for pt, value in result.trace
-        ],
+        "breakdown": asdict(result.breakdown),
+        "trace": [{**_params_json(pt), "value": value} for pt, value in result.trace],
     }
     if args.refine:
         seq = optimizer.refine_iterative(
-            best, args.refine, quad_tol=cfg.quad_tol, convention=cfg.rlambda_convention
+            best, args.refine, convention=cfg.rlambda_convention
         )
         payload["refine"] = seq
         print("refine sequence:", " ".join(f"{v:.12g}" for v in seq))
@@ -428,11 +424,15 @@ def _scan_range(args, domain_lo, domain_hi, what) -> list[float]:
         raise DomainError(
             f"scan range [{lo}, {hi}] outside the domain [{domain_lo}, {domain_hi}] of {what}"
         )
-    n = max(2, args.steps)
+    n = args.steps
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
 def _cmd_scan(cfg: Config, args) -> int:
+    for flag, count in (("steps", args.steps), ("a-steps", args.a_steps),
+                        ("r0-steps", args.r0_steps)):
+        if count < 2:
+            raise DomainError(f"--{flag} must be >= 2, got {count}")
     params = cfg.params
     fn = args.function
     caption = f"scan of {fn}"
@@ -465,16 +465,16 @@ def _cmd_scan(cfg: Config, args) -> int:
         a_lo = args.a_from if args.a_from is not None else params.a
         a_hi = args.a_to if args.a_to is not None else params.a
         two_d = args.r0_from is not None and args.r0_to is not None
-        n_a = max(2, args.a_steps) if a_hi > a_lo else 1
+        n_a = args.a_steps if a_hi > a_lo else 1
         a_grid = [a_lo + (a_hi - a_lo) * k / max(1, n_a - 1) for k in range(n_a)]
 
         def value_at(a, r0):
             bp = BoundParams(a=a, r0=r0, p=params.p, lam=params.lam)
-            breakdown = bounds.theorem_bound(bp, cfg.quad_tol, cfg.rlambda_convention)
+            breakdown = bounds.theorem_bound(bp, convention=cfg.rlambda_convention)
             return getattr(breakdown, fn)
 
         if two_d:
-            n_r = max(2, args.r0_steps)
+            n_r = args.r0_steps
             r0_grid = [
                 args.r0_from + (args.r0_to - args.r0_from) * k / (n_r - 1) for k in range(n_r)
             ]
@@ -520,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CaseIIInfeasible, EmptyFeasibleSet) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, QuadratureError) as exc:
+    except ValueError as exc:
         # DomainError subclasses ValueError; plain ValueError also covers
         # malformed numerics from config files or KAKEYA_SEED
         print(f"error: {exc}", file=sys.stderr)

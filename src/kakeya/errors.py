@@ -9,10 +9,6 @@ class DomainError(KakeyaError, ValueError):
     """An input lies outside the mathematical domain of an operation."""
 
 
-class QuadratureError(KakeyaError, ArithmeticError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 class CaseIIInfeasible(KakeyaError):
     """The needle-outside bound is undefined because r1 - 1 <= a."""
 

@@ -65,7 +65,6 @@ def balance_p(
     a: float,
     r0: float,
     lam: float,
-    tol: float = 1e-10,
     convention: str = RLAMBDA_REPRODUCING,
 ) -> float:
     """The split p at which the Case I and Case II coefficients agree.
@@ -73,17 +72,16 @@ def balance_p(
     With case_i(p) = K0 + p*K1 and case_ii(p) = (1-p)*K2 the balance
     point is p = (K2 - K0)/(K1 + K2), clamped to [0, 1] (a clamp at 0
     means Case I already exceeds Case II with no cross-section help).
-    ``tol`` is the quadrature tolerance for K1's integral.
     """
-    _, _, p = _balanced_point(a, r0, lam, tol, convention)
+    _, _, p = _balanced_point(a, r0, lam, convention)
     return p
 
 
-def _balanced_point(a, r0, lam, quad_tol, convention):
+def _balanced_point(a, r0, lam, convention):
     """(objective, balanced case value, p) at one (a, r0, lambda) point."""
     params = BoundParams(a=a, r0=r0, p=0.0, lam=lam)
     derived = bounds.derive_params(params, convention)
-    k0, k1, _, _ = bounds._case_i_terms(params, quad_tol, convention)
+    k0, k1, _, _ = bounds._case_i_terms(params, convention)
     _, c_r1m1 = bounds._case_ii_from_derived(a, 0.0, derived)
     k2 = 0.25 * c_r1m1
     denom = k1 + k2
@@ -96,7 +94,6 @@ def _balanced_point(a, r0, lam, quad_tol, convention):
 
 def optimize(
     box: SearchBox,
-    quad_tol: float = 1e-10,
     convention: str = RLAMBDA_REPRODUCING,
 ) -> OptimizationResult:
     """Deterministic grid + coordinate golden-section maximization.
@@ -110,7 +107,7 @@ def optimize(
 
     def evaluate(a, r0, lam):
         try:
-            return _balanced_point(a, r0, lam, quad_tol, convention)
+            return _balanced_point(a, r0, lam, convention)
         except (CaseIIInfeasible, DomainError):
             return None
 
@@ -152,7 +149,7 @@ def optimize(
             break
 
     best_params = _params_at(point, p)
-    breakdown = bounds.theorem_bound(best_params, quad_tol, convention)
+    breakdown = bounds.theorem_bound(best_params, convention=convention)
     return OptimizationResult(
         best=best_params, breakdown=breakdown, balanced_p=p, trace=trace
     )
@@ -196,7 +193,6 @@ def refine_iterative(
     start: BoundParams,
     max_iter: int,
     tol: float = 1e-9,
-    quad_tol: float = 1e-10,
     convention: str = RLAMBDA_REPRODUCING,
 ) -> list[float]:
     """Iteratively recycle the Case I bound as an inner-area bound.
@@ -211,7 +207,7 @@ def refine_iterative(
     """
     if max_iter < 0:
         raise DomainError(f"max_iter must be >= 0, got {max_iter}")
-    breakdown = bounds.theorem_bound(start, quad_tol, convention)
+    breakdown = bounds.theorem_bound(start, convention=convention)
     derived = bounds.derive_params(start, convention)
     shrink = (start.a / derived.r1) ** 2
     coeff = max(0.0, 1.0 - breakdown.f_r0 / (2.0 * start.r0 * start.r0))

@@ -1,9 +1,11 @@
-"""Bound-function tests: published constants, a 10^6-panel Simpson oracle
-for the cross-section integral, and the breakdown contracts."""
+"""Bound-function tests: published constants, two Simpson oracles for the
+closed-form cross-section integral (a 10^6-panel composite rule and a
+kink-split adaptive rule), and the breakdown contracts."""
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,11 +14,11 @@ from kakeya import bounds
 from kakeya.bounds import (
     BoundParams,
     DerivedParams,
-    Measure1D,
     RLAMBDA_PAPER_LITERAL,
+    RLAMBDA_REPRODUCING,
     THEOREM_DEFAULTS,
 )
-from kakeya.errors import CaseIIInfeasible, DomainError, QuadratureError
+from kakeya.errors import CaseIIInfeasible, DomainError
 
 A_DEFAULT = math.pi / 49.0
 
@@ -37,6 +39,87 @@ def simpson_oracle_integral(a, r0, r_lambda, panels=1_000_000):
     return h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2]))
 
 
+def adaptive_simpson(func, lo, hi, tol, max_depth=48):
+    """Adaptive Simpson quadrature with absolute tolerance ``tol``.
+
+    Uses the standard estimate |S2 - S1|/15 per panel with Richardson
+    extrapolation.  Raises ArithmeticError if a panel still misses its
+    local tolerance at ``max_depth``.
+    """
+    if hi <= lo:
+        return 0.0
+
+    def simpson(fa, fm, fb, width):
+        return width / 6.0 * (fa + 4.0 * fm + fb)
+
+    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
+        x1 = 0.5 * (x0 + x2)
+        fl = func(0.5 * (x0 + x1))
+        fr = func(0.5 * (x1 + x2))
+        left = simpson(f0, fl, f1, x1 - x0)
+        right = simpson(f1, fr, f2, x2 - x1)
+        err = (left + right - whole) / 15.0
+        if abs(err) <= tol:
+            return left + right + err
+        if depth >= max_depth:
+            raise ArithmeticError(f"no convergence on [{x0}, {x2}] at depth {max_depth}")
+        return recurse(x0, x1, f0, fl, f1, left, 0.5 * tol, depth + 1) + recurse(
+            x1, x2, f1, fr, f2, right, 0.5 * tol, depth + 1
+        )
+
+    f_lo, f_mid, f_hi = func(lo), func(0.5 * (lo + hi)), func(hi)
+    return recurse(lo, hi, f_lo, f_mid, f_hi, simpson(f_lo, f_mid, f_hi, hi - lo), tol, 0)
+
+
+def g_components(r_lambda):
+    """The three branches of the g-cap, written directly from their formulas."""
+    g_mid = (1.0 + 2.0 * r_lambda) / (1.0 - 2.0 * r_lambda)
+    return (
+        lambda r: (1.0 + 2.0 * r) / (1.0 - 2.0 * r),
+        lambda r: g_mid,
+        lambda r: math.pi / (0.5 * math.pi - math.atan(2.0 * r)),
+    )
+
+
+def bisect_kinks(lo, hi, r_lambda, n_scan=256):
+    """Radii in (lo, hi) where the largest branch changes, found by a sign
+    scan of each pairwise difference and bisection to the last bit."""
+    comps = g_components(r_lambda)
+
+    def active(r):
+        vals = [c(r) for c in comps]
+        return vals.index(max(vals))
+
+    kinks = []
+    for i in range(3):
+        for j in range(i + 1, 3):
+            diff = lambda r, fi=comps[i], fj=comps[j]: fi(r) - fj(r)
+            xs = [lo + (hi - lo) * k / n_scan for k in range(n_scan + 1)]
+            for x0, x1 in zip(xs, xs[1:]):
+                if (diff(x0) < 0.0) == (diff(x1) < 0.0):
+                    continue
+                while True:
+                    mid = 0.5 * (x0 + x1)
+                    if not x0 < mid < x1:
+                        break
+                    if (diff(mid) < 0.0) == (diff(x0) < 0.0):
+                        x0 = mid
+                    else:
+                        x1 = mid
+                if active(max(lo, x0 - 1e-9)) != active(min(hi, x1 + 1e-9)):
+                    kinks.append((x1, (i, j)))
+    return sorted(kinks)
+
+
+def kink_split_simpson(a, r0, r_lambda, tol=1e-13):
+    """Integral of r/g(r) over [a, r0] by adaptive Simpson on each piece
+    between bisected kinks."""
+    comps = g_components(r_lambda)
+    integrand = lambda r: r / max(c(r) for c in comps)
+    cuts = [a] + [x for x, _ in bisect_kinks(a, r0, r_lambda)] + [r0]
+    return sum(adaptive_simpson(integrand, x0, x1, tol) for x0, x1 in zip(cuts, cuts[1:]))
+
+
 # ---------------------------------------------------------------------------
 # Rate functions
 # ---------------------------------------------------------------------------
@@ -46,6 +129,10 @@ def test_area_rate_values():
     assert bounds.exterior_area_rate(0.5) == 0.0
     with pytest.raises(DomainError):
         bounds.exterior_area_rate(0.6)
+    # in-domain (r >= 0.15) the inner-area coefficient is strictly positive
+    for r in np.linspace(0.15, 0.5, 30):
+        f_r = bounds.exterior_area_rate(r)
+        assert 1.0 - f_r / (2.0 * r * r) > 0.0
 
 
 def test_area_rate_peaks_at_one_sixth():
@@ -137,20 +224,20 @@ def test_derive_params_paper_literal_swaps_the_weights():
 
 
 # ---------------------------------------------------------------------------
-# Quadrature
+# Closed-form Case I integral and its oracles
 # ---------------------------------------------------------------------------
 
 def test_adaptive_simpson_basics():
-    assert bounds.adaptive_simpson(lambda x: x * x, 1.0, 1.0, 1e-10) == 0.0
-    got = bounds.adaptive_simpson(lambda x: x * x, 0.0, 1.0, 1e-12)
+    assert adaptive_simpson(lambda x: x * x, 1.0, 1.0, 1e-10) == 0.0
+    got = adaptive_simpson(lambda x: x * x, 0.0, 1.0, 1e-12)
     assert got == pytest.approx(1.0 / 3.0, abs=1e-12)
-    got = bounds.adaptive_simpson(math.sin, 0.0, math.pi, 1e-11)
+    got = adaptive_simpson(math.sin, 0.0, math.pi, 1e-11)
     assert got == pytest.approx(2.0, abs=1e-11)
 
 
 def test_adaptive_simpson_signals_nonconvergence():
-    with pytest.raises(QuadratureError):
-        bounds.adaptive_simpson(lambda x: math.sin(50.0 * x), 0.0, 10.0, 1e-14, max_depth=3)
+    with pytest.raises(ArithmeticError):
+        adaptive_simpson(lambda x: math.sin(50.0 * x), 0.0, 10.0, 1e-14, max_depth=3)
 
 
 def test_case_i_integral_against_fine_grid_simpson():
@@ -161,6 +248,42 @@ def test_case_i_integral_against_fine_grid_simpson():
     )
     assert got == pytest.approx(oracle_value, abs=2e-10)
     assert got == pytest.approx(0.010635251311336261, abs=1e-10)
+
+
+def test_case_i_integral_against_kink_split_simpson():
+    rnd = random.Random(2024)
+    points = [
+        (THEOREM_DEFAULTS.a, THEOREM_DEFAULTS.r0, THEOREM_DEFAULTS.lam),
+        (0.06473, 0.22785, 0.90696),
+        (0.05, 0.3, 0.9),
+    ]
+    while len(points) < 200:
+        a = rnd.uniform(0.01, 0.2)
+        r0 = rnd.uniform(max(0.15, a + 0.01), 0.49)
+        points.append((a, r0, rnd.random()))
+    layouts = set()
+    for convention in (RLAMBDA_REPRODUCING, RLAMBDA_PAPER_LITERAL):
+        for a, r0, lam in points:
+            params = BoundParams(a=a, r0=r0, p=0.5, lam=lam)
+            r_lambda = bounds.derive_params(params, convention).r_lambda
+            layouts.add(tuple(pair for _, pair in bisect_kinks(a, r0, r_lambda)))
+            got = bounds.case_i_integral(params, convention=convention)
+            assert got == pytest.approx(kink_split_simpson(a, r0, r_lambda), abs=1e-13)
+    # every kink layout of [a, r0]: (r23, r*), r* alone, r_lambda alone
+    assert {((1, 2), (0, 2)), ((0, 2),), ((0, 1),)} <= layouts
+
+
+def test_case_i_integral_tol_is_checked_but_inert():
+    exact = bounds.case_i_integral(THEOREM_DEFAULTS)
+    for tol in (1e-300, 1e-13, 1e-3, 1.0):
+        assert bounds.case_i_integral(THEOREM_DEFAULTS, tol=tol) == exact
+    breakdown = bounds.theorem_bound(THEOREM_DEFAULTS)
+    assert bounds.theorem_bound(THEOREM_DEFAULTS, tol=1e-300) == breakdown
+    assert bounds.case_i_bound(THEOREM_DEFAULTS, tol=1e-300) == breakdown.case_i
+    for bad in (0.0, -1e-10, math.nan):
+        for call in (bounds.case_i_integral, bounds.case_i_bound, bounds.theorem_bound):
+            with pytest.raises(DomainError, match="tol must be > 0"):
+                call(THEOREM_DEFAULTS, tol=bad)
 
 
 def test_case_i_integral_halving_stability():
@@ -175,9 +298,9 @@ def test_case_i_integral_dominated_by_single_branch_integrals():
     full = bounds.case_i_integral(THEOREM_DEFAULTS, tol=1e-10)
     a, r0 = THEOREM_DEFAULTS.a, THEOREM_DEFAULTS.r0
     singles = (
-        bounds.adaptive_simpson(lambda r: r * (1 - 2 * r) / (1 + 2 * r), a, r0, 1e-12),
-        bounds.adaptive_simpson(lambda r: r / derived.g_mid, a, r0, 1e-12),
-        bounds.adaptive_simpson(
+        adaptive_simpson(lambda r: r * (1 - 2 * r) / (1 + 2 * r), a, r0, 1e-12),
+        adaptive_simpson(lambda r: r / derived.g_mid, a, r0, 1e-12),
+        adaptive_simpson(
             lambda r: r * (0.5 * math.pi - math.atan(2 * r)) / math.pi, a, r0, 1e-12
         ),
     )
@@ -185,11 +308,30 @@ def test_case_i_integral_dominated_by_single_branch_integrals():
         assert full <= single + 1e-12
 
 
+def test_r_star_is_where_the_local_and_arc_branches_meet():
+    r = bounds.R_STAR
+    local = (1.0 + 2.0 * r) / (1.0 - 2.0 * r)
+    arc = math.pi / (0.5 * math.pi - math.atan(2.0 * r))
+    assert abs(local - arc) <= 1e-15
+    [(kink, pair)] = bisect_kinks(0.2, 0.3, 0.1)
+    assert pair == (0, 2)
+    assert kink == pytest.approx(r, abs=1e-15)
+
+
 def test_g_branch_kinks_located_by_bisection():
     kinks = bounds.g_branch_kinks(THEOREM_DEFAULTS)
     assert len(kinks) == 2
     assert kinks[0] == pytest.approx(0.22157448183881665, abs=1e-11)
     assert kinks[1] == pytest.approx(0.23529881692067726, abs=1e-11)
+    # the closed-form kinks agree with bisection on the branch formulas
+    for convention in (RLAMBDA_REPRODUCING, RLAMBDA_PAPER_LITERAL):
+        for a, r0, lam in ((0.05, 0.3, 0.9), (0.02, 0.4, 0.1), (0.1, 0.45, 0.5)):
+            params = BoundParams(a=a, r0=r0, p=0.5, lam=lam)
+            r_lambda = bounds.derive_params(params, convention).r_lambda
+            expected = [x for x, _ in bisect_kinks(a, r0, r_lambda)]
+            assert bounds.g_branch_kinks(params, convention) == pytest.approx(
+                expected, abs=1e-14
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +362,11 @@ def test_case_ii_bound_reproduces_the_published_coefficient():
     assert got == pytest.approx(0.010717904519704951, abs=1e-13)
     base = THEOREM_DEFAULTS
     assert bounds.case_ii_bound(BoundParams(a=base.a, r0=base.r0, p=1.0, lam=base.lam)) == 0.0
+    for p in (0.1, 0.5, 0.9):
+        params = BoundParams(a=base.a, r0=base.r0, p=p, lam=base.lam)
+        derived = bounds.derive_params(params)
+        via_outside = 0.25 * (1.0 - p) * bounds.outside_area_rate(derived.r1 - 1.0, base.a)
+        assert bounds.case_ii_bound(params) == pytest.approx(via_outside, abs=1e-16)
 
 
 def test_case_ii_infeasibility_is_a_typed_error():
@@ -277,77 +424,4 @@ def test_bound_params_validation_messages():
 def test_cunningham_constant():
     got = bounds.cunningham_bound()
     assert abs(got - 1.0 / 108.0) <= 1e-15
-    assert got == pytest.approx(
-        bounds.direction_set_area_bound(math.pi, 1.0 / 6.0) / math.pi, abs=1e-16
-    )
     assert 1.0 / 108.0 < 1.0 / 98.0 < bounds.UPPER_BOUND_COEFF
-
-
-# ---------------------------------------------------------------------------
-# Area bounds from direction measures
-# ---------------------------------------------------------------------------
-
-def test_direction_set_area_bound():
-    assert bounds.direction_set_area_bound(math.pi, 1.0 / 6.0) == pytest.approx(
-        math.pi / 108.0, abs=1e-15
-    )
-    assert bounds.direction_set_area_bound(0.0, 0.3) == 0.0
-    assert bounds.direction_set_area_bound(math.pi / 2.0, 1.0 / 6.0) == pytest.approx(
-        math.pi / 216.0, abs=1e-15
-    )
-    assert bounds.direction_set_area_bound(Measure1D(math.pi), 1.0 / 6.0) == pytest.approx(
-        math.pi / 108.0, abs=1e-15
-    )
-    with pytest.raises(DomainError):
-        bounds.direction_set_area_bound(math.pi, 0.1)
-    with pytest.raises(DomainError):
-        bounds.direction_set_area_bound(4.0, 0.2)
-
-
-def test_combined_area_bound():
-    assert bounds.combined_area_bound(math.pi, 0.25, 0.0) == pytest.approx(
-        bounds.direction_set_area_bound(math.pi, 0.25), abs=1e-16
-    )
-    got = bounds.combined_area_bound(math.pi, 0.25, 0.01)
-    assert got == pytest.approx(math.pi / 4.0 * 0.03125 + 0.75 * 0.01, abs=1e-14)
-    prev = -1.0
-    for a0 in (0.0, 0.005, 0.02, 0.1):
-        cur = bounds.combined_area_bound(math.pi, 0.2, a0)
-        assert cur >= prev
-        prev = cur
-    # in-domain (r >= 0.15) the inner coefficient is strictly positive
-    for r in np.linspace(0.15, 0.5, 30):
-        f_r = bounds.exterior_area_rate(r)
-        assert 1.0 - f_r / (2.0 * r * r) > 0.0
-
-
-def test_outside_area_bound_and_case_ii_identity():
-    assert bounds.outside_area_bound(0.0, 0.8, A_DEFAULT) == 0.0
-    base = THEOREM_DEFAULTS
-    for p in (0.1, 0.5, 0.9):
-        params = BoundParams(a=base.a, r0=base.r0, p=p, lam=base.lam)
-        derived = bounds.derive_params(params)
-        via_outside = bounds.outside_area_bound(
-            (1.0 - p) * math.pi, derived.r1 - 1.0, base.a
-        ) / math.pi
-        assert bounds.case_ii_bound(params) == pytest.approx(via_outside, abs=1e-16)
-
-
-def test_cross_section_bound():
-    derived = bounds.derive_params(THEOREM_DEFAULTS)
-    assert bounds.cross_section_bound(0.0, 0.2, derived) == 0.0
-    assert bounds.cross_section_bound(0.9, 0.2, derived) == pytest.approx(
-        0.069219258623029069, abs=1e-13
-    )
-    # definitional consistency with the integrand of the case integral
-    for r in (0.1, 0.2, 0.24):
-        via = bounds.cross_section_bound(0.9, r, derived) / (0.9 * math.pi / 3.0)
-        assert via == pytest.approx(r / bounds.direction_ratio_cap(r, derived), abs=1e-15)
-
-
-def test_measure_type_validation():
-    with pytest.raises(DomainError):
-        Measure1D(-0.1)
-    with pytest.raises(DomainError):
-        Measure1D(3.2)
-    assert float(Measure1D(1.5)) == 1.5

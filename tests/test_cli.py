@@ -6,13 +6,20 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import kakeya
 from kakeya import cli, oracle
 from kakeya.errors import EmptyFeasibleSet
+
+
+PARAM_KEYS = {"a", "r0", "p", "lambda"}
+BREAKDOWN_KEYS = {"case_i", "case_ii", "half_a", "final", "integral_value", "f_r0", "c_r1m1"}
 
 
 def run_cli(*args):
@@ -30,6 +37,8 @@ def test_bound_theorem_preset(tmp_path, capsys):
     assert 0.01070 <= payload["case_ii"] <= 0.01075
     assert payload["final"] >= 1.0 / 98.0
     assert payload["half_a"] == 1.0 / 98.0
+    assert set(payload) == {"params", "convention", *BREAKDOWN_KEYS}
+    assert set(payload["params"]) == PARAM_KEYS
     assert (tmp_path / "bound.csv").exists()
 
 
@@ -159,7 +168,7 @@ def test_verify_failure_exits_1(tmp_path, monkeypatch):
 
 
 def test_optimize_infeasibility_exits_3(tmp_path, monkeypatch):
-    def boom(box, quad_tol, convention):
+    def boom(box, convention):
         raise EmptyFeasibleSet("forced")
 
     monkeypatch.setattr(cli.optimizer, "optimize", boom)
@@ -173,6 +182,10 @@ def test_optimize_point_box(tmp_path, capsys):
     assert payload["best"]["a"] == pytest.approx(math.pi / 49.0)
     assert payload["breakdown"]["final"] == pytest.approx(1.0 / 98.0, abs=1e-15)
     assert payload["balanced_p"] == pytest.approx(0.9046657225829937, abs=1e-10)
+    assert set(payload) == {"box", "best", "balanced_p", "breakdown", "trace"}
+    assert set(payload["best"]) == PARAM_KEYS
+    assert set(payload["breakdown"]) == BREAKDOWN_KEYS
+    assert all(set(entry) == PARAM_KEYS | {"value"} for entry in payload["trace"])
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -185,6 +198,35 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     payload = json.loads((tmp_path / "bound.json").read_text())
     assert payload["params"]["a"] == 0.06
     assert payload["params"]["r0"] == 0.23  # flag wins over file
+
+
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    for line, name in (("lamda = 0.5", "lamda"), ("quad-tol = 1e-10", "quad-tol")):
+        cfg.write_text(f"a = 0.06\n{line}\n")
+        assert run_cli("bound", "--config", str(cfg), "--output-dir", str(tmp_path)) == 2
+        assert f"unknown config key '{name}'" in capsys.readouterr().err
+    cfg.write_text("preset = theorm\n")
+    assert run_cli("bound", "--config", str(cfg), "--output-dir", str(tmp_path)) == 2
+    assert "unknown preset 'theorm'" in capsys.readouterr().err
+
+
+def test_digits_below_one_exit_2(tmp_path, capsys):
+    for digits in ("-1", "0"):
+        code = run_cli("bound", "--digits", digits, "--output-dir", str(tmp_path))
+        assert code == 2
+        assert "digits must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--a-steps", "--r0-steps"])
+def test_scan_counts_below_two_exit_2(flag, tmp_path, capsys):
+    for count in ("1", "0", "-3"):
+        code = run_cli(
+            "scan", "final", "--preset", "theorem", "--a-from", "0.05", "--a-to", "0.07",
+            "--r0-from", "0.23", "--r0-to", "0.26", flag, count, "--output-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert f"{flag} must be >= 2" in capsys.readouterr().err
 
 
 def test_env_seed_fallback(tmp_path, monkeypatch):
@@ -224,10 +266,14 @@ def test_svg_output_is_well_formed(tmp_path):
 
 
 def test_module_entry_point_runs(tmp_path):
+    # the child imports the same package as this process, installed or not
+    src = str(Path(kakeya.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "kakeya", "bound", "--preset", "cunningham",
          "--output-dir", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "coefficient_of_pi" in proc.stdout

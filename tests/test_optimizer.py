@@ -62,7 +62,7 @@ def test_optimize_beats_the_default_point_objective():
 
 
 def test_optimize_raises_on_empty_feasible_set(monkeypatch):
-    def always_infeasible(a, r0, lam, quad_tol, convention):
+    def always_infeasible(a, r0, lam, convention):
         raise CaseIIInfeasible("forced")
 
     monkeypatch.setattr(optimizer, "_balanced_point", always_infeasible)

@@ -464,7 +464,11 @@ def _cmd_scan(cfg: Config, args) -> int:
     else:
         a_lo = args.a_from if args.a_from is not None else params.a
         a_hi = args.a_to if args.a_to is not None else params.a
-        two_d = args.r0_from is not None and args.r0_to is not None
+        if a_hi < a_lo:
+            raise DomainError(f"inverted a range [{a_lo}, {a_hi}]")
+        if (args.r0_from is None) != (args.r0_to is None):
+            raise DomainError("--r0-from and --r0-to must be given together")
+        two_d = args.r0_from is not None
         n_a = args.a_steps if a_hi > a_lo else 1
         a_grid = [a_lo + (a_hi - a_lo) * k / max(1, n_a - 1) for k in range(n_a)]
 
@@ -520,9 +524,10 @@ def main(argv: list[str] | None = None) -> int:
     except (CaseIIInfeasible, EmptyFeasibleSet) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         # DomainError subclasses ValueError; plain ValueError also covers
-        # malformed numerics from config files or KAKEYA_SEED
+        # malformed numerics from config files or KAKEYA_SEED; OSError
+        # covers an unreadable --config or an unusable --output-dir
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

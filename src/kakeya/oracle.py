@@ -89,6 +89,15 @@ class McEstimate:
 # Monte Carlo area
 # ---------------------------------------------------------------------------
 
+# Stream layout: the samples come in chunks of _MC_CHUNK points, each
+# drawing all its x coordinates, then all its y coordinates.  Changing it
+# changes every estimate.
+_MC_CHUNK = 1 << 19
+# Points per ``region`` call, sized so a block's coordinates and
+# temporaries stay in cache; any size gives the same draws and hits.
+_MC_BLOCK = 1 << 16
+
+
 def mc_area(
     region: Callable[[np.ndarray, np.ndarray], np.ndarray],
     bbox: tuple[float, float, float, float],
@@ -97,7 +106,8 @@ def mc_area(
 ) -> McEstimate:
     """Unbiased hit-or-miss area estimate of ``region`` inside ``bbox``.
 
-    ``region(xs, ys)`` must return a boolean membership array.  The
+    ``region(xs, ys)`` must return a boolean membership array and may be
+    called on any number of blocks; it must not write into ``xs``/``ys``.  The
     estimate is bbox_area * hits/samples with standard error
     bbox_area * sqrt(phat*(1-phat)/samples), and is bit-identical for a
     fixed (seed, samples).
@@ -109,14 +119,17 @@ def mc_area(
         raise DomainError(f"degenerate bbox {bbox}")
     rng = CounterRng(seed, stream=0)
     hits = 0
-    chunk = 1 << 19
-    remaining = samples
-    while remaining > 0:
-        n = min(chunk, remaining)
-        xs = rng.uniform(xmin, xmax, n)
-        ys = rng.uniform(ymin, ymax, n)
-        hits += int(np.count_nonzero(region(xs, ys)))
-        remaining -= n
+    for start in range(0, samples, _MC_CHUNK):
+        n = min(_MC_CHUNK, samples - start)
+        # the chunk's xs sit at counters [2*start, 2*start + n), its ys
+        # right after; blocks read matching pieces of the two runs
+        for lo in range(0, n, _MC_BLOCK):
+            m = min(_MC_BLOCK, n - lo)
+            rng.seek(2 * start + lo)
+            xs = rng.uniform(xmin, xmax, m)
+            rng.seek(2 * start + n + lo)
+            ys = rng.uniform(ymin, ymax, m)
+            hits += int(np.count_nonzero(region(xs, ys)))
     area_box = (xmax - xmin) * (ymax - ymin)
     phat = hits / samples
     return McEstimate(
@@ -342,6 +355,34 @@ def _check_f_argmax(samples, _rng, _tol):
     return abs(argmax - 1.0 / 6.0), spec
 
 
+def _sector_region(starts, stops, radius):
+    """Membership in the polar sector {|p| <= radius, angle in the union}.
+
+    ``starts``/``stops`` are closed angle intervals in [0, 2pi) whose ends
+    interleave in sorted order, so they at most touch.  For such intervals
+    "some interval holds the angle" is the same as "the interval opened by
+    the last start at or below the angle holds it".  The radial test
+    compares squares; it can round differently from ``hypot(x, y) <=
+    radius`` only for points within a few ulps of the circle.
+    """
+    radius2 = radius * radius
+
+    def region(xs, ys):
+        ang = np.arctan2(ys, xs)
+        # adds exactly 0.0 or 2pi: the masked form np.add(..., where=)
+        # gives the same angles but is several times slower on mixed signs
+        ang += (ang < 0.0) * (2.0 * math.pi)
+        inside = np.zeros(ang.shape, dtype=bool)
+        for s, e in zip(starts, stops):
+            inside |= (s <= ang) & (ang <= e)
+        rad2 = xs * xs
+        rad2 += ys * ys
+        inside &= rad2 <= radius2
+        return inside
+
+    return region
+
+
 def _check_sector_measure(samples, rng, _tol, n_sets=100):
     """Polar sector area of random interval unions vs r^2/2 * measure.
 
@@ -359,13 +400,7 @@ def _check_sector_measure(samples, rng, _tol, n_sets=100):
         radius = float(rng.uniform(0.3, 1.2, 1)[0])
         set_seed = int(rng.raw(1)[0])
 
-        def region(xs, ys):
-            rad = np.hypot(xs, ys)
-            ang = np.arctan2(ys, xs)
-            ang = np.where(ang < 0.0, ang + 2.0 * math.pi, ang)
-            idx = np.searchsorted(starts, ang, side="right")
-            inside_angles = (idx > 0) & (ang <= stops[np.maximum(idx - 1, 0)])
-            return (rad <= radius) & inside_angles
+        region = _sector_region(starts, stops, radius)
 
         est = mc_area(region, (-radius, -radius, radius, radius), samples, set_seed)
         exact = 0.5 * radius * radius * measure

@@ -9,11 +9,24 @@ and the generator is trivial to port bit-for-bit to other languages:
 where ``mix64`` is the SplitMix64 finalizer (Steele, Lea & Flood 2014) and
 ``base`` encodes the (seed, stream) pair.  Uniform doubles take the top 53
 bits of the output, giving values in [0, 1).
+
+A generator reads its stream sequentially from counter 0; ``seek`` moves
+it to any counter, so a draw is addressable by (seed, stream, counter) and
+a consumer may read a stretch of the stream in any order of pieces.
+
+The hot path allocates one output array per call and works on it in
+place: ``raw`` turns the counter range into words, ``mix64`` runs the
+finalizer over them in place with one shift scratch buffer, and
+``uniforms``/``uniform`` shift, convert and scale that one buffer.  Each
+in-place step rounds exactly like the expression it replaces, so the
+drawn values are those of the formula above.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import DomainError
 
 # SplitMix64 constants: the 64-bit golden-ratio increment and the two
 # avalanche multipliers of the finalizer.
@@ -26,10 +39,20 @@ _INV_2_53 = float(2.0**-53)
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer applied elementwise to a uint64 array."""
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+    """SplitMix64 finalizer applied elementwise to a uint64 array.
+
+    Works in place: ``z`` is overwritten with the result, which is also
+    returned.
+    """
+    t = z >> _U64(30)
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, _U64(27), out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, _U64(31), out=t)
+    z ^= t
+    return z
 
 
 class CounterRng:
@@ -52,16 +75,32 @@ class CounterRng:
         self._base = mix64(base)[0]
         self._counter = 0
 
+    def seek(self, counter: int) -> None:
+        """Move to ``counter``: the next draw is output(counter)."""
+        counter = int(counter)
+        if counter < 0:
+            raise DomainError(f"counter must be >= 0, got {counter}")
+        self._counter = counter
+
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words as a uint64 array."""
-        idx = np.arange(self._counter, self._counter + n, dtype=np.uint64)
+        z = np.arange(self._counter, self._counter + n, dtype=np.uint64)
         self._counter += n
-        return mix64(self._base + idx * GOLDEN)
+        z *= GOLDEN
+        z += self._base
+        return mix64(z)
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next ``n`` doubles, uniform on [0, 1)."""
-        return (self.raw(n) >> _U64(11)).astype(np.float64) * _INV_2_53
+        words = self.raw(n)
+        words >>= _U64(11)
+        u = words.astype(np.float64)
+        u *= _INV_2_53
+        return u
 
     def uniform(self, lo: float, hi: float, n: int) -> np.ndarray:
         """Next ``n`` doubles, uniform on [lo, hi)."""
-        return lo + (hi - lo) * self.uniforms(n)
+        u = self.uniforms(n)
+        u *= hi - lo
+        u += lo
+        return u

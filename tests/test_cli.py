@@ -4,6 +4,7 @@ artifacts and their byte determinism."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -117,6 +118,27 @@ def test_scan_domain_violation_exits_2(capsys):
     assert run_cli("scan", "f", "--from", "0.4", "--to", "0.7") == 2
 
 
+def test_scan_inverted_a_range_exits_2(tmp_path, capsys):
+    code = run_cli(
+        "scan", "final", "--preset", "theorem", "--a-from", "0.07", "--a-to", "0.05",
+        "--output-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert "inverted a range [0.07, 0.05]" in capsys.readouterr().err
+    assert not (tmp_path / "scan_final.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--r0-from", "--r0-to"])
+def test_scan_half_given_r0_range_exits_2(flag, tmp_path, capsys):
+    code = run_cli(
+        "scan", "final", "--preset", "theorem", "--a-from", "0.05", "--a-to", "0.07",
+        flag, "0.23", "--output-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert "--r0-from and --r0-to must be given together" in capsys.readouterr().err
+    assert not (tmp_path / "scan_final.csv").exists()
+
+
 def test_scan_final_over_a_range(tmp_path):
     code = run_cli(
         "scan", "final", "--preset", "theorem", "--a-from", "0.05", "--a-to", "0.07",
@@ -155,6 +177,18 @@ def test_verify_single_check(tmp_path, capsys):
     assert set(record) == {
         "id", "samples", "grid_spec", "max_violation", "tolerance", "pass", "seed",
     }
+
+
+def test_reduced_verify_all_artifact_is_pinned(tmp_path):
+    # sha256 of verify.json from `verify --all --samples 1000 --seed 7`,
+    # recorded before the sampling kernels were rewritten in place; any
+    # change to a drawn value or a hit count shows here
+    code = run_cli(
+        "verify", "--all", "--samples", "1000", "--seed", "7", "--output-dir", str(tmp_path)
+    )
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
+    assert digest == "fedef6defc02969c51249a2936fbfef2af98bf26a974601e4408c0fcde1c49b3"
 
 
 def test_verify_failure_exits_1(tmp_path, monkeypatch):
@@ -227,6 +261,27 @@ def test_scan_counts_below_two_exit_2(flag, tmp_path, capsys):
         )
         assert code == 2
         assert f"{flag} must be >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ("bound", "--preset", "theorem"),
+    ("verify", "--check", "FArgmax"),
+    ("scan", "f", "--steps", "5"),
+])
+def test_unusable_output_dir_exits_2(command, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = run_cli(*command, "--output-dir", str(blocker / "sub"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(blocker) in err
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    code = run_cli("bound", "--config", str(tmp_path / "absent.cfg"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_env_seed_fallback(tmp_path, monkeypatch):

@@ -80,9 +80,12 @@ class BoundParams:
     lam: float
 
     def __post_init__(self):
-        for name in ("a", "r0", "p", "lam"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        # one test for the common all-finite case; the sum of finite
+        # values can only overflow, and then the loop finds no culprit
+        if not math.isfinite(self.a + self.r0 + self.p + self.lam):
+            for name in ("a", "r0", "p", "lam"):
+                if not math.isfinite(getattr(self, name)):
+                    raise DomainError(f"{name} must be finite")
         if not self.a < self.r0:
             raise DomainError(f"a must be < r0, got a={self.a}, r0={self.r0}")
         if not 0.0 < self.a < 0.5:
@@ -201,8 +204,11 @@ def _branch_values(r: float, derived: DerivedParams) -> tuple[float, float, floa
 
 
 def _argmax_branch(r: float, derived: DerivedParams) -> int:
-    vals = _branch_values(r, derived)
-    return max(range(3), key=vals.__getitem__)
+    """Index of the largest branch at r; on a tie the lower index wins."""
+    v0, v1, v2 = _branch_values(r, derived)
+    if v1 > v0:
+        return 2 if v2 > v1 else 1
+    return 2 if v2 > v0 else 0
 
 
 def _antiderivative(branch: int, r: float, g_mid: float) -> float:
@@ -228,13 +234,15 @@ def _g_pieces(lo: float, hi: float, derived: DerivedParams) -> list[tuple[float,
     kinks = {derived.r_lambda, R_STAR}
     if derived.g_mid > 2.0:
         kinks.add(0.5 / math.tan(math.pi / derived.g_mid))
-    cuts = [lo] + sorted(x for x in kinks if lo < x < hi) + [hi]
     pieces: list[tuple[float, float, int]] = []
-    for x0, x1 in zip(cuts, cuts[1:]):
+    x0 = lo
+    for x1 in [*sorted(x for x in kinks if lo < x < hi), hi]:
         branch = _argmax_branch(0.5 * (x0 + x1), derived)
         if pieces and pieces[-1][2] == branch:
-            x0 = pieces.pop()[0]
-        pieces.append((x0, x1, branch))
+            pieces[-1] = (pieces[-1][0], x1, branch)
+        else:
+            pieces.append((x0, x1, branch))
+        x0 = x1
     return pieces
 
 
@@ -263,16 +271,21 @@ def case_i_integral(
     params: BoundParams,
     tol: float = 1e-10,
     convention: str = RLAMBDA_REPRODUCING,
+    *,
+    derived: DerivedParams | None = None,
 ) -> float:
     """Integral of r / g(r) over [a, r0], in closed form.
 
     The interval is split where the active branch of g switches, and each
     piece is the difference of that branch's elementary antiderivative.
     The value is exact up to rounding, so ``tol`` does not change it; it
-    is accepted for callers that pass one and must be > 0.
+    is accepted for callers that pass one and must be > 0.  ``derived``
+    is ``derive_params(params, convention)``, for a caller that holds it
+    already.
     """
     _check_tol(tol)
-    derived = derive_params(params, convention)
+    if derived is None:
+        derived = derive_params(params, convention)
     return sum(
         _antiderivative(branch, x1, derived.g_mid) - _antiderivative(branch, x0, derived.g_mid)
         for x0, x1, branch in _g_pieces(params.a, params.r0, derived)
@@ -283,12 +296,15 @@ def case_i_integral(
 # Case bounds
 # ---------------------------------------------------------------------------
 
-def _case_i_terms(params, convention):
-    """(K0, K1) with case_i(p) = K0 + p*K1, both coefficients of pi."""
+def _case_i_terms(params, convention, derived=None):
+    """(K0, K1, f(r0), integral) with case_i(p) = K0 + p*K1, coefficients of pi.
+
+    ``derived``, when given, is ``derive_params(params, convention)``.
+    """
     if params.r0 < 0.15:
         raise DomainError(f"r0 must be >= 0.15 for the outer-area rate, got {params.r0}")
     f_r0 = exterior_area_rate(params.r0)
-    integral = case_i_integral(params, convention=convention)
+    integral = case_i_integral(params, convention=convention, derived=derived)
     k0 = 0.25 * f_r0
     k1 = (1.0 - f_r0 / (2.0 * params.r0 * params.r0)) / 3.0 * integral
     return k0, k1, f_r0, integral
@@ -341,7 +357,7 @@ def theorem_bound(
     """
     _check_tol(tol)
     derived = derive_params(params, convention)
-    k0, k1, f_r0, integral = _case_i_terms(params, convention)
+    k0, k1, f_r0, integral = _case_i_terms(params, convention, derived)
     case_i = k0 + params.p * k1
     case_ii, c_r1m1 = _case_ii_from_derived(params.a, params.p, derived)
     half_a = params.a / (2.0 * math.pi)

@@ -393,6 +393,8 @@ def _cmd_optimize(cfg: Config, args) -> int:
 
 
 def _cmd_verify(cfg: Config, args) -> int:
+    if args.all and args.check:
+        raise DomainError("--all and --check cannot be combined")
     if args.all or not args.check:
         selected = list(CheckId)
     else:
@@ -435,6 +437,14 @@ def _cmd_scan(cfg: Config, args) -> int:
             raise DomainError(f"--{flag} must be >= 2, got {count}")
     params = cfg.params
     fn = args.function
+    if fn in ("f", "g", "c"):
+        foreign = (("--a-from", args.a_from), ("--a-to", args.a_to),
+                   ("--r0-from", args.r0_from), ("--r0-to", args.r0_to))
+    else:
+        foreign = (("--from", args.r_from), ("--to", args.r_to))
+    for flag, value in foreign:
+        if value is not None:
+            raise DomainError(f"{flag} does not apply to scan {fn}")
     caption = f"scan of {fn}"
     if fn == "f":
         grid = _scan_range(args, 0.0, 0.5, "the outer-area rate")

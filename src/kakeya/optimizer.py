@@ -81,7 +81,7 @@ def _balanced_point(a, r0, lam, convention):
     """(objective, balanced case value, p) at one (a, r0, lambda) point."""
     params = BoundParams(a=a, r0=r0, p=0.0, lam=lam)
     derived = bounds.derive_params(params, convention)
-    k0, k1, _, _ = bounds._case_i_terms(params, convention)
+    k0, k1, _, _ = bounds._case_i_terms(params, convention, derived)
     _, c_r1m1 = bounds._case_ii_from_derived(a, 0.0, derived)
     k2 = 0.25 * c_r1m1
     denom = k1 + k2

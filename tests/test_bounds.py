@@ -318,6 +318,39 @@ def test_r_star_is_where_the_local_and_arc_branches_meet():
     assert kink == pytest.approx(r, abs=1e-15)
 
 
+def test_argmax_branch_matches_the_first_maximum_reference():
+    # reference: the first index of the largest of the three branch values
+    def reference(r, g_mid):
+        vals = (
+            (1.0 + 2.0 * r) / (1.0 - 2.0 * r),
+            g_mid,
+            math.pi / (0.5 * math.pi - math.atan(2.0 * r)),
+        )
+        return max(range(3), key=vals.__getitem__)
+
+    rnd = random.Random(4096)
+    radii_checked = 0
+    for convention in (RLAMBDA_REPRODUCING, RLAMBDA_PAPER_LITERAL):
+        for _ in range(100):
+            a = rnd.uniform(0.01, 0.2)
+            params = BoundParams(a=a, r0=rnd.uniform(a + 1e-3, 0.49), p=0.5, lam=rnd.random())
+            derived = bounds.derive_params(params, convention)
+            radii = [rnd.uniform(1e-6, 0.5 - 1e-6) for _ in range(60)]
+            radii += [derived.r_lambda, bounds.R_STAR]
+            for r in radii:
+                assert bounds._argmax_branch(r, derived) == reference(r, derived.g_mid)
+            radii_checked += len(radii)
+    assert radii_checked >= 10_000
+
+    # exact tie of branches 0 and 1 at r = r_lambda (beyond R_STAR, where
+    # the arc branch is lower): the first index wins
+    derived = bounds.derive_params(BoundParams(a=0.1, r0=0.3, p=0.5, lam=0.9))
+    r = derived.r_lambda
+    assert r > bounds.R_STAR
+    assert (1.0 + 2.0 * r) / (1.0 - 2.0 * r) == derived.g_mid
+    assert bounds._argmax_branch(r, derived) == 0
+
+
 def test_g_branch_kinks_located_by_bisection():
     kinks = bounds.g_branch_kinks(THEOREM_DEFAULTS)
     assert len(kinks) == 2
@@ -415,6 +448,21 @@ def test_bound_params_validation_messages():
         BoundParams(a=0.1, r0=0.55, p=0.9, lam=0.9)
     with pytest.raises(DomainError):
         BoundParams(a=0.1, r0=0.25, p=1.5, lam=0.9)
+
+
+def test_bound_params_names_the_first_non_finite_field():
+    nan, inf = math.nan, math.inf
+    with pytest.raises(DomainError, match="^a must be finite$"):
+        BoundParams(a=nan, r0=inf, p=0.9, lam=0.9)
+    with pytest.raises(DomainError, match="^r0 must be finite$"):
+        BoundParams(a=0.1, r0=-inf, p=inf, lam=0.9)
+    with pytest.raises(DomainError, match="^p must be finite$"):
+        BoundParams(a=0.1, r0=0.25, p=inf, lam=-inf)
+    with pytest.raises(DomainError, match="^lam must be finite$"):
+        BoundParams(a=0.1, r0=0.25, p=0.9, lam=nan)
+    # finite fields whose sum overflows reach the range checks
+    with pytest.raises(DomainError, match="a must be < r0"):
+        BoundParams(a=1e308, r0=1e308, p=1e308, lam=0.9)
 
 
 # ---------------------------------------------------------------------------

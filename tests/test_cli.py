@@ -139,6 +139,26 @@ def test_scan_half_given_r0_range_exits_2(flag, tmp_path, capsys):
     assert not (tmp_path / "scan_final.csv").exists()
 
 
+@pytest.mark.parametrize("fn", ["f", "g", "c"])
+@pytest.mark.parametrize("flag", ["--a-from", "--a-to", "--r0-from", "--r0-to"])
+def test_scan_rate_function_rejects_parameter_range_flags(fn, flag, tmp_path, capsys):
+    code = run_cli("scan", fn, flag, "0.2", "--steps", "3", "--output-dir", str(tmp_path))
+    assert code == 2
+    assert f"{flag} does not apply to scan {fn}" in capsys.readouterr().err
+    assert not (tmp_path / f"scan_{fn}.csv").exists()
+
+
+@pytest.mark.parametrize("fn", ["case_i", "case_ii", "final"])
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+def test_scan_bound_term_rejects_radius_range_flags(fn, flag, tmp_path, capsys):
+    code = run_cli(
+        "scan", fn, "--preset", "theorem", flag, "0.2", "--output-dir", str(tmp_path)
+    )
+    assert code == 2
+    assert f"{flag} does not apply to scan {fn}" in capsys.readouterr().err
+    assert not (tmp_path / f"scan_{fn}.csv").exists()
+
+
 def test_scan_final_over_a_range(tmp_path):
     code = run_cli(
         "scan", "final", "--preset", "theorem", "--a-from", "0.05", "--a-to", "0.07",
@@ -189,6 +209,43 @@ def test_reduced_verify_all_artifact_is_pinned(tmp_path):
     assert code == 0
     digest = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
     assert digest == "fedef6defc02969c51249a2936fbfef2af98bf26a974601e4408c0fcde1c49b3"
+
+
+def test_verify_all_with_check_exits_2(tmp_path, capsys):
+    code = run_cli(
+        "verify", "--all", "--check", "CMin", "--samples", "100", "--output-dir", str(tmp_path)
+    )
+    assert code == 2
+    assert "--all and --check cannot be combined" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+
+
+def test_sec41_optimize_artifact_is_pinned(tmp_path):
+    # sha256 of optimize.json from `optimize --preset sec41 --refine 10`,
+    # recorded before the balanced objective stopped deriving its
+    # parameters twice per evaluation; any change to a floating-point
+    # operation of the search or the breakdown shows here
+    code = run_cli(
+        "optimize", "--preset", "sec41", "--refine", "10", "--output-dir", str(tmp_path)
+    )
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "optimize.json").read_bytes()).hexdigest()
+    assert digest == "53376391e578d01eee64b5e3a60853722bd542a328012613709e187d092720be"
+
+
+def test_theorem_bound_artifacts_are_pinned(tmp_path):
+    # sha256 of bound.json and bound.csv from `bound --preset theorem`,
+    # recorded alongside the sec41 digest above
+    code = run_cli("bound", "--preset", "theorem", "--output-dir", str(tmp_path))
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("bound.json", "bound.csv")
+    }
+    assert digests == {
+        "bound.json": "16c3bfd7cdd10e75f7ccd2211d6620127a9e852aa0e589364d9dfa3279b8a04c",
+        "bound.csv": "bfd163466af31273d5d75e226d1b57358048cbedd226f00d6bb1632de96397e9",
+    }
 
 
 def test_verify_failure_exits_1(tmp_path, monkeypatch):

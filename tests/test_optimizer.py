@@ -61,6 +61,29 @@ def test_optimize_beats_the_default_point_objective():
     assert result.breakdown.final >= default_value
 
 
+def test_optimize_derives_once_per_evaluation(monkeypatch):
+    box = SearchBox(a=(0.06, 0.066), r0=(0.22, 0.24), lam=(0.88, 0.93), grid=4, tol=1e-8)
+    expected = optimizer.optimize(box)
+    calls = {"evaluations": 0, "derive_params": 0, "case_i_integral": 0}
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(optimizer, "_balanced_point", counted("evaluations", optimizer._balanced_point))
+    monkeypatch.setattr(bounds, "derive_params", counted("derive_params", bounds.derive_params))
+    monkeypatch.setattr(bounds, "case_i_integral", counted("case_i_integral", bounds.case_i_integral))
+    result = optimizer.optimize(box)
+    assert result == expected
+    assert calls["evaluations"] > 4 ** 3
+    # one of each per evaluation, plus one each for the final breakdown
+    assert calls["derive_params"] == calls["evaluations"] + 1
+    assert calls["case_i_integral"] == calls["evaluations"] + 1
+
+
 def test_optimize_raises_on_empty_feasible_set(monkeypatch):
     def always_infeasible(a, r0, lam, convention):
         raise CaseIIInfeasible("forced")

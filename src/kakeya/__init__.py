@@ -20,9 +20,7 @@ from .bounds import (
     RLAMBDA_PAPER_LITERAL,
     RLAMBDA_REPRODUCING,
     THEOREM_DEFAULTS,
-    case_i_bound,
     case_i_integral,
-    case_ii_bound,
     cunningham_bound,
     theorem_bound,
 )
@@ -33,8 +31,8 @@ from .errors import (
     EmptyFeasibleSet,
     KakeyaError,
 )
-from .geom import Arc, DirectionInterval, NeedleTriangle, Point, make_triangle
-from .optimizer import OptimizationResult, SearchBox, balance_p, optimize, refine_iterative
+from .geom import Arc, NeedleTriangle, Point, make_triangle
+from .optimizer import OptimizationResult, SearchBox, optimize, refine_iterative
 from .oracle import CheckId, CheckReport, McEstimate, find_h_threshold, mc_area, run_check
 
 __version__ = "0.1.0"
@@ -48,7 +46,6 @@ __all__ = [
     "CheckId",
     "CheckReport",
     "DerivedParams",
-    "DirectionInterval",
     "DomainError",
     "EmptyFeasibleSet",
     "KakeyaError",
@@ -60,10 +57,7 @@ __all__ = [
     "RLAMBDA_REPRODUCING",
     "SearchBox",
     "THEOREM_DEFAULTS",
-    "balance_p",
-    "case_i_bound",
     "case_i_integral",
-    "case_ii_bound",
     "cunningham_bound",
     "find_h_threshold",
     "make_triangle",

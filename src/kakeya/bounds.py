@@ -34,8 +34,6 @@ __all__ = [
     "derive_params",
     "g_branch_kinks",
     "case_i_integral",
-    "case_i_bound",
-    "case_ii_bound",
     "theorem_bound",
     "cunningham_bound",
 ]
@@ -310,22 +308,6 @@ def _case_i_terms(params, convention, derived=None):
     return k0, k1, f_r0, integral
 
 
-def case_i_bound(
-    params: BoundParams,
-    tol: float = 1e-10,
-    convention: str = RLAMBDA_REPRODUCING,
-) -> float:
-    """Case I coefficient of pi:
-
-        p/3 * (1 - f(r0)/(2 r0^2)) * integral(r/g) + f(r0)/4.
-
-    ``tol`` must be > 0 and does not change the value (see case_i_integral).
-    """
-    _check_tol(tol)
-    k0, k1, _, _ = _case_i_terms(params, convention)
-    return k0 + params.p * k1
-
-
 def _case_ii_from_derived(a: float, p: float, derived: DerivedParams) -> tuple[float, float]:
     if not derived.case_ii_feasible:
         raise CaseIIInfeasible(
@@ -335,21 +317,15 @@ def _case_ii_from_derived(a: float, p: float, derived: DerivedParams) -> tuple[f
     return (1.0 - p) / 4.0 * c_r1m1, c_r1m1
 
 
-def case_ii_bound(
-    params: BoundParams, convention: str = RLAMBDA_REPRODUCING
-) -> float:
-    """Case II coefficient of pi: (1 - p)/4 * c(r1 - 1)."""
-    derived = derive_params(params, convention)
-    value, _ = _case_ii_from_derived(params.a, params.p, derived)
-    return value
-
-
 def theorem_bound(
     params: BoundParams,
     tol: float = 1e-10,
     convention: str = RLAMBDA_REPRODUCING,
 ) -> BoundBreakdown:
-    """Full breakdown: final = min(case_i, case_ii, a/(2*pi)).
+    """Full breakdown: final = min(case_i, case_ii, a/(2*pi)), where
+
+        case_i  = p/3 * (1 - f(r0)/(2 r0^2)) * integral(r/g) + f(r0)/4,
+        case_ii = (1 - p)/4 * c(r1 - 1).
 
     The a/(2*pi) term is the trivial bound from any needle at height >= a;
     at the default parameters it equals exactly 1/98.  ``tol`` must be > 0

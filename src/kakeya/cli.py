@@ -33,12 +33,17 @@ __all__ = ["Config", "OutputTable", "main"]
 _EMIT_CHOICES = ("csv", "svg", "json")
 _CHECK_NAMES = {c.value: c for c in CheckId}
 
-# One-command reproduction of each published constant.  The sec41 preset
-# searches the parameter intervals published with the refined optimum;
-# wider boxes admit slightly larger objective values at their lambda edge
-# (see the scan command), so reproduction pins the box to the published
-# intervals.
-_PRESETS = ("cunningham", "theorem", "sec41")
+# One-command reproduction of each published constant, by the commands
+# that implement each preset.  The sec41 preset searches the parameter
+# intervals published with the refined optimum; wider boxes admit slightly
+# larger objective values at their lambda edge (see the scan command), so
+# reproduction pins the box to the published intervals.
+_PRESETS = {
+    "bound": ("cunningham", "theorem"),
+    "optimize": ("sec41", "theorem"),
+    "scan": ("theorem",),
+    "verify": (),
+}
 _SEC41_BOX = dict(
     a=(0.06473, 0.06474),
     r0=(0.22785, 0.22786),
@@ -108,7 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--a", type=float, default=None, help="needle-height cap, in (0, 1/2)")
         p.add_argument("--r0", type=float, default=None, help="cutoff radius, in (a, 1/2)")
         p.add_argument("--p", type=float, default=None, help="direction-proportion split, in [0, 1]")
@@ -116,43 +122,41 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="interpolation weight for r_lambda, in [0, 1]")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (default: KAKEYA_SEED env var, else 7)")
-        p.add_argument("--preset", choices=_PRESETS, default=None)
+        if _PRESETS[name]:
+            p.add_argument("--preset", choices=_PRESETS[name], default=None)
         p.add_argument("--rlambda-convention", choices=(RLAMBDA_REPRODUCING, RLAMBDA_PAPER_LITERAL),
                        default=None)
         p.add_argument("--output-dir", type=str, default=None)
         p.add_argument("--emit", type=str, default=None, help="comma list from csv,svg,json")
         p.add_argument("--digits", type=int, default=None, help="significant digits for printed numbers")
         p.add_argument("--config", type=str, default=None, help="flat key = value config file")
+        return p
 
-    p_bound = sub.add_parser("bound", help="evaluate the lower bound at one parameter point")
-    common(p_bound)
+    command("bound", "evaluate the lower bound at one parameter point")
 
-    p_opt = sub.add_parser("optimize", help="search (a, r0, lambda) with balanced p")
-    common(p_opt)
+    p_opt = command("optimize", "search (a, r0, lambda) with balanced p")
     p_opt.add_argument("--grid", type=int, default=None, help="coarse grid points per axis")
     p_opt.add_argument("--refine", type=int, default=0, metavar="N",
                        help="append N steps of the iterative inner-bound refinement")
 
-    p_verify = sub.add_parser("verify", help="run brute-force geometry checks")
-    common(p_verify)
+    p_verify = command("verify", "run brute-force geometry checks")
     p_verify.add_argument("--all", action="store_true", help="run every check")
     p_verify.add_argument("--check", action="append", choices=sorted(_CHECK_NAMES),
                           default=None, help="run one named check (repeatable)")
     p_verify.add_argument("--samples", type=int, default=None,
                           help="override the per-check sample/grid size")
 
-    p_scan = sub.add_parser("scan", help="tabulate a bound function over a range")
-    common(p_scan)
+    p_scan = command("scan", "tabulate a bound function over a range")
     p_scan.add_argument("function", choices=("f", "g", "c", "case_i", "case_ii", "final"))
     p_scan.add_argument("--from", dest="r_from", type=float, default=None)
     p_scan.add_argument("--to", dest="r_to", type=float, default=None)
-    p_scan.add_argument("--steps", type=int, default=100)
+    p_scan.add_argument("--steps", type=int, default=None, help="default 100")
     p_scan.add_argument("--a-from", dest="a_from", type=float, default=None)
     p_scan.add_argument("--a-to", dest="a_to", type=float, default=None)
-    p_scan.add_argument("--a-steps", dest="a_steps", type=int, default=50)
+    p_scan.add_argument("--a-steps", dest="a_steps", type=int, default=None, help="default 50")
     p_scan.add_argument("--r0-from", dest="r0_from", type=float, default=None)
     p_scan.add_argument("--r0-to", dest="r0_to", type=float, default=None)
-    p_scan.add_argument("--r0-steps", dest="r0_steps", type=int, default=50)
+    p_scan.add_argument("--r0-steps", dest="r0_steps", type=int, default=None, help="default 50")
     return parser
 
 
@@ -181,9 +185,12 @@ def _resolve_config(args) -> Config:
             return cast(fileconf[key])
         return default
 
-    preset = pick(args.preset, "preset", str, None)
-    if preset is not None and preset not in _PRESETS:
-        raise DomainError(f"unknown preset {preset!r}")
+    # verify has no --preset flag, but a config file may still name one
+    preset = pick(getattr(args, "preset", None), "preset", str, None)
+    if preset is not None and preset not in _PRESETS[args.command]:
+        if not any(preset in names for names in _PRESETS.values()):
+            raise DomainError(f"unknown preset {preset!r}")
+        raise DomainError(f"preset {preset!r} does not apply to {args.command}")
     base = THEOREM_DEFAULTS
     a = pick(args.a, "a", float, base.a)
     r0 = pick(args.r0, "r0", float, base.r0)
@@ -419,42 +426,52 @@ def _cmd_verify(cfg: Config, args) -> int:
     return 0 if all_pass else 1
 
 
-def _scan_range(args, domain_lo, domain_hi, what) -> list[float]:
+def _grid(lo: float, hi: float, steps: int, name: str) -> list[float]:
+    """``steps`` evenly spaced points from lo to hi; one point when lo == hi."""
+    if hi < lo:
+        raise DomainError(f"inverted {name} range [{lo}, {hi}]")
+    if hi == lo:
+        return [lo]
+    return [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
+
+
+def _scan_range(args, steps, domain_lo, domain_hi, what) -> list[float]:
     lo = args.r_from if args.r_from is not None else domain_lo
     hi = args.r_to if args.r_to is not None else domain_hi
     if not (domain_lo <= lo < hi <= domain_hi):
         raise DomainError(
             f"scan range [{lo}, {hi}] outside the domain [{domain_lo}, {domain_hi}] of {what}"
         )
-    n = args.steps
-    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+    return _grid(lo, hi, steps, "r")
 
 
 def _cmd_scan(cfg: Config, args) -> int:
     for flag, count in (("steps", args.steps), ("a-steps", args.a_steps),
                         ("r0-steps", args.r0_steps)):
-        if count < 2:
+        if count is not None and count < 2:
             raise DomainError(f"--{flag} must be >= 2, got {count}")
     params = cfg.params
     fn = args.function
     if fn in ("f", "g", "c"):
         foreign = (("--a-from", args.a_from), ("--a-to", args.a_to),
-                   ("--r0-from", args.r0_from), ("--r0-to", args.r0_to))
+                   ("--a-steps", args.a_steps), ("--r0-from", args.r0_from),
+                   ("--r0-to", args.r0_to), ("--r0-steps", args.r0_steps))
     else:
-        foreign = (("--from", args.r_from), ("--to", args.r_to))
+        foreign = (("--from", args.r_from), ("--to", args.r_to), ("--steps", args.steps))
     for flag, value in foreign:
         if value is not None:
             raise DomainError(f"{flag} does not apply to scan {fn}")
+    steps = 100 if args.steps is None else args.steps
     caption = f"scan of {fn}"
     if fn == "f":
-        grid = _scan_range(args, 0.0, 0.5, "the outer-area rate")
+        grid = _scan_range(args, steps, 0.0, 0.5, "the outer-area rate")
         table = OutputTable(
             columns=("r", "f"),
             rows=[(r, bounds.exterior_area_rate(r)) for r in grid],
             caption=caption,
         )
     elif fn == "c":
-        grid = _scan_range(args, params.a, 4.0, "the needle-outside rate")
+        grid = _scan_range(args, steps, params.a, 4.0, "the needle-outside rate")
         table = OutputTable(
             columns=("r", "c"),
             rows=[(r, bounds.outside_area_rate(r, params.a)) for r in grid],
@@ -462,7 +479,7 @@ def _cmd_scan(cfg: Config, args) -> int:
         )
     elif fn == "g":
         derived = bounds.derive_params(params, cfg.rlambda_convention)
-        grid = _scan_range(args, 1e-9, 0.5 - 1e-9, "the direction-ratio cap")
+        grid = _scan_range(args, steps, 1e-9, 0.5 - 1e-9, "the direction-ratio cap")
         branches = ("(1+2r)/(1-2r)", "(1+2r_lambda)/(1-2r_lambda)", "pi/(pi/2-atan(2r))")
         rows = []
         for r in grid:
@@ -472,26 +489,24 @@ def _cmd_scan(cfg: Config, args) -> int:
         for kink in bounds.g_branch_kinks(params, cfg.rlambda_convention, grid[0], grid[-1]):
             print(f"branch switch at r = {kink:.12g}")
     else:
+        if args.a_steps is not None and args.a_from is None and args.a_to is None:
+            raise DomainError("--a-steps needs --a-from or --a-to")
         a_lo = args.a_from if args.a_from is not None else params.a
         a_hi = args.a_to if args.a_to is not None else params.a
-        if a_hi < a_lo:
-            raise DomainError(f"inverted a range [{a_lo}, {a_hi}]")
+        a_grid = _grid(a_lo, a_hi, 50 if args.a_steps is None else args.a_steps, "a")
         if (args.r0_from is None) != (args.r0_to is None):
             raise DomainError("--r0-from and --r0-to must be given together")
-        two_d = args.r0_from is not None
-        n_a = args.a_steps if a_hi > a_lo else 1
-        a_grid = [a_lo + (a_hi - a_lo) * k / max(1, n_a - 1) for k in range(n_a)]
+        if args.r0_steps is not None and args.r0_from is None:
+            raise DomainError("--r0-steps needs --r0-from and --r0-to")
 
         def value_at(a, r0):
             bp = BoundParams(a=a, r0=r0, p=params.p, lam=params.lam)
             breakdown = bounds.theorem_bound(bp, convention=cfg.rlambda_convention)
             return getattr(breakdown, fn)
 
-        if two_d:
-            n_r = args.r0_steps
-            r0_grid = [
-                args.r0_from + (args.r0_to - args.r0_from) * k / (n_r - 1) for k in range(n_r)
-            ]
+        if args.r0_from is not None:
+            r0_steps = 50 if args.r0_steps is None else args.r0_steps
+            r0_grid = _grid(args.r0_from, args.r0_to, r0_steps, "r0")
             columns = ("a",) + tuple(f"r0={r0:.10g}" for r0 in r0_grid)
             rows = [tuple([a] + [value_at(a, r0) for r0 in r0_grid]) for a in a_grid]
             table = OutputTable(columns=columns, rows=rows, caption=f"{caption} over (a, r0)")

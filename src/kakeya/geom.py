@@ -21,17 +21,13 @@ __all__ = [
     "Point",
     "NeedleTriangle",
     "Arc",
-    "DirectionInterval",
     "make_triangle",
     "triangle_vertices",
     "exterior_area",
     "exterior_area_isosceles",
     "exterior_angle_ratio",
     "theta_isosceles",
-    "theta_max",
-    "direction_interval",
     "direction_ratio",
-    "vertex_reach",
     "far_endpoint_distance",
     "outside_distance_cap",
     "angular_gap",
@@ -87,22 +83,6 @@ class Arc:
     start: float
     end: float
     theta: float
-
-    @property
-    def length(self) -> float:
-        return self.r * self.theta
-
-
-@dataclass(frozen=True)
-class DirectionInterval:
-    """Closed interval of needle directions, width at most pi."""
-
-    lo: float
-    hi: float
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 # ---------------------------------------------------------------------------
@@ -250,74 +230,25 @@ def theta_isosceles(delta0: float, r: float) -> float:
     return math.asin(delta0 / r) - math.atan(2.0 * delta0)
 
 
-def theta_max(a: float, r: float) -> float:
-    """Largest central angle any needle at height <= a can cut on S_r:
+def direction_ratio(delta0: float, r: float) -> float:
+    """Width of the admissible direction interval over the central angle.
 
-        asin(a/r) - atan( a / (sqrt(r^2 - a^2) + 1) )
-
-    The cap is approached as a needle endpoint recedes to infinity the
-    angle shrinks to zero, and is attained at height exactly a.
-    """
-    if not 0.0 < a < r:
-        raise DomainError(f"need 0 < a < r, got a={a}, r={r}")
-    return math.asin(a / r) - math.atan(a / (math.sqrt(r * r - a * a) + 1.0))
-
-
-def direction_interval(delta0: float, r: float) -> DirectionInterval:
-    """Interval of directions whose longer arc fits inside a given arc.
-
-    For the arc cut by the isosceles triangle at height delta0, the
-    admissible directions form an interval centered on the arc midpoint
-    direction (taken as 0 here) of width
+    The directions whose longer arc fits inside the arc cut by the
+    isosceles triangle at height delta0 form an interval centered on the
+    arc midpoint direction, of width
 
         2*asin(delta0/r) - theta_isosceles(delta0, r)
         = asin(delta0/r) + atan(2*delta0).
+
+    The ratio is (asin(x) + atan(2*delta0)) / (asin(x) - atan(2*delta0))
+    with x = delta0/r; bounded by (1 + 2r)/(1 - 2r) for all
+    0 < delta0 < r, with the supremum attained in the limit delta0 -> 0.
     """
     if delta0 <= 0.0:
         raise DomainError(f"delta0 must be > 0, got {delta0}")
     _require_height_below_radius(delta0, r)
-    half = 0.5 * (math.asin(delta0 / r) + math.atan(2.0 * delta0))
-    return DirectionInterval(lo=-half, hi=half)
-
-
-def direction_ratio(delta0: float, r: float) -> float:
-    """Width of the admissible direction interval over the central angle.
-
-    Equals (asin(x) + atan(2*delta0)) / (asin(x) - atan(2*delta0)) with
-    x = delta0/r; bounded by (1 + 2r)/(1 - 2r) for all 0 < delta0 < r,
-    with the supremum attained in the limit delta0 -> 0.
-    """
-    interval = direction_interval(delta0, r)
-    return interval.width / theta_isosceles(delta0, r)
-
-
-def vertex_reach(theta: float, a: float) -> tuple[float, float]:
-    """Distance |OA| and direction half-width for a needle clear of the disk.
-
-    For a needle at height a whose triangle cuts an arc of central angle
-    theta while the needle itself avoids the disk,
-
-        |OA| = sqrt( ((2a/tan(theta) + 1) - sqrt(1 - 4a^2 + 4a/tan(theta))) / 2 )
-
-    and the extreme admissible direction sits at beta1 = asin(a/|OA|)
-    from the arc midpoint.  As theta -> 0, |OA| -> infinity and
-    beta1 -> 0.
-    """
-    if theta <= 0.0:
-        raise DomainError(f"theta must be > 0, got {theta}")
-    if not 0.0 < a < 0.5:
-        raise DomainError(f"a must lie in (0, 1/2), got {a}")
-    tan_t = math.tan(theta)
-    inner = 1.0 - 4.0 * a * a + 4.0 * a / tan_t
-    if inner < 0.0:
-        raise DomainError("negative radicand in |OA| (theta too large for this a)")
-    outer = 0.5 * ((2.0 * a / tan_t + 1.0) - math.sqrt(inner))
-    if outer < 0.0:
-        raise DomainError("negative radicand in |OA| (theta too large for this a)")
-    oa = math.sqrt(outer)
-    if oa < a:
-        raise DomainError(f"|OA| = {oa} fell below the height cap a = {a}")
-    return oa, math.asin(a / oa)
+    width = math.asin(delta0 / r) + math.atan(2.0 * delta0)
+    return width / theta_isosceles(delta0, r)
 
 
 def far_endpoint_distance(delta0: float, r: float) -> float:

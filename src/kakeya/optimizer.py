@@ -23,7 +23,7 @@ from . import bounds
 from .bounds import RLAMBDA_REPRODUCING, BoundBreakdown, BoundParams
 from .errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet
 
-__all__ = ["SearchBox", "OptimizationResult", "balance_p", "optimize", "refine_iterative"]
+__all__ = ["SearchBox", "OptimizationResult", "optimize", "refine_iterative"]
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -61,24 +61,14 @@ class OptimizationResult:
     trace: list[tuple[BoundParams, float]] = field(default_factory=list)
 
 
-def balance_p(
-    a: float,
-    r0: float,
-    lam: float,
-    convention: str = RLAMBDA_REPRODUCING,
-) -> float:
-    """The split p at which the Case I and Case II coefficients agree.
-
-    With case_i(p) = K0 + p*K1 and case_ii(p) = (1-p)*K2 the balance
-    point is p = (K2 - K0)/(K1 + K2), clamped to [0, 1] (a clamp at 0
-    means Case I already exceeds Case II with no cross-section help).
-    """
-    _, _, p = _balanced_point(a, r0, lam, convention)
-    return p
-
-
 def _balanced_point(a, r0, lam, convention):
-    """(objective, balanced case value, p) at one (a, r0, lambda) point."""
+    """(objective, balanced case value, p) at one (a, r0, lambda) point.
+
+    p is the split at which the Case I and Case II coefficients agree:
+    with case_i(p) = K0 + p*K1 and case_ii(p) = (1-p)*K2 it is
+    p = (K2 - K0)/(K1 + K2), clamped to [0, 1] (a clamp at 0 means Case I
+    already exceeds Case II with no cross-section help).
+    """
     params = BoundParams(a=a, r0=r0, p=0.0, lam=lam)
     derived = bounds.derive_params(params, convention)
     k0, k1, _, _ = bounds._case_i_terms(params, convention, derived)

@@ -180,7 +180,7 @@ def _sample_in_triangles(ax, ay, bx, by, rng, n_points):
 # Individual checks
 # ---------------------------------------------------------------------------
 
-def _check_isosceles_minimality(samples, rng, _tol):
+def _check_isosceles_minimality(samples, rng):
     r = rng.uniform(0.15, 0.5, samples)
     delta = rng.uniforms(samples) * np.minimum(_HEIGHT_CAP, 0.9 * r)
     alpha = rng.uniform(0.0, math.pi, samples)
@@ -209,7 +209,7 @@ def _h_fractions(n):
     )
 
 
-def _check_h_min_at_zero(samples, _rng, _tol):
+def _check_h_min_at_zero(samples, _rng):
     n_r = max(10, int(round(math.sqrt(samples))))
     n_d = max(10, samples // n_r)
     r_grid = np.linspace(0.15, 0.5, n_r)
@@ -271,7 +271,7 @@ def _count_cross_hits(r, v1, v2, rng, n_points, exterior):
     return hits
 
 
-def _check_ext_disjoint(samples, rng, _tol, n_points=1000):
+def _check_ext_disjoint(samples, rng, n_points=1000):
     r, d1, d2, a1, a2 = _disjoint_pairs(samples, rng, r_lo=0.05)
     t1 = rng.uniforms(samples)
     t2 = rng.uniforms(samples)
@@ -287,7 +287,7 @@ def _check_ext_disjoint(samples, rng, _tol, n_points=1000):
     return float(hits + mismatches), spec
 
 
-def _check_int_disjoint(samples, rng, _tol, n_points=1000):
+def _check_int_disjoint(samples, rng, n_points=1000):
     r, d1, d2, a1, a2 = _disjoint_pairs(samples, rng, r_lo=0.1)
     # needles clear of the disk: foot parameter pushed outside [0, 1] far
     # enough that the nearest needle point sits beyond radius r
@@ -304,7 +304,7 @@ def _check_int_disjoint(samples, rng, _tol, n_points=1000):
     return float(hits), spec
 
 
-def _check_jgamma_ratio(samples, _rng, _tol):
+def _check_jgamma_ratio(samples, _rng):
     n_r = max(10, int(round(math.sqrt(samples))))
     n_d = max(10, samples // n_r)
     worst = -math.inf
@@ -316,7 +316,7 @@ def _check_jgamma_ratio(samples, _rng, _tol):
     return worst, spec
 
 
-def _check_c_min(samples, _rng, _tol):
+def _check_c_min(samples, _rng):
     a = _HEIGHT_CAP
     n_r = max(10, int(round(math.sqrt(samples))))
     n_x = max(10, samples // n_r)
@@ -329,7 +329,7 @@ def _check_c_min(samples, _rng, _tol):
     return worst, spec
 
 
-def _check_f_argmax(samples, _rng, _tol):
+def _check_f_argmax(samples, _rng):
     lo, hi = 0.15, 0.5
     grid = np.linspace(lo, hi, samples)
     vals = [bounds.exterior_area_rate(r) for r in grid]
@@ -383,7 +383,7 @@ def _sector_region(starts, stops, radius):
     return region
 
 
-def _check_sector_measure(samples, rng, _tol, n_sets=100):
+def _check_sector_measure(samples, rng, n_sets=100):
     """Polar sector area of random interval unions vs r^2/2 * measure.
 
     Deviations are normalized by the exact sampling deviation of the
@@ -468,7 +468,7 @@ def _point_on_circle_in_triangle(tri, r, phi):
     return not (has_pos and has_neg)
 
 
-def _check_arc_consistency(samples, rng, _tol):
+def _check_arc_consistency(samples, rng):
     r = rng.uniform(0.05, 0.5, samples)
     delta = rng.uniforms(samples) * np.minimum(_HEIGHT_CAP, 0.9 * r)
     alpha = rng.uniform(0.0, math.pi, samples)
@@ -504,7 +504,6 @@ def run_check(
     check: CheckId,
     samples: int | None = None,
     seed: int = DEFAULT_SEED,
-    tolerance: float | None = None,
 ) -> CheckReport:
     """Run one check over a seed-derived sample or grid.
 
@@ -512,14 +511,13 @@ def run_check(
     for the scan checks, and per-set draws for SectorMeasure.  Failures
     are reported in the returned record, never raised.
     """
-    func, default_samples, default_tol = _CHECKS[check]
+    func, default_samples, tol = _CHECKS[check]
     n = default_samples if samples is None else int(samples)
     if n < 100:
         raise DomainError(f"samples must be >= 100, got {n}")
-    tol = default_tol if tolerance is None else float(tolerance)
     stream = 1 + list(CheckId).index(check)
     rng = CounterRng(seed, stream=stream)
-    violation, spec = func(n, rng, tol)
+    violation, spec = func(n, rng)
     violation = float(max(0.0, violation))
     return CheckReport(
         id=check,

@@ -279,9 +279,9 @@ def test_case_i_integral_tol_is_checked_but_inert():
         assert bounds.case_i_integral(THEOREM_DEFAULTS, tol=tol) == exact
     breakdown = bounds.theorem_bound(THEOREM_DEFAULTS)
     assert bounds.theorem_bound(THEOREM_DEFAULTS, tol=1e-300) == breakdown
-    assert bounds.case_i_bound(THEOREM_DEFAULTS, tol=1e-300) == breakdown.case_i
+    assert bounds.theorem_bound(THEOREM_DEFAULTS, tol=1e-300).case_i == breakdown.case_i
     for bad in (0.0, -1e-10, math.nan):
-        for call in (bounds.case_i_integral, bounds.case_i_bound, bounds.theorem_bound):
+        for call in (bounds.case_i_integral, bounds.theorem_bound):
             with pytest.raises(DomainError, match="tol must be > 0"):
                 call(THEOREM_DEFAULTS, tol=bad)
 
@@ -372,34 +372,35 @@ def test_g_branch_kinks_located_by_bisection():
 # ---------------------------------------------------------------------------
 
 def test_case_i_bound_reproduces_the_published_coefficient():
-    got = bounds.case_i_bound(THEOREM_DEFAULTS, tol=1e-10)
+    got = bounds.theorem_bound(THEOREM_DEFAULTS, tol=1e-10).case_i
     assert 0.010200 <= got <= 0.010210
     assert got == pytest.approx(0.010205431545050659, abs=1e-10)
 
 
 def test_case_i_bound_degenerate_and_monotone_in_p():
     base = THEOREM_DEFAULTS
-    at_zero = bounds.case_i_bound(BoundParams(a=base.a, r0=base.r0, p=0.0, lam=base.lam))
+    at_zero = bounds.theorem_bound(BoundParams(a=base.a, r0=base.r0, p=0.0, lam=base.lam)).case_i
     assert at_zero == pytest.approx(0.25 * bounds.exterior_area_rate(0.25), abs=1e-15)
     assert at_zero == pytest.approx(0.0078125, abs=1e-15)
     prev = at_zero
     for p in (0.25, 0.5, 0.75, 1.0):
-        cur = bounds.case_i_bound(BoundParams(a=base.a, r0=base.r0, p=p, lam=base.lam))
+        cur = bounds.theorem_bound(BoundParams(a=base.a, r0=base.r0, p=p, lam=base.lam)).case_i
         assert cur >= prev
         prev = cur
 
 
 def test_case_ii_bound_reproduces_the_published_coefficient():
-    got = bounds.case_ii_bound(THEOREM_DEFAULTS)
+    got = bounds.theorem_bound(THEOREM_DEFAULTS).case_ii
     assert 0.01070 <= got <= 0.01075
     assert got == pytest.approx(0.010717904519704951, abs=1e-13)
     base = THEOREM_DEFAULTS
-    assert bounds.case_ii_bound(BoundParams(a=base.a, r0=base.r0, p=1.0, lam=base.lam)) == 0.0
+    at_one = BoundParams(a=base.a, r0=base.r0, p=1.0, lam=base.lam)
+    assert bounds.theorem_bound(at_one).case_ii == 0.0
     for p in (0.1, 0.5, 0.9):
         params = BoundParams(a=base.a, r0=base.r0, p=p, lam=base.lam)
         derived = bounds.derive_params(params)
         via_outside = 0.25 * (1.0 - p) * bounds.outside_area_rate(derived.r1 - 1.0, base.a)
-        assert bounds.case_ii_bound(params) == pytest.approx(via_outside, abs=1e-16)
+        assert bounds.theorem_bound(params).case_ii == pytest.approx(via_outside, abs=1e-16)
 
 
 def test_case_ii_infeasibility_is_a_typed_error():
@@ -411,7 +412,7 @@ def test_case_ii_infeasibility_is_a_typed_error():
 
 
 def test_paper_literal_convention_breaks_case_ii():
-    got = bounds.case_ii_bound(THEOREM_DEFAULTS, RLAMBDA_PAPER_LITERAL)
+    got = bounds.theorem_bound(THEOREM_DEFAULTS, convention=RLAMBDA_PAPER_LITERAL).case_ii
     assert got < 0.003
     assert got == pytest.approx(0.002290116990498283, abs=1e-12)
 

@@ -119,12 +119,39 @@ def test_scan_domain_violation_exits_2(capsys):
 
 
 def test_scan_inverted_a_range_exits_2(tmp_path, capsys):
+    for axis, lo, hi in (("a", "0.07", "0.05"), ("r0", "0.3", "0.2")):
+        code = run_cli(
+            "scan", "final", "--preset", "theorem", f"--{axis}-from", lo, f"--{axis}-to", hi,
+            "--output-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert f"inverted {axis} range [{lo}, {hi}]" in capsys.readouterr().err
+        assert not (tmp_path / "scan_final.csv").exists()
+
+
+def test_scan_equal_range_ends_give_one_point(tmp_path):
     code = run_cli(
-        "scan", "final", "--preset", "theorem", "--a-from", "0.07", "--a-to", "0.05",
+        "scan", "final", "--preset", "theorem", "--a-from", "0.06", "--a-to", "0.06",
+        "--a-steps", "7", "--r0-from", "0.25", "--r0-to", "0.25", "--r0-steps", "9",
         "--output-dir", str(tmp_path),
     )
+    assert code == 0
+    with (tmp_path / "scan_final.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["a", "r0=0.25"]
+    assert len(rows) == 2 and rows[1][0] == "0.059999999999999998"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--a-steps", "7"), "--a-steps needs --a-from or --a-to"),
+    (("--r0-steps", "9"), "--r0-steps needs --r0-from and --r0-to"),
+    (("--a-from", "0.05", "--a-to", "0.07", "--r0-steps", "9"),
+     "--r0-steps needs --r0-from and --r0-to"),
+], ids=["a-steps", "r0-steps", "r0-steps-with-a-range"])
+def test_scan_count_without_its_range_exits_2(flags, message, tmp_path, capsys):
+    code = run_cli("scan", "final", "--preset", "theorem", *flags, "--output-dir", str(tmp_path))
     assert code == 2
-    assert "inverted a range [0.07, 0.05]" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "scan_final.csv").exists()
 
 
@@ -140,19 +167,23 @@ def test_scan_half_given_r0_range_exits_2(flag, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fn", ["f", "g", "c"])
-@pytest.mark.parametrize("flag", ["--a-from", "--a-to", "--r0-from", "--r0-to"])
+@pytest.mark.parametrize(
+    "flag", ["--a-from", "--a-to", "--r0-from", "--r0-to", "--a-steps", "--r0-steps"]
+)
 def test_scan_rate_function_rejects_parameter_range_flags(fn, flag, tmp_path, capsys):
-    code = run_cli("scan", fn, flag, "0.2", "--steps", "3", "--output-dir", str(tmp_path))
+    value = "7" if flag.endswith("steps") else "0.2"
+    code = run_cli("scan", fn, flag, value, "--steps", "3", "--output-dir", str(tmp_path))
     assert code == 2
     assert f"{flag} does not apply to scan {fn}" in capsys.readouterr().err
     assert not (tmp_path / f"scan_{fn}.csv").exists()
 
 
 @pytest.mark.parametrize("fn", ["case_i", "case_ii", "final"])
-@pytest.mark.parametrize("flag", ["--from", "--to"])
+@pytest.mark.parametrize("flag", ["--from", "--to", "--steps"])
 def test_scan_bound_term_rejects_radius_range_flags(fn, flag, tmp_path, capsys):
+    value = "9" if flag == "--steps" else "0.2"
     code = run_cli(
-        "scan", fn, "--preset", "theorem", flag, "0.2", "--output-dir", str(tmp_path)
+        "scan", fn, "--preset", "theorem", flag, value, "--output-dir", str(tmp_path)
     )
     assert code == 2
     assert f"{flag} does not apply to scan {fn}" in capsys.readouterr().err
@@ -300,6 +331,23 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("preset = theorm\n")
     assert run_cli("bound", "--config", str(cfg), "--output-dir", str(tmp_path)) == 2
     assert "unknown preset 'theorm'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, preset", [
+    (("bound",), "sec41"),
+    (("optimize",), "cunningham"),
+    (("scan", "final"), "sec41"),
+    (("verify", "--check", "CMin"), "theorem"),
+])
+def test_preset_of_another_command_exits_2(command, preset, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(*command, "--preset", preset, "--output-dir", str(out)) == 2
+    assert "--preset" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"preset = {preset}\n")
+    assert run_cli(*command, "--config", str(cfg), "--output-dir", str(out)) == 2
+    assert f"preset '{preset}' does not apply to {command[0]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_digits_below_one_exit_2(tmp_path, capsys):

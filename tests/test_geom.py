@@ -209,22 +209,6 @@ def test_theta_isosceles_values_and_monotonicity():
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def test_theta_max_value_and_dominance():
-    a = math.pi / 49.0
-    frozen = 0.20776346619363361
-    d, r = mp.mpf(repr(a)), mp.mpf("0.25")
-    recomputed = float(mp.asin(d / r) - mp.atan(d / (mp.sqrt(r * r - d * d) + 1)))
-    assert recomputed == pytest.approx(frozen, abs=1e-15)
-    assert geom.theta_max(a, 0.25) == pytest.approx(frozen, abs=1e-14)
-    assert geom.theta_max(1e-12, 0.25) == pytest.approx(0.0, abs=1e-11)
-    for r in (0.2, 0.25, 0.3):
-        cap = geom.theta_max(a, r)
-        for delta0 in np.linspace(1e-6, a, 50):
-            assert geom.theta_isosceles(delta0, r) <= cap + 1e-12
-    with pytest.raises(DomainError):
-        geom.theta_max(0.3, 0.25)
-
-
 # ---------------------------------------------------------------------------
 # Admissible direction intervals
 # ---------------------------------------------------------------------------
@@ -234,9 +218,9 @@ def test_direction_ratio_matches_the_arcsin_arctan_quotient():
     den = math.asin(0.2) - math.atan(0.1)
     assert geom.direction_ratio(0.05, 0.25) == pytest.approx(num / den, abs=1e-13)
     assert geom.direction_ratio(0.05, 0.25) == pytest.approx(2.9602590156895985, abs=1e-12)
-    interval = geom.direction_interval(0.05, 0.25)
-    assert interval.width == pytest.approx(num, abs=1e-14)
-    assert interval.hi == -interval.lo
+    # the ratio's numerator is the admissible width asin(x) + atan(2*delta0)
+    width = geom.direction_ratio(0.05, 0.25) * geom.theta_isosceles(0.05, 0.25)
+    assert width == pytest.approx(num, abs=1e-14)
 
 
 def test_direction_ratio_caps_and_limit():
@@ -248,46 +232,18 @@ def test_direction_ratio_caps_and_limit():
         assert geom.direction_ratio(1e-6 * r, r) == pytest.approx(cap, rel=1e-4)
 
 
-def test_direction_interval_domain():
-    with pytest.raises(DomainError):
-        geom.direction_interval(0.0, 0.25)
-    with pytest.raises(DomainError):
-        geom.direction_interval(0.25, 0.25)
+def test_direction_ratio_domain():
+    with pytest.raises(DomainError, match="delta0 must be > 0"):
+        geom.direction_ratio(0.0, 0.25)
+    with pytest.raises(DomainError, match="need 0 <= delta < r"):
+        geom.direction_ratio(0.25, 0.25)
+    with pytest.raises(DomainError, match="r must be > 0"):
+        geom.direction_ratio(0.1, -0.25)
 
 
 # ---------------------------------------------------------------------------
 # Needle reach
 # ---------------------------------------------------------------------------
-
-def test_vertex_reach_values():
-    a = math.pi / 49.0
-    oa, beta1 = geom.vertex_reach(0.1, a)
-    assert oa == pytest.approx(0.44532653159145612, abs=1e-13)
-    assert beta1 == pytest.approx(0.14447312798610571, abs=1e-13)
-    t, am = mp.mpf("0.1"), mp.mpf(repr(a))
-    inner = ((2 * am / mp.tan(t) + 1) - mp.sqrt(1 - 4 * am * am + 4 * am / mp.tan(t))) / 2
-    assert float(mp.sqrt(inner)) == pytest.approx(oa, abs=1e-15)
-
-
-def test_vertex_reach_shrinking_angle_recedes():
-    a = math.pi / 49.0
-    oa, beta1 = geom.vertex_reach(1e-8, a)
-    assert oa > 1e3
-    assert beta1 < 1e-3
-    assert beta1 == pytest.approx(math.asin(a / oa), abs=1e-12)
-
-
-def test_vertex_reach_identity_on_random_inputs():
-    rng = CounterRng(123, stream=4)
-    thetas = rng.uniform(0.01, 0.2, 100)
-    caps = rng.uniform(0.01, 0.2, 100)
-    for theta, a in zip(thetas, caps):
-        try:
-            oa, beta1 = geom.vertex_reach(theta, a)
-        except DomainError:
-            continue
-        assert beta1 == pytest.approx(math.asin(a / oa), abs=1e-12)
-
 
 def test_far_endpoint_distance_values_and_monotonicity():
     assert geom.far_endpoint_distance(0.0, 0.25) == pytest.approx(2.0, abs=1e-15)
@@ -351,7 +307,6 @@ def test_arcs_isosceles_match_the_central_angle_formula():
     theta = geom.theta_isosceles(delta, r)
     for arc in arcs:
         assert arc.theta == pytest.approx(theta, abs=1e-12)
-        assert arc.length == pytest.approx(r * theta, abs=1e-12)
 
 
 def test_arcs_sorted_longest_first_and_consistent_with_probing():

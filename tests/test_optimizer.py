@@ -8,17 +8,17 @@ import math
 import pytest
 
 from kakeya import bounds, optimizer
-from kakeya.bounds import BoundParams, THEOREM_DEFAULTS
+from kakeya.bounds import RLAMBDA_REPRODUCING, BoundParams, THEOREM_DEFAULTS
 from kakeya.errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet
 from kakeya.optimizer import SearchBox
 
 
 def test_balance_p_default_point():
-    p = optimizer.balance_p(THEOREM_DEFAULTS.a, 0.25, 0.9)
+    p = optimizer._balanced_point(THEOREM_DEFAULTS.a, 0.25, 0.9, RLAMBDA_REPRODUCING)[2]
     assert p == pytest.approx(0.9046657225829937, abs=1e-12)
     params = BoundParams(a=THEOREM_DEFAULTS.a, r0=0.25, p=p, lam=0.9)
-    case_i = bounds.case_i_bound(params, tol=1e-12)
-    case_ii = bounds.case_ii_bound(params)
+    breakdown = bounds.theorem_bound(params, tol=1e-12)
+    case_i, case_ii = breakdown.case_i, breakdown.case_ii
     assert abs(case_i - case_ii) <= 1e-11
     # balanced value recorded against the closed-form chain
     assert case_i == pytest.approx(0.010217836828105436, abs=1e-11)
@@ -26,7 +26,8 @@ def test_balance_p_default_point():
 
 def test_balance_p_stays_in_unit_interval():
     for a, r0, lam in ((0.05, 0.2, 0.5), (0.1, 0.3, 0.0), (0.02, 0.18, 1.0), (0.3, 0.45, 0.9)):
-        assert 0.0 <= optimizer.balance_p(a, r0, lam) <= 1.0
+        p = optimizer._balanced_point(a, r0, lam, RLAMBDA_REPRODUCING)[2]
+        assert 0.0 <= p <= 1.0
 
 
 def test_optimize_point_box_evaluates_that_point():

@@ -252,8 +252,11 @@ def test_run_check_rejects_tiny_sample_counts():
         oracle.run_check(CheckId.F_ARGMAX, samples=50)
 
 
-def test_pass_flag_follows_the_tolerance():
-    report = oracle.run_check(CheckId.F_ARGMAX, samples=1000, seed=7, tolerance=0.0)
+def test_pass_flag_follows_the_tolerance(monkeypatch):
+    func, default_samples, _ = oracle._CHECKS[CheckId.F_ARGMAX]
+    monkeypatch.setitem(oracle._CHECKS, CheckId.F_ARGMAX, (func, default_samples, 0.0))
+    report = oracle.run_check(CheckId.F_ARGMAX, samples=1000, seed=7)
+    assert report.tolerance == 0.0
     assert not report.passed
     assert report.max_violation > 0.0
 

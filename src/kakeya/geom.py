@@ -13,6 +13,7 @@ criterion.  All functions are pure and operate in binary64.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -243,12 +244,23 @@ def direction_ratio(delta0: float, r: float) -> float:
     The ratio is (asin(x) + atan(2*delta0)) / (asin(x) - atan(2*delta0))
     with x = delta0/r; bounded by (1 + 2r)/(1 - 2r) for all
     0 < delta0 < r, with the supremum attained in the limit delta0 -> 0.
+
+    Raises DomainError where the central angle cannot be resolved: at
+    subnormal delta0, whose asin and atan keep too few significant bits,
+    and wherever the angle rounds to zero or below (r at or near 1/2).
     """
     if delta0 <= 0.0:
         raise DomainError(f"delta0 must be > 0, got {delta0}")
     _require_height_below_radius(delta0, r)
+    if delta0 < sys.float_info.min:
+        raise DomainError(f"delta0 = {delta0!r} is subnormal; the central angle is not resolved")
+    theta = theta_isosceles(delta0, r)
+    if not theta > 0.0:
+        raise DomainError(
+            f"central angle at delta0={delta0!r}, r={r!r} is {theta!r}, not positive"
+        )
     width = math.asin(delta0 / r) + math.atan(2.0 * delta0)
-    return width / theta_isosceles(delta0, r)
+    return width / theta
 
 
 def far_endpoint_distance(delta0: float, r: float) -> float:

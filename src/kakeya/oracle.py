@@ -1,10 +1,14 @@
 """Independent brute-force verification of the supporting geometry.
 
-Each check re-derives a claim of the bound machinery by sampling or grid
-scanning with its own membership and root-finding code, never through the
-closed forms it is checking.  Randomness comes from the counter-based
-generator in :mod:`kakeya.rng`; every check derives its own substream
-from (seed, check), so checks are order-independent and reproducible.
+Each check re-derives a claim of the bound machinery by sampling, grid
+scanning or exact clipping with its own membership and root-finding
+code, never through the closed forms it is checking.  The two
+disjointness checks draw seeded needle pairs that meet the angular-gap
+criterion and intersect each pair's triangles exactly (Sutherland-Hodgman
+clipping, independent of ``geom``); their violation counts overlapping
+pairs.  Randomness comes from the counter-based generator in
+:mod:`kakeya.rng`; every check derives its own substream from (seed,
+check), so checks are order-independent and reproducible.
 """
 
 from __future__ import annotations
@@ -141,8 +145,8 @@ def mc_area(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized triangle helpers (membership math independent of geom's
-# clipping and arc formulas)
+# Vectorized triangle helpers (membership and clipping math independent
+# of geom's clipping and arc formulas)
 # ---------------------------------------------------------------------------
 
 def _vertices_arrays(alpha, delta, foot):
@@ -152,28 +156,63 @@ def _vertices_arrays(alpha, delta, foot):
     return fx - foot * ca, fy - foot * sa, fx + (1.0 - foot) * ca, fy + (1.0 - foot) * sa
 
 
-def _in_triangle_strict(ax, ay, bx, by, px, py):
-    """Strict interior test for points P against triangles (O, A, B)."""
-    d1 = ax * py - ay * px
-    d2 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    d3 = bx * (py - by) - by * (px - bx)  # cross(O - B, P - B)
-    d3 = -d3
-    pos = (d1 > 0) & (d2 > 0) & (d3 > 0)
-    neg = (d1 < 0) & (d2 < 0) & (d3 < 0)
-    return pos | neg
+# Pairs per clipping block.  A block's polygons take 24 vertex slots per
+# pair, so memory stays flat as the pair count grows; any size gives the
+# same flags.
+_CLIP_BLOCK = 4096
 
 
-def _sample_in_triangles(ax, ay, bx, by, rng, n_points):
-    """Uniform points in each triangle (O, A, B); shape (n_tri, n_points)."""
-    n_tri = ax.shape[0]
-    u = rng.uniforms(n_tri * n_points).reshape(n_tri, n_points)
-    v = rng.uniforms(n_tri * n_points).reshape(n_tri, n_points)
-    flip = u + v > 1.0
-    u = np.where(flip, 1.0 - u, u)
-    v = np.where(flip, 1.0 - v, v)
-    px = u * ax[:, None] + v * bx[:, None]
-    py = u * ay[:, None] + v * by[:, None]
-    return px, py
+def _overlapping_pairs(r, v1, v2, exterior):
+    """Exact overlap flags for triangle pairs (O, A1, B1), (O, A2, B2).
+
+    ``v1``/``v2`` are (ax, ay, bx, by) arrays.  Sutherland-Hodgman clips
+    the first triangle against the three closed half-planes of the second,
+    which leaves the convex polygon P = T1 & T2.  Inner parts overlap when
+    P has positive shoelace area: its interior then reaches O, inside the
+    disk.  Outer parts (``exterior``) overlap when, in addition, a vertex
+    of P lies strictly beyond r: max |x| over P is taken at a vertex, and
+    the points of P near that vertex lie beyond r too.
+
+    Polygons are fixed-width rows of vertex slots.  Each clip maps k slots
+    to 2k: slot 2j holds the point where edge (j-1, j) crosses the line,
+    slot 2j+1 vertex j.  A skipped slot repeats the last kept vertex
+    cyclically, which changes neither the area nor the largest radius.
+    """
+    flags = np.empty(r.shape[0], dtype=bool)
+    for lo in range(0, r.shape[0], _CLIP_BLOCK):
+        hi = min(lo + _CLIP_BLOCK, r.shape[0])
+        ax1, ay1, bx1, by1 = (arr[lo:hi, None] for arr in v1)
+        ax2, ay2, bx2, by2 = (arr[lo:hi, None] for arr in v2)
+        zero = np.zeros_like(ax1)
+        px = np.concatenate((zero, ax1, bx1), axis=1)
+        py = np.concatenate((zero, ay1, by1), axis=1)
+        orient = np.sign(ax2 * by2 - ay2 * bx2)
+        for (ex, ey, fx, fy) in ((zero, zero, ax2, ay2), (ax2, ay2, bx2, by2), (bx2, by2, zero, zero)):
+            n, k = px.shape
+            # >= 0 on the kept closed side; exactly 0 at O for the edges
+            # through O, so O is always kept and no row runs empty
+            side = orient * ((fx - ex) * (py - ey) - (fy - ey) * (px - ex))
+            sx, sy, s_side = (np.roll(arr, 1, axis=1) for arr in (px, py, side))
+            e_in = side >= 0.0
+            crosses = (s_side >= 0.0) != e_in
+            # the two ends of a crossing edge lie on opposite sides, so the
+            # denominator is nonzero wherever the quotient is used
+            t = s_side / np.where(crosses, s_side - side, 1.0)
+            out_x = np.stack((sx + t * (px - sx), px), axis=2).reshape(n, 2 * k)
+            out_y = np.stack((sy + t * (py - sy), py), axis=2).reshape(n, 2 * k)
+            keep = np.stack((crosses, e_in), axis=2).reshape(n, 2 * k)
+            idx = np.where(keep, np.arange(2 * k), -1)
+            np.maximum.accumulate(idx, axis=1, out=idx)
+            idx = np.where(idx < 0, idx[:, -1:], idx)  # wrap to the row's last kept slot
+            px = np.take_along_axis(out_x, idx, axis=1)
+            py = np.take_along_axis(out_y, idx, axis=1)
+        area2 = np.sum(px * np.roll(py, -1, axis=1) - np.roll(px, -1, axis=1) * py, axis=1)
+        hit = area2 != 0.0
+        if exterior:
+            rc = r[lo:hi]
+            hit &= np.max(px * px + py * py, axis=1) > rc * rc
+        flags[lo:hi] = hit
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -247,47 +286,26 @@ def _disjoint_pairs(samples, rng, r_lo):
     return r[:samples], d1[:samples], d2[:samples], a1[:samples], a2[:samples]
 
 
-def _count_cross_hits(r, v1, v2, rng, n_points, exterior):
-    """Sampled points of one region landing in the other; both directions.
-
-    Points are drawn uniformly in the source triangle and filtered to the
-    requested side of the circle; a hit is such a point falling strictly
-    inside the other triangle (the radial condition is shared, both
-    triangles see the same cutoff radius).
-    """
-    hits = 0
-    chunk = 256
-    for lo in range(0, r.shape[0], chunk):
-        hi = min(lo + chunk, r.shape[0])
-        rc = r[lo:hi][:, None]
-        for (src, dst) in ((v1, v2), (v2, v1)):
-            sax, say, sbx, sby = (arr[lo:hi] for arr in src)
-            dax, day, dbx, dby = (arr[lo:hi][:, None] for arr in dst)
-            px, py = _sample_in_triangles(sax, say, sbx, sby, rng, n_points)
-            rad2 = px * px + py * py
-            radial = rad2 > rc * rc if exterior else rad2 < rc * rc
-            in_dst = _in_triangle_strict(dax, day, dbx, dby, px, py)
-            hits += int(np.count_nonzero(radial & in_dst))
-    return hits
-
-
-def _check_ext_disjoint(samples, rng, n_points=1000):
+def _check_ext_disjoint(samples, rng):
     r, d1, d2, a1, a2 = _disjoint_pairs(samples, rng, r_lo=0.05)
     t1 = rng.uniforms(samples)
     t2 = rng.uniforms(samples)
     v1 = _vertices_arrays(a1, d1, t1)
     v2 = _vertices_arrays(a2, d2, t2)
-    hits = _count_cross_hits(r, v1, v2, rng, n_points, exterior=True)
+    overlaps = int(np.count_nonzero(_overlapping_pairs(r, v1, v2, exterior=True)))
     # the library predicate must agree with the sampled gap condition
     mismatches = sum(
         0 if geom.exterior_disjoint_criterion(a1[i], d1[i], a2[i], d2[i], r[i]) else 1
         for i in range(samples)
     )
-    spec = f"{samples} gap-criterion pairs x {n_points} interior samples per region (outer parts)"
-    return float(hits + mismatches), spec
+    spec = (
+        f"{samples} gap-criterion pairs, outer parts intersected exactly "
+        "(Sutherland-Hodgman); violation counts overlapping pairs"
+    )
+    return float(overlaps + mismatches), spec
 
 
-def _check_int_disjoint(samples, rng, n_points=1000):
+def _check_int_disjoint(samples, rng):
     r, d1, d2, a1, a2 = _disjoint_pairs(samples, rng, r_lo=0.1)
     # needles clear of the disk: foot parameter pushed outside [0, 1] far
     # enough that the nearest needle point sits beyond radius r
@@ -299,9 +317,12 @@ def _check_int_disjoint(samples, rng, n_points=1000):
     t2 = np.where(side2, -margin2, 1.0 + margin2)
     v1 = _vertices_arrays(a1, d1, t1)
     v2 = _vertices_arrays(a2, d2, t2)
-    hits = _count_cross_hits(r, v1, v2, rng, n_points, exterior=False)
-    spec = f"{samples} gap-criterion pairs with needles clear of the disk x {n_points} samples (inner parts)"
-    return float(hits), spec
+    overlaps = int(np.count_nonzero(_overlapping_pairs(r, v1, v2, exterior=False)))
+    spec = (
+        f"{samples} gap-criterion pairs with needles clear of the disk, inner parts "
+        "intersected exactly (Sutherland-Hodgman); violation counts overlapping pairs"
+    )
+    return float(overlaps), spec
 
 
 def _check_jgamma_ratio(samples, _rng):

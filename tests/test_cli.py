@@ -230,16 +230,45 @@ def test_verify_single_check(tmp_path, capsys):
     }
 
 
-def test_reduced_verify_all_artifact_is_pinned(tmp_path):
-    # sha256 of verify.json from `verify --all --samples 1000 --seed 7`,
-    # recorded before the sampling kernels were rewritten in place; any
-    # change to a drawn value or a hit count shows here
-    code = run_cli(
-        "verify", "--all", "--samples", "1000", "--seed", "7", "--output-dir", str(tmp_path)
-    )
+@pytest.fixture(scope="module")
+def reduced_verify_all(tmp_path_factory):
+    """Bytes of verify.json from `verify --all --samples 1000 --seed 7`."""
+    out = tmp_path_factory.mktemp("reduced-verify-all")
+    code = run_cli("verify", "--all", "--samples", "1000", "--seed", "7", "--output-dir", str(out))
     assert code == 0
-    digest = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
-    assert digest == "fedef6defc02969c51249a2936fbfef2af98bf26a974601e4408c0fcde1c49b3"
+    return (out / "verify.json").read_bytes()
+
+
+def test_reduced_verify_all_artifact_is_pinned(reduced_verify_all):
+    # sha256 of the reduced verify.json, recorded when the disjointness
+    # checks moved to exact clipping; any change to a drawn value, a hit
+    # count or a grid_spec shows here
+    digest = hashlib.sha256(reduced_verify_all).hexdigest()
+    assert digest == "789f50084cdb3eac706faa5c5ced121af30e6ea4d1e782d5a7154116e5cd057b"
+
+
+# sha256 of json.dumps(record, sort_keys=True) for the records of the
+# reduced `verify --all` that exact disjointness clipping left alone,
+# recorded from the sampled implementation
+UNCHANGED_REDUCED_RECORDS = {
+    "IsoscelesMinimality": "7b47f55cdf2ec4216289495cb90c667c6eab2986c3c032d0fc352b0b389c4d5c",
+    "HMinAtZero": "df7f7daca9bc1b6193b812587a1c6acc14ba53cf138d74f22dda129446fc0670",
+    "JGammaRatio": "3d8c36c0e7ae95997960fea2a46626611a8aa24d024712ec5ab3c4ded4245629",
+    "CMin": "5e90464edc15ced747937bbe4ec9f2dab92b571d19c5b86db64975256de8195f",
+    "FArgmax": "379abaa89efffaf4e0f45024f76349118717e10afc83c35b0d2a441683ee6ec0",
+    "SectorMeasure": "d251532d3944c9ee62f331e464664756aa0bc3893450aa899118244015760388",
+    "ArcConsistency": "d5b06dd461b04e8961ef60c7cef227c0465abed679efa4ccac89c3491b5873a7",
+}
+
+
+def test_reduced_verify_all_keeps_the_other_seven_records(reduced_verify_all):
+    records = json.loads(reduced_verify_all)["checks"]
+    digests = {
+        rec["id"]: hashlib.sha256(json.dumps(rec, sort_keys=True).encode()).hexdigest()
+        for rec in records
+        if rec["id"] not in ("ExtDisjoint", "IntDisjoint")
+    }
+    assert digests == UNCHANGED_REDUCED_RECORDS
 
 
 def test_verify_all_with_check_exits_2(tmp_path, capsys):

@@ -4,6 +4,7 @@ against Monte Carlo, arcs against independent edge-circle root finding."""
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -239,6 +240,22 @@ def test_direction_ratio_domain():
         geom.direction_ratio(0.25, 0.25)
     with pytest.raises(DomainError, match="r must be > 0"):
         geom.direction_ratio(0.1, -0.25)
+
+
+def test_direction_ratio_rejects_unresolved_central_angles():
+    # at subnormal heights asin and atan keep few significant bits: the
+    # angle rounded to 0 (a raw ZeroDivisionError) or the ratio exceeded
+    # its cap (5.0 against (1 + 2r)/(1 - 2r) = 4.87)
+    with pytest.raises(DomainError, match="subnormal"):
+        geom.direction_ratio(5e-324, 0.45)
+    with pytest.raises(DomainError, match="subnormal"):
+        geom.direction_ratio(5e-324, 0.3295)
+    # at r = 1/2 the angle of a small height rounds to zero
+    with pytest.raises(DomainError, match="not positive"):
+        geom.direction_ratio(1e-10, 0.5)
+    # the smallest normal height is still resolved, within its cap
+    cap = (1.0 + 2.0 * 0.3295) / (1.0 - 2.0 * 0.3295)
+    assert geom.direction_ratio(sys.float_info.min, 0.3295) == pytest.approx(cap, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Oracle tests: generator reproducibility and pinned draws, Monte Carlo
 contracts, the SectorMeasure membership kernel against its reference, the
-check dispatcher at reduced sizes, and threshold location."""
+exact disjointness clipping against the sampler it replaced, planted
+defects the disjointness checks must catch, the check dispatcher at
+reduced sizes, and threshold location."""
 
 from __future__ import annotations
 
@@ -211,6 +213,212 @@ def test_sector_region_matches_the_reference_kernel():
         on_end += int(np.count_nonzero(np.isin(ang, ends)))
     assert n_sets * n_points >= 1_000_000
     assert on_end >= n_sets
+
+
+# ---------------------------------------------------------------------------
+# Exact disjointness clipping
+# ---------------------------------------------------------------------------
+
+# The sampled cross-hit counter the two disjointness checks used before
+# exact clipping, kept as a test-side reference: uniform points of each
+# triangle on the requested side of the circle, counted when they fall
+# strictly inside the other triangle.
+
+def _in_triangle_strict(ax, ay, bx, by, px, py):
+    """Strict interior test for points P against triangles (O, A, B)."""
+    d1 = ax * py - ay * px
+    d2 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    d3 = bx * (py - by) - by * (px - bx)  # cross(O - B, P - B)
+    d3 = -d3
+    pos = (d1 > 0) & (d2 > 0) & (d3 > 0)
+    neg = (d1 < 0) & (d2 < 0) & (d3 < 0)
+    return pos | neg
+
+
+def _sample_in_triangles(ax, ay, bx, by, rng, n_points):
+    """Uniform points in each triangle (O, A, B); shape (n_tri, n_points)."""
+    n_tri = ax.shape[0]
+    u = rng.uniforms(n_tri * n_points).reshape(n_tri, n_points)
+    v = rng.uniforms(n_tri * n_points).reshape(n_tri, n_points)
+    flip = u + v > 1.0
+    u = np.where(flip, 1.0 - u, u)
+    v = np.where(flip, 1.0 - v, v)
+    px = u * ax[:, None] + v * bx[:, None]
+    py = u * ay[:, None] + v * by[:, None]
+    return px, py
+
+
+def _count_cross_hits(r, v1, v2, rng, n_points, exterior):
+    """Sampled points of one region landing in the other; both directions."""
+    hits = 0
+    chunk = 256
+    for lo in range(0, r.shape[0], chunk):
+        hi = min(lo + chunk, r.shape[0])
+        rc = r[lo:hi][:, None]
+        for (src, dst) in ((v1, v2), (v2, v1)):
+            sax, say, sbx, sby = (arr[lo:hi] for arr in src)
+            dax, day, dbx, dby = (arr[lo:hi][:, None] for arr in dst)
+            px, py = _sample_in_triangles(sax, say, sbx, sby, rng, n_points)
+            rad2 = px * px + py * py
+            radial = rad2 > rc * rc if exterior else rad2 < rc * rc
+            in_dst = _in_triangle_strict(dax, day, dbx, dby, px, py)
+            hits += int(np.count_nonzero(radial & in_dst))
+    return hits
+
+
+def _weakened_disjoint_pairs(factor):
+    """``oracle._disjoint_pairs`` with its gap test multiplied by ``factor``."""
+
+    def pairs(samples, rng, r_lo):
+        out = []
+        have = 0
+        while have < samples:
+            n = max(1024, 2 * (samples - have))
+            r = rng.uniform(r_lo, 0.5, n)
+            cap = np.minimum(oracle._HEIGHT_CAP, 0.9 * r)
+            d1 = rng.uniforms(n) * cap
+            d2 = rng.uniforms(n) * cap
+            a1 = rng.uniform(0.0, math.pi, n)
+            a2 = rng.uniform(0.0, math.pi, n)
+            g = np.abs(a1 - a2)
+            gap = np.minimum(g, math.pi - g)
+            ok = gap >= factor * (np.arcsin(d1 / r) + np.arcsin(d2 / r))
+            out.append((r[ok], d1[ok], d2[ok], a1[ok], a2[ok]))
+            have += int(np.count_nonzero(ok))
+        return tuple(np.concatenate(parts)[:samples] for parts in zip(*out))
+
+    return pairs
+
+
+def _weak_only_pairs(check, factor, samples=10_000):
+    """Needle pairs as ``check`` builds them, from a ``factor``-weakened gap
+    test, kept only where the true gap test fails: the pairs that may
+    overlap.  Returns (r, v1, v2, rng), the rng positioned after them."""
+    rng = CounterRng(oracle.DEFAULT_SEED, stream=1 + list(CheckId).index(check))
+    r, d1, d2, a1, a2 = _weakened_disjoint_pairs(factor)(
+        samples, rng, 0.05 if check is CheckId.EXT_DISJOINT else 0.1
+    )
+    g = np.abs(a1 - a2)
+    weak = np.minimum(g, math.pi - g) < np.arcsin(d1 / r) + np.arcsin(d2 / r)
+    r, d1, d2, a1, a2 = (arr[weak] for arr in (r, d1, d2, a1, a2))
+    n = r.shape[0]
+    if check is CheckId.EXT_DISJOINT:
+        t1, t2 = rng.uniforms(n), rng.uniforms(n)
+    else:
+        # needles clear of the disk, as IntDisjoint places them
+        m1 = np.sqrt(r * r - d1 * d1) * (1.0 + rng.uniforms(n)) + 1e-9
+        m2 = np.sqrt(r * r - d2 * d2) * (1.0 + rng.uniforms(n)) + 1e-9
+        t1 = np.where(rng.uniforms(n) < 0.5, -m1, 1.0 + m1)
+        t2 = np.where(rng.uniforms(n) < 0.5, -m2, 1.0 + m2)
+    v1 = oracle._vertices_arrays(a1, d1, t1)
+    v2 = oracle._vertices_arrays(a2, d2, t2)
+    return r, v1, v2, rng
+
+
+def test_weakened_pair_copy_at_factor_one_is_the_oracle_stream():
+    got = _weakened_disjoint_pairs(1.0)(3000, CounterRng(7, stream=3), 0.05)
+    want = oracle._disjoint_pairs(3000, CounterRng(7, stream=3), 0.05)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize(
+    "check, factor",
+    [(CheckId.EXT_DISJOINT, 0.9), (CheckId.INT_DISJOINT, 0.5)],
+    ids=["ExtDisjoint-x0.9", "IntDisjoint-x0.5"],
+)
+def test_exact_clipping_flags_every_sampled_cross_hit(check, factor):
+    # IntDisjoint's pairs do not overlap at x0.9, so it is weakened
+    # further to give the sampler something to find
+    r, v1, v2, rng = _weak_only_pairs(check, factor)
+    r, v1, v2 = r[:300], tuple(a[:300] for a in v1), tuple(a[:300] for a in v2)
+    exterior = check is CheckId.EXT_DISJOINT
+    flags = oracle._overlapping_pairs(r, v1, v2, exterior=exterior)
+    sampled = np.array([
+        _count_cross_hits(
+            r[i:i + 1], tuple(a[i:i + 1] for a in v1), tuple(a[i:i + 1] for a in v2),
+            rng, 1000, exterior,
+        ) > 0
+        for i in range(r.shape[0])
+    ])
+    assert r.shape[0] >= 200
+    assert np.count_nonzero(sampled) >= 10
+    assert not np.any(sampled & ~flags), np.flatnonzero(sampled & ~flags)
+
+
+def _tri(*points):
+    """(ax, ay, bx, by) arrays of triangles (O, A, B) given as (A, B) pairs."""
+    return tuple(np.array([p[k][j] for p in points]) for k in (0, 1) for j in (0, 1))
+
+
+def _pair_flags(first, second, r, exterior):
+    """Flags of one pair in both orders and both vertex orientations."""
+    flags = []
+    for v1, v2 in ((first, second), (second, first)):
+        for u1, u2 in ((v1, v2), (v1[::-1], v2), (v1, v2[::-1])):
+            flags.append(bool(oracle._overlapping_pairs(
+                np.array([r]), _tri(u1), _tri(u2), exterior=exterior)[0]))
+    return set(flags)
+
+
+def test_exact_clipping_hand_built_pairs():
+    # two needles in one direction: the triangles overlap far beyond r
+    same = ((-0.3, 0.05), (0.7, 0.05)), ((-0.4, 0.04), (0.6, 0.04))
+    assert _pair_flags(*same, 0.2, exterior=True) == {True}
+    assert _pair_flags(*same, 0.2, exterior=False) == {True}
+    # mirror images across a line through O, and wedges whose edges lie
+    # on one line on opposite rays: they meet only at O
+    for touching in (
+        (((1.0, 0.2), (-1.0, 0.2)), ((1.0, -0.2), (-1.0, -0.2))),
+        (((1.0, 0.0), (1.0, 1.0)), ((-1.0, 0.0), (-1.0, -1.0))),
+        (((0.3, 0.0), (0.1, 0.7)), ((-0.6, 0.0), (-0.2, -0.5))),
+    ):
+        for exterior in (True, False):
+            assert _pair_flags(*touching, 0.01, exterior=exterior) == {False}
+    # a short triangle inside a long one near O: the overlap stays inside
+    # a disk of radius 0.2 (farthest corner at 0.1*sqrt 2), so only the
+    # inner parts overlap there; with r = 0.1 the outer parts do too
+    nested = ((0.1, -0.1), (0.1, 0.1)), ((1.0, -0.05), (1.0, 0.05))
+    assert _pair_flags(*nested, 0.2, exterior=True) == {False}
+    assert _pair_flags(*nested, 0.2, exterior=False) == {True}
+    assert _pair_flags(*nested, 0.1, exterior=True) == {True}
+
+
+def test_exact_clipping_is_block_size_invariant(monkeypatch):
+    r, v1, v2, _ = _weak_only_pairs(CheckId.EXT_DISJOINT, 0.9)
+    results = {}
+    for block in (1, 7, r.shape[0]):
+        monkeypatch.setattr(oracle, "_CLIP_BLOCK", block)
+        for exterior in (True, False):
+            results[block, exterior] = oracle._overlapping_pairs(r, v1, v2, exterior=exterior)
+    for exterior in (True, False):
+        want = results[r.shape[0], exterior]
+        assert np.count_nonzero(want) >= 10
+        for block in (1, 7):
+            assert np.array_equal(results[block, exterior], want)
+
+
+@pytest.mark.parametrize(
+    "check, factor",
+    [(CheckId.EXT_DISJOINT, 0.97), (CheckId.INT_DISJOINT, 0.5)],
+    ids=["ExtDisjoint-x0.97", "IntDisjoint-x0.5"],
+)
+def test_disjointness_checks_catch_a_weakened_gap_criterion(monkeypatch, check, factor):
+    counts = []
+    exact = oracle._overlapping_pairs
+
+    def spy(r, v1, v2, exterior):
+        flags = exact(r, v1, v2, exterior)
+        counts.append(int(np.count_nonzero(flags)))
+        return flags
+
+    monkeypatch.setattr(oracle, "_overlapping_pairs", spy)
+    monkeypatch.setattr(oracle, "_disjoint_pairs", _weakened_disjoint_pairs(factor))
+    report = oracle.run_check(check, samples=10_000, seed=oracle.DEFAULT_SEED)
+    # the overlap count alone, not ExtDisjoint's mismatches against the
+    # library criterion, must see the planted defect
+    assert len(counts) == 1 and counts[0] >= 1
+    assert not report.passed
 
 
 # ---------------------------------------------------------------------------

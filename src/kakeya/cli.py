@@ -144,7 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--check", action="append", choices=sorted(_CHECK_NAMES),
                           default=None, help="run one named check (repeatable)")
     p_verify.add_argument("--samples", type=int, default=None,
-                          help="override the per-check sample/grid size")
+                          help="override the per-check sample/grid size "
+                               f"(100 to {oracle.MAX_SAMPLES})")
 
     p_scan = command("scan", "tabulate a bound function over a range")
     p_scan.add_argument("function", choices=("f", "g", "c", "case_i", "case_ii", "final"))

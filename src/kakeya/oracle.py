@@ -9,12 +9,20 @@ clipping, independent of ``geom``); their violation counts overlapping
 pairs.  Randomness comes from the counter-based generator in
 :mod:`kakeya.rng`; every check derives its own substream from (seed,
 check), so checks are order-independent and reproducible.
+
+SectorMeasure draws the parameters of all its sets first, then runs
+their Monte Carlo estimates on a thread pool with one worker per
+available CPU.  Each estimate reads only its own ``CounterRng``, so the
+results do not depend on the worker count; the ``region`` functions it
+passes to :func:`mc_area` run on worker threads and touch no shared
+state.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,6 +34,7 @@ from .rng import CounterRng
 
 __all__ = [
     "DEFAULT_SEED",
+    "MAX_SAMPLES",
     "CheckId",
     "CheckReport",
     "McEstimate",
@@ -111,10 +120,11 @@ def mc_area(
     """Unbiased hit-or-miss area estimate of ``region`` inside ``bbox``.
 
     ``region(xs, ys)`` must return a boolean membership array and may be
-    called on any number of blocks; it must not write into ``xs``/``ys``.  The
-    estimate is bbox_area * hits/samples with standard error
-    bbox_area * sqrt(phat*(1-phat)/samples), and is bit-identical for a
-    fixed (seed, samples).
+    called on any number of blocks; it must not write into ``xs``/``ys``.
+    It may be called from a worker thread, so it must not touch shared
+    mutable state.  The estimate is bbox_area * hits/samples with standard
+    error bbox_area * sqrt(phat*(1-phat)/samples), and is bit-identical for
+    a fixed (seed, samples).
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
@@ -404,6 +414,15 @@ def _sector_region(starts, stops, radius):
     return region
 
 
+def _worker_count(n_tasks):
+    """Threads for ``n_tasks`` independent estimates: one per CPU available."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_tasks)
+
+
 def _check_sector_measure(samples, rng, n_sets=100):
     """Polar sector area of random interval unions vs r^2/2 * measure.
 
@@ -411,19 +430,34 @@ def _check_sector_measure(samples, rng, n_sets=100):
     hit-or-miss estimator (the target area is known, so the true hit
     probability is too); this keeps the statistic calibrated even at
     tiny sample counts.
+
+    All sets' parameters are drawn from the check's stream first; the
+    estimates, each a pure function of its own set seed, then run on a
+    thread pool (numpy releases the GIL in its loops) and are folded in
+    set order, so the record does not depend on the worker count.
     """
-    worst = 0.0
+    # imported here so that importing the package does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    sets = []
     for _ in range(n_sets):
         n_intervals = 1 + int(rng.raw(1)[0] % np.uint64(3))
         ends = np.sort(rng.uniform(0.0, 2.0 * math.pi, 2 * n_intervals))
-        starts, stops = ends[0::2], ends[1::2]
-        measure = float(np.sum(stops - starts))
         radius = float(rng.uniform(0.3, 1.2, 1)[0])
         set_seed = int(rng.raw(1)[0])
+        sets.append((ends[0::2], ends[1::2], radius, set_seed))
 
+    def estimate(params):
+        starts, stops, radius, set_seed = params
         region = _sector_region(starts, stops, radius)
+        return mc_area(region, (-radius, -radius, radius, radius), samples, set_seed)
 
-        est = mc_area(region, (-radius, -radius, radius, radius), samples, set_seed)
+    with ThreadPoolExecutor(max_workers=_worker_count(n_sets)) as pool:
+        estimates = list(pool.map(estimate, sets))
+
+    worst = 0.0
+    for (starts, stops, radius, _), est in zip(sets, estimates):
+        measure = float(np.sum(stops - starts))
         exact = 0.5 * radius * radius * measure
         box_area = 4.0 * radius * radius
         p_true = exact / box_area
@@ -521,6 +555,13 @@ _CHECKS = {
 }
 
 
+# Largest accepted ``samples``.  The disjointness checks hold about 260
+# bytes per pair at their peak and IsoscelesMinimality, ArcConsistency
+# and FArgmax about 50 bytes per sample, so a run at the limit stays near
+# 1 GB; the largest default, SectorMeasure's 10**6, sits well below it.
+MAX_SAMPLES = 4_000_000
+
+
 def run_check(
     check: CheckId,
     samples: int | None = None,
@@ -529,13 +570,14 @@ def run_check(
     """Run one check over a seed-derived sample or grid.
 
     ``samples`` counts configurations for the sampling checks, grid points
-    for the scan checks, and per-set draws for SectorMeasure.  Failures
-    are reported in the returned record, never raised.
+    for the scan checks, and per-set draws for SectorMeasure; it must lie
+    in [100, MAX_SAMPLES], or DomainError is raised before any draw.
+    Failures are reported in the returned record, never raised.
     """
     func, default_samples, tol = _CHECKS[check]
     n = default_samples if samples is None else int(samples)
-    if n < 100:
-        raise DomainError(f"samples must be >= 100, got {n}")
+    if not 100 <= n <= MAX_SAMPLES:
+        raise DomainError(f"samples must be in [100, {MAX_SAMPLES}], got {n}")
     stream = 1 + list(CheckId).index(check)
     rng = CounterRng(seed, stream=stream)
     violation, spec = func(n, rng)

@@ -280,6 +280,17 @@ def test_verify_all_with_check_exits_2(tmp_path, capsys):
     assert not (tmp_path / "verify.json").exists()
 
 
+def test_verify_rejects_an_oversized_sample_count(tmp_path, capsys):
+    # far beyond memory: the limit must refuse it before any draw
+    code = run_cli(
+        "verify", "--check", "IsoscelesMinimality", "--samples", "10000000000000",
+        "--output-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert f"samples must be in [100, {oracle.MAX_SAMPLES}]" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+
+
 def test_sec41_optimize_artifact_is_pinned(tmp_path):
     # sha256 of optimize.json from `optimize --preset sec41 --refine 10`,
     # recorded before the balanced objective stopped deriving its

@@ -1,12 +1,14 @@
 """Oracle tests: generator reproducibility and pinned draws, Monte Carlo
 contracts, the SectorMeasure membership kernel against its reference, the
-exact disjointness clipping against the sampler it replaced, planted
-defects the disjointness checks must catch, the check dispatcher at
-reduced sizes, and threshold location."""
+threaded SectorMeasure check against its serial loop, the exact
+disjointness clipping against the sampler it replaced, planted defects
+the disjointness checks must catch, the check dispatcher at reduced
+sizes, and threshold location."""
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -213,6 +215,110 @@ def test_sector_region_matches_the_reference_kernel():
         on_end += int(np.count_nonzero(np.isin(ang, ends)))
     assert n_sets * n_points >= 1_000_000
     assert on_end >= n_sets
+
+
+# ---------------------------------------------------------------------------
+# SectorMeasure on the thread pool
+# ---------------------------------------------------------------------------
+
+def _serial_sector_measure(samples, rng, n_sets=100):
+    """The serial SectorMeasure loop the thread pool replaced: each set draws
+    its parameters and takes its estimate before the next set draws."""
+    worst = 0.0
+    for _ in range(n_sets):
+        n_intervals = 1 + int(rng.raw(1)[0] % np.uint64(3))
+        ends = np.sort(rng.uniform(0.0, 2.0 * math.pi, 2 * n_intervals))
+        starts, stops = ends[0::2], ends[1::2]
+        measure = float(np.sum(stops - starts))
+        radius = float(rng.uniform(0.3, 1.2, 1)[0])
+        set_seed = int(rng.raw(1)[0])
+
+        region = oracle._sector_region(starts, stops, radius)
+
+        est = oracle.mc_area(region, (-radius, -radius, radius, radius), samples, set_seed)
+        exact = 0.5 * radius * radius * measure
+        box_area = 4.0 * radius * radius
+        p_true = exact / box_area
+        sigma = box_area * math.sqrt(p_true * (1.0 - p_true) / samples)
+        if sigma > 0.0:
+            worst = max(worst, abs(est.value - exact) / sigma)
+        elif est.value != exact:
+            worst = math.inf
+    spec = (
+        f"{n_sets} random interval unions in [0, 2pi), {samples} samples each; "
+        "violation in exact-sigma units"
+    )
+    return worst, spec
+
+
+def _serial_sector_record(samples, seed):
+    """The SectorMeasure record ``run_check`` gave with the serial loop."""
+    check = CheckId.SECTOR_MEASURE
+    rng = CounterRng(seed, stream=1 + list(CheckId).index(check))
+    worst, spec = _serial_sector_measure(samples, rng)
+    violation = float(max(0.0, worst))
+    tol = oracle._CHECKS[check][2]
+    return oracle.CheckReport(
+        id=check, samples=samples, grid_spec=spec, max_violation=violation,
+        tolerance=tol, passed=violation <= tol, seed=seed,
+    )
+
+
+def test_sector_measure_pool_gives_the_serial_records():
+    failed = []
+    for seed in range(1, 21):
+        want = _serial_sector_record(2000, seed)
+        got = oracle.run_check(CheckId.SECTOR_MEASURE, samples=2000, seed=seed)
+        assert got == want, f"seed {seed}"
+        if not got.passed:
+            failed.append(seed)
+    # the comparison covers failing records too
+    assert failed
+
+
+@pytest.mark.parametrize("workers", [1, 2, 7])
+def test_sector_measure_records_do_not_depend_on_the_worker_count(monkeypatch, workers):
+    monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: workers)
+    for seed in (2, 4, 7, 16):
+        got = oracle.run_check(CheckId.SECTOR_MEASURE, samples=2000, seed=seed)
+        assert got == _serial_sector_record(2000, seed), f"seed {seed}"
+
+
+def test_worker_count_is_capped_by_the_task_count():
+    assert oracle._worker_count(1) == 1
+    assert 1 <= oracle._worker_count(100) <= 100
+
+
+def test_sector_measure_estimate_error_comes_out_typed_and_threads_end(monkeypatch):
+    # the serial loop gives the sets' seeds in set order
+    seeds = []
+    real = oracle.mc_area
+
+    def record(region, bbox, samples, seed):
+        seeds.append(seed)
+        return real(region, bbox, samples, seed)
+
+    monkeypatch.setattr(oracle, "mc_area", record)
+    rng = CounterRng(7, stream=1 + list(CheckId).index(CheckId.SECTOR_MEASURE))
+    _serial_sector_measure(500, rng)
+    assert len(set(seeds)) == 100
+
+    planted = BracketError("planted in the 37th set")
+
+    def fail_37th(region, bbox, samples, seed):
+        if seed == seeds[36]:
+            raise planted
+        return real(region, bbox, samples, seed)
+
+    before = threading.active_count()
+    monkeypatch.setattr(oracle, "mc_area", fail_37th)
+    with pytest.raises(BracketError) as info:
+        oracle.run_check(CheckId.SECTOR_MEASURE, samples=500, seed=7)
+    assert info.value is planted
+    assert threading.active_count() == before
+    monkeypatch.setattr(oracle, "mc_area", real)
+    assert oracle.run_check(CheckId.SECTOR_MEASURE, samples=500, seed=7).passed
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +564,30 @@ def test_sector_measure_with_tiny_sample_count_is_still_consistent():
 def test_run_check_rejects_tiny_sample_counts():
     with pytest.raises(DomainError):
         oracle.run_check(CheckId.F_ARGMAX, samples=50)
+
+
+@pytest.mark.parametrize("check", list(CheckId))
+def test_run_check_rejects_oversized_sample_counts_before_drawing(monkeypatch, check):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(oracle, "CounterRng", no_draws)
+    for samples in (oracle.MAX_SAMPLES + 1, 10**13):
+        with pytest.raises(DomainError, match="samples must be in"):
+            oracle.run_check(check, samples=samples)
+
+
+def test_run_check_accepts_the_sample_limit(monkeypatch):
+    seen = []
+
+    def stub(samples, rng):
+        seen.append(samples)
+        return 0.0, "stub"
+
+    monkeypatch.setitem(oracle._CHECKS, CheckId.F_ARGMAX, (stub, 100_000, 1e-6))
+    report = oracle.run_check(CheckId.F_ARGMAX, samples=oracle.MAX_SAMPLES)
+    assert seen == [oracle.MAX_SAMPLES]
+    assert report.passed and report.samples == oracle.MAX_SAMPLES
 
 
 def test_pass_flag_follows_the_tolerance(monkeypatch):

@@ -66,3 +66,17 @@ def test_runtime_needs_numpy_but_not_mpmath_or_pytest():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["numpy"]
+
+
+def test_importing_the_package_does_not_load_the_thread_pool():
+    # SectorMeasure imports concurrent.futures when it runs; every command
+    # that runs no check must not pay for that import at startup
+    src = str(Path(kakeya.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, kakeya, kakeya.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

@@ -142,11 +142,14 @@ def outside_area_rate(r: float, a: float) -> float:
     This is the minimum of x / (2*asin(x/r)) over heights x in (0, a];
     at a = r it degenerates to a/pi.
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError(f"a must be > 0, got {a}")
-    if a > r:
+    if not a <= r:
         raise DomainError(f"need a <= r, got a={a}, r={r}")
-    return a / (2.0 * math.asin(a / r))
+    angle = math.asin(a / r)
+    if not angle > 0.0:  # r = inf, or a/r underflows
+        raise DomainError(f"a/r rounds to zero (a={a}, r={r})")
+    return a / (2.0 * angle)
 
 
 def direction_ratio_cap(r: float, derived: DerivedParams) -> float:
@@ -257,11 +260,13 @@ def g_branch_kinks(
 ) -> list[float]:
     """Radii in (lo, hi) where the active branch of the g-cap switches.
 
-    The range defaults to (a, r0).
+    The range defaults to (a, r0) and must satisfy 0 < lo <= hi < 1/2.
     """
     derived = derive_params(params, convention)
     lo = params.a if lo is None else lo
     hi = params.r0 if hi is None else hi
+    if not 0.0 < lo <= hi < 0.5:
+        raise DomainError(f"kink range must satisfy 0 < lo <= hi < 1/2, got [{lo}, {hi}]")
     return [x1 for _, x1, _ in _g_pieces(lo, hi, derived)[:-1]]
 
 

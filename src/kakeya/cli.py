@@ -48,26 +48,54 @@ _SEC41_BOX = dict(
     a=(0.06473, 0.06474),
     r0=(0.22785, 0.22786),
     lam=(0.90696, 0.90697),
-    grid=32,
-    tol=1e-9,
 )
+# Presets that fix the parameter point themselves, so a parameter flag
+# given with one of them would go unread.
+_POINT_PRESETS = frozenset(("cunningham", "sec41"))
+_PARAM_FLAGS = ("a", "r0", "p", "lambda")
+
+# Flags shared by several commands, by long name, and the ones each command
+# reads.  Only verify draws random numbers, so only verify takes a seed.
+_SHARED_FLAGS = {
+    "a": dict(type=float, help="needle-height cap, in (0, 1/2)"),
+    "r0": dict(type=float, help="cutoff radius, in (a, 1/2)"),
+    "p": dict(type=float, help="direction-proportion split, in [0, 1]"),
+    "lambda": dict(dest="lam", type=float, help="interpolation weight for r_lambda, in [0, 1]"),
+    "seed": dict(type=int, help="master seed (default: KAKEYA_SEED env var, else 7)"),
+    "rlambda-convention": dict(choices=(RLAMBDA_REPRODUCING, RLAMBDA_PAPER_LITERAL)),
+    "output-dir": dict(type=str),
+    "emit": dict(type=str, help="comma list from csv,svg,json"),
+    "digits": dict(type=int, help="significant digits for printed numbers"),
+}
+_COMMAND_FLAGS = {
+    "bound": (*_PARAM_FLAGS, "rlambda-convention", "output-dir", "emit", "digits"),
+    "optimize": ("a", "r0", "lambda", "rlambda-convention", "output-dir", "digits"),
+    "verify": ("seed", "output-dir"),
+    "scan": (*_PARAM_FLAGS, "rlambda-convention", "output-dir", "emit", "digits"),
+}
 # Keys a config file may set; each matches the long flag of the same name.
-_CONFIG_KEYS = frozenset(
-    ("a", "r0", "p", "lambda", "seed", "preset", "rlambda-convention", "output-dir",
-     "emit", "digits")
-)
+# The set is shared: a key that only another command reads is accepted.
+_CONFIG_KEYS = frozenset(("preset", *_SHARED_FLAGS))
+
+
+def _dest(flag: str) -> str:
+    return _SHARED_FLAGS[flag].get("dest", flag.replace("-", "_"))
 
 
 @dataclass(frozen=True)
 class Config:
-    """Resolved run configuration (flags override config-file values)."""
+    """Resolved run configuration (flags override config-file values).
 
-    params: BoundParams
-    rlambda_convention: str
-    seed: int
+    A field the command does not read is None: ``params`` for verify and
+    the point presets, ``seed`` for every command but verify.
+    """
+
+    params: BoundParams | None
+    rlambda_convention: str | None
+    seed: int | None
     output_dir: Path
-    emit: frozenset[str]
-    digits: int
+    emit: frozenset[str] | None
+    digits: int | None
     preset: str | None
 
 
@@ -114,28 +142,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, summary):
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--a", type=float, default=None, help="needle-height cap, in (0, 1/2)")
-        p.add_argument("--r0", type=float, default=None, help="cutoff radius, in (a, 1/2)")
-        p.add_argument("--p", type=float, default=None, help="direction-proportion split, in [0, 1]")
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="interpolation weight for r_lambda, in [0, 1]")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (default: KAKEYA_SEED env var, else 7)")
+        # no prefix matching: `verify --a` must not turn into `--all`
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in _COMMAND_FLAGS[name]:
+            p.add_argument(f"--{flag}", default=None, **_SHARED_FLAGS[flag])
         if _PRESETS[name]:
             p.add_argument("--preset", choices=_PRESETS[name], default=None)
-        p.add_argument("--rlambda-convention", choices=(RLAMBDA_REPRODUCING, RLAMBDA_PAPER_LITERAL),
-                       default=None)
-        p.add_argument("--output-dir", type=str, default=None)
-        p.add_argument("--emit", type=str, default=None, help="comma list from csv,svg,json")
-        p.add_argument("--digits", type=int, default=None, help="significant digits for printed numbers")
         p.add_argument("--config", type=str, default=None, help="flat key = value config file")
         return p
 
     command("bound", "evaluate the lower bound at one parameter point")
 
     p_opt = command("optimize", "search (a, r0, lambda) with balanced p")
-    p_opt.add_argument("--grid", type=int, default=None, help="coarse grid points per axis")
     p_opt.add_argument("--refine", type=int, default=0, metavar="N",
                        help="append N steps of the iterative inner-bound refinement")
 
@@ -178,53 +196,58 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 def _resolve_config(args) -> Config:
     fileconf = _load_config_file(args.config) if args.config else {}
+    flags = _COMMAND_FLAGS[args.command]
 
-    def pick(flag_value, key, cast, default):
+    def pick(flag, cast, default, conf=fileconf):
+        """The flag's value, else the file's, else ``default``; None if unread."""
+        if flag not in flags:
+            return None
+        flag_value = getattr(args, _dest(flag))
         if flag_value is not None:
             return flag_value
-        if key in fileconf:
-            return cast(fileconf[key])
+        if flag in conf:
+            return cast(conf[flag])
         return default
 
     # verify has no --preset flag, but a config file may still name one
-    preset = pick(getattr(args, "preset", None), "preset", str, None)
+    preset = getattr(args, "preset", None) or fileconf.get("preset")
     if preset is not None and preset not in _PRESETS[args.command]:
         if not any(preset in names for names in _PRESETS.values()):
             raise DomainError(f"unknown preset {preset!r}")
         raise DomainError(f"preset {preset!r} does not apply to {args.command}")
-    base = THEOREM_DEFAULTS
-    a = pick(args.a, "a", float, base.a)
-    r0 = pick(args.r0, "r0", float, base.r0)
-    p = pick(args.p, "p", float, base.p)
-    lam = pick(args.lam, "lambda", float, base.lam)
-    if preset == "theorem":
-        # preset fixes the parameter point; explicit flags still win
-        a = args.a if args.a is not None else base.a
-        r0 = args.r0 if args.r0 is not None else base.r0
-        p = args.p if args.p is not None else base.p
-        lam = args.lam if args.lam is not None else base.lam
-    if args.seed is not None:
-        seed = args.seed
-    elif "seed" in fileconf:
-        seed = int(fileconf["seed"])
-    else:
+    params = None
+    if preset in _POINT_PRESETS:
+        for flag in _PARAM_FLAGS:
+            if getattr(args, _dest(flag), None) is not None:
+                raise DomainError(f"--{flag} does not apply to preset {preset}")
+    elif "a" in flags:
+        base = THEOREM_DEFAULTS
+        # the theorem preset fixes the parameter point; explicit flags still win
+        conf = {} if preset == "theorem" else fileconf
+        a, r0, p, lam = (
+            pick(flag, float, getattr(base, _dest(flag)), conf) for flag in _PARAM_FLAGS
+        )
+        # optimize has no --p: it balances p itself
+        params = BoundParams(a=a, r0=r0, p=base.p if p is None else p, lam=lam)
+    seed = pick("seed", int, None)
+    if "seed" in flags and seed is None:
         env_seed = os.environ.get("KAKEYA_SEED")
         seed = int(env_seed) if env_seed else DEFAULT_SEED
-    emit_raw = pick(args.emit, "emit", str, "csv,json")
-    emit = frozenset(tok.strip() for tok in emit_raw.split(",") if tok.strip())
-    bad = emit - set(_EMIT_CHOICES)
-    if bad:
-        raise DomainError(f"unknown emit formats: {sorted(bad)}")
-    digits = pick(args.digits, "digits", int, 6)
-    if digits < 1:
+    emit = None
+    emit_raw = pick("emit", str, "csv,json")
+    if emit_raw is not None:
+        emit = frozenset(tok.strip() for tok in emit_raw.split(",") if tok.strip())
+        bad = emit - set(_EMIT_CHOICES)
+        if bad:
+            raise DomainError(f"unknown emit formats: {sorted(bad)}")
+    digits = pick("digits", int, 6)
+    if digits is not None and digits < 1:
         raise DomainError(f"digits must be >= 1, got {digits}")
     return Config(
-        params=BoundParams(a=a, r0=r0, p=p, lam=lam),
-        rlambda_convention=pick(
-            args.rlambda_convention, "rlambda-convention", str, RLAMBDA_REPRODUCING
-        ),
+        params=params,
+        rlambda_convention=pick("rlambda-convention", str, RLAMBDA_REPRODUCING),
         seed=seed,
-        output_dir=Path(pick(args.output_dir, "output-dir", str, ".")),
+        output_dir=Path(pick("output-dir", str, ".")),
         emit=emit,
         digits=digits,
         preset=preset,
@@ -373,8 +396,6 @@ def _cmd_optimize(cfg: Config, args) -> int:
             r0=(params.r0, params.r0),
             lam=(params.lam, params.lam),
         )
-    if args.grid is not None:
-        box = SearchBox(a=box.a, r0=box.r0, lam=box.lam, grid=args.grid, tol=box.tol)
     result = optimizer.optimize(box, cfg.rlambda_convention)
     best = result.best
     print(
@@ -383,7 +404,7 @@ def _cmd_optimize(cfg: Config, args) -> int:
     )
     print(f"bound coefficient_of_pi = {result.breakdown.final:.17g}")
     payload = {
-        "box": {"a": box.a, "r0": box.r0, "lambda": box.lam, "grid": box.grid, "tol": box.tol},
+        "box": {"a": box.a, "r0": box.r0, "lambda": box.lam},
         "best": _params_json(best),
         "balanced_p": result.balanced_p,
         "breakdown": asdict(result.breakdown),

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a typed integer check."""
+
+import operator
 
 
 class KakeyaError(Exception):
@@ -14,8 +16,19 @@ class CaseIIInfeasible(KakeyaError):
 
 
 class EmptyFeasibleSet(KakeyaError):
-    """Every point of an optimization grid was infeasible."""
+    """Every corner of an optimization search box was infeasible."""
 
 
 class BracketError(KakeyaError, ValueError):
     """A bisection bracket does not straddle the sought transition."""
+
+
+def as_integer(value, name: str, lo: int | None = None) -> int:
+    """``value`` as a Python int, or DomainError if it is not an integer >= lo."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if lo is not None and out < lo:
+        raise DomainError(f"{name} must be >= {lo}, got {out}")
+    return out

@@ -96,8 +96,11 @@ def triangle_vertices(alpha: float, delta: float, t: float) -> tuple[Point, Poin
     The supporting line lies at signed distance ``delta`` along the left
     normal of the direction vector, so triangles at directions alpha and
     alpha + pi are reflections of each other through O.  ``t`` may lie
-    outside [0, 1] here; the public constructor restricts it.
+    outside [0, 1] here; the public constructor restricts it.  Non-finite
+    inputs raise DomainError.
     """
+    if not (math.isfinite(alpha) and math.isfinite(delta) and math.isfinite(t)):
+        raise DomainError("triangle parameters must be finite")
     ca, sa = math.cos(alpha), math.sin(alpha)
     # foot of the perpendicular is at delta * n with n = (-sin, cos)
     fx, fy = -delta * sa, delta * ca
@@ -178,7 +181,7 @@ def _disk_triangle_area(ax: float, ay: float, bx: float, by: float, r: float) ->
 
 def exterior_area(tri: NeedleTriangle, r: float) -> float:
     """Area of the triangle part outside the open disk B_r (exact clipping)."""
-    if r <= 0.0:
+    if not r > 0.0:
         raise DomainError(f"r must be > 0, got {r}")
     _, a, b = tri.vertices
     inner = abs(_disk_triangle_area(a.x, a.y, b.x, b.y, r))
@@ -191,9 +194,10 @@ def exterior_area_isosceles(delta: float, r: float) -> float:
         |outer| = delta/2 - ( delta*sqrt(r^2 - delta^2)
                               + (asin(delta/r) - atan(2*delta)) * r^2 )
 
-    Valid for 0 <= delta < r; the value is nonnegative throughout.
+    Valid for 0 <= delta < r while S_r cuts the needle (r^2 - delta^2 <=
+    1/4); the value is nonnegative throughout.
     """
-    _require_height_below_radius(delta, r)
+    _require_circle_cuts_needle(delta, r)
     if delta == 0.0:
         return 0.0
     return 0.5 * delta - (
@@ -208,9 +212,10 @@ def exterior_angle_ratio(delta: float, r: float) -> float:
     At delta = 0 the quotient is defined by its analytic limit
     r*(2r - 1)^2 / 2, never by a 0/0 evaluation.  For r >= 0.15 and
     moderate heights (delta up to 3r/5) the quotient is minimized in
-    that limit; for delta close to r it dips below it.
+    that limit; for delta close to r it dips below it.  The domain is
+    that of exterior_area_isosceles.
     """
-    _require_height_below_radius(delta, r)
+    _require_circle_cuts_needle(delta, r)
     if delta == 0.0:
         return 0.5 * r * (2.0 * r - 1.0) ** 2
     return exterior_area_isosceles(delta, r) / math.asin(delta / r)
@@ -273,7 +278,7 @@ def far_endpoint_distance(delta0: float, r: float) -> float:
     """
     _require_height_below_radius(delta0, r)
     denom = 1.0 - 2.0 * math.sqrt(r * r - delta0 * delta0)
-    if denom <= 0.0:
+    if not denom > 0.0:
         raise DomainError(f"nonpositive denominator in |OB| (r={r}, delta0={delta0})")
     return math.sqrt(4.0 * delta0 * delta0 + 1.0) / denom
 
@@ -288,8 +293,10 @@ def outside_distance_cap(r: float, a: float) -> float:
     """
     if not 0.0 < a < 0.5:
         raise DomainError(f"a must lie in (0, 1/2), got {a}")
+    if not r > 0.0:
+        raise DomainError(f"r must be > 0, got {r}")
     radicand = 4.0 * r * r * (1.0 + a * a) - a * a
-    if radicand < 0.0:
+    if not 0.0 <= radicand < math.inf:
         raise DomainError(f"negative radicand in delta1 (r={r}, a={a})")
     return a * (1.0 - math.sqrt(radicand)) / (2.0 * (a * a + 1.0))
 
@@ -300,7 +307,10 @@ def outside_distance_cap(r: float, a: float) -> float:
 
 def angular_gap(alpha1: float, alpha2: float) -> float:
     """Distance between two directions on the circle of lines R/(pi Z)."""
-    g = math.fmod(abs(alpha1 - alpha2), math.pi)
+    diff = abs(alpha1 - alpha2)
+    if not diff < math.inf:
+        raise DomainError(f"directions must be finite, got {alpha1}, {alpha2}")
+    g = math.fmod(diff, math.pi)
     return min(g, math.pi - g)
 
 
@@ -338,7 +348,7 @@ def intersection_arcs(tri: NeedleTriangle, r: float) -> list[Arc]:
     needle.  Zero-length tangencies are excluded; ties in the ordering
     break by start angle.
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise DomainError(f"r must be > 0, got {r}")
     delta, t = tri.delta, tri.t
     if delta <= 0.0:
@@ -376,3 +386,10 @@ def _require_height_below_radius(delta: float, r: float) -> None:
         raise DomainError(f"r must be > 0, got {r}")
     if not 0.0 <= delta < r:
         raise DomainError(f"need 0 <= delta < r, got delta={delta}, r={r}")
+
+
+def _require_circle_cuts_needle(delta: float, r: float) -> None:
+    """The isosceles closed forms need S_r to meet the needle itself."""
+    _require_height_below_radius(delta, r)
+    if not r * r - delta * delta <= 0.25:
+        raise DomainError(f"S_r misses the needle: r^2 - delta^2 > 1/4 (delta={delta}, r={r})")

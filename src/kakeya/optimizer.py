@@ -7,8 +7,10 @@ objective is
     min( balanced case value,  a/(2*pi) )
 
 since a/(2*pi) is the standing trivial bound that caps how much the case
-machinery may claim.  The search is a deterministic coarse grid followed
-by coordinate-wise golden-section refinement; ties in the objective (it
+machinery may claim.  The search seeds from the best corner of the box and
+refines coordinate-wise by golden-section search.  Golden-section never
+evaluates an interval end, so the corners are exactly the points it cannot
+reach; the sec41 optimum sits on two of them.  Ties in the objective (it
 plateaus at a/(2*pi) once the balanced value exceeds it) break toward the
 larger balanced value, which pins the refinement to the constrained
 optimum instead of an arbitrary plateau point.
@@ -16,6 +18,7 @@ optimum instead of an arbitrary plateau point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -26,17 +29,19 @@ from .errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet
 __all__ = ["SearchBox", "OptimizationResult", "optimize", "refine_iterative"]
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# A refinement pass that raises the objective by less than this ends the
+# search; a golden-section line search stops once its bracket is this narrow.
+_PASS_TOL = 1e-9
+_LINE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class SearchBox:
-    """Closed parameter intervals with grid resolution and refinement tol."""
+    """Closed intervals for (a, r0, lambda); a point interval fixes its axis."""
 
     a: tuple[float, float]
     r0: tuple[float, float]
     lam: tuple[float, float]
-    grid: int = 32
-    tol: float = 1e-7
 
     def __post_init__(self):
         for name in ("a", "r0", "lam"):
@@ -47,10 +52,6 @@ class SearchBox:
             raise DomainError("a interval must lie strictly below the r0 interval")
         if self.a[0] <= 0.0 or self.r0[1] >= 0.5:
             raise DomainError("intervals must stay inside (0, 1/2)")
-        if self.grid < 2:
-            raise DomainError(f"grid must be >= 2, got {self.grid}")
-        if self.tol <= 0.0:
-            raise DomainError(f"tol must be > 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -86,12 +87,13 @@ def optimize(
     box: SearchBox,
     convention: str = RLAMBDA_REPRODUCING,
 ) -> OptimizationResult:
-    """Deterministic grid + coordinate golden-section maximization.
+    """Deterministic box corners + coordinate golden-section maximization.
 
-    Evaluates the balanced objective on a grid**3 lattice over the box,
-    then refines coordinate-by-coordinate until a full pass improves the
-    objective by less than ``box.tol``.  Infeasible points (Case II
-    undefined) are skipped; if every lattice point is infeasible,
+    Evaluates the balanced objective at the box corners (a point interval
+    contributes one value), in a -> r0 -> lambda order, keeping the first
+    strict best.  It then refines coordinate-by-coordinate until a full
+    pass improves the objective by less than 1e-9.  Infeasible points
+    (Case II undefined) are skipped; if every corner is infeasible,
     EmptyFeasibleSet is raised.
     """
 
@@ -101,41 +103,35 @@ def optimize(
         except (CaseIIInfeasible, DomainError):
             return None
 
-    def axis_values(interval):
+    def ends(interval):
         lo, hi = interval
-        if hi <= lo:
-            return [lo]
-        n = box.grid
-        return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+        return (lo,) if hi <= lo else (lo, hi)
 
     best = None  # ((objective, balanced value), (a, r0, lam), p)
-    for a in axis_values(box.a):
-        for r0 in axis_values(box.r0):
-            for lam in axis_values(box.lam):
-                got = evaluate(a, r0, lam)
-                if got is None:
-                    continue
-                phi, value, p = got
-                if best is None or (phi, value) > best[0]:
-                    best = ((phi, value), (a, r0, lam), p)
+    for corner in itertools.product(ends(box.a), ends(box.r0), ends(box.lam)):
+        got = evaluate(*corner)
+        if got is None:
+            continue
+        phi, value, p = got
+        if best is None or (phi, value) > best[0]:
+            best = ((phi, value), corner, p)
     if best is None:
-        raise EmptyFeasibleSet("every grid point of the search box was infeasible")
-
-    trace = [(_params_at(best[1], best[2]), best[0][0])]
+        raise EmptyFeasibleSet("every corner of the search box was infeasible")
+    key, point, p = best
+    trace = [(_params_at(point, p), key[0])]
 
     def line_key(point):
         got = evaluate(*point)
         return (-math.inf, -math.inf) if got is None else (got[0], got[1])
 
-    key, point, p = best[0], best[1], best[2]
-    for _ in range(64):  # passes; tol normally stops the loop much earlier
+    for _ in range(64):  # passes; _PASS_TOL normally stops the loop much earlier
         prev_phi = key[0]
         for coord, interval in ((0, box.a), (1, box.r0), (2, box.lam)):
             if interval[1] > interval[0]:
                 key, point = _golden_max(line_key, point, coord, interval, key)
         phi, value, p = evaluate(*point)
         trace.append((_params_at(point, p), phi))
-        if phi - prev_phi < box.tol:
+        if phi - prev_phi < _PASS_TOL:
             break
 
     best_params = _params_at(point, p)
@@ -150,7 +146,7 @@ def _params_at(point, p):
     return BoundParams(a=a, r0=r0, p=p, lam=lam)
 
 
-def _golden_max(line_key, point, coord, interval, key, xtol=1e-8):
+def _golden_max(line_key, point, coord, interval, key):
     """Golden-section ascent of one coordinate; returns (key, point)."""
 
     def key_at(x):
@@ -162,7 +158,7 @@ def _golden_max(line_key, point, coord, interval, key, xtol=1e-8):
     x1 = hi - _INV_GOLDEN * (hi - lo)
     x2 = lo + _INV_GOLDEN * (hi - lo)
     k1, k2 = key_at(x1), key_at(x2)
-    while hi - lo > xtol:
+    while hi - lo > _LINE_TOL:
         if k1 < k2:
             lo, x1, k1 = x1, x2, k2
             x2 = lo + _INV_GOLDEN * (hi - lo)

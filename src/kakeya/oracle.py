@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import bounds, geom
-from .errors import BracketError, DomainError
+from .errors import BracketError, DomainError, as_integer
 from .rng import CounterRng
 
 __all__ = [
@@ -126,11 +126,11 @@ def mc_area(
     error bbox_area * sqrt(phat*(1-phat)/samples), and is bit-identical for
     a fixed (seed, samples).
     """
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
+    samples = as_integer(samples, "samples", lo=1)
     xmin, ymin, xmax, ymax = bbox
-    if not (xmax > xmin and ymax > ymin):
-        raise DomainError(f"degenerate bbox {bbox}")
+    area_box = (xmax - xmin) * (ymax - ymin)
+    if not (xmax > xmin and ymax > ymin and math.isfinite(area_box)):
+        raise DomainError(f"degenerate or unbounded bbox {bbox}")
     rng = CounterRng(seed, stream=0)
     hits = 0
     for start in range(0, samples, _MC_CHUNK):
@@ -144,7 +144,6 @@ def mc_area(
             rng.seek(2 * start + n + lo)
             ys = rng.uniform(ymin, ymax, m)
             hits += int(np.count_nonzero(region(xs, ys)))
-    area_box = (xmax - xmin) * (ymax - ymin)
     phat = hits / samples
     return McEstimate(
         value=area_box * phat,
@@ -575,7 +574,7 @@ def run_check(
     Failures are reported in the returned record, never raised.
     """
     func, default_samples, tol = _CHECKS[check]
-    n = default_samples if samples is None else int(samples)
+    n = default_samples if samples is None else as_integer(samples, "samples")
     if not 100 <= n <= MAX_SAMPLES:
         raise DomainError(f"samples must be in [100, {MAX_SAMPLES}], got {n}")
     stream = 1 + list(CheckId).index(check)
@@ -607,7 +606,7 @@ def find_h_threshold(lo: float, hi: float, tol: float, grid: int = 512) -> float
     """
     if not lo < hi:
         raise BracketError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
     fractions = _h_fractions(grid)
 
@@ -625,6 +624,8 @@ def find_h_threshold(lo: float, hi: float, tol: float, grid: int = 512) -> float
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: the bracket cannot shrink
+            break
         if min_at_zero(mid) == p_hi:
             hi = mid
         else:

@@ -24,9 +24,11 @@ drawn values are those of the formula above.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_integer
 
 # SplitMix64 constants: the 64-bit golden-ratio increment and the two
 # avalanche multipliers of the finalizer.
@@ -65,8 +67,8 @@ class CounterRng:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed)
-        self.stream = int(stream)
+        self.seed = as_integer(seed, "seed")
+        self.stream = as_integer(stream, "stream")
         mask = 0xFFFFFFFFFFFFFFFF
         # stream offset in exact integer arithmetic; numpy scalars would
         # warn on the wrapping multiply
@@ -77,13 +79,11 @@ class CounterRng:
 
     def seek(self, counter: int) -> None:
         """Move to ``counter``: the next draw is output(counter)."""
-        counter = int(counter)
-        if counter < 0:
-            raise DomainError(f"counter must be >= 0, got {counter}")
-        self._counter = counter
+        self._counter = as_integer(counter, "counter", lo=0)
 
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words as a uint64 array."""
+        n = as_integer(n, "n", lo=0)
         z = np.arange(self._counter, self._counter + n, dtype=np.uint64)
         self._counter += n
         z *= GOLDEN
@@ -99,7 +99,9 @@ class CounterRng:
         return u
 
     def uniform(self, lo: float, hi: float, n: int) -> np.ndarray:
-        """Next ``n`` doubles, uniform on [lo, hi)."""
+        """Next ``n`` doubles, uniform on [lo, hi); lo and hi - lo must be finite."""
+        if not (math.isfinite(lo) and math.isfinite(hi - lo)):
+            raise DomainError(f"uniform range [{lo}, {hi}) is not finite")
         u = self.uniforms(n)
         u *= hi - lo
         u += lo

@@ -293,15 +293,15 @@ def test_verify_rejects_an_oversized_sample_count(tmp_path, capsys):
 
 def test_sec41_optimize_artifact_is_pinned(tmp_path):
     # sha256 of optimize.json from `optimize --preset sec41 --refine 10`,
-    # recorded before the balanced objective stopped deriving its
-    # parameters twice per evaluation; any change to a floating-point
-    # operation of the search or the breakdown shows here
+    # recorded when the search started from the box corners instead of a
+    # 32**3 lattice (only `box` and `trace[0]` changed then); any change to
+    # a floating-point operation of the search or the breakdown shows here
     code = run_cli(
         "optimize", "--preset", "sec41", "--refine", "10", "--output-dir", str(tmp_path)
     )
     assert code == 0
     digest = hashlib.sha256((tmp_path / "optimize.json").read_bytes()).hexdigest()
-    assert digest == "53376391e578d01eee64b5e3a60853722bd542a328012613709e187d092720be"
+    assert digest == "813ac7c9eeb636702cfe239df239186597e385c3c0dc9fb0709b0b96a19e564e"
 
 
 def test_theorem_bound_artifacts_are_pinned(tmp_path):
@@ -440,10 +440,10 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
 
 def test_malformed_numeric_inputs_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("KAKEYA_SEED", "not-a-number")
-    assert run_cli("bound", "--preset", "theorem", "--output-dir", str(tmp_path)) == 2
+    assert run_cli("verify", "--check", "CMin", "--output-dir", str(tmp_path)) == 2
     # an explicit flag wins before the broken environment value is touched
     assert run_cli(
-        "bound", "--preset", "theorem", "--seed", "5", "--output-dir", str(tmp_path)
+        "verify", "--check", "CMin", "--seed", "5", "--output-dir", str(tmp_path)
     ) == 0
     monkeypatch.delenv("KAKEYA_SEED")
     cfg = tmp_path / "bad.cfg"
@@ -451,6 +451,69 @@ def test_malformed_numeric_inputs_exit_2(tmp_path, monkeypatch, capsys):
     assert run_cli("bound", "--config", str(cfg)) == 2
     cfg.write_text("just words without an equals sign\n")
     assert run_cli("bound", "--config", str(cfg)) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ("bound", "--preset", "theorem"),
+    ("scan", "f", "--steps", "5"),
+    ("optimize",),
+], ids=["bound", "scan", "optimize"])
+def test_seed_is_read_by_verify_alone(command, tmp_path, monkeypatch):
+    monkeypatch.setenv("KAKEYA_SEED", "oops")
+    assert run_cli(*command, "--output-dir", str(tmp_path)) == 0
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (("bound",), "--seed", "5"),
+    (("scan", "f"), "--seed", "5"),
+    (("optimize",), "--p", "0.5"),
+    (("optimize",), "--emit", "json"),
+    (("optimize",), "--seed", "5"),
+    (("optimize",), "--grid", "2"),
+    (("verify", "--check", "CMin"), "--a", "0.06"),
+    (("verify", "--check", "CMin"), "--r0", "0.25"),
+    (("verify", "--check", "CMin"), "--p", "0.5"),
+    (("verify", "--check", "CMin"), "--lambda", "0.5"),
+    (("verify", "--check", "CMin"), "--rlambda-convention", "reproducing"),
+    (("verify", "--check", "CMin"), "--emit", "json"),
+    (("verify", "--check", "CMin"), "--digits", "9"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_flag_a_command_does_not_read_exits_2(command, flag, value, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(*command, flag, value, "--output-dir", str(out)) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((("bound", "--preset", "cunningham"), flag) for flag in ("--a", "--r0", "--p", "--lambda")),
+    *((("optimize", "--preset", "sec41"), flag) for flag in ("--a", "--r0", "--lambda")),
+])
+def test_point_preset_rejects_parameter_flags(command, flag, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(*command, flag, "0.1", "--output-dir", str(out)) == 2
+    assert f"{flag} does not apply to preset {command[2]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_ignores_bound_parameters_in_a_config_file(tmp_path):
+    # the config keys are shared: verify accepts and ignores a key bound reads
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("a = 0.7\nlambda = 3\nseed = 11\n")
+    code = run_cli("verify", "--check", "CMin", "--config", str(cfg), "--output-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads((tmp_path / "verify.json").read_text())["seed"] == 11
+
+
+def test_readme_examples_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("Examples:", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    commands = [words for words in lines if words[:1] == ["kakeya"]]
+    assert len(commands) >= 5
+    parser = cli._build_parser()
+    for words in commands:
+        parser.parse_args(words[1:])
 
 
 def test_svg_output_is_well_formed(tmp_path):

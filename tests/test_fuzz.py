@@ -1,0 +1,146 @@
+"""Seeded fuzz test of the public numeric entry points.
+
+Each function of ``bounds``, ``geom``, ``oracle`` and ``rng`` that takes
+numbers is called with NaN, +-inf, +-0, a subnormal, negative and huge
+arguments (and a few ordinary ones).  Every call must return only finite
+numbers or raise a KakeyaError; a NaN argument must always raise.  One- to
+three-argument functions see every combination of the values; wider ones
+see a seeded sample.  Sample counts are floats, which are rejected, or
+integers of at most 100, so no call starts heavy work.  ``rng.mix64``
+takes uint64 arrays only and is left out.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import enum
+import itertools
+import math
+import random
+
+import numpy as np
+import pytest
+
+from kakeya import bounds, geom, oracle, rng
+from kakeya.bounds import RLAMBDA_PAPER_LITERAL, RLAMBDA_REPRODUCING, BoundParams, THEOREM_DEFAULTS
+from kakeya.errors import KakeyaError
+
+SEED = 20240601
+VALUES = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1.0, 1e300, -1e300, 0.06, 0.1, 0.25,
+)
+COUNTS = VALUES + (-1, 0, 1, 100)
+MAX_COMBINATIONS = 2000
+
+TRI = geom.make_triangle(0.3, 0.05, 0.5)
+DERIVED = bounds.derive_params(THEOREM_DEFAULTS)
+
+
+def _half_plane(xs, ys):
+    return xs < ys
+
+
+ENTRY_POINTS = {
+    # bounds
+    "exterior_area_rate": (bounds.exterior_area_rate, (VALUES,)),
+    "outside_area_rate": (bounds.outside_area_rate, (VALUES, VALUES)),
+    "direction_ratio_cap": (lambda r: bounds.direction_ratio_cap(r, DERIVED), (VALUES,)),
+    "derive_params": (
+        lambda a, r0, p, lam: [
+            bounds.derive_params(BoundParams(a, r0, p, lam), convention)
+            for convention in (RLAMBDA_REPRODUCING, RLAMBDA_PAPER_LITERAL)
+        ],
+        (VALUES,) * 4,
+    ),
+    "theorem_bound": (
+        lambda a, r0, p, lam: bounds.theorem_bound(BoundParams(a, r0, p, lam)), (VALUES,) * 4
+    ),
+    "theorem_bound(tol)": (lambda tol: bounds.theorem_bound(THEOREM_DEFAULTS, tol), (VALUES,)),
+    "case_i_integral(tol)": (lambda tol: bounds.case_i_integral(THEOREM_DEFAULTS, tol), (VALUES,)),
+    "g_branch_kinks": (
+        lambda lo, hi: bounds.g_branch_kinks(THEOREM_DEFAULTS, RLAMBDA_REPRODUCING, lo, hi),
+        (VALUES, VALUES),
+    ),
+    # geom
+    "triangle_vertices": (geom.triangle_vertices, (VALUES,) * 3),
+    "make_triangle": (geom.make_triangle, (VALUES,) * 3),
+    "exterior_area": (lambda r: geom.exterior_area(TRI, r), (VALUES,)),
+    "intersection_arcs": (lambda r: geom.intersection_arcs(TRI, r), (VALUES,)),
+    "exterior_area_isosceles": (geom.exterior_area_isosceles, (VALUES, VALUES)),
+    "exterior_angle_ratio": (geom.exterior_angle_ratio, (VALUES, VALUES)),
+    "theta_isosceles": (geom.theta_isosceles, (VALUES, VALUES)),
+    "direction_ratio": (geom.direction_ratio, (VALUES, VALUES)),
+    "far_endpoint_distance": (geom.far_endpoint_distance, (VALUES, VALUES)),
+    "outside_distance_cap": (geom.outside_distance_cap, (VALUES, VALUES)),
+    "angular_gap": (geom.angular_gap, (VALUES, VALUES)),
+    "exterior_disjoint_criterion": (geom.exterior_disjoint_criterion, (VALUES,) * 5),
+    # oracle
+    "run_check(samples)": (
+        lambda n: [oracle.run_check(check, samples=n) for check in oracle.CheckId], (COUNTS,)
+    ),
+    "run_check(seed)": (
+        lambda seed: oracle.run_check(oracle.CheckId.C_MIN, samples=100, seed=seed), (COUNTS,)
+    ),
+    "mc_area(bbox)": (
+        lambda *bbox: oracle.mc_area(_half_plane, bbox, 100, 0), (VALUES,) * 4
+    ),
+    "mc_area(samples)": (lambda n: oracle.mc_area(_half_plane, (0, 0, 1, 1), n, 0), (COUNTS,)),
+    "mc_area(seed)": (lambda seed: oracle.mc_area(_half_plane, (0, 0, 1, 1), 100, seed), (COUNTS,)),
+    "find_h_threshold(tol)": (lambda tol: oracle.find_h_threshold(0.1, 0.2, tol), (VALUES,)),
+    "find_h_threshold(lo, hi)": (
+        lambda lo, hi: oracle.find_h_threshold(lo, hi, 1e-2), (VALUES, VALUES)
+    ),
+    # rng
+    "CounterRng(seed)": (lambda seed: rng.CounterRng(seed).uniforms(3), (COUNTS,)),
+    "CounterRng(stream)": (lambda stream: rng.CounterRng(7, stream).uniforms(3), (COUNTS,)),
+    "seek": (lambda counter: rng.CounterRng(7).seek(counter), (COUNTS,)),
+    "raw": (lambda n: rng.CounterRng(7).raw(n), (COUNTS,)),
+    "uniforms": (lambda n: rng.CounterRng(7).uniforms(n), (COUNTS,)),
+    "uniform": (lambda lo, hi: rng.CounterRng(7).uniform(lo, hi, 10), (VALUES, VALUES)),
+}
+
+
+def _numbers(value):
+    """Every number inside a result: scalars, arrays, sequences, dataclasses."""
+    if value is None or isinstance(value, (str, bool, enum.Enum)):
+        return
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            yield from value.ravel().tolist()
+    elif isinstance(value, (int, float, np.number)):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _numbers(item)
+    elif dataclasses.is_dataclass(value):
+        for item in dataclasses.fields(value):
+            yield from _numbers(getattr(value, item.name))
+    else:
+        raise AssertionError(f"unexpected result type {type(value).__name__}")
+
+
+def _arguments(pools, rnd):
+    if math.prod(len(pool) for pool in pools) <= MAX_COMBINATIONS:
+        return list(itertools.product(*pools))
+    return [tuple(rnd.choice(pool) for pool in pools) for _ in range(MAX_COMBINATIONS)]
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_point_gives_finite_values_or_a_typed_error(name):
+    func, pools = ENTRY_POINTS[name]
+    rnd = random.Random(f"{SEED}:{name}")
+    bad = []
+    with np.errstate(all="ignore"):
+        for args in _arguments(pools, rnd):
+            try:
+                got = func(*args)
+            except KakeyaError:
+                continue
+            except Exception as exc:  # an untyped error is a failure of the entry point
+                bad.append((args, f"{type(exc).__name__}: {exc}"))
+                continue
+            if any(isinstance(x, float) and math.isnan(x) for x in args):
+                bad.append((args, f"NaN argument accepted, returned {got!r}"))
+            elif not all(math.isfinite(x) for x in _numbers(got)):
+                bad.append((args, f"non-finite result {got!r}"))
+    assert not bad, f"{len(bad)} bad calls, first ones: {bad[:5]}"

@@ -3,12 +3,18 @@ iterative refinement contracts."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
 
 from kakeya import bounds, optimizer
-from kakeya.bounds import RLAMBDA_REPRODUCING, BoundParams, THEOREM_DEFAULTS
+from kakeya.bounds import (
+    RLAMBDA_PAPER_LITERAL,
+    RLAMBDA_REPRODUCING,
+    BoundParams,
+    THEOREM_DEFAULTS,
+)
 from kakeya.errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet
 from kakeya.optimizer import SearchBox
 
@@ -45,7 +51,7 @@ def test_optimize_point_box_evaluates_that_point():
 
 
 def test_optimize_is_deterministic():
-    box = SearchBox(a=(0.06, 0.066), r0=(0.22, 0.24), lam=(0.88, 0.93), grid=4, tol=1e-8)
+    box = SearchBox(a=(0.06, 0.066), r0=(0.22, 0.24), lam=(0.88, 0.93))
     first = optimizer.optimize(box)
     second = optimizer.optimize(box)
     assert first.best == second.best
@@ -54,7 +60,7 @@ def test_optimize_is_deterministic():
 
 
 def test_optimize_beats_the_default_point_objective():
-    box = SearchBox(a=(0.06, 0.066), r0=(0.22, 0.24), lam=(0.88, 0.93), grid=4, tol=1e-8)
+    box = SearchBox(a=(0.06, 0.066), r0=(0.22, 0.24), lam=(0.88, 0.93))
     result = optimizer.optimize(box)
     default_value = min(
         bounds.theorem_bound(THEOREM_DEFAULTS).final, THEOREM_DEFAULTS.a / (2.0 * math.pi)
@@ -63,7 +69,7 @@ def test_optimize_beats_the_default_point_objective():
 
 
 def test_optimize_derives_once_per_evaluation(monkeypatch):
-    box = SearchBox(a=(0.06, 0.066), r0=(0.22, 0.24), lam=(0.88, 0.93), grid=4, tol=1e-8)
+    box = SearchBox(a=(0.06, 0.066), r0=(0.22, 0.24), lam=(0.88, 0.93))
     expected = optimizer.optimize(box)
     calls = {"evaluations": 0, "derive_params": 0, "case_i_integral": 0}
 
@@ -79,10 +85,81 @@ def test_optimize_derives_once_per_evaluation(monkeypatch):
     monkeypatch.setattr(bounds, "case_i_integral", counted("case_i_integral", bounds.case_i_integral))
     result = optimizer.optimize(box)
     assert result == expected
-    assert calls["evaluations"] > 4 ** 3
+    # the 8 corners, then at least one golden-section line search
+    assert calls["evaluations"] > 2 ** 3
     # one of each per evaluation, plus one each for the final breakdown
     assert calls["derive_params"] == calls["evaluations"] + 1
     assert calls["case_i_integral"] == calls["evaluations"] + 1
+
+
+def lattice_search(box, grid, convention):
+    """The grid**3 lattice seeding that box corners replaced, as a reference.
+
+    Same visiting order (a -> r0 -> lambda), same strict ``>`` tie rule, and
+    the same golden-section passes with the 1e-9 pass tolerance.
+    """
+
+    def evaluate(point):
+        try:
+            return optimizer._balanced_point(*point, convention)
+        except (CaseIIInfeasible, DomainError):
+            return None
+
+    def axis(lo, hi):
+        if hi <= lo:
+            return [lo]
+        return [lo + (hi - lo) * k / (grid - 1) for k in range(grid)]
+
+    best = None
+    for point in itertools.product(axis(*box.a), axis(*box.r0), axis(*box.lam)):
+        got = evaluate(point)
+        if got is not None and (best is None or (got[0], got[1]) > best[0]):
+            best = ((got[0], got[1]), point, got[2])
+    key, point, p = best
+    trace = [(BoundParams(point[0], point[1], p, point[2]), key[0])]
+
+    def line_key(trial):
+        got = evaluate(trial)
+        return (-math.inf, -math.inf) if got is None else (got[0], got[1])
+
+    for _ in range(64):
+        prev_phi = key[0]
+        for coord, interval in enumerate((box.a, box.r0, box.lam)):
+            if interval[1] > interval[0]:
+                key, point = optimizer._golden_max(line_key, point, coord, interval, key)
+        phi, _, p = evaluate(point)
+        trace.append((BoundParams(point[0], point[1], p, point[2]), phi))
+        if phi - prev_phi < 1e-9:
+            break
+    best_params = BoundParams(point[0], point[1], p, point[2])
+    return optimizer.OptimizationResult(
+        best=best_params,
+        breakdown=bounds.theorem_bound(best_params, convention=convention),
+        balanced_p=p,
+        trace=trace,
+    )
+
+
+SEC41_BOX = SearchBox(a=(0.06473, 0.06474), r0=(0.22785, 0.22786), lam=(0.90696, 0.90697))
+TEST_BOX = SearchBox(a=(0.06, 0.066), r0=(0.22, 0.24), lam=(0.88, 0.93))
+
+
+@pytest.mark.parametrize("box, convention", [
+    (SEC41_BOX, RLAMBDA_REPRODUCING),
+    (SEC41_BOX, RLAMBDA_PAPER_LITERAL),
+    (TEST_BOX, RLAMBDA_REPRODUCING),
+    (TEST_BOX, RLAMBDA_PAPER_LITERAL),
+], ids=["sec41-reproducing", "sec41-paper-literal", "test-box-reproducing",
+        "test-box-paper-literal"])
+def test_corner_seeding_matches_the_lattice_search(box, convention):
+    result = optimizer.optimize(box, convention)
+    # the 2-point lattice is the corners: the whole result agrees
+    assert result == lattice_search(box, 2, convention)
+    # the 32-point lattice seeds elsewhere but refines to the same optimum
+    dense = lattice_search(box, 32, convention)
+    assert (result.best, result.breakdown, result.balanced_p) == (
+        dense.best, dense.breakdown, dense.balanced_p
+    )
 
 
 def test_optimize_raises_on_empty_feasible_set(monkeypatch):
@@ -90,7 +167,7 @@ def test_optimize_raises_on_empty_feasible_set(monkeypatch):
         raise CaseIIInfeasible("forced")
 
     monkeypatch.setattr(optimizer, "_balanced_point", always_infeasible)
-    box = SearchBox(a=(0.06, 0.066), r0=(0.22, 0.24), lam=(0.88, 0.93), grid=3)
+    box = SearchBox(a=(0.06, 0.066), r0=(0.22, 0.24), lam=(0.88, 0.93))
     with pytest.raises(EmptyFeasibleSet):
         optimizer.optimize(box)
 
@@ -104,8 +181,6 @@ def test_search_box_validation():
         SearchBox(a=(0.05, 0.06), r0=(0.2, 0.5), lam=(0.5, 0.6))
     with pytest.raises(DomainError):
         SearchBox(a=(0.0, 0.06), r0=(0.2, 0.25), lam=(0.5, 0.6))
-    with pytest.raises(DomainError):
-        SearchBox(a=(0.05, 0.06), r0=(0.2, 0.25), lam=(0.5, 0.6), grid=1)
 
 
 def test_refine_iterative_contracts():

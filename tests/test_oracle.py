@@ -617,3 +617,13 @@ def test_h_threshold_bracket_errors():
         oracle.find_h_threshold(0.05, 0.10, 1e-4)  # false at both ends
     with pytest.raises(DomainError):
         oracle.find_h_threshold(0.1, 0.2, -1.0)
+    with pytest.raises(DomainError):
+        oracle.find_h_threshold(0.1, 0.2, math.nan)  # used to return 0.15 unbisected
+
+
+def test_h_threshold_stops_at_adjacent_floats():
+    # below one ulp the midpoint of adjacent floats is one of them, so
+    # `hi - lo > tol` never fails; the bisection used to loop forever
+    got = oracle.find_h_threshold(0.10, 0.20, 1e-300)
+    assert 0.144 <= got <= 0.148
+    assert abs(got - oracle.find_h_threshold(0.10, 0.20, 1e-4)) <= 1e-4

@@ -4,6 +4,8 @@ Commands follow a stable exit-code contract: 0 success, 1 verification
 failure, 2 usage or domain error, 3 infeasibility.  All file outputs
 (CSV per RFC 4180, JSON with fixed field names, static SVG 1.1 plots)
 are byte-identical across runs for identical configuration and seed.
+Each run has a mode, its preset or scan function: ``_MODES`` gives the flags
+each mode reads and the files it can write; any other flag or format is an error.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import bounds, optimizer, oracle
@@ -30,33 +32,18 @@ from .oracle import DEFAULT_SEED, CheckId
 
 __all__ = ["Config", "OutputTable", "main"]
 
-_EMIT_CHOICES = ("csv", "svg", "json")
-_CHECK_NAMES = {c.value: c for c in CheckId}
-
-# One-command reproduction of each published constant, by the commands
-# that implement each preset.  The sec41 preset searches the parameter
-# intervals published with the refined optimum; wider boxes admit slightly
-# larger objective values at their lambda edge (see the scan command), so
-# reproduction pins the box to the published intervals.
-_PRESETS = {
-    "bound": ("cunningham", "theorem"),
-    "optimize": ("sec41", "theorem"),
-    "scan": ("theorem",),
-    "verify": (),
-}
+# The sec41 preset searches the parameter intervals published with the
+# refined optimum; wider boxes admit slightly larger objective values at
+# their lambda edge (see the scan command), so reproduction pins the box
+# to the published intervals.
 _SEC41_BOX = dict(
     a=(0.06473, 0.06474),
     r0=(0.22785, 0.22786),
     lam=(0.90696, 0.90697),
 )
-# Presets that fix the parameter point themselves, so a parameter flag
-# given with one of them would go unread.
-_POINT_PRESETS = frozenset(("cunningham", "sec41"))
-_PARAM_FLAGS = ("a", "r0", "p", "lambda")
 
-# Flags shared by several commands, by long name, and the ones each command
-# reads.  Only verify draws random numbers, so only verify takes a seed.
-_SHARED_FLAGS = {
+# Every flag but --preset and --config, by long name.
+_FLAGS = {
     "a": dict(type=float, help="needle-height cap, in (0, 1/2)"),
     "r0": dict(type=float, help="cutoff radius, in (a, 1/2)"),
     "p": dict(type=float, help="direction-proportion split, in [0, 1]"),
@@ -64,30 +51,77 @@ _SHARED_FLAGS = {
     "seed": dict(type=int, help="master seed (default: KAKEYA_SEED env var, else 7)"),
     "rlambda-convention": dict(choices=(RLAMBDA_REPRODUCING, RLAMBDA_PAPER_LITERAL)),
     "output-dir": dict(type=str),
-    "emit": dict(type=str, help="comma list from csv,svg,json"),
+    "emit": dict(type=str, help="comma list of the formats this mode writes"),
     "digits": dict(type=int, help="significant digits for printed numbers"),
+    "refine": dict(type=int, metavar="N",
+                   help="append N steps of the iterative inner-bound refinement"),
+    "all": dict(action="store_true", help="run every check"),
+    "check": dict(action="append", choices=sorted(c.value for c in CheckId),
+                  help="run one named check (repeatable)"),
+    "samples": dict(type=int, help="override the per-check sample/grid size "
+                                   f"(100 to {oracle.MAX_SAMPLES})"),
+    "from": dict(dest="r_from", type=float),
+    "to": dict(dest="r_to", type=float),
+    "steps": dict(type=int, help="default 100"),
+    "a-from": dict(type=float),
+    "a-to": dict(type=float),
+    "a-steps": dict(type=int, help="default 50"),
+    "r0-from": dict(type=float),
+    "r0-to": dict(type=float),
+    "r0-steps": dict(type=int, help="default 50"),
 }
-_COMMAND_FLAGS = {
-    "bound": (*_PARAM_FLAGS, "rlambda-convention", "output-dir", "emit", "digits"),
-    "optimize": ("a", "r0", "lambda", "rlambda-convention", "output-dir", "digits"),
-    "verify": ("seed", "output-dir"),
-    "scan": (*_PARAM_FLAGS, "rlambda-convention", "output-dir", "emit", "digits"),
+# Keys a config file may set, named like the flags.  The set is shared:
+# a key that only another command reads is accepted.
+_PARAMS = ("a", "r0", "p", "lambda")
+_CONFIG_KEYS = frozenset(
+    ("preset", *_PARAMS, "seed", "rlambda-convention", "output-dir", "emit", "digits")
+)
+
+
+def _mode(*flags, emit=()):
+    """A mode's flags, --output-dir and (if it emits files) --emit; its formats."""
+    return frozenset((*flags, "output-dir", *(("emit",) if emit else ()))), emit
+
+
+# Formats other than svg are written by default.  The presets of bound and
+# optimize are their modes; the first one listed runs when no preset is
+# given, so no preset reads like theorem.
+_R_SCAN = ("from", "to", "steps", "digits")
+_MODES = {
+    "bound": {
+        "theorem": _mode(*_PARAMS, "rlambda-convention", "digits", emit=("csv", "json")),
+        "cunningham": _mode(emit=("json",)),
+    },
+    "optimize": {
+        "theorem": _mode("a", "r0", "lambda", "rlambda-convention", "digits", "refine"),
+        "sec41": _mode("rlambda-convention", "digits", "refine"),
+    },
+    "verify": {None: _mode("seed", "all", "check", "samples")},
+    "scan": {
+        "f": _mode(*_R_SCAN, emit=("csv", "svg")),
+        "g": _mode("a", "r0", "lambda", "rlambda-convention", *_R_SCAN, emit=("csv", "svg")),
+        "c": _mode("a", *_R_SCAN, emit=("csv", "svg")),
+        **dict.fromkeys(("case_i", "case_ii", "final"), _mode(
+            *_PARAMS, "rlambda-convention", "digits", "a-from", "a-to", "a-steps",
+            "r0-from", "r0-to", "r0-steps", emit=("csv", "svg"),
+        )),
+    },
 }
-# Keys a config file may set; each matches the long flag of the same name.
-# The set is shared: a key that only another command reads is accepted.
-_CONFIG_KEYS = frozenset(("preset", *_SHARED_FLAGS))
+# The presets each command implements; scan's modes are its functions.
+_PRESETS = {"bound": tuple(_MODES["bound"]), "optimize": tuple(_MODES["optimize"]),
+            "scan": ("theorem",), "verify": ()}
 
 
 def _dest(flag: str) -> str:
-    return _SHARED_FLAGS[flag].get("dest", flag.replace("-", "_"))
+    return _FLAGS[flag].get("dest", flag.replace("-", "_"))
 
 
 @dataclass(frozen=True)
 class Config:
     """Resolved run configuration (flags override config-file values).
 
-    A field the command does not read is None: ``params`` for verify and
-    the point presets, ``seed`` for every command but verify.
+    A field is None when the run's mode (see ``_MODES``) reads none of
+    its flags; parameters the mode does not read keep their theorem values.
     """
 
     params: BoundParams | None
@@ -140,42 +174,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Lower bounds for star-shaped Kakeya sets: evaluate, optimize, verify, scan.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, summary):
+    for name, summary in (
+        ("bound", "evaluate the lower bound at one parameter point"),
+        ("optimize", "search (a, r0, lambda) with balanced p"),
+        ("verify", "run brute-force geometry checks"),
+        ("scan", "tabulate a bound function over a range"),
+    ):
         # no prefix matching: `verify --a` must not turn into `--all`
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        for flag in _COMMAND_FLAGS[name]:
-            p.add_argument(f"--{flag}", default=None, **_SHARED_FLAGS[flag])
+        if name == "scan":
+            p.add_argument("function", choices=tuple(_MODES["scan"]))
+        for flag, spec in _FLAGS.items():
+            if any(flag in reads for reads, _ in _MODES[name].values()):
+                p.add_argument(f"--{flag}", default=None, **spec)
         if _PRESETS[name]:
             p.add_argument("--preset", choices=_PRESETS[name], default=None)
         p.add_argument("--config", type=str, default=None, help="flat key = value config file")
-        return p
-
-    command("bound", "evaluate the lower bound at one parameter point")
-
-    p_opt = command("optimize", "search (a, r0, lambda) with balanced p")
-    p_opt.add_argument("--refine", type=int, default=0, metavar="N",
-                       help="append N steps of the iterative inner-bound refinement")
-
-    p_verify = command("verify", "run brute-force geometry checks")
-    p_verify.add_argument("--all", action="store_true", help="run every check")
-    p_verify.add_argument("--check", action="append", choices=sorted(_CHECK_NAMES),
-                          default=None, help="run one named check (repeatable)")
-    p_verify.add_argument("--samples", type=int, default=None,
-                          help="override the per-check sample/grid size "
-                               f"(100 to {oracle.MAX_SAMPLES})")
-
-    p_scan = command("scan", "tabulate a bound function over a range")
-    p_scan.add_argument("function", choices=("f", "g", "c", "case_i", "case_ii", "final"))
-    p_scan.add_argument("--from", dest="r_from", type=float, default=None)
-    p_scan.add_argument("--to", dest="r_to", type=float, default=None)
-    p_scan.add_argument("--steps", type=int, default=None, help="default 100")
-    p_scan.add_argument("--a-from", dest="a_from", type=float, default=None)
-    p_scan.add_argument("--a-to", dest="a_to", type=float, default=None)
-    p_scan.add_argument("--a-steps", dest="a_steps", type=int, default=None, help="default 50")
-    p_scan.add_argument("--r0-from", dest="r0_from", type=float, default=None)
-    p_scan.add_argument("--r0-to", dest="r0_to", type=float, default=None)
-    p_scan.add_argument("--r0-steps", dest="r0_steps", type=int, default=None, help="default 50")
     return parser
 
 
@@ -196,58 +210,59 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 def _resolve_config(args) -> Config:
     fileconf = _load_config_file(args.config) if args.config else {}
-    flags = _COMMAND_FLAGS[args.command]
-
-    def pick(flag, cast, default, conf=fileconf):
-        """The flag's value, else the file's, else ``default``; None if unread."""
-        if flag not in flags:
-            return None
-        flag_value = getattr(args, _dest(flag))
-        if flag_value is not None:
-            return flag_value
-        if flag in conf:
-            return cast(conf[flag])
-        return default
-
     # verify has no --preset flag, but a config file may still name one
     preset = getattr(args, "preset", None) or fileconf.get("preset")
     if preset is not None and preset not in _PRESETS[args.command]:
         if not any(preset in names for names in _PRESETS.values()):
             raise DomainError(f"unknown preset {preset!r}")
         raise DomainError(f"preset {preset!r} does not apply to {args.command}")
+    scan = args.command == "scan"
+    mode = args.function if scan else preset or next(iter(_MODES[args.command]))
+    where = f"scan {mode}" if scan else f"preset {preset}" if preset else args.command
+    reads, formats = _MODES[args.command][mode]
+    for flag in _FLAGS:
+        value = getattr(args, _dest(flag), None)
+        if flag.endswith("steps") and value is not None and value < 2:
+            raise DomainError(f"--{flag} must be >= 2, got {value}")
+        if value is not None and flag not in reads:
+            raise DomainError(f"--{flag} does not apply to {where}")
+
+    def pick(flag, default, conf=fileconf):
+        """The flag's value, else the file's, else ``default``; None if unread."""
+        if flag not in reads:
+            return None
+        flag_value = getattr(args, _dest(flag))
+        if flag_value is not None:
+            return flag_value
+        if flag in conf:
+            return _FLAGS[flag].get("type", str)(conf[flag])
+        return default
+
     params = None
-    if preset in _POINT_PRESETS:
-        for flag in _PARAM_FLAGS:
-            if getattr(args, _dest(flag), None) is not None:
-                raise DomainError(f"--{flag} does not apply to preset {preset}")
-    elif "a" in flags:
-        base = THEOREM_DEFAULTS
+    if "a" in reads:
         # the theorem preset fixes the parameter point; explicit flags still win
         conf = {} if preset == "theorem" else fileconf
-        a, r0, p, lam = (
-            pick(flag, float, getattr(base, _dest(flag)), conf) for flag in _PARAM_FLAGS
-        )
-        # optimize has no --p: it balances p itself
-        params = BoundParams(a=a, r0=r0, p=base.p if p is None else p, lam=lam)
-    seed = pick("seed", int, None)
-    if "seed" in flags and seed is None:
+        given = {_dest(flag): pick(flag, None, conf) for flag in _PARAMS}
+        params = replace(THEOREM_DEFAULTS, **{k: v for k, v in given.items() if v is not None})
+    seed = pick("seed", None)
+    if "seed" in reads and seed is None:
         env_seed = os.environ.get("KAKEYA_SEED")
         seed = int(env_seed) if env_seed else DEFAULT_SEED
     emit = None
-    emit_raw = pick("emit", str, "csv,json")
-    if emit_raw is not None:
+    if formats:
+        emit_raw = pick("emit", ",".join(f for f in formats if f != "svg"))
         emit = frozenset(tok.strip() for tok in emit_raw.split(",") if tok.strip())
-        bad = emit - set(_EMIT_CHOICES)
+        bad = ",".join(sorted(emit - set(formats)))
         if bad:
-            raise DomainError(f"unknown emit formats: {sorted(bad)}")
-    digits = pick("digits", int, 6)
+            raise DomainError(f"{where} cannot emit {bad}; --emit takes {','.join(formats)}")
+    digits = pick("digits", 6)
     if digits is not None and digits < 1:
         raise DomainError(f"digits must be >= 1, got {digits}")
     return Config(
         params=params,
-        rlambda_convention=pick("rlambda-convention", str, RLAMBDA_REPRODUCING),
+        rlambda_convention=pick("rlambda-convention", RLAMBDA_REPRODUCING),
         seed=seed,
-        output_dir=Path(pick("output-dir", str, ".")),
+        output_dir=Path(pick("output-dir", ".")),
         emit=emit,
         digits=digits,
         preset=preset,
@@ -331,7 +346,7 @@ def _write_svg(path: Path, xs, ys, x_label: str, y_label: str, title: str) -> No
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_bound(cfg: Config) -> int:
+def _cmd_bound(cfg: Config, args) -> int:
     digits = cfg.digits
     if cfg.preset == "cunningham":
         coeff = bounds.cunningham_bound()
@@ -427,7 +442,7 @@ def _cmd_verify(cfg: Config, args) -> int:
     if args.all or not args.check:
         selected = list(CheckId)
     else:
-        selected = [_CHECK_NAMES[name] for name in args.check]
+        selected = [CheckId(name) for name in args.check]
     reports = [
         oracle.run_check(check, samples=args.samples, seed=cfg.seed)
         for check in selected
@@ -468,21 +483,8 @@ def _scan_range(args, steps, domain_lo, domain_hi, what) -> list[float]:
 
 
 def _cmd_scan(cfg: Config, args) -> int:
-    for flag, count in (("steps", args.steps), ("a-steps", args.a_steps),
-                        ("r0-steps", args.r0_steps)):
-        if count is not None and count < 2:
-            raise DomainError(f"--{flag} must be >= 2, got {count}")
     params = cfg.params
     fn = args.function
-    if fn in ("f", "g", "c"):
-        foreign = (("--a-from", args.a_from), ("--a-to", args.a_to),
-                   ("--a-steps", args.a_steps), ("--r0-from", args.r0_from),
-                   ("--r0-to", args.r0_to), ("--r0-steps", args.r0_steps))
-    else:
-        foreign = (("--from", args.r_from), ("--to", args.r_to), ("--steps", args.steps))
-    for flag, value in foreign:
-        if value is not None:
-            raise DomainError(f"{flag} does not apply to scan {fn}")
     steps = 100 if args.steps is None else args.steps
     caption = f"scan of {fn}"
     if fn == "f":
@@ -544,13 +546,12 @@ def _cmd_scan(cfg: Config, args) -> int:
         path = cfg.output_dir / f"scan_{fn}.csv"
         table.write_csv(path)
         print(f"wrote {path}")
-    if "svg" in cfg.emit and len(table.columns) >= 2 and len(table.rows) >= 2:
+    if "svg" in cfg.emit and len(table.rows) >= 2:
         xs = [row[0] for row in table.rows]
         ys = [row[1] for row in table.rows]
-        if all(isinstance(y, float) for y in ys):
-            path = cfg.output_dir / f"scan_{fn}.svg"
-            _write_svg(path, xs, ys, table.columns[0], table.columns[1], caption)
-            print(f"wrote {path}")
+        path = cfg.output_dir / f"scan_{fn}.svg"
+        _write_svg(path, xs, ys, table.columns[0], table.columns[1], caption)
+        print(f"wrote {path}")
     return 0
 
 
@@ -561,13 +562,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         cfg = _resolve_config(args)
-        if args.command == "bound":
-            return _cmd_bound(cfg)
-        if args.command == "optimize":
-            return _cmd_optimize(cfg, args)
-        if args.command == "verify":
-            return _cmd_verify(cfg, args)
-        return _cmd_scan(cfg, args)
+        run = {"bound": _cmd_bound, "optimize": _cmd_optimize, "verify": _cmd_verify,
+               "scan": _cmd_scan}[args.command]
+        return run(cfg, args)
     except (CaseIIInfeasible, EmptyFeasibleSet) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3

@@ -230,9 +230,11 @@ def theta_isosceles(delta0: float, r: float) -> float:
 
         theta = asin(delta0/r) - atan(2*delta0)
 
-    Nonnegative and increasing in delta0 for r < 1/2.
+    Nonnegative and increasing in delta0 for r <= 1/2, the radii it accepts.
     """
     _require_height_below_radius(delta0, r)
+    if r > 0.5:
+        raise DomainError(f"r must be <= 1/2, got {r}")
     return math.asin(delta0 / r) - math.atan(2.0 * delta0)
 
 

@@ -249,6 +249,7 @@ def _check_isosceles_minimality(samples, rng):
 # claim concerns moderate heights; the 3r/5 cap reproduces the published
 # transition radius 0.146 (smaller caps move it toward 0.136).
 _H_CAP_RATIO = 0.6
+_H_THRESHOLD_GRID = 512  # heights per radius in find_h_threshold
 
 
 def _h_fractions(n):
@@ -596,7 +597,7 @@ def run_check(
 # Threshold location
 # ---------------------------------------------------------------------------
 
-def find_h_threshold(lo: float, hi: float, tol: float, grid: int = 512) -> float:
+def find_h_threshold(lo: float, hi: float, tol: float) -> float:
     """Radius below which the outer/angle quotient dips under its flat limit.
 
     Bisects the predicate "min over a delta-grid of the quotient is
@@ -608,7 +609,7 @@ def find_h_threshold(lo: float, hi: float, tol: float, grid: int = 512) -> float
         raise BracketError(f"need lo < hi, got [{lo}, {hi}]")
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
-    fractions = _h_fractions(grid)
+    fractions = _h_fractions(_H_THRESHOLD_GRID)
 
     def min_at_zero(r: float) -> bool:
         limit = geom.exterior_angle_ratio(0.0, r)

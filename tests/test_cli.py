@@ -477,6 +477,17 @@ def test_seed_is_read_by_verify_alone(command, tmp_path, monkeypatch):
     (("verify", "--check", "CMin"), "--rlambda-convention", "reproducing"),
     (("verify", "--check", "CMin"), "--emit", "json"),
     (("verify", "--check", "CMin"), "--digits", "9"),
+    (("bound", "--preset", "cunningham"), "--digits", "3"),
+    (("bound", "--preset", "cunningham"), "--rlambda-convention", "paper-literal"),
+    (("scan", "f"), "--p", "0.3"),
+    (("scan", "f"), "--lambda", "0.2"),
+    (("scan", "f"), "--rlambda-convention", "paper-literal"),
+    (("scan", "c"), "--r0", "0.2"),
+    (("scan", "g"), "--p", "0.4"),
+    # a format the mode cannot write
+    (("bound",), "--emit", "svg"),
+    (("bound", "--preset", "cunningham"), "--emit", "csv"),
+    (("scan", "f"), "--emit", "json"),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_flag_a_command_does_not_read_exits_2(command, flag, value, tmp_path, capsys):
     out = tmp_path / "out"
@@ -513,7 +524,8 @@ def test_readme_examples_parse():
     assert len(commands) >= 5
     parser = cli._build_parser()
     for words in commands:
-        parser.parse_args(words[1:])
+        # argparse alone accepts a flag that the example's mode does not read
+        cli._resolve_config(parser.parse_args(words[1:]))
 
 
 def test_svg_output_is_well_formed(tmp_path):

@@ -3,7 +3,8 @@
 Each function of ``bounds``, ``geom``, ``oracle`` and ``rng`` that takes
 numbers is called with NaN, +-inf, +-0, a subnormal, negative and huge
 arguments (and a few ordinary ones).  Every call must return only finite
-numbers or raise a KakeyaError; a NaN argument must always raise.  One- to
+numbers or raise a KakeyaError; a NaN argument must always raise, and a
+finite ``geom.theta_isosceles`` angle must not be negative.  One- to
 three-argument functions see every combination of the values; wider ones
 see a seeded sample.  Sample counts are floats, which are rejected, or
 integers of at most 100, so no call starts heavy work.  ``rng.mix64``
@@ -40,6 +41,13 @@ def _half_plane(xs, ys):
     return xs < ys
 
 
+def _nonnegative(value):
+    """Pass a result on, failing the call if it is finite and negative."""
+    if math.isfinite(value) and value < 0.0:
+        raise AssertionError(f"negative result {value!r}")
+    return value
+
+
 ENTRY_POINTS = {
     # bounds
     "exterior_area_rate": (bounds.exterior_area_rate, (VALUES,)),
@@ -68,7 +76,9 @@ ENTRY_POINTS = {
     "intersection_arcs": (lambda r: geom.intersection_arcs(TRI, r), (VALUES,)),
     "exterior_area_isosceles": (geom.exterior_area_isosceles, (VALUES, VALUES)),
     "exterior_angle_ratio": (geom.exterior_angle_ratio, (VALUES, VALUES)),
-    "theta_isosceles": (geom.theta_isosceles, (VALUES, VALUES)),
+    "theta_isosceles": (
+        lambda delta, r: _nonnegative(geom.theta_isosceles(delta, r)), (VALUES, VALUES)
+    ),
     "direction_ratio": (geom.direction_ratio, (VALUES, VALUES)),
     "far_endpoint_distance": (geom.far_endpoint_distance, (VALUES, VALUES)),
     "outside_distance_cap": (geom.outside_distance_cap, (VALUES, VALUES)),

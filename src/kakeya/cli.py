@@ -122,9 +122,12 @@ class Config:
 
     A field is None when the run's mode (see ``_MODES``) reads none of
     its flags; parameters the mode does not read keep their theorem values.
+    ``a`` is set instead of ``params`` for scan c, which reads a alone:
+    c(r, a) is defined for every a > 0, so no r0 may cap it.
     """
 
     params: BoundParams | None
+    a: float | None
     rlambda_convention: str | None
     seed: int | None
     output_dir: Path
@@ -238,12 +241,15 @@ def _resolve_config(args) -> Config:
             return _FLAGS[flag].get("type", str)(conf[flag])
         return default
 
-    params = None
+    params = a = None
     if "a" in reads:
         # the theorem preset fixes the parameter point; explicit flags still win
         conf = {} if preset == "theorem" else fileconf
         given = {_dest(flag): pick(flag, None, conf) for flag in _PARAMS}
-        params = replace(THEOREM_DEFAULTS, **{k: v for k, v in given.items() if v is not None})
+        if "r0" in reads:
+            params = replace(THEOREM_DEFAULTS, **{k: v for k, v in given.items() if v is not None})
+        else:
+            a = THEOREM_DEFAULTS.a if given["a"] is None else given["a"]
     seed = pick("seed", None)
     if "seed" in reads and seed is None:
         env_seed = os.environ.get("KAKEYA_SEED")
@@ -260,6 +266,7 @@ def _resolve_config(args) -> Config:
         raise DomainError(f"digits must be >= 1, got {digits}")
     return Config(
         params=params,
+        a=a,
         rlambda_convention=pick("rlambda-convention", RLAMBDA_REPRODUCING),
         seed=seed,
         output_dir=Path(pick("output-dir", ".")),
@@ -443,10 +450,12 @@ def _cmd_verify(cfg: Config, args) -> int:
         selected = list(CheckId)
     else:
         selected = [CheckId(name) for name in args.check]
-    reports = [
-        oracle.run_check(check, samples=args.samples, seed=cfg.seed)
-        for check in selected
-    ]
+    # several checks share one pool; one check goes through run_check, the
+    # one-check entry point (and the seam a test replaces to force a FAIL)
+    if len(selected) == 1:
+        reports = [oracle.run_check(selected[0], samples=args.samples, seed=cfg.seed)]
+    else:
+        reports = oracle.run_checks(selected, samples=args.samples, seed=cfg.seed)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         print(
@@ -495,10 +504,10 @@ def _cmd_scan(cfg: Config, args) -> int:
             caption=caption,
         )
     elif fn == "c":
-        grid = _scan_range(args, steps, params.a, 4.0, "the needle-outside rate")
+        grid = _scan_range(args, steps, cfg.a, 4.0, "the needle-outside rate")
         table = OutputTable(
             columns=("r", "c"),
-            rows=[(r, bounds.outside_area_rate(r, params.a)) for r in grid],
+            rows=[(r, bounds.outside_area_rate(r, cfg.a)) for r in grid],
             caption=caption,
         )
     elif fn == "g":
@@ -541,12 +550,14 @@ def _cmd_scan(cfg: Config, args) -> int:
                 caption=f"{caption} over a",
             )
 
+    if "svg" in cfg.emit and len(table.rows) < 2:
+        raise DomainError(f"scan {fn} has one row; --emit svg needs a range of two or more points")
     print(table.render(cfg.digits))
     if "csv" in cfg.emit:
         path = cfg.output_dir / f"scan_{fn}.csv"
         table.write_csv(path)
         print(f"wrote {path}")
-    if "svg" in cfg.emit and len(table.rows) >= 2:
+    if "svg" in cfg.emit:
         xs = [row[0] for row in table.rows]
         ys = [row[1] for row in table.rows]
         path = cfg.output_dir / f"scan_{fn}.svg"

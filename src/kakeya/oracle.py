@@ -10,12 +10,13 @@ pairs.  Randomness comes from the counter-based generator in
 :mod:`kakeya.rng`; every check derives its own substream from (seed,
 check), so checks are order-independent and reproducible.
 
-SectorMeasure draws the parameters of all its sets first, then runs
-their Monte Carlo estimates on a thread pool with one worker per
-available CPU.  Each estimate reads only its own ``CounterRng``, so the
-results do not depend on the worker count; the ``region`` functions it
-passes to :func:`mc_area` run on worker threads and touch no shared
-state.
+:func:`run_checks` runs a selection of checks as one list of tasks: each
+check but SectorMeasure is one task, and each of SectorMeasure's sets is
+one more, its parameters drawn beforehand from the check's stream.  The
+tasks run on one pool of forked worker processes, one per available CPU,
+or in-process on one CPU.  Every task reads only its own ``CounterRng``
+and results are folded in report order, so the records do not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "McEstimate",
     "mc_area",
     "run_check",
+    "run_checks",
     "find_h_threshold",
 ]
 
@@ -106,9 +108,10 @@ class McEstimate:
 # drawing all its x coordinates, then all its y coordinates.  Changing it
 # changes every estimate.
 _MC_CHUNK = 1 << 19
-# Points per ``region`` call, sized so a block's coordinates and
-# temporaries stay in cache; any size gives the same draws and hits.
-_MC_BLOCK = 1 << 16
+# Points per ``region`` call: a block's coordinates and temporaries,
+# 128 KiB per float array, stay in a core's L2 cache.  Any size gives the
+# same draws and hits.
+_MC_BLOCK = 1 << 14
 
 
 def mc_area(
@@ -121,10 +124,11 @@ def mc_area(
 
     ``region(xs, ys)`` must return a boolean membership array and may be
     called on any number of blocks; it must not write into ``xs``/``ys``.
-    It may be called from a worker thread, so it must not touch shared
-    mutable state.  The estimate is bbox_area * hits/samples with standard
-    error bbox_area * sqrt(phat*(1-phat)/samples), and is bit-identical for
-    a fixed (seed, samples).
+    It may run in a worker process, where state it changes is not seen by
+    the caller, so it must keep no state between calls.  The estimate is
+    bbox_area * hits/samples with standard error
+    bbox_area * sqrt(phat*(1-phat)/samples), and is bit-identical for a
+    fixed (seed, samples).
     """
     samples = as_integer(samples, "samples", lo=1)
     xmin, ymin, xmax, ymax = bbox
@@ -414,47 +418,36 @@ def _sector_region(starts, stops, radius):
     return region
 
 
-def _worker_count(n_tasks):
-    """Threads for ``n_tasks`` independent estimates: one per CPU available."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_tasks)
+_SECTOR_SETS = 100  # interval unions per SectorMeasure run
 
 
-def _check_sector_measure(samples, rng, n_sets=100):
+def _sector_sets(rng):
+    """SectorMeasure's sets as (starts, stops, radius, seed), drawn in set order."""
+    sets = []
+    for _ in range(_SECTOR_SETS):
+        n_intervals = 1 + int(rng.raw(1)[0] % np.uint64(3))
+        ends = np.sort(rng.uniform(0.0, 2.0 * math.pi, 2 * n_intervals))
+        radius = float(rng.uniform(0.3, 1.2, 1)[0])
+        set_seed = int(rng.raw(1)[0])
+        sets.append((ends[0::2], ends[1::2], radius, set_seed))
+    return sets
+
+
+def _sector_estimate(sector_set, samples):
+    """Monte Carlo area of one set's polar sector, a pure function of the set."""
+    starts, stops, radius, set_seed = sector_set
+    region = _sector_region(starts, stops, radius)
+    return mc_area(region, (-radius, -radius, radius, radius), samples, set_seed)
+
+
+def _sector_verdict(samples, sets, estimates):
     """Polar sector area of random interval unions vs r^2/2 * measure.
 
     Deviations are normalized by the exact sampling deviation of the
     hit-or-miss estimator (the target area is known, so the true hit
     probability is too); this keeps the statistic calibrated even at
     tiny sample counts.
-
-    All sets' parameters are drawn from the check's stream first; the
-    estimates, each a pure function of its own set seed, then run on a
-    thread pool (numpy releases the GIL in its loops) and are folded in
-    set order, so the record does not depend on the worker count.
     """
-    # imported here so that importing the package does not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-
-    sets = []
-    for _ in range(n_sets):
-        n_intervals = 1 + int(rng.raw(1)[0] % np.uint64(3))
-        ends = np.sort(rng.uniform(0.0, 2.0 * math.pi, 2 * n_intervals))
-        radius = float(rng.uniform(0.3, 1.2, 1)[0])
-        set_seed = int(rng.raw(1)[0])
-        sets.append((ends[0::2], ends[1::2], radius, set_seed))
-
-    def estimate(params):
-        starts, stops, radius, set_seed = params
-        region = _sector_region(starts, stops, radius)
-        return mc_area(region, (-radius, -radius, radius, radius), samples, set_seed)
-
-    with ThreadPoolExecutor(max_workers=_worker_count(n_sets)) as pool:
-        estimates = list(pool.map(estimate, sets))
-
     worst = 0.0
     for (starts, stops, radius, _), est in zip(sets, estimates):
         measure = float(np.sum(stops - starts))
@@ -467,7 +460,7 @@ def _check_sector_measure(samples, rng, n_sets=100):
         elif est.value != exact:
             worst = math.inf
     spec = (
-        f"{n_sets} random interval unions in [0, 2pi), {samples} samples each; "
+        f"{len(sets)} random interval unions in [0, 2pi), {samples} samples each; "
         "violation in exact-sigma units"
     )
     return worst, spec
@@ -542,6 +535,8 @@ def _check_arc_consistency(samples, rng):
 # Dispatcher
 # ---------------------------------------------------------------------------
 
+# SectorMeasure has no function here: run_checks draws its sets and runs
+# each as a task of its own.
 _CHECKS = {
     CheckId.ISOSCELES_MINIMALITY: (_check_isosceles_minimality, 10_000, 1e-10),
     CheckId.H_MIN_AT_ZERO: (_check_h_min_at_zero, 10_000, 1e-12),
@@ -550,7 +545,7 @@ _CHECKS = {
     CheckId.JGAMMA_RATIO: (_check_jgamma_ratio, 10_000, 1e-9),
     CheckId.C_MIN: (_check_c_min, 10_000, 1e-9),
     CheckId.F_ARGMAX: (_check_f_argmax, 100_000, 1e-6),
-    CheckId.SECTOR_MEASURE: (_check_sector_measure, 1_000_000, 3.0),
+    CheckId.SECTOR_MEASURE: (None, 1_000_000, 3.0),
     CheckId.ARC_CONSISTENCY: (_check_arc_consistency, 10_000, 1e-9),
 }
 
@@ -562,35 +557,106 @@ _CHECKS = {
 MAX_SAMPLES = 4_000_000
 
 
+def _worker_count(n_tasks):
+    """Worker processes for ``n_tasks`` tasks: one per CPU available."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_tasks)
+
+
+def _call(task):
+    func, args = task
+    return func(*args)
+
+
+def _map_tasks(tasks):
+    """The results of ``tasks``, (func, args) pairs, in task order.
+
+    They run on one pool of forked worker processes, or in-process where
+    there is one worker or no "fork" start method.  No worker outlives the
+    call, whether it returns or raises.  The pool is a ProcessPoolExecutor
+    because a worker that dies (say, killed for memory) breaks it with an
+    error, where ``multiprocessing.Pool.map`` would wait forever.
+    """
+    workers = _worker_count(len(tasks))
+    if workers > 1:
+        # imported here so that importing the package does not pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                return list(pool.map(_call, tasks))
+            finally:
+                # after an error, tasks not yet started are dropped
+                pool.shutdown(cancel_futures=True)
+    return list(map(_call, tasks))
+
+
+def run_checks(
+    checks: list[CheckId],
+    samples: int | None = None,
+    seed: int = DEFAULT_SEED,
+) -> list[CheckReport]:
+    """Run the given checks over seed-derived samples or grids; one report each.
+
+    ``samples`` counts configurations for the sampling checks, grid points
+    for the scan checks, and per-set draws for SectorMeasure; it must lie
+    in [100, MAX_SAMPLES], or DomainError is raised before any draw.
+    Failures are reported in the returned records, never raised; an error
+    raised inside a check comes out of this call.
+    """
+    sizes = []
+    for check in checks:
+        default_samples = _CHECKS[check][1]
+        n = default_samples if samples is None else as_integer(samples, "samples")
+        if not 100 <= n <= MAX_SAMPLES:
+            raise DomainError(f"samples must be in [100, {MAX_SAMPLES}], got {n}")
+        sizes.append((check, n))
+    # whole checks first, then SectorMeasure's sets, drawn here in stream order
+    plan, check_tasks, set_tasks = [], [], []
+    for check, n in sizes:
+        rng = CounterRng(seed, stream=1 + list(CheckId).index(check))
+        sets = None
+        if check is CheckId.SECTOR_MEASURE:
+            sets = _sector_sets(rng)
+            set_tasks.extend((_sector_estimate, (s, n)) for s in sets)
+        else:
+            check_tasks.append((_CHECKS[check][0], (n, rng)))
+        plan.append((check, n, sets))
+    results = _map_tasks(check_tasks + set_tasks)
+    verdicts = iter(results[: len(check_tasks)])
+    estimates = iter(results[len(check_tasks):])
+    reports = []
+    for check, n, sets in plan:
+        if sets is None:
+            violation, spec = next(verdicts)
+        else:
+            violation, spec = _sector_verdict(n, sets, [next(estimates) for _ in sets])
+        violation = float(max(0.0, violation))
+        tol = _CHECKS[check][2]
+        reports.append(CheckReport(
+            id=check,
+            samples=n,
+            grid_spec=spec,
+            max_violation=violation,
+            tolerance=tol,
+            passed=violation <= tol,
+            seed=seed,
+        ))
+    return reports
+
+
 def run_check(
     check: CheckId,
     samples: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
-    """Run one check over a seed-derived sample or grid.
-
-    ``samples`` counts configurations for the sampling checks, grid points
-    for the scan checks, and per-set draws for SectorMeasure; it must lie
-    in [100, MAX_SAMPLES], or DomainError is raised before any draw.
-    Failures are reported in the returned record, never raised.
-    """
-    func, default_samples, tol = _CHECKS[check]
-    n = default_samples if samples is None else as_integer(samples, "samples")
-    if not 100 <= n <= MAX_SAMPLES:
-        raise DomainError(f"samples must be in [100, {MAX_SAMPLES}], got {n}")
-    stream = 1 + list(CheckId).index(check)
-    rng = CounterRng(seed, stream=stream)
-    violation, spec = func(n, rng)
-    violation = float(max(0.0, violation))
-    return CheckReport(
-        id=check,
-        samples=n,
-        grid_spec=spec,
-        max_violation=violation,
-        tolerance=tol,
-        passed=violation <= tol,
-        seed=seed,
-    )
+    """Run one check: ``run_checks([check], samples, seed)[0]``."""
+    return run_checks([check], samples, seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,31 @@ def test_scan_equal_range_ends_give_one_point(tmp_path):
     assert len(rows) == 2 and rows[1][0] == "0.059999999999999998"
 
 
+def test_scan_one_row_with_svg_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli(
+        "scan", "final", "--a-from", "0.06", "--a-to", "0.06", "--emit", "svg",
+        "--output-dir", str(out),
+    )
+    assert code == 2
+    assert "--emit svg needs a range of two or more points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scan_c_reads_a_beyond_the_theorem_r0(tmp_path):
+    # c(r, a) needs only a <= r; the theorem's r0 = 0.25 does not cap a
+    code = run_cli(
+        "scan", "c", "--a", "0.3", "--from", "0.3", "--to", "0.5", "--steps", "3",
+        "--output-dir", str(tmp_path),
+    )
+    assert code == 0
+    with (tmp_path / "scan_c.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["r", "c"]
+    assert [float(row[0]) for row in rows[1:]] == pytest.approx([0.3, 0.4, 0.5])
+    assert float(rows[1][1]) == pytest.approx(0.3 / math.pi)
+
+
 @pytest.mark.parametrize("flags, message", [
     (("--a-steps", "7"), "--a-steps needs --a-from or --a-to"),
     (("--r0-steps", "9"), "--r0-steps needs --r0-from and --r0-to"),

@@ -1,6 +1,6 @@
 """Oracle tests: generator reproducibility and pinned draws, Monte Carlo
 contracts, the SectorMeasure membership kernel against its reference, the
-threaded SectorMeasure check against its serial loop, the exact
+pooled checks against their serial loops, the exact
 disjointness clipping against the sampler it replaced, planted defects
 the disjointness checks must catch, the check dispatcher at reduced
 sizes, and threshold location."""
@@ -8,7 +8,8 @@ sizes, and threshold location."""
 from __future__ import annotations
 
 import math
-import threading
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -289,7 +290,7 @@ def test_worker_count_is_capped_by_the_task_count():
     assert 1 <= oracle._worker_count(100) <= 100
 
 
-def test_sector_measure_estimate_error_comes_out_typed_and_threads_end(monkeypatch):
+def test_sector_measure_estimate_error_comes_out_typed_and_workers_end(monkeypatch):
     # the serial loop gives the sets' seeds in set order
     seeds = []
     real = oracle.mc_area
@@ -310,15 +311,62 @@ def test_sector_measure_estimate_error_comes_out_typed_and_threads_end(monkeypat
             raise planted
         return real(region, bbox, samples, seed)
 
-    before = threading.active_count()
     monkeypatch.setattr(oracle, "mc_area", fail_37th)
     with pytest.raises(BracketError) as info:
         oracle.run_check(CheckId.SECTOR_MEASURE, samples=500, seed=7)
-    assert info.value is planted
-    assert threading.active_count() == before
+    # a worker process raised it, so the error is a copy of the planted one
+    assert type(info.value) is BracketError
+    assert str(info.value) == str(planted)
+    assert multiprocessing.active_children() == []
     monkeypatch.setattr(oracle, "mc_area", real)
     assert oracle.run_check(CheckId.SECTOR_MEASURE, samples=500, seed=7).passed
-    assert threading.active_count() == before
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_breaks_the_run_instead_of_hanging(monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    def die(region, bbox, samples, seed):
+        os._exit(1)  # as a worker killed for memory would
+
+    monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: 2)
+    monkeypatch.setattr(oracle, "mc_area", die)
+    with pytest.raises(BrokenProcessPool):
+        oracle.run_check(CheckId.SECTOR_MEASURE, samples=500, seed=7)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [2, 7])
+def test_all_checks_give_the_in_process_records_on_a_pool(monkeypatch, workers):
+    for seed in (2, 4, 7, 16):
+        monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: 1)
+        want = oracle.run_checks(list(CheckId), samples=1000, seed=seed)
+        monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: workers)
+        got = oracle.run_checks(list(CheckId), samples=1000, seed=seed)
+        assert [r.id for r in want] == list(CheckId)
+        assert got == want, f"seed {seed}"
+    assert multiprocessing.active_children() == []
+
+
+def test_run_checks_reports_in_the_given_order():
+    order = [CheckId.SECTOR_MEASURE, CheckId.C_MIN, CheckId.SECTOR_MEASURE, CheckId.F_ARGMAX]
+    reports = oracle.run_checks(order, samples=500, seed=3)
+    assert [r.id for r in reports] == order
+    assert reports[0] == reports[2]
+    assert reports == [oracle.run_check(c, samples=500, seed=3) for c in order]
+
+
+def test_run_checks_rejects_a_bad_count_before_drawing_or_forking(monkeypatch):
+    assert oracle.run_checks([]) == []
+
+    def boom(*args):
+        raise AssertionError("drew or forked")
+
+    monkeypatch.setattr(oracle, "_worker_count", boom)
+    monkeypatch.setattr(CounterRng, "raw", boom)
+    for samples in (99, oracle.MAX_SAMPLES + 1, 1000.0):
+        with pytest.raises(DomainError):
+            oracle.run_checks(list(CheckId), samples=samples)
 
 
 # ---------------------------------------------------------------------------

@@ -80,3 +80,21 @@ def test_importing_the_package_does_not_load_the_thread_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_importing_the_package_does_not_load_a_process_pool():
+    # run_checks imports multiprocessing when it starts a pool; every
+    # command that runs no check, and a single check, must not pay for it
+    src = str(Path(kakeya.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys, kakeya, kakeya.cli; from kakeya import oracle; "
+        "oracle.run_check(oracle.CheckId.C_MIN, samples=100); "
+        "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

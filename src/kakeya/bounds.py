@@ -133,7 +133,7 @@ def exterior_area_rate(r: float) -> float:
     """Outer-area rate r*(2r - 1)^2 / 2, valid on [0, 1/2], maximal at 1/6."""
     if not 0.0 <= r <= 0.5:
         raise DomainError(f"r must lie in [0, 1/2], got {r}")
-    return 0.5 * r * (2.0 * r - 1.0) ** 2
+    return geom._flat_exterior_rate(r)
 
 
 def outside_area_rate(r: float, a: float) -> float:

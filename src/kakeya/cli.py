@@ -1,9 +1,11 @@
 """Command-line front end: bound evaluation, optimization, verification, scans.
 
 Commands follow a stable exit-code contract: 0 success, 1 verification
-failure, 2 usage or domain error, 3 infeasibility.  All file outputs
-(CSV per RFC 4180, JSON with fixed field names, static SVG 1.1 plots)
-are byte-identical across runs for identical configuration and seed.
+failure, 2 usage or domain error, 3 infeasibility, 4 a verification
+worker process that died (killed, say, for memory; no verdict and no
+``verify.json``).  All file outputs (CSV per RFC 4180, JSON with fixed
+field names, static SVG 1.1 plots) are byte-identical across runs for
+identical configuration and seed.
 Each run has a mode, its preset or scan function: ``_MODES`` gives the flags
 each mode reads and the files it can write; any other flag or format is an error.
 """
@@ -26,7 +28,7 @@ from .bounds import (
     BoundParams,
     THEOREM_DEFAULTS,
 )
-from .errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet
+from .errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet, WorkerLost
 from .optimizer import SearchBox
 from .oracle import DEFAULT_SEED, CheckId
 
@@ -579,6 +581,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CaseIIInfeasible, EmptyFeasibleSet) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
+    except WorkerLost as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         # DomainError subclasses ValueError; plain ValueError also covers
         # malformed numerics from config files or KAKEYA_SEED; OSError

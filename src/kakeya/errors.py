@@ -23,6 +23,10 @@ class BracketError(KakeyaError, ValueError):
     """A bisection bracket does not straddle the sought transition."""
 
 
+class WorkerLost(KakeyaError):
+    """A worker process ended without returning its result (killed, say, for memory)."""
+
+
 def as_integer(value, name: str, lo: int | None = None) -> int:
     """``value`` as a Python int, or DomainError if it is not an integer >= lo."""
     try:

@@ -217,8 +217,18 @@ def exterior_angle_ratio(delta: float, r: float) -> float:
     """
     _require_circle_cuts_needle(delta, r)
     if delta == 0.0:
-        return 0.5 * r * (2.0 * r - 1.0) ** 2
+        return _flat_exterior_rate(r)
     return exterior_area_isosceles(delta, r) / math.asin(delta / r)
+
+
+def _flat_exterior_rate(r: float) -> float:
+    """The outer-area rate f(r) = r*(2r - 1)^2 / 2, with no domain check.
+
+    The one copy of the closed form: exterior_angle_ratio's delta -> 0
+    limit and ``bounds.exterior_area_rate`` both return it, each after
+    checking its own domain.
+    """
+    return 0.5 * r * (2.0 * r - 1.0) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,14 @@ from __future__ import annotations
 import enum
 import math
 import os
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import bounds, geom
-from .errors import BracketError, DomainError, as_integer
+from .errors import BracketError, DomainError, WorkerLost, as_integer
 from .rng import CounterRng
 
 __all__ = [
@@ -136,6 +137,8 @@ def mc_area(
     if not (xmax > xmin and ymax > ymin and math.isfinite(area_box)):
         raise DomainError(f"degenerate or unbounded bbox {bbox}")
     rng = CounterRng(seed, stream=0)
+    # a block's xs in row 0 and its ys in row 1 of one reused buffer
+    coords = np.empty((2, min(_MC_BLOCK, samples)))
     hits = 0
     for start in range(0, samples, _MC_CHUNK):
         n = min(_MC_CHUNK, samples - start)
@@ -143,10 +146,11 @@ def mc_area(
         # right after; blocks read matching pieces of the two runs
         for lo in range(0, n, _MC_BLOCK):
             m = min(_MC_BLOCK, n - lo)
+            xs, ys = coords[0, :m], coords[1, :m]
             rng.seek(2 * start + lo)
-            xs = rng.uniform(xmin, xmax, m)
+            rng.uniform(xmin, xmax, m, out=xs)
             rng.seek(2 * start + n + lo)
-            ys = rng.uniform(ymin, ymax, m)
+            rng.uniform(ymin, ymax, m, out=ys)
             hits += int(np.count_nonzero(region(xs, ys)))
     phat = hits / samples
     return McEstimate(
@@ -390,26 +394,102 @@ def _check_f_argmax(samples, _rng):
     return abs(argmax - 1.0 / 6.0), spec
 
 
+_TWO_PI = 2.0 * math.pi
+# Angles in "wrapped order", the order of a + 2pi if a < 0 else a: rank k
+# <= _PI_RANK is the float with bit pattern k, from 0.0 up to pi; rank
+# _PI_RANK + j is the j-th float from -pi up to the negative float nearest 0.
+_F64 = struct.Struct("<d")
+_I64 = struct.Struct("<q")
+_PI_RANK = _I64.unpack(_F64.pack(math.pi))[0]
+_LAST_RANK = 2 * _PI_RANK
+
+
+def _wrap(a):
+    """Angle in [0, 2pi) of an arctan2 output a in [-pi, pi]."""
+    return a + _TWO_PI if a < 0.0 else a
+
+
+def _angle_at(rank):
+    if rank <= _PI_RANK:
+        return _F64.unpack(_I64.pack(rank))[0]
+    return -_F64.unpack(_I64.pack(_LAST_RANK + 1 - rank))[0]
+
+
+def _rank(a):
+    bits = _I64.unpack(_F64.pack(abs(a)))[0]
+    return bits if a >= 0.0 else _LAST_RANK + 1 - bits
+
+
+def _first_rank(ok, t):
+    """Smallest rank whose angle passes ``ok(_wrap(angle))``, or _LAST_RANK + 1.
+
+    _wrap is nondecreasing in rank, so the predicates used here, "wrapped
+    >= t" and "wrapped > t", hold on a final run of ranks.  The search
+    gallops out from the angle that wraps to about t to bracket the first
+    passing rank, then bisects over the bit patterns in the bracket.
+    """
+
+    def passes(rank):
+        return rank > _LAST_RANK or (rank >= 0 and ok(_wrap(_angle_at(rank))))
+
+    hi = _rank(t - _TWO_PI if t > math.pi else t)
+    lo, step = hi - 1, 1
+    while not passes(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    step = 1
+    while passes(lo):
+        lo, hi, step = lo - step, lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _raw_angle_range(start, stop):
+    """The arctan2 outputs a with start <= _wrap(a) <= stop, as (lo, hi, wraps).
+
+    The set is the ranks [first, last]: raw angles lo <= a <= hi, or, when
+    it runs from the nonnegative angles into the negative ones, a >= lo or
+    a <= hi.  None when it is empty.
+    """
+    first = _first_rank(lambda w: w >= start, start)
+    last = _first_rank(lambda w: w > stop, stop) - 1
+    if first > last:
+        return None
+    return _angle_at(first), _angle_at(last), first <= _PI_RANK < last
+
+
+def _in_raw_ranges(ang, ranges):
+    """Mask of the raw angles ``ang`` inside any of ``ranges`` (see _raw_angle_range)."""
+    inside = np.zeros(ang.shape, dtype=bool)
+    for lo, hi, wraps in ranges:
+        if wraps:
+            inside |= (ang >= lo) | (ang <= hi)
+        else:
+            inside |= (lo <= ang) & (ang <= hi)
+    return inside
+
+
 def _sector_region(starts, stops, radius):
     """Membership in the polar sector {|p| <= radius, angle in the union}.
 
-    ``starts``/``stops`` are closed angle intervals in [0, 2pi) whose ends
-    interleave in sorted order, so they at most touch.  For such intervals
-    "some interval holds the angle" is the same as "the interval opened by
-    the last start at or below the angle holds it".  The radial test
-    compares squares; it can round differently from ``hypot(x, y) <=
-    radius`` only for points within a few ulps of the circle.
+    ``starts``/``stops`` are closed angle intervals in [0, 2pi).  A point
+    is in an interval when its arctan2 angle a, wrapped to a + 2pi if
+    a < 0, lies in it.  Each interval is turned once into the range of raw
+    angles it holds (``_raw_angle_range``), so the points' angles are
+    compared as they come from arctan2, never wrapped; the mask is the
+    wrapped rule's, bit for bit.  The radial test compares squares; it can
+    round differently from ``hypot(x, y) <= radius`` only for points within
+    a few ulps of the circle.
     """
     radius2 = radius * radius
+    ranges = [r for r in map(_raw_angle_range, starts, stops) if r is not None]
 
     def region(xs, ys):
-        ang = np.arctan2(ys, xs)
-        # adds exactly 0.0 or 2pi: the masked form np.add(..., where=)
-        # gives the same angles but is several times slower on mixed signs
-        ang += (ang < 0.0) * (2.0 * math.pi)
-        inside = np.zeros(ang.shape, dtype=bool)
-        for s, e in zip(starts, stops):
-            inside |= (s <= ang) & (ang <= e)
+        inside = _in_raw_ranges(np.arctan2(ys, xs), ranges)
         rad2 = xs * xs
         rad2 += ys * ys
         inside &= rad2 <= radius2
@@ -466,54 +546,78 @@ def _sector_verdict(samples, sets, estimates):
     return worst, spec
 
 
-def _circle_edge_angles(ax, ay, bx, by, r):
-    """Angles where segment (A, B) crosses the circle of radius r."""
-    dx, dy = bx - ax, by - ay
-    qa = dx * dx + dy * dy
-    if qa == 0.0:
-        return []
-    qb = 2.0 * (ax * dx + ay * dy)
-    qc = ax * ax + ay * ay - r * r
-    disc = qb * qb - 4.0 * qa * qc
-    if disc <= 0.0:
-        return []
-    sq = math.sqrt(disc)
-    angles = []
-    for u in ((-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)):
-        if 0.0 < u < 1.0:
-            angles.append(math.atan2(ay + u * dy, ax + u * dx))
-    return angles
+_EDGES = ((0, 1), (1, 2), (2, 0))  # (O, A), (A, B), (B, O)
 
 
-def _arc_total_by_probing(tri, r):
-    """Total central angle of (triangle intersect S_r) via edge roots + probes."""
-    o, a, b = tri.vertices
-    angles = []
-    for (p, q) in ((o, a), (a, b), (b, o)):
-        angles.extend(_circle_edge_angles(p.x, p.y, q.x, q.y, r))
-    if not angles:
-        probe = _point_on_circle_in_triangle(tri, r, 0.0)
-        return 2.0 * math.pi if probe else 0.0
-    angles = sorted(angles)
-    total = 0.0
-    for i, start in enumerate(angles):
-        end = angles[i + 1] if i + 1 < len(angles) else angles[0] + 2.0 * math.pi
-        if end <= start:
-            continue
-        if _point_on_circle_in_triangle(tri, r, 0.5 * (start + end)):
-            total += end - start
+def _circle_points_in_triangles(vertices, r, phi):
+    """Whether r*(cos phi, sin phi) lies in the closed triangle (O, A, B), per row.
+
+    ``vertices`` is an (n, 3, 2) array; the cosines and sines come from
+    ``math``, one point at a time.
+    """
+    phi = np.asarray(phi, dtype=np.float64).tolist()
+    px = r * np.array(list(map(math.cos, phi)), dtype=np.float64)
+    py = r * np.array(list(map(math.sin, phi)), dtype=np.float64)
+    ax, ay, bx, by = vertices[:, 1, 0], vertices[:, 1, 1], vertices[:, 2, 0], vertices[:, 2, 1]
+    d1 = ax * py - ay * px
+    d2 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    d3 = -(bx * (py - by) - by * (px - bx))
+    has_pos = (d1 > 0.0) | (d2 > 0.0) | (d3 > 0.0)
+    has_neg = (d1 < 0.0) | (d2 < 0.0) | (d3 < 0.0)
+    return ~(has_pos & has_neg)
+
+
+def _arc_totals_by_probing(vertices, r):
+    """Total central angle of (triangle intersect S_r), by edge roots and probes.
+
+    ``vertices`` is an (n, 3, 2) array of triangles (O, A, B), ``r`` their
+    radii.  The edges' crossings with the circle, in [0, 1] of each edge's
+    parameter, cut it into arcs; an arc counts when the circle point at
+    its middle angle lies in the closed triangle.  With no crossing the
+    circle lies wholly inside or outside, probed at angle 0.  The
+    arithmetic and the order of each triangle's sum are those of the
+    one-triangle loop kept in the tests, and the angles, cosines and sines
+    come from ``math`` as there (``np.arctan2`` differs from
+    ``math.atan2`` in the last bit on a few percent of inputs), so each
+    total is bitwise the loop's.
+    """
+    n = r.shape[0]
+    roots = np.full((n, 2 * len(_EDGES)), math.inf)
+    for k, (i, j) in enumerate(_EDGES):
+        px, py = vertices[:, i, 0], vertices[:, i, 1]
+        dx, dy = vertices[:, j, 0] - px, vertices[:, j, 1] - py
+        qa = dx * dx + dy * dy
+        qb = 2.0 * (px * dx + py * dy)
+        qc = px * px + py * py - r * r
+        disc = qb * qb - 4.0 * qa * qc
+        crosses = (qa != 0.0) & (disc > 0.0)
+        sq = np.sqrt(np.where(crosses, disc, 0.0))
+        denom = np.where(crosses, 2.0 * qa, 1.0)
+        for m, u in enumerate(((-qb - sq) / denom, (-qb + sq) / denom)):
+            rows = np.flatnonzero(crosses & (0.0 < u) & (u < 1.0))
+            ys, xs = (py + u * dy)[rows].tolist(), (px + u * dx)[rows].tolist()
+            roots[rows, 2 * k + m] = list(map(math.atan2, ys, xs))
+    roots.sort(axis=1)
+    count = np.count_nonzero(roots < math.inf, axis=1)
+    col = np.arange(roots.shape[1])
+    # each arc runs to the next root; the last one to the first, a turn on
+    ends = np.concatenate((roots[:, 1:], roots[:, :1]), axis=1)
+    ends = np.where(col == (count - 1)[:, None], roots[:, :1] + _TWO_PI, ends)
+    rows, cols = np.nonzero((col < count[:, None]) & ~(ends <= roots))
+    starts, ends = roots[rows, cols], ends[rows, cols]
+    bare = np.flatnonzero(count == 0)
+    probe_rows = np.concatenate((rows, bare))
+    phi = np.concatenate((0.5 * (starts + ends), np.zeros(bare.shape[0])))
+    inside = _circle_points_in_triangles(vertices[probe_rows], r[probe_rows], phi)
+    n_arcs = rows.shape[0]
+    counted = inside[:n_arcs]
+    lengths = np.zeros(roots.shape)
+    lengths[rows[counted], cols[counted]] = (ends - starts)[counted]
+    total = np.zeros(n)
+    for j in col:  # column by column: each triangle sums its arcs in root order
+        total += lengths[:, j]
+    total[bare] = np.where(inside[n_arcs:], _TWO_PI, 0.0)
     return total
-
-
-def _point_on_circle_in_triangle(tri, r, phi):
-    px, py = r * math.cos(phi), r * math.sin(phi)
-    _, a, b = tri.vertices
-    d1 = a.x * py - a.y * px
-    d2 = (b.x - a.x) * (py - a.y) - (b.y - a.y) * (px - a.x)
-    d3 = -(b.x * (py - b.y) - b.y * (px - b.x))
-    has_pos = d1 > 0 or d2 > 0 or d3 > 0
-    has_neg = d1 < 0 or d2 < 0 or d3 < 0
-    return not (has_pos and has_neg)
 
 
 def _check_arc_consistency(samples, rng):
@@ -521,12 +625,13 @@ def _check_arc_consistency(samples, rng):
     delta = rng.uniforms(samples) * np.minimum(_HEIGHT_CAP, 0.9 * r)
     alpha = rng.uniform(0.0, math.pi, samples)
     t = rng.uniforms(samples)
-    worst = 0.0
+    totals = np.empty(samples)
+    vertices = np.empty((samples, 3, 2))
     for i in range(samples):
         tri = geom.make_triangle(alpha[i], delta[i], t[i])
-        total = sum(arc.theta for arc in geom.intersection_arcs(tri, r[i]))
-        probed = _arc_total_by_probing(tri, r[i])
-        worst = max(worst, abs(total - probed))
+        totals[i] = sum(arc.theta for arc in geom.intersection_arcs(tri, r[i]))
+        vertices[i] = [(p.x, p.y) for p in tri.vertices]
+    worst = max(0.0, float(np.max(np.abs(totals - _arc_totals_by_probing(vertices, r)))))
     spec = f"{samples} random triangles; arc angles vs edge-circle root finding"
     return worst, spec
 
@@ -578,18 +683,22 @@ def _map_tasks(tasks):
     there is one worker or no "fork" start method.  No worker outlives the
     call, whether it returns or raises.  The pool is a ProcessPoolExecutor
     because a worker that dies (say, killed for memory) breaks it with an
-    error, where ``multiprocessing.Pool.map`` would wait forever.
+    error, where ``multiprocessing.Pool.map`` would wait forever; that
+    error comes out as WorkerLost.
     """
     workers = _worker_count(len(tasks))
     if workers > 1:
         # imported here so that importing the package does not pay for them
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         if "fork" in multiprocessing.get_all_start_methods():
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             try:
                 return list(pool.map(_call, tasks))
+            except BrokenProcessPool as exc:
+                raise WorkerLost(f"a check's worker process ended without a result: {exc}") from exc
             finally:
                 # after an error, tasks not yet started are dropped
                 pool.shutdown(cancel_futures=True)
@@ -607,7 +716,8 @@ def run_checks(
     for the scan checks, and per-set draws for SectorMeasure; it must lie
     in [100, MAX_SAMPLES], or DomainError is raised before any draw.
     Failures are reported in the returned records, never raised; an error
-    raised inside a check comes out of this call.
+    raised inside a check comes out of this call, and a worker process
+    that dies comes out as WorkerLost.
     """
     sizes = []
     for check in checks:

@@ -14,12 +14,15 @@ A generator reads its stream sequentially from counter 0; ``seek`` moves
 it to any counter, so a draw is addressable by (seed, stream, counter) and
 a consumer may read a stretch of the stream in any order of pieces.
 
-The hot path allocates one output array per call and works on it in
-place: ``raw`` turns the counter range into words, ``mix64`` runs the
-finalizer over them in place with one shift scratch buffer, and
-``uniforms``/``uniform`` shift, convert and scale that one buffer.  Each
-in-place step rounds exactly like the expression it replaces, so the
-drawn values are those of the formula above.
+The hot path builds no counter array.  ``raw`` adds one scalar offset,
+base + counter * GOLDEN, to a table of GOLDEN * i (built on first use,
+2**14 words at most) one piece at a time, and ``mix64`` runs the
+finalizer over each piece in place with one shift scratch buffer.
+``uniforms``/``uniform`` draw the words into the memory of their output
+doubles and shift, convert and scale them there.  Each of the three
+writes into ``out=``, a buffer the caller reuses, or else allocates its
+one result array.  Each in-place step rounds exactly like the expression
+it replaces, so the drawn values are those of the formula above.
 """
 
 from __future__ import annotations
@@ -37,7 +40,35 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 _U64 = np.uint64
+_GOLDEN = int(GOLDEN)
+_MASK = (1 << 64) - 1
 _INV_2_53 = float(2.0**-53)
+
+# Largest piece ``raw`` draws at once: its table of GOLDEN * i and its
+# scratch buffer stay in a core's L2 cache.
+_PIECE = 1 << 14
+# GOLDEN * i for i below its length; grown on first use, never at import,
+# so a process that draws only a few words builds only a few entries.
+_golden_steps = None
+
+
+def _steps(m: int) -> np.ndarray:
+    """GOLDEN * i (mod 2**64) for i < m <= _PIECE."""
+    global _golden_steps
+    have = 0 if _golden_steps is None else _golden_steps.shape[0]
+    if have < m:
+        _golden_steps = np.arange(min(_PIECE, max(m, 2 * have)), dtype=np.uint64) * GOLDEN
+    return _golden_steps[:m]
+
+
+def _check_out(out, n: int, dtype) -> np.ndarray:
+    """``out`` if it is a contiguous ``dtype`` array of n elements, else a new one."""
+    if out is None:
+        return np.empty(n, dtype=dtype)
+    if not (isinstance(out, np.ndarray) and out.dtype == dtype and out.shape == (n,)
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise DomainError(f"out must be a writeable contiguous {np.dtype(dtype)} array of {n} elements")
+    return out
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
@@ -69,40 +100,54 @@ class CounterRng:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = as_integer(seed, "seed")
         self.stream = as_integer(stream, "stream")
-        mask = 0xFFFFFFFFFFFFFFFF
         # stream offset in exact integer arithmetic; numpy scalars would
         # warn on the wrapping multiply
-        offset = (self.stream * 0x9E3779B97F4A7C15) & mask
-        base = np.array([(self.seed + offset) & mask], dtype=np.uint64)
-        self._base = mix64(base)[0]
+        offset = (self.stream * _GOLDEN) & _MASK
+        base = np.array([(self.seed + offset) & _MASK], dtype=np.uint64)
+        self._base = int(mix64(base)[0])
         self._counter = 0
 
     def seek(self, counter: int) -> None:
         """Move to ``counter``: the next draw is output(counter)."""
         self._counter = as_integer(counter, "counter", lo=0)
 
-    def raw(self, n: int) -> np.ndarray:
-        """Next ``n`` raw 64-bit words as a uint64 array."""
-        n = as_integer(n, "n", lo=0)
-        z = np.arange(self._counter, self._counter + n, dtype=np.uint64)
-        self._counter += n
-        z *= GOLDEN
-        z += self._base
-        return mix64(z)
+    def raw(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Next ``n`` raw 64-bit words as a uint64 array, ``out`` if given.
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """Next ``n`` doubles, uniform on [0, 1)."""
-        words = self.raw(n)
+        The counters drawn must lie below 2**64, the period of the stream.
+        """
+        n = as_integer(n, "n", lo=0)
+        if self._counter + n > 1 << 64:
+            raise DomainError(f"counters {self._counter} + {n} run past 2**64")
+        out = _check_out(out, n, np.uint64)
+        for lo in range(0, n, _PIECE):
+            piece = out[lo:lo + _PIECE]
+            offset = (self._base + (self._counter + lo) * _GOLDEN) & _MASK
+            np.add(_steps(piece.shape[0]), _U64(offset), out=piece)
+            mix64(piece)
+        self._counter += n
+        return out
+
+    def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Next ``n`` doubles, uniform on [0, 1), as a float64 array, ``out`` if given."""
+        n = as_integer(n, "n", lo=0)
+        u = _check_out(out, n, np.float64)
+        # the words are drawn into the memory of their doubles and cut to
+        # their top 53 bits there; below 2**53 the int64 conversion is
+        # exact (and faster than the uint64 one), and so is the scaling
+        words = self.raw(n, out=u.view(np.uint64))
         words >>= _U64(11)
-        u = words.astype(np.float64)
+        np.copyto(u, words.view(np.int64), casting="unsafe")
         u *= _INV_2_53
         return u
 
-    def uniform(self, lo: float, hi: float, n: int) -> np.ndarray:
+    def uniform(
+        self, lo: float, hi: float, n: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Next ``n`` doubles, uniform on [lo, hi); lo and hi - lo must be finite."""
         if not (math.isfinite(lo) and math.isfinite(hi - lo)):
             raise DomainError(f"uniform range [{lo}, {hi}) is not finite")
-        u = self.uniforms(n)
+        u = self.uniforms(n, out)
         u *= hi - lo
         u += lo
         return u

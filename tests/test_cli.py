@@ -7,6 +7,7 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -352,6 +353,20 @@ def test_verify_failure_exits_1(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.oracle, "run_check", lambda *args, **kwargs: failing)
     code = run_cli("verify", "--check", "FArgmax", "--output-dir", str(tmp_path))
     assert code == 1
+
+
+def test_verify_worker_death_exits_4_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    def die(region, bbox, samples, seed):
+        os._exit(1)  # as a worker killed for memory would
+
+    monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: 2)
+    monkeypatch.setattr(oracle, "mc_area", die)
+    code = run_cli("verify", "--check", "SectorMeasure", "--samples", "100",
+                   "--output-dir", str(tmp_path))
+    assert code == 4
+    assert "worker process" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_optimize_infeasibility_exits_3(tmp_path, monkeypatch):

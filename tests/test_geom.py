@@ -340,8 +340,16 @@ def test_arcs_sorted_longest_first_and_consistent_with_probing():
         thetas = [arc.theta for arc in arcs]
         assert thetas == sorted(thetas, reverse=True)
         assert all(th > 0.0 for th in thetas)
-        probed = oracle._arc_total_by_probing(tri, r[i])
+        probed = oracle._arc_totals_by_probing(_vertices(tri), r[i:i + 1])[0]
         assert sum(thetas) == pytest.approx(probed, abs=1e-9)
+
+
+def _vertices(tri):
+    return np.array([[(p.x, p.y) for p in tri.vertices]])
+
+
+def _point_on_circle_in_triangle(tri, r, phi):
+    return bool(oracle._circle_points_in_triangles(_vertices(tri), np.array([r]), [phi])[0])
 
 
 def test_arc_interiors_lie_inside_the_triangle():
@@ -352,7 +360,7 @@ def test_arc_interiors_lie_inside_the_triangle():
     for arc in arcs:
         nudge = 1e-9 * arc.theta
         for phi in (arc.start + nudge, arc.end - nudge, 0.5 * (arc.start + arc.end)):
-            assert oracle._point_on_circle_in_triangle(tri, r, phi)
+            assert _point_on_circle_in_triangle(tri, r, phi)
         # just past either endpoint the circle leaves the triangle
-        assert not oracle._point_on_circle_in_triangle(tri, r, arc.start - 1e-6)
-        assert not oracle._point_on_circle_in_triangle(tri, r, arc.end + 1e-6)
+        assert not _point_on_circle_in_triangle(tri, r, arc.start - 1e-6)
+        assert not _point_on_circle_in_triangle(tri, r, arc.end + 1e-6)

@@ -1,9 +1,11 @@
-"""Oracle tests: generator reproducibility and pinned draws, Monte Carlo
-contracts, the SectorMeasure membership kernel against its reference, the
-pooled checks against their serial loops, the exact
-disjointness clipping against the sampler it replaced, planted defects
-the disjointness checks must catch, the check dispatcher at reduced
-sizes, and threshold location."""
+"""Oracle tests: generator reproducibility, pinned draws and buffer draws
+against the formula, Monte Carlo contracts and block layout, the
+SectorMeasure membership kernel against its reference and its raw-angle
+thresholds ulp by ulp, the pooled checks against their serial loops, the
+exact disjointness clipping against the sampler it replaced, planted
+defects the disjointness checks must catch, ArcConsistency's vectorised
+probing against its loop, the check dispatcher at reduced sizes, and
+threshold location."""
 
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ import os
 import numpy as np
 import pytest
 
-from kakeya import oracle
-from kakeya.errors import BracketError, DomainError
+from kakeya import geom, oracle
+from kakeya.errors import BracketError, DomainError, WorkerLost
 from kakeya.oracle import CheckId
 from kakeya.rng import CounterRng, mix64
 
@@ -101,6 +103,94 @@ def test_rng_mix64_works_in_place():
     assert [int(w) for w in z] == [0x5692161D100B05E5, 0]
 
 
+GOLDEN = 0x9E3779B97F4A7C15
+MASK = (1 << 64) - 1
+
+
+def _mix64_int(z):
+    """The SplitMix64 finalizer on one Python int."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def _word_int(seed, stream, counter):
+    """output(counter) of (seed, stream), in Python ints."""
+    base = _mix64_int((seed + stream * GOLDEN) & MASK)
+    return _mix64_int((base + counter * GOLDEN) & MASK)
+
+
+RNG_ADDRESSES = [(7, 0), ((1 << 63) - 1, 4), (1 << 63, 9), ((1 << 63) + 1, 0), (MASK, 2)]
+# odd sizes, one piece of the word table, and runs across its ends
+RNG_SIZES = [1, 3, 777, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 3 * (1 << 14) + 5]
+
+
+@pytest.mark.parametrize("seed, stream", RNG_ADDRESSES)
+def test_rng_raw_into_a_buffer_is_the_formula(seed, stream):
+    for n in RNG_SIZES:
+        for counter in (0, 12345, (1 << 64) - 2 * n):
+            rng = CounterRng(seed, stream)
+            rng.seek(counter)
+            buf = np.full(n, 3, dtype=np.uint64)
+            assert rng.raw(n, out=buf) is buf
+            rng.seek(counter)
+            assert np.array_equal(rng.raw(n), buf)
+            for i in {0, n // 2, n - 1}:
+                assert int(buf[i]) == _word_int(seed, stream, counter + i), (n, counter, i)
+
+
+@pytest.mark.parametrize("seed, stream", RNG_ADDRESSES)
+def test_rng_doubles_into_a_buffer_are_the_formula(seed, stream):
+    for n in RNG_SIZES:
+        rng = CounterRng(seed, stream)
+        rng.seek(99)
+        words = rng.raw(n)
+        u = np.empty(n)
+        rng.seek(99)
+        assert rng.uniforms(n, out=u) is u
+        assert np.array_equal(u, (words >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+        rng.seek(99)
+        assert rng.uniform(-0.3, 1.2, n, out=u) is u
+        rng.seek(99)
+        assert np.array_equal(u, -0.3 + (1.2 - -0.3) * rng.uniforms(n))
+
+
+def test_rng_uniform_with_a_subnormal_step_is_the_two_step_formula():
+    # (hi - lo) * 2**-53 is subnormal for these spans, where folding the
+    # two scalings into one would round differently
+    rng = CounterRng(3, stream=1)
+    for lo, hi in ((0.0, 1e-300), (0.0, 5e-324), (-1e-310, 1e-310), (1.0, 1.0 + 2.0**-52),
+                   (-1e307, 1e307)):
+        rng.seek(0)
+        got = rng.uniform(lo, hi, 4097)
+        rng.seek(0)
+        want = lo + (hi - lo) * rng.uniforms(4097)
+        assert got.tobytes() == want.tobytes(), (lo, hi)
+
+
+def test_rng_draws_up_to_the_last_counter_and_no_further():
+    rng = CounterRng(7, stream=2)
+    rng.seek(MASK - 2)
+    assert [int(w) for w in rng.raw(3)] == [_word_int(7, 2, MASK - k) for k in (2, 1, 0)]
+    for counter, n in ((MASK - 2, 4), (MASK + 1, 1), (1 << 70, 0)):
+        rng.seek(counter)
+        with pytest.raises(DomainError, match="run past 2"):
+            rng.uniforms(n)
+
+
+def test_rng_rejects_an_unusable_out_buffer():
+    rng = CounterRng(7)
+    for method, n, bad in (
+        ("raw", 4, np.empty(4, dtype=np.int64)),
+        ("raw", 4, np.empty(5, dtype=np.uint64)),
+        ("uniforms", 4, np.empty(8)[::2]),
+        ("uniforms", 4, np.empty((2, 2))),
+        ("uniforms", 4, [0.0] * 4),
+    ):
+        with pytest.raises(DomainError, match="out must be"):
+            getattr(rng, method)(n, out=bad)
+
+
 def test_rng_uniform_range():
     vals = CounterRng(7).uniforms(100_000)
     assert vals.min() >= 0.0
@@ -150,6 +240,33 @@ def _chunked_hits(region, bbox, samples, seed, chunk=1 << 19):
         ys = rng.uniform(ymin, ymax, n)
         hits += int(np.count_nonzero(region(xs, ys)))
     return hits
+
+
+@pytest.mark.parametrize("seed", [21, (1 << 63) - 1, 1 << 63])
+def test_mc_area_block_draws_are_seek_and_uniform(seed):
+    # two chunks, the second ending in an odd partial block
+    samples = (1 << 19) + 2 * (1 << 14) + 777
+    bbox = (-0.3, 1.25, 0.9, 2.5)
+    blocks = []
+
+    def record(xs, ys):
+        blocks.append((xs.copy(), ys.copy()))
+        return xs < 0.0
+
+    oracle.mc_area(record, bbox, samples, seed)
+    rng = CounterRng(seed, stream=0)
+    want = []
+    for start in range(0, samples, 1 << 19):
+        n = min(1 << 19, samples - start)
+        for lo in range(0, n, 1 << 14):
+            m = min(1 << 14, n - lo)
+            rng.seek(2 * start + lo)
+            xs = rng.uniform(bbox[0], bbox[2], m)
+            rng.seek(2 * start + n + lo)
+            want.append((xs, rng.uniform(bbox[1], bbox[3], m)))
+    assert len(blocks) == len(want) == 35
+    for (gx, gy), (wx, wy) in zip(blocks, want):
+        assert gx.tobytes() == wx.tobytes() and gy.tobytes() == wy.tobytes()
 
 
 def test_mc_area_blocks_keep_the_chunked_stream_layout():
@@ -216,6 +333,82 @@ def test_sector_region_matches_the_reference_kernel():
         on_end += int(np.count_nonzero(np.isin(ang, ends)))
     assert n_sets * n_points >= 1_000_000
     assert on_end >= n_sets
+
+
+PI = math.pi
+TWO_PI = 2.0 * math.pi
+
+
+def _below(x, k=1):
+    for _ in range(k):
+        x = math.nextafter(x, -math.inf)
+    return x
+
+
+def _above(x, k=1):
+    for _ in range(k):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+# Interval sets (starts, stops) for the threshold sweep: touching and
+# zero-length intervals, ends at and next to 0, pi and 2pi, and ends that
+# wrap to within an ulp of each other.
+THRESHOLD_SETS = [
+    ([0.0], [0.0]),
+    ([0.0], [_below(TWO_PI)]),
+    ([0.0, 1.0], [1.0, 2.0]),
+    ([5e-324], [1e-300]),
+    ([PI], [PI]),
+    ([_below(PI)], [_above(PI)]),
+    ([3.0, PI], [PI, 4.0]),
+    ([_above(PI)], [_above(PI, 3)]),
+    ([1.0, _above(PI)], [PI, 5.0]),
+    ([_below(TWO_PI)], [_below(TWO_PI)]),
+    ([_below(TWO_PI, 5)], [_below(TWO_PI, 2)]),
+    ([TWO_PI - 1e-12, ], [_below(TWO_PI)]),
+    ([0.5, 2.0, 6.0], [2.0, 2.0, 6.25]),
+    ([4.0], [4.0]),
+    ([_below(4.0)], [_above(4.0)]),
+    ([PI + 1e-15, 5.5], [5.5, TWO_PI - 1e-15]),
+]
+
+
+def _wrapped_reference_mask(ang, starts, stops):
+    """The rule the thresholds stand for: wrap a < 0 to a + 2pi, then test."""
+    wrapped = np.where(ang < 0.0, ang + TWO_PI, ang)
+    inside = np.zeros(ang.shape, dtype=bool)
+    for s, e in zip(starts, stops):
+        inside |= (s <= wrapped) & (wrapped <= e)
+    return inside
+
+
+@pytest.mark.parametrize("starts, stops", THRESHOLD_SETS)
+def test_raw_angle_thresholds_match_the_wrapped_rule_ulp_by_ulp(starts, stops):
+    ranges = [oracle._raw_angle_range(s, e) for s, e in zip(starts, stops)]
+    ranges = [r for r in ranges if r is not None]
+    # every float within 8 ulps of each raw threshold and of each interval
+    # end's preimages, plus the ends of arctan2's range and both zeros
+    centers = [PI, -PI, 0.0, -0.0]
+    centers += [t for lo, hi, _ in ranges for t in (lo, hi)]
+    centers += [t - d for t in (*starts, *stops) for d in (0.0, TWO_PI)]
+    angles = {PI, -PI, 0.0, -0.0}
+    for c in centers:
+        for k in range(9):
+            angles.update((_below(c, k), _above(c, k)))
+    ang = np.array(sorted(a for a in angles if -PI <= a <= PI))
+    got = oracle._in_raw_ranges(ang, ranges)
+    want = _wrapped_reference_mask(ang, np.array(starts), np.array(stops))
+    assert np.array_equal(got, want), ang[got != want]
+
+
+def test_arctan2_stays_in_the_range_the_thresholds_cover():
+    # _raw_angle_range covers raw angles in [-pi, pi] only
+    tiny = 5e-324
+    ys = np.array([0.0, -0.0, tiny, -tiny, 1.0, -1.0, 1e-300, -1e-300])
+    for x in (-1.0, -1e300, -tiny, 0.0, -0.0):
+        ang = np.arctan2(ys, np.full(ys.shape, x))
+        assert np.all(np.abs(ang) <= PI)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +524,9 @@ def test_a_worker_that_dies_breaks_the_run_instead_of_hanging(monkeypatch):
 
     monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: 2)
     monkeypatch.setattr(oracle, "mc_area", die)
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(WorkerLost) as info:
         oracle.run_check(CheckId.SECTOR_MEASURE, samples=500, seed=7)
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
     assert multiprocessing.active_children() == []
 
 
@@ -573,6 +767,103 @@ def test_disjointness_checks_catch_a_weakened_gap_criterion(monkeypatch, check, 
     # library criterion, must see the planted defect
     assert len(counts) == 1 and counts[0] >= 1
     assert not report.passed
+
+
+# ---------------------------------------------------------------------------
+# ArcConsistency probing
+# ---------------------------------------------------------------------------
+
+# The one-triangle probing loop the vectorised oracle kernel replaced,
+# kept as its reference.
+
+def _circle_edge_angles(ax, ay, bx, by, r):
+    """Angles where segment (A, B) crosses the circle of radius r."""
+    dx, dy = bx - ax, by - ay
+    qa = dx * dx + dy * dy
+    if qa == 0.0:
+        return []
+    qb = 2.0 * (ax * dx + ay * dy)
+    qc = ax * ax + ay * ay - r * r
+    disc = qb * qb - 4.0 * qa * qc
+    if disc <= 0.0:
+        return []
+    sq = math.sqrt(disc)
+    angles = []
+    for u in ((-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)):
+        if 0.0 < u < 1.0:
+            angles.append(math.atan2(ay + u * dy, ax + u * dx))
+    return angles
+
+
+def _point_on_circle_in_triangle(tri, r, phi):
+    px, py = r * math.cos(phi), r * math.sin(phi)
+    _, a, b = tri.vertices
+    d1 = a.x * py - a.y * px
+    d2 = (b.x - a.x) * (py - a.y) - (b.y - a.y) * (px - a.x)
+    d3 = -(b.x * (py - b.y) - b.y * (px - b.x))
+    has_pos = d1 > 0 or d2 > 0 or d3 > 0
+    has_neg = d1 < 0 or d2 < 0 or d3 < 0
+    return not (has_pos and has_neg)
+
+
+def _arc_total_by_probing(tri, r):
+    """Total central angle of (triangle intersect S_r) via edge roots + probes."""
+    o, a, b = tri.vertices
+    angles = []
+    for (p, q) in ((o, a), (a, b), (b, o)):
+        angles.extend(_circle_edge_angles(p.x, p.y, q.x, q.y, r))
+    if not angles:
+        probe = _point_on_circle_in_triangle(tri, r, 0.0)
+        return 2.0 * math.pi if probe else 0.0
+    angles = sorted(angles)
+    total = 0.0
+    for i, start in enumerate(angles):
+        end = angles[i + 1] if i + 1 < len(angles) else angles[0] + 2.0 * math.pi
+        if end <= start:
+            continue
+        if _point_on_circle_in_triangle(tri, r, 0.5 * (start + end)):
+            total += end - start
+    return total
+
+
+def _probe_both_ways(tris, r):
+    vertices = np.array([[(p.x, p.y) for p in tri.vertices] for tri in tris])
+    got = oracle._arc_totals_by_probing(vertices, np.asarray(r, dtype=np.float64))
+    want = np.array([_arc_total_by_probing(tri, ri) for tri, ri in zip(tris, r)])
+    return got, want
+
+
+def test_vectorised_arc_probing_is_the_loop_bit_for_bit():
+    # triangles drawn as ArcConsistency draws them, and as many again with
+    # radii up to beyond the far vertex, so every root count occurs
+    rng = CounterRng(2025, stream=4)
+    n = 12_000
+    r = np.concatenate((rng.uniform(0.05, 0.5, n), rng.uniform(0.01, 1.2, n)))
+    delta = rng.uniforms(2 * n) * np.minimum(oracle._HEIGHT_CAP, 0.9 * r)
+    alpha = rng.uniform(0.0, 2.0 * math.pi, 2 * n)
+    t = rng.uniforms(2 * n)
+    tris = [geom.make_triangle(alpha[i], delta[i], t[i]) for i in range(2 * n)]
+    got, want = _probe_both_ways(tris, r)
+    assert got.tobytes() == want.tobytes()
+    assert np.count_nonzero(want == 0.0) >= 100 and np.count_nonzero(want > 0.0) >= n
+
+
+def test_vectorised_arc_probing_on_tangent_vertex_and_bare_circles():
+    # alpha = 0 puts A at (-t, delta) and B at (1 - t, delta) exactly, so
+    # these dyadic cases are exact: AB tangent to the circle (delta = r),
+    # a vertex on it (|A| = r or |B| = r), no crossing at all (r beyond
+    # every vertex), and a flat triangle through O
+    cases = [
+        (0.5, 0.25, 0.25), (0.25, 0.125, 0.125), (0.5, 0.25, 0.3),
+        (0.375, 0.5, 0.625), (0.625, 0.5, 0.625), (0.375, 0.5, 0.5),
+        (0.5, 0.25, 2.0), (0.0, 0.125, 1.5), (1.0, 0.125, 1.5),
+        (0.5, 0.0, 0.25), (0.0, 0.0, 0.5), (0.25, 0.0, 1.0),
+    ]
+    tris = [geom.make_triangle(0.0, delta, t) for t, delta, _ in cases]
+    r = [radius for _, _, radius in cases]
+    got, want = _probe_both_ways(tris, r)
+    assert got.tobytes() == want.tobytes()
+    assert want[0] > 0.0 and want[6] == 0.0 and want[7] == 0.0
 
 
 # ---------------------------------------------------------------------------

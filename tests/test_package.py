@@ -98,3 +98,25 @@ def test_importing_the_package_does_not_load_a_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_the_draw_table_is_built_on_first_use_and_only_as_large_as_used():
+    # verify's parent process draws only SectorMeasure's set parameters, a
+    # few words at a time; the full table belongs to the workers' draws
+    src = str(Path(kakeya.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import kakeya, kakeya.cli; from kakeya import oracle, rng; "
+        "print(rng._golden_steps is None); "
+        "oracle._sector_sets(rng.CounterRng(7, 8)); print(len(rng._golden_steps)); "
+        "rng.CounterRng(7).uniforms(10**5); print(len(rng._golden_steps))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    built, after_sets, after_block = proc.stdout.split()
+    assert built == "True"
+    assert int(after_sets) <= 8
+    assert int(after_block) == 1 << 14

@@ -9,12 +9,20 @@ fixing an intermediate radius ``r_lambda`` between ``a`` and ``r0``.
 Case I covers direction sets whose triangles stay inside the disk of
 radius ``r1``; Case II covers the complement via needles clear of the
 disk of radius ``r1 - 1``.
+
+This module is the one place that writes the bound's algebra.
+:func:`bound_terms` evaluates every p-free term at an (a, r0, lambda)
+point: case_i(p) = K0 + p*K1, case_ii(p) = (1 - p)*K2, the trivial term
+a/(2*pi), and the refinement ratio q.  :func:`theorem_bound`, the
+optimizer's balanced split and its iterative refinement all read that
+record.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import geom
 from .errors import CaseIIInfeasible, DomainError
@@ -25,15 +33,18 @@ __all__ = [
     "BoundParams",
     "DerivedParams",
     "BoundBreakdown",
+    "BoundTerms",
     "THEOREM_DEFAULTS",
     "UPPER_BOUND_COEFF",
     "R_STAR",
     "exterior_area_rate",
     "outside_area_rate",
     "direction_ratio_cap",
+    "active_g_branch",
     "derive_params",
     "g_branch_kinks",
     "case_i_integral",
+    "bound_terms",
     "theorem_bound",
     "cunningham_bound",
 ]
@@ -120,6 +131,34 @@ class BoundBreakdown:
     c_r1m1: float
 
 
+class BoundTerms(NamedTuple):
+    """The p-free terms of the bound at one (a, r0, lambda) point.
+
+    With the split p, case_i = k0 + p*k1 and case_ii = (1 - p)*k2 (see
+    ``split``); ``half_a`` is a/(2*pi).  ``q`` is the ratio by which the
+    iterative refinement recycles Case I: shrinking the Case I
+    configuration from the disk of radius r1 into the disk of radius a
+    scales its area bound by (a/r1)^2, and the inner/outer combination
+    at r0 weighs an inner bound by 1 - f(r0)/(2 r0^2), so
+    q = (1 - f(r0)/(2 r0^2)) * (a/r1)^2.
+    ``f_r0``, ``integral`` and ``c_r1m1`` are the values BoundBreakdown
+    reports.  All but ``q`` are coefficients of pi.
+    """
+
+    k0: float
+    k1: float
+    k2: float
+    half_a: float
+    q: float
+    f_r0: float
+    integral: float
+    c_r1m1: float
+
+    def split(self, p: float) -> tuple[float, float]:
+        """(case_i, case_ii) at the split p."""
+        return self.k0 + p * self.k1, (1.0 - p) * self.k2
+
+
 # Parameters of the headline pi/98 bound: a = pi/49, r0 = 1/4, p = 9/10,
 # lambda = 9/10.
 THEOREM_DEFAULTS = BoundParams(a=math.pi / 49.0, r0=0.25, p=0.9, lam=0.9)
@@ -164,6 +203,13 @@ def direction_ratio_cap(r: float, derived: DerivedParams) -> float:
     return max(_branch_values(r, derived))
 
 
+def active_g_branch(r: float, derived: DerivedParams) -> str:
+    """The formula of the branch of g that is largest at r; on a tie, the first listed."""
+    if not 0.0 < r < 0.5:
+        raise DomainError(f"r must lie in (0, 1/2), got {r}")
+    return _BRANCH_FORMULAS[_argmax_branch(r, derived)]
+
+
 def derive_params(
     params: BoundParams, convention: str = RLAMBDA_REPRODUCING
 ) -> DerivedParams:
@@ -194,6 +240,10 @@ def derive_params(
 # ---------------------------------------------------------------------------
 # Closed-form Case I integral
 # ---------------------------------------------------------------------------
+
+# The branches of the g-cap as text, in the order of _branch_values.
+_BRANCH_FORMULAS = ("(1+2r)/(1-2r)", "(1+2r_lambda)/(1-2r_lambda)", "pi/(pi/2-atan(2r))")
+
 
 def _branch_values(r: float, derived: DerivedParams) -> tuple[float, float, float]:
     """The three branches of the g-cap at r, in the order of _antiderivative."""
@@ -299,27 +349,30 @@ def case_i_integral(
 # Case bounds
 # ---------------------------------------------------------------------------
 
-def _case_i_terms(params, convention, derived=None):
-    """(K0, K1, f(r0), integral) with case_i(p) = K0 + p*K1, coefficients of pi.
+def bound_terms(params: BoundParams, convention: str = RLAMBDA_REPRODUCING) -> BoundTerms:
+    """Every p-free term of the bound at (params.a, params.r0, params.lam).
 
-    ``derived``, when given, is ``derive_params(params, convention)``.
+    ``params.p`` is not read.  Raises DomainError when r0 < 0.15, below
+    which the outer-area rate does not apply, and CaseIIInfeasible when
+    r1 - 1 <= a.
     """
+    derived = derive_params(params, convention)
     if params.r0 < 0.15:
         raise DomainError(f"r0 must be >= 0.15 for the outer-area rate, got {params.r0}")
     f_r0 = exterior_area_rate(params.r0)
     integral = case_i_integral(params, convention=convention, derived=derived)
-    k0 = 0.25 * f_r0
-    k1 = (1.0 - f_r0 / (2.0 * params.r0 * params.r0)) / 3.0 * integral
-    return k0, k1, f_r0, integral
-
-
-def _case_ii_from_derived(a: float, p: float, derived: DerivedParams) -> tuple[float, float]:
+    # the weight of an inner bound at r0; >= 0.18 for r0 >= 0.15
+    inner = 1.0 - f_r0 / (2.0 * params.r0 * params.r0)
     if not derived.case_ii_feasible:
         raise CaseIIInfeasible(
-            f"r1 - 1 = {derived.r1 - 1.0} <= a = {a}: needle-outside rate undefined"
+            f"r1 - 1 = {derived.r1 - 1.0} <= a = {params.a}: needle-outside rate undefined"
         )
-    c_r1m1 = outside_area_rate(derived.r1 - 1.0, a)
-    return (1.0 - p) / 4.0 * c_r1m1, c_r1m1
+    c_r1m1 = outside_area_rate(derived.r1 - 1.0, params.a)
+    return BoundTerms(
+        k0=0.25 * f_r0, k1=inner / 3.0 * integral, k2=0.25 * c_r1m1,
+        half_a=params.a / (2.0 * math.pi), q=inner * (params.a / derived.r1) ** 2,
+        f_r0=f_r0, integral=integral, c_r1m1=c_r1m1,
+    )
 
 
 def theorem_bound(
@@ -337,19 +390,12 @@ def theorem_bound(
     and does not change the value (see case_i_integral).
     """
     _check_tol(tol)
-    derived = derive_params(params, convention)
-    k0, k1, f_r0, integral = _case_i_terms(params, convention, derived)
-    case_i = k0 + params.p * k1
-    case_ii, c_r1m1 = _case_ii_from_derived(params.a, params.p, derived)
-    half_a = params.a / (2.0 * math.pi)
+    terms = bound_terms(params, convention)
+    case_i, case_ii = terms.split(params.p)
     return BoundBreakdown(
-        case_i=case_i,
-        case_ii=case_ii,
-        half_a=half_a,
-        final=min(case_i, case_ii, half_a),
-        integral_value=integral,
-        f_r0=f_r0,
-        c_r1m1=c_r1m1,
+        case_i=case_i, case_ii=case_ii, half_a=terms.half_a,
+        final=min(case_i, case_ii, terms.half_a),
+        integral_value=terms.integral, f_r0=terms.f_r0, c_r1m1=terms.c_r1m1,
     )
 
 

@@ -72,6 +72,9 @@ _FLAGS = {
     "r0-to": dict(type=float),
     "r0-steps": dict(type=int, help="default 50"),
 }
+# A scan evaluates at most this many points (a-steps x r0-steps for a scan
+# over (a, r0)); a larger request is a DomainError before any evaluation.
+MAX_SCAN_POINTS = 10**6
 # Keys a config file may set, named like the flags.  The set is shared:
 # a key that only another command reads is accepted.
 _PARAMS = ("a", "r0", "p", "lambda")
@@ -448,16 +451,8 @@ def _cmd_optimize(cfg: Config, args) -> int:
 def _cmd_verify(cfg: Config, args) -> int:
     if args.all and args.check:
         raise DomainError("--all and --check cannot be combined")
-    if args.all or not args.check:
-        selected = list(CheckId)
-    else:
-        selected = [CheckId(name) for name in args.check]
-    # several checks share one pool; one check goes through run_check, the
-    # one-check entry point (and the seam a test replaces to force a FAIL)
-    if len(selected) == 1:
-        reports = [oracle.run_check(selected[0], samples=args.samples, seed=cfg.seed)]
-    else:
-        reports = oracle.run_checks(selected, samples=args.samples, seed=cfg.seed)
+    selected = [CheckId(name) for name in args.check or ()] or list(CheckId)
+    reports = oracle.run_checks(selected, samples=args.samples, seed=cfg.seed)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         print(
@@ -474,12 +469,19 @@ def _cmd_verify(cfg: Config, args) -> int:
     return 0 if all_pass else 1
 
 
-def _grid(lo: float, hi: float, steps: int, name: str) -> list[float]:
-    """``steps`` evenly spaced points from lo to hi; one point when lo == hi."""
+def _grid(lo: float, hi: float, steps: int, name: str, rows: int = 1) -> list[float]:
+    """``steps`` evenly spaced points from lo to hi; one point when lo == hi.
+
+    The grid spans ``rows`` rows of a scan; DomainError if the scan would
+    then evaluate more than MAX_SCAN_POINTS points.
+    """
     if hi < lo:
         raise DomainError(f"inverted {name} range [{lo}, {hi}]")
     if hi == lo:
         return [lo]
+    if rows * steps > MAX_SCAN_POINTS:
+        raise DomainError(f"a scan evaluates at most {MAX_SCAN_POINTS} points, "
+                          f"not {rows * steps}")
     return [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
 
 
@@ -515,11 +517,10 @@ def _cmd_scan(cfg: Config, args) -> int:
     elif fn == "g":
         derived = bounds.derive_params(params, cfg.rlambda_convention)
         grid = _scan_range(args, steps, 1e-9, 0.5 - 1e-9, "the direction-ratio cap")
-        branches = ("(1+2r)/(1-2r)", "(1+2r_lambda)/(1-2r_lambda)", "pi/(pi/2-atan(2r))")
-        rows = []
-        for r in grid:
-            value = bounds.direction_ratio_cap(r, derived)
-            rows.append((r, value, branches[bounds._argmax_branch(r, derived)]))
+        rows = [
+            (r, bounds.direction_ratio_cap(r, derived), bounds.active_g_branch(r, derived))
+            for r in grid
+        ]
         table = OutputTable(columns=("r", "g", "active_branch"), rows=rows, caption=caption)
         for kink in bounds.g_branch_kinks(params, cfg.rlambda_convention, grid[0], grid[-1]):
             print(f"branch switch at r = {kink:.12g}")
@@ -541,7 +542,7 @@ def _cmd_scan(cfg: Config, args) -> int:
 
         if args.r0_from is not None:
             r0_steps = 50 if args.r0_steps is None else args.r0_steps
-            r0_grid = _grid(args.r0_from, args.r0_to, r0_steps, "r0")
+            r0_grid = _grid(args.r0_from, args.r0_to, r0_steps, "r0", len(a_grid))
             columns = ("a",) + tuple(f"r0={r0:.10g}" for r0 in r0_grid)
             rows = [tuple([a] + [value_at(a, r0) for r0 in r0_grid]) for a in a_grid]
             table = OutputTable(columns=columns, rows=rows, caption=f"{caption} over (a, r0)")

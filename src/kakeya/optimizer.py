@@ -14,6 +14,10 @@ reach; the sec41 optimum sits on two of them.  Ties in the objective (it
 plateaus at a/(2*pi) once the balanced value exceeds it) break toward the
 larger balanced value, which pins the refinement to the constrained
 optimum instead of an arbitrary plateau point.
+
+Every term of the objective, and the ratio q of the iterative refinement,
+comes from one ``bounds.bound_terms`` record per point; this module only
+solves for p and searches.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 
 from . import bounds
 from .bounds import RLAMBDA_REPRODUCING, BoundBreakdown, BoundParams
-from .errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet
+from .errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet, as_integer
 
 __all__ = ["SearchBox", "OptimizationResult", "optimize", "refine_iterative"]
 
@@ -66,21 +70,16 @@ def _balanced_point(a, r0, lam, convention):
     """(objective, balanced case value, p) at one (a, r0, lambda) point.
 
     p is the split at which the Case I and Case II coefficients agree:
-    with case_i(p) = K0 + p*K1 and case_ii(p) = (1-p)*K2 it is
-    p = (K2 - K0)/(K1 + K2), clamped to [0, 1] (a clamp at 0 means Case I
-    already exceeds Case II with no cross-section help).
+    with case_i(p) = K0 + p*K1 and case_ii(p) = (1-p)*K2 (see
+    ``bounds.bound_terms``) it is p = (K2 - K0)/(K1 + K2), clamped to
+    [0, 1] (a clamp at 0 means Case I already exceeds Case II with no
+    cross-section help).
     """
-    params = BoundParams(a=a, r0=r0, p=0.0, lam=lam)
-    derived = bounds.derive_params(params, convention)
-    k0, k1, _, _ = bounds._case_i_terms(params, convention, derived)
-    _, c_r1m1 = bounds._case_ii_from_derived(a, 0.0, derived)
-    k2 = 0.25 * c_r1m1
-    denom = k1 + k2
-    if denom <= 0.0:
-        raise CaseIIInfeasible("degenerate balance: K1 + K2 <= 0")
-    p = min(1.0, max(0.0, (k2 - k0) / denom))
-    value = min(k0 + p * k1, (1.0 - p) * k2)
-    return min(value, a / (2.0 * math.pi)), value, p
+    terms = bounds.bound_terms(BoundParams(a=a, r0=r0, p=0.0, lam=lam), convention)
+    # K1 + K2 > 0: K2 = c/4 > 0, and K1 >= 0 up to rounding far smaller than K2
+    p = min(1.0, max(0.0, (terms.k2 - terms.k0) / (terms.k1 + terms.k2)))
+    value = min(terms.split(p))
+    return min(value, terms.half_a), value, p
 
 
 def optimize(
@@ -94,13 +93,15 @@ def optimize(
     strict best.  It then refines coordinate-by-coordinate until a full
     pass improves the objective by less than 1e-9.  Infeasible points
     (Case II undefined) are skipped; if every corner is infeasible,
-    EmptyFeasibleSet is raised.
+    EmptyFeasibleSet is raised.  A point outside the bound's domain (an
+    unknown convention, lambda outside [0, 1], r0 < 0.15) is an input
+    error: its DomainError propagates.
     """
 
     def evaluate(a, r0, lam):
         try:
             return _balanced_point(a, r0, lam, convention)
-        except (CaseIIInfeasible, DomainError):
+        except CaseIIInfeasible:
             return None
 
     def ends(interval):
@@ -183,26 +184,22 @@ def refine_iterative(
 ) -> list[float]:
     """Iteratively recycle the Case I bound as an inner-area bound.
 
-    Shrinking the whole Case I configuration from the disk of radius r1
-    into the disk of radius a scales its area bound by (a/r1)^2; feeding
-    that inner bound back through the inner/outer combination at r0 adds
-    (1 - f(r0)/(2 r0^2)) * (a/r1)^2 * case_i to Case I.  The resulting
-    sequence of global bounds is monotone nondecreasing and contracts
-    geometrically; iteration stops after ``max_iter`` steps or when the
-    increment drops below ``tol``.
+    Each step adds q times the previous Case I value to Case I at the
+    split p, with the ratio q of ``bounds.BoundTerms``, and appends the
+    new minimum of the three terms.  The sequence is monotone nondecreasing and contracts
+    geometrically; iteration stops after ``max_iter`` steps (an integer
+    >= 0) or when the increment drops below ``tol`` (a number >= 0).
     """
-    if max_iter < 0:
-        raise DomainError(f"max_iter must be >= 0, got {max_iter}")
-    breakdown = bounds.theorem_bound(start, convention=convention)
-    derived = bounds.derive_params(start, convention)
-    shrink = (start.a / derived.r1) ** 2
-    coeff = max(0.0, 1.0 - breakdown.f_r0 / (2.0 * start.r0 * start.r0))
-    values = [breakdown.final]
-    case_i = breakdown.case_i
-    base_case_i = breakdown.case_i
+    max_iter = as_integer(max_iter, "max_iter", lo=0)
+    if not tol >= 0.0:
+        raise DomainError(f"tol must be >= 0, got {tol}")
+    terms = bounds.bound_terms(start, convention)
+    base_case_i, case_ii = terms.split(start.p)
+    values = [min(base_case_i, case_ii, terms.half_a)]
+    case_i = base_case_i
     for _ in range(max_iter):
-        case_i = base_case_i + coeff * shrink * case_i
-        values.append(min(case_i, breakdown.case_ii, breakdown.half_a))
+        case_i = base_case_i + terms.q * case_i
+        values.append(min(case_i, case_ii, terms.half_a))
         if values[-1] - values[-2] < tol:
             break
     return values

@@ -4,16 +4,16 @@ kink-split adaptive rule), and the breakdown contracts."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
-from kakeya import bounds
+from kakeya import bounds, optimizer
 from kakeya.bounds import (
     BoundParams,
-    DerivedParams,
     RLAMBDA_PAPER_LITERAL,
     RLAMBDA_REPRODUCING,
     THEOREM_DEFAULTS,
@@ -351,6 +351,19 @@ def test_argmax_branch_matches_the_first_maximum_reference():
     assert bounds._argmax_branch(r, derived) == 0
 
 
+def test_active_g_branch_names_the_largest_branch():
+    derived = bounds.derive_params(THEOREM_DEFAULTS)
+    formulas = ("(1+2r)/(1-2r)", "(1+2r_lambda)/(1-2r_lambda)", "pi/(pi/2-atan(2r))")
+    for r in (1e-9, 0.1, derived.r_lambda, 0.23, bounds.R_STAR, 0.3, 0.5 - 1e-9):
+        assert bounds.active_g_branch(r, derived) == formulas[bounds._argmax_branch(r, derived)]
+    assert [bounds.active_g_branch(r, derived) for r in (0.1, 0.23, 0.3)] == [
+        formulas[1], formulas[2], formulas[0]
+    ]
+    for r in (0.0, 0.5, math.nan):
+        with pytest.raises(DomainError):
+            bounds.active_g_branch(r, derived)
+
+
 def test_g_branch_kinks_located_by_bisection():
     kinks = bounds.g_branch_kinks(THEOREM_DEFAULTS)
     assert len(kinks) == 2
@@ -404,11 +417,41 @@ def test_case_ii_bound_reproduces_the_published_coefficient():
 
 
 def test_case_ii_infeasibility_is_a_typed_error():
-    derived = DerivedParams(
-        r_lambda=0.06, delta1=0.02, r1=1.01, g_mid=2.0, case_ii_feasible=False
-    )
+    # In exact arithmetic r1 - 1 > sqrt(3)*a at every valid point; rounding
+    # still reaches the error: under paper-literal with lambda = 1,
+    # r_lambda = a, and for a <= 1e-17 r1 rounds to exactly 1.
+    params = BoundParams(a=1e-200, r0=0.25, p=0.5, lam=1.0)
+    derived = bounds.derive_params(params, RLAMBDA_PAPER_LITERAL)
+    assert derived.r1 == 1.0 and not derived.case_ii_feasible
+    with pytest.raises(CaseIIInfeasible, match="r1 - 1 = 0.0 <= a"):
+        bounds.theorem_bound(params, convention=RLAMBDA_PAPER_LITERAL)
     with pytest.raises(CaseIIInfeasible):
-        bounds._case_ii_from_derived(0.05, 0.5, derived)
+        optimizer._balanced_point(params.a, params.r0, params.lam, RLAMBDA_PAPER_LITERAL)
+
+
+def test_bound_terms_feed_the_breakdown_bit_for_bit():
+    rnd = random.Random(98)
+    for convention in (RLAMBDA_REPRODUCING, RLAMBDA_PAPER_LITERAL):
+        for _ in range(200):
+            a = rnd.uniform(0.01, 0.12)
+            params = BoundParams(a=a, r0=rnd.uniform(0.15, 0.49), p=rnd.random(), lam=rnd.random())
+            try:
+                terms = bounds.bound_terms(params, convention)
+            except CaseIIInfeasible:
+                continue
+            bb = bounds.theorem_bound(params, convention=convention)
+            derived = bounds.derive_params(params, convention)
+            inner = 1.0 - bb.f_r0 / (2.0 * params.r0 ** 2)
+            # the formulas as theorem_bound wrote them before the record
+            assert bb.case_i == terms.k0 + params.p * terms.k1
+            assert bb.case_ii == (1.0 - params.p) / 4.0 * bb.c_r1m1
+            assert (bb.case_i, bb.case_ii) == terms.split(params.p)
+            assert terms.k1 == inner / 3.0 * bb.integral_value
+            assert terms.half_a == bb.half_a == params.a / (2.0 * math.pi)
+            assert terms.q == inner * (params.a / derived.r1) ** 2
+            assert inner >= 0.18
+            # p is not read
+            assert bounds.bound_terms(dataclasses.replace(params, p=0.0), convention) == terms
 
 
 def test_paper_literal_convention_breaks_case_ii():

@@ -17,7 +17,7 @@ import pytest
 
 import kakeya
 from kakeya import cli, oracle
-from kakeya.errors import EmptyFeasibleSet
+from kakeya.errors import DomainError, EmptyFeasibleSet
 
 
 PARAM_KEYS = {"a", "r0", "p", "lambda"}
@@ -350,7 +350,7 @@ def test_verify_failure_exits_1(tmp_path, monkeypatch):
         id=oracle.CheckId.F_ARGMAX, samples=100, grid_spec="forced", max_violation=1.0,
         tolerance=0.0, passed=False, seed=7,
     )
-    monkeypatch.setattr(cli.oracle, "run_check", lambda *args, **kwargs: failing)
+    monkeypatch.setattr(cli.oracle, "run_checks", lambda *args, **kwargs: [failing])
     code = run_cli("verify", "--check", "FArgmax", "--output-dir", str(tmp_path))
     assert code == 1
 
@@ -375,6 +375,58 @@ def test_optimize_infeasibility_exits_3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.optimizer, "optimize", boom)
     assert run_cli("optimize", "--output-dir", str(tmp_path)) == 3
+
+
+@pytest.mark.parametrize("command", ["optimize", "bound"])
+def test_case_ii_infeasible_point_exits_3(command, tmp_path, capsys):
+    # r1 rounds to exactly 1 at this point, so r1 - 1 <= a
+    code = run_cli(command, "--a", "1e-200", "--r0", "0.25", "--lambda", "1",
+                   "--rlambda-convention", "paper-literal", "--output-dir", str(tmp_path))
+    assert code == 3
+    assert capsys.readouterr().err.startswith("infeasible: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["optimize", "bound"])
+def test_domain_errors_at_the_point_exit_2_not_3(command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rlambda-convention = reproduce\n")
+    out = tmp_path / "out"
+    preset = ("--preset", "sec41") if command == "optimize" else ()
+    assert run_cli(command, *preset, "--config", str(cfg), "--output-dir", str(out)) == 2
+    assert "unknown r_lambda convention: 'reproduce'" in capsys.readouterr().err
+    assert run_cli(command, "--a", "0.05", "--r0", "0.12", "--output-dir", str(out)) == 2
+    assert "r0 must be >= 0.15" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("words", [
+    ("f", "--steps", "1000000000000"),
+    ("g", "--steps", "1000001"),
+    ("final", "--a-from", "0.05", "--a-to", "0.07", "--a-steps", "1000000000000"),
+    ("final", "--a-from", "0.05", "--a-to", "0.07", "--a-steps", "1000",
+     "--r0-from", "0.23", "--r0-to", "0.26", "--r0-steps", "1001"),
+    ("final", "--a-from", "0.05", "--a-to", "0.07",
+     "--r0-from", "0.23", "--r0-to", "0.26", "--r0-steps", "1000000000000"),
+])
+def test_scan_point_cap_exits_2_before_evaluating(words, tmp_path, monkeypatch, capsys):
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated a point")
+
+    for name in ("exterior_area_rate", "direction_ratio_cap", "theorem_bound"):
+        monkeypatch.setattr(cli.bounds, name, no_evaluation)
+    out = tmp_path / "out"
+    assert run_cli("scan", *words, "--output-dir", str(out)) == 2
+    assert f"at most {cli.MAX_SCAN_POINTS} points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scan_point_cap_admits_the_limit():
+    assert cli.MAX_SCAN_POINTS == 10**6
+    assert len(cli._grid(0.0, 1.0, cli.MAX_SCAN_POINTS, "r")) == cli.MAX_SCAN_POINTS
+    assert len(cli._grid(0.0, 1.0, 1000, "r0", rows=1000)) == 1000
+    with pytest.raises(DomainError):
+        cli._grid(0.0, 1.0, 1001, "r0", rows=1000)
 
 
 def test_optimize_point_box(tmp_path, capsys):

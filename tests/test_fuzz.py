@@ -1,13 +1,14 @@
 """Seeded fuzz test of the public numeric entry points.
 
-Each function of ``bounds``, ``geom``, ``oracle`` and ``rng`` that takes
-numbers is called with NaN, +-inf, +-0, a subnormal, negative and huge
+Each function of ``bounds``, ``geom``, ``optimizer``, ``oracle`` and ``rng``
+that takes numbers is called with NaN, +-inf, +-0, a subnormal, negative and huge
 arguments (and a few ordinary ones).  Every call must return only finite
 numbers or raise a KakeyaError; a NaN argument must always raise, and a
 finite ``geom.theta_isosceles`` angle must not be negative.  One- to
 three-argument functions see every combination of the values; wider ones
 see a seeded sample.  Sample counts are floats, which are rejected, or
-integers of at most 100, so no call starts heavy work.  ``rng.mix64``
+integers of at most 100, so no call starts heavy work; ``optimize`` sees
+point boxes only, which it settles in two evaluations.  ``rng.mix64``
 takes uint64 arrays only and is left out.
 """
 
@@ -22,7 +23,7 @@ import random
 import numpy as np
 import pytest
 
-from kakeya import bounds, geom, oracle, rng
+from kakeya import bounds, geom, optimizer, oracle, rng
 from kakeya.bounds import RLAMBDA_PAPER_LITERAL, RLAMBDA_REPRODUCING, BoundParams, THEOREM_DEFAULTS
 from kakeya.errors import KakeyaError
 
@@ -60,6 +61,14 @@ ENTRY_POINTS = {
         ],
         (VALUES,) * 4,
     ),
+    "active_g_branch": (lambda r: bounds.active_g_branch(r, DERIVED), (VALUES,)),
+    "bound_terms": (
+        lambda a, r0, p, lam: [
+            bounds.bound_terms(BoundParams(a, r0, p, lam), convention)
+            for convention in (RLAMBDA_REPRODUCING, RLAMBDA_PAPER_LITERAL)
+        ],
+        (VALUES,) * 4,
+    ),
     "theorem_bound": (
         lambda a, r0, p, lam: bounds.theorem_bound(BoundParams(a, r0, p, lam)), (VALUES,) * 4
     ),
@@ -84,6 +93,18 @@ ENTRY_POINTS = {
     "outside_distance_cap": (geom.outside_distance_cap, (VALUES, VALUES)),
     "angular_gap": (geom.angular_gap, (VALUES, VALUES)),
     "exterior_disjoint_criterion": (geom.exterior_disjoint_criterion, (VALUES,) * 5),
+    # optimizer
+    "SearchBox": (
+        lambda a0, a1, r0, r1, lam0, lam1: optimizer.SearchBox((a0, a1), (r0, r1), (lam0, lam1)),
+        (VALUES,) * 6,
+    ),
+    "optimize(point box)": (
+        lambda a, r0, lam: optimizer.optimize(optimizer.SearchBox((a, a), (r0, r0), (lam, lam))),
+        (VALUES,) * 3,
+    ),
+    "refine_iterative": (
+        lambda n, tol: optimizer.refine_iterative(THEOREM_DEFAULTS, n, tol), (COUNTS, VALUES)
+    ),
     # oracle
     "run_check(samples)": (
         lambda n: [oracle.run_check(check, samples=n) for check in oracle.CheckId], (COUNTS,)

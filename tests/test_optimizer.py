@@ -172,6 +172,24 @@ def test_optimize_raises_on_empty_feasible_set(monkeypatch):
         optimizer.optimize(box)
 
 
+def test_optimize_domain_errors_propagate():
+    # an input outside the bound's domain is a usage error, not an
+    # infeasible point: it must not turn into EmptyFeasibleSet
+    with pytest.raises(DomainError, match="unknown r_lambda convention"):
+        optimizer.optimize(TEST_BOX, "typo")
+    with pytest.raises(DomainError, match="lambda must lie in"):
+        optimizer.optimize(SearchBox(a=(0.06, 0.066), r0=(0.22, 0.24), lam=(1.1, 1.2)))
+    with pytest.raises(DomainError, match="r0 must be >= 0.15"):
+        optimizer.optimize(SearchBox(a=(0.05, 0.05), r0=(0.12, 0.12), lam=(0.9, 0.9)))
+
+
+def test_optimize_on_a_case_ii_infeasible_point_is_an_empty_feasible_set():
+    # r1 rounds to exactly 1 here (see test_case_ii_infeasibility_is_a_typed_error)
+    box = SearchBox(a=(1e-200, 1e-200), r0=(0.25, 0.25), lam=(1.0, 1.0))
+    with pytest.raises(EmptyFeasibleSet):
+        optimizer.optimize(box, RLAMBDA_PAPER_LITERAL)
+
+
 def test_search_box_validation():
     with pytest.raises(DomainError):
         SearchBox(a=(0.2, 0.3), r0=(0.25, 0.3), lam=(0.5, 0.6))
@@ -193,6 +211,32 @@ def test_refine_iterative_contracts():
     assert all(later <= earlier + 1e-15 for earlier, later in zip(increments, increments[1:]))
     with pytest.raises(DomainError):
         optimizer.refine_iterative(start, -1)
+
+
+@pytest.mark.parametrize("max_iter, tol", [
+    (1.5, 1e-9), ("3", 1e-9), (None, 1e-9), (-1, 1e-9),
+    (3, math.nan), (3, -1e-9), (3, -math.inf),
+])
+def test_refine_iterative_rejects_bad_inputs(max_iter, tol):
+    with pytest.raises(DomainError):
+        optimizer.refine_iterative(THEOREM_DEFAULTS, max_iter, tol)
+
+
+def test_refine_iterative_reads_one_term_record(monkeypatch):
+    expected = optimizer.refine_iterative(THEOREM_DEFAULTS, 10)
+    calls = {"derive_params": 0, "case_i_integral": 0, "theorem_bound": 0}
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for key in calls:
+        monkeypatch.setattr(bounds, key, counted(key, getattr(bounds, key)))
+    assert optimizer.refine_iterative(THEOREM_DEFAULTS, 10) == expected
+    assert calls == {"derive_params": 1, "case_i_integral": 1, "theorem_bound": 0}
 
 
 def test_refine_iterative_stops_when_converged():

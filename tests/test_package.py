@@ -1,7 +1,9 @@
-"""Package-surface tests: the exported names and the runtime dependencies."""
+"""Package-surface tests: the exported names, the module boundaries and the
+runtime dependencies."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import os
@@ -50,6 +52,42 @@ def test_removed_names_are_gone(name):
 def test_removed_members_are_gone():
     assert not hasattr(geom.Arc, "length")
     assert "tolerance" not in inspect.signature(oracle.run_check).parameters
+
+
+# The one private name a module may read from another: the single copy of
+# f(r), kept in geom on purpose (bounds.exterior_area_rate checks its domain
+# and returns it).
+ALLOWED_PRIVATE_READS = {("bounds", "geom", "_flat_exterior_rate")}
+
+
+def _private_reads(path: Path, package: set[str]):
+    """(module, name) for every ``_name`` the file reads from another package module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = {}  # local name -> package module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "kakeya"):
+            for alias in node.names:
+                if node.module in (None, "kakeya") and alias.name in package:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    yield (node.module or "kakeya").rsplit(".", 1)[-1], alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            yield aliases[node.value.id], node.attr
+
+
+def test_no_module_reads_another_modules_private_names():
+    src = Path(kakeya.__file__).parent
+    package = {path.stem for path in src.glob("*.py")}
+    reads = {
+        (path.stem, module, name)
+        for path in sorted(src.glob("*.py"))
+        for module, name in _private_reads(path, package)
+        if module != path.stem
+    }
+    assert reads == ALLOWED_PRIVATE_READS
 
 
 def test_runtime_needs_numpy_but_not_mpmath_or_pytest():

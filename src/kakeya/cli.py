@@ -488,7 +488,7 @@ def _grid(lo: float, hi: float, steps: int, name: str, rows: int = 1) -> list[fl
 def _scan_range(args, steps, domain_lo, domain_hi, what) -> list[float]:
     lo = args.r_from if args.r_from is not None else domain_lo
     hi = args.r_to if args.r_to is not None else domain_hi
-    if not (domain_lo <= lo < hi <= domain_hi):
+    if not all(domain_lo <= end <= domain_hi for end in (lo, hi)):
         raise DomainError(
             f"scan range [{lo}, {hi}] outside the domain [{domain_lo}, {domain_hi}] of {what}"
         )

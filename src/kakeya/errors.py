@@ -27,12 +27,14 @@ class WorkerLost(KakeyaError):
     """A worker process ended without returning its result (killed, say, for memory)."""
 
 
-def as_integer(value, name: str, lo: int | None = None) -> int:
-    """``value`` as a Python int, or DomainError if it is not an integer >= lo."""
+def as_integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as a Python int, or DomainError if it is not an integer in [lo, hi]."""
     try:
         out = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
     if lo is not None and out < lo:
         raise DomainError(f"{name} must be >= {lo}, got {out}")
+    if hi is not None and out > hi:
+        raise DomainError(f"{name} must be <= {hi}, got {out}")
     return out

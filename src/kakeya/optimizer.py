@@ -188,7 +188,8 @@ def refine_iterative(
     split p, with the ratio q of ``bounds.BoundTerms``, and appends the
     new minimum of the three terms.  The sequence is monotone nondecreasing and contracts
     geometrically; iteration stops after ``max_iter`` steps (an integer
-    >= 0) or when the increment drops below ``tol`` (a number >= 0).
+    >= 0) or at the first increment <= ``tol`` (a number >= 0), so with
+    ``tol=0`` it stops once the sequence is pinned.
     """
     max_iter = as_integer(max_iter, "max_iter", lo=0)
     if not tol >= 0.0:
@@ -200,6 +201,6 @@ def refine_iterative(
     for _ in range(max_iter):
         case_i = base_case_i + terms.q * case_i
         values.append(min(case_i, case_ii, terms.half_a))
-        if values[-1] - values[-2] < tol:
+        if values[-1] - values[-2] <= tol:
             break
     return values

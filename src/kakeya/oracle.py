@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import math
 import os
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -395,71 +394,44 @@ def _check_f_argmax(samples, _rng):
 
 
 _TWO_PI = 2.0 * math.pi
-# Angles in "wrapped order", the order of a + 2pi if a < 0 else a: rank k
-# <= _PI_RANK is the float with bit pattern k, from 0.0 up to pi; rank
-# _PI_RANK + j is the j-th float from -pi up to the negative float nearest 0.
-_F64 = struct.Struct("<d")
-_I64 = struct.Struct("<q")
-_PI_RANK = _I64.unpack(_F64.pack(math.pi))[0]
-_LAST_RANK = 2 * _PI_RANK
 
 
-def _wrap(a):
-    """Angle in [0, 2pi) of an arctan2 output a in [-pi, pi]."""
-    return a + _TWO_PI if a < 0.0 else a
+def _first_wrapping_to(t):
+    """First negative raw angle a, counting up from -pi, with a + 2pi >= t.
 
-
-def _angle_at(rank):
-    if rank <= _PI_RANK:
-        return _F64.unpack(_I64.pack(rank))[0]
-    return -_F64.unpack(_I64.pack(_LAST_RANK + 1 - rank))[0]
-
-
-def _rank(a):
-    bits = _I64.unpack(_F64.pack(abs(a)))[0]
-    return bits if a >= 0.0 else _LAST_RANK + 1 - bits
-
-
-def _first_rank(ok, t):
-    """Smallest rank whose angle passes ``ok(_wrap(angle))``, or _LAST_RANK + 1.
-
-    _wrap is nondecreasing in rank, so the predicates used here, "wrapped
-    >= t" and "wrapped > t", hold on a final run of ranks.  The search
-    gallops out from the angle that wraps to about t to bracket the first
-    passing rank, then bisects over the bit patterns in the bracket.
+    For pi < t.  The rounded sum a + 2pi reaches t from the midpoint
+    between t and the float below it.  Both differences to 2pi are exact
+    (Sterbenz), so half their sum, rounded once, is the float nearest that
+    midpoint less 2pi: the edge or the float just below it.  The wrapped
+    angle is nondecreasing in a, so stepping up while the rounded sum
+    itself falls short lands on the edge exactly.  Past 2pi, where no
+    negative angle reaches t, the start is capped at 0.0, which is returned.
     """
-
-    def passes(rank):
-        return rank > _LAST_RANK or (rank >= 0 and ok(_wrap(_angle_at(rank))))
-
-    hi = _rank(t - _TWO_PI if t > math.pi else t)
-    lo, step = hi - 1, 1
-    while not passes(hi):
-        lo, hi, step = hi, hi + step, 2 * step
-    step = 1
-    while passes(lo):
-        lo, hi, step = lo - step, lo, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    a = min(0.5 * ((math.nextafter(t, 0.0) - _TWO_PI) + (t - _TWO_PI)), 0.0)
+    while a < 0.0 and a + _TWO_PI < t:
+        a = math.nextafter(a, math.inf)
+    return a
 
 
 def _raw_angle_range(start, stop):
-    """The arctan2 outputs a with start <= _wrap(a) <= stop, as (lo, hi, wraps).
+    """The arctan2 outputs a with start <= a + 2pi if a < 0 else a <= stop.
 
-    The set is the ranks [first, last]: raw angles lo <= a <= hi, or, when
-    it runs from the nonnegative angles into the negative ones, a >= lo or
-    a <= hi.  None when it is empty.
+    For 0 <= start, stop <= 2pi.  Returns (lo, hi, wraps): raw angles
+    lo <= a <= hi, or, when the set runs from the nonnegative angles into
+    the negative ones, a >= lo or a <= hi.  None when it is empty.  The
+    nonnegative angles wrap to themselves, so a start up to pi and a stop
+    below pi are their own thresholds.  The negative angles wrap into
+    [pi, 2pi] (-pi wraps to pi itself), so every other end bounds them.
     """
-    first = _first_rank(lambda w: w >= start, start)
-    last = _first_rank(lambda w: w > stop, stop) - 1
-    if first > last:
+    lo = start if start <= math.pi else _first_wrapping_to(start)
+    if stop < math.pi:
+        hi = stop
+    else:
+        hi = math.nextafter(_first_wrapping_to(math.nextafter(stop, math.inf)), -math.inf)
+    wraps = start <= math.pi <= stop
+    if start > stop or (lo > hi and not wraps):
         return None
-    return _angle_at(first), _angle_at(last), first <= _PI_RANK < last
+    return lo, hi, wraps
 
 
 def _in_raw_ranges(ang, ranges):

@@ -93,13 +93,15 @@ class CounterRng:
 
     ``seed`` selects the master sequence, ``stream`` a non-overlapping
     substream (substream bases are themselves SplitMix64 outputs of the
-    seed, offset by the stream index).  Instances keep only the counter
-    position as state; identical call sequences yield identical results.
+    seed, offset by the stream index).  Both are integers in [0, 2**64),
+    so (seed, stream, counter) names one draw; DomainError otherwise.
+    Instances keep only the counter position as state; identical call
+    sequences yield identical results.
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = as_integer(seed, "seed")
-        self.stream = as_integer(stream, "stream")
+        self.seed = as_integer(seed, "seed", lo=0, hi=_MASK)
+        self.stream = as_integer(stream, "stream", lo=0, hi=_MASK)
         # stream offset in exact integer arithmetic; numpy scalars would
         # warn on the wrapping multiply
         offset = (self.stream * _GOLDEN) & _MASK

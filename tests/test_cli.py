@@ -117,6 +117,9 @@ def test_scan_g_reports_branch_switches(tmp_path, capsys):
 
 def test_scan_domain_violation_exits_2(capsys):
     assert run_cli("scan", "f", "--from", "0.4", "--to", "0.7") == 2
+    assert run_cli("scan", "f", "--from", "-0.1", "--to", "0.2") == 2
+    assert run_cli("scan", "g", "--from", "0.6", "--to", "0.6") == 2
+    assert "outside the domain" in capsys.readouterr().err
 
 
 def test_scan_inverted_a_range_exits_2(tmp_path, capsys):
@@ -128,6 +131,21 @@ def test_scan_inverted_a_range_exits_2(tmp_path, capsys):
         assert code == 2
         assert f"inverted {axis} range [{lo}, {hi}]" in capsys.readouterr().err
         assert not (tmp_path / "scan_final.csv").exists()
+
+
+@pytest.mark.parametrize("fn", ["f", "g", "c"])
+def test_scan_r_range_follows_the_rule_of_the_a_and_r0_axes(tmp_path, capsys, fn):
+    code = run_cli("scan", fn, "--from", "0.3", "--to", "0.2", "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "inverted r range [0.3, 0.2]" in capsys.readouterr().err
+    assert not (tmp_path / f"scan_{fn}.csv").exists()
+    code = run_cli(
+        "scan", fn, "--from", "0.2", "--to", "0.2", "--steps", "7", "--output-dir", str(tmp_path)
+    )
+    assert code == 0
+    with (tmp_path / f"scan_{fn}.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 2 and rows[1][0] == "0.20000000000000001"
 
 
 def test_scan_equal_range_ends_give_one_point(tmp_path):
@@ -498,6 +516,21 @@ def test_scan_counts_below_two_exit_2(flag, tmp_path, capsys):
         )
         assert code == 2
         assert f"{flag} must be >= 2" in capsys.readouterr().err
+
+
+def test_seeds_outside_0_to_2_pow_64_exit_2(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    argv = ("verify", "--check", "CMin", "--samples", "100", "--output-dir", str(out))
+    for seed in ("-1", str(1 << 64), str((1 << 64) + 7)):
+        assert run_cli(*argv, "--seed", seed) == 2
+        monkeypatch.setenv("KAKEYA_SEED", seed)
+        assert run_cli(*argv) == 2
+        monkeypatch.delenv("KAKEYA_SEED")
+        assert "seed must be" in capsys.readouterr().err
+        assert not out.exists()
+    for seed in ("0", str((1 << 64) - 1)):
+        assert run_cli(*argv, "--seed", seed) == 0
+        assert json.loads((out / "verify.json").read_text())["seed"] == int(seed)
 
 
 @pytest.mark.parametrize("command", [

@@ -1,4 +1,4 @@
-"""Seeded fuzz test of the public numeric entry points.
+"""Seeded fuzz test of the public numeric entry points and of the CLI.
 
 Each function of ``bounds``, ``geom``, ``optimizer``, ``oracle`` and ``rng``
 that takes numbers is called with NaN, +-inf, +-0, a subnormal, negative and huge
@@ -10,6 +10,12 @@ see a seeded sample.  Sample counts are floats, which are rejected, or
 integers of at most 100, so no call starts heavy work; ``optimize`` sees
 point boxes only, which it settles in two evaluations.  ``rng.mix64``
 takes uint64 arrays only and is left out.
+
+Each numeric flag of each CLI mode, the same key in a config file, and
+KAKEYA_SEED get the same kinds of values as text, plus a non-number and
+an empty string; ``cli.main`` must return 0, 2 or 3 and raise nothing.
+verify runs CMin alone at 100 samples unless the samples are fuzzed, and
+no scan count lies between 10**4 and 10**6, so every run stays cheap.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import random
 import numpy as np
 import pytest
 
-from kakeya import bounds, geom, optimizer, oracle, rng
+from kakeya import bounds, cli, geom, optimizer, oracle, rng
 from kakeya.bounds import RLAMBDA_PAPER_LITERAL, RLAMBDA_REPRODUCING, BoundParams, THEOREM_DEFAULTS
 from kakeya.errors import KakeyaError
 
@@ -175,3 +181,54 @@ def test_entry_point_gives_finite_values_or_a_typed_error(name):
             elif not all(math.isfinite(x) for x in _numbers(got)):
                 bad.append((args, f"non-finite result {got!r}"))
     assert not bad, f"{len(bad)} bad calls, first ones: {bad[:5]}"
+
+
+CLI_VALUES = ("nan", "inf", "-inf", "0", "-0", "5e-324", "-1", "1e300", str(10**12), "one", "")
+# (command, mode, the numeric flags it reads) for every mode that reads one
+CLI_MODES = [
+    (command, mode, numeric)
+    for command, modes in cli._MODES.items() for mode, (reads, _) in modes.items()
+    if (numeric := sorted(f for f in reads if cli._FLAGS[f].get("type") in (int, float)))
+]
+
+
+def _mode_argv(command, mode, fuzzed):
+    """The argv of one mode, with verify cut to CMin at 100 samples."""
+    if command == "scan":
+        return ["scan", mode]
+    argv = [command] + ([] if mode is None else ["--preset", mode])
+    if command == "verify":
+        argv += ["--check", "CMin"] + ([] if fuzzed == "samples" else ["--samples", "100"])
+    return argv
+
+
+@pytest.mark.parametrize("command, mode, numeric", CLI_MODES,
+                         ids=[f"{c}-{m}" for c, m, _ in CLI_MODES])
+def test_cli_numeric_inputs_exit_0_2_or_3(command, mode, numeric, tmp_path, monkeypatch):
+    runs = []  # (argv, config line, KAKEYA_SEED)
+    for flag in numeric:
+        for value in CLI_VALUES:
+            # --flag=value hands "-inf" and "" to the flag's type, not to argparse
+            runs.append((_mode_argv(command, mode, flag) + [f"--{flag}={value}"], None, None))
+            if flag in cli._CONFIG_KEYS:
+                runs.append((_mode_argv(command, mode, None), f"{flag} = {value}", None))
+    if "seed" in numeric:
+        runs += [(_mode_argv(command, mode, None), None, value) for value in CLI_VALUES]
+    config = tmp_path / "fuzz.cfg"
+    bad = []
+    for argv, line, env_seed in runs:
+        if line is not None:
+            config.write_text(line + "\n")
+            argv = argv + ["--config", str(config)]
+        if env_seed is None:
+            monkeypatch.delenv("KAKEYA_SEED", raising=False)
+        else:
+            monkeypatch.setenv("KAKEYA_SEED", env_seed)
+        try:
+            code = cli.main(argv + ["--output-dir", str(tmp_path / "out")])
+        except Exception as exc:  # the CLI must map every error to an exit code
+            bad.append((argv, line, env_seed, f"{type(exc).__name__}: {exc}"))
+            continue
+        if code not in (0, 2, 3):
+            bad.append((argv, line, env_seed, code))
+    assert not bad, f"{len(bad)} bad runs, first ones: {bad[:5]}"

@@ -201,16 +201,20 @@ def test_search_box_validation():
         SearchBox(a=(0.0, 0.06), r0=(0.2, 0.25), lam=(0.5, 0.6))
 
 
+# a start where case_i is the active term, so the sequence rises
+CASE_I_START = BoundParams(a=0.0641, r0=0.25, p=0.5, lam=0.9)
+
+
 def test_refine_iterative_contracts():
-    start = THEOREM_DEFAULTS
-    assert optimizer.refine_iterative(start, 0) == [bounds.theorem_bound(start).final]
-    seq = optimizer.refine_iterative(start, 8, tol=0.0)
-    assert all(b >= a for a, b in zip(seq, seq[1:]))
-    assert all(v <= bounds.UPPER_BOUND_COEFF for v in seq)
-    increments = [b - a for a, b in zip(seq, seq[1:])]
-    assert all(later <= earlier + 1e-15 for earlier, later in zip(increments, increments[1:]))
+    for start in (THEOREM_DEFAULTS, CASE_I_START):
+        assert optimizer.refine_iterative(start, 0) == [bounds.theorem_bound(start).final]
+        seq = optimizer.refine_iterative(start, 8, tol=0.0)
+        assert all(b >= a for a, b in zip(seq, seq[1:]))
+        assert all(v <= bounds.UPPER_BOUND_COEFF for v in seq)
+        increments = [b - a for a, b in zip(seq, seq[1:])]
+        assert all(later <= earlier + 1e-15 for earlier, later in zip(increments, increments[1:]))
     with pytest.raises(DomainError):
-        optimizer.refine_iterative(start, -1)
+        optimizer.refine_iterative(THEOREM_DEFAULTS, -1)
 
 
 @pytest.mark.parametrize("max_iter, tol", [
@@ -243,4 +247,15 @@ def test_refine_iterative_stops_when_converged():
     seq = optimizer.refine_iterative(THEOREM_DEFAULTS, 50, tol=1e-9)
     assert len(seq) <= 51
     if len(seq) < 51:
-        assert seq[-1] - seq[-2] < 1e-9
+        assert seq[-1] - seq[-2] <= 1e-9
+
+
+def test_refine_iterative_with_zero_tol_stops_at_the_first_zero_increment():
+    # at the theorem point half_a or case_ii pins the sequence from the start
+    assert optimizer.refine_iterative(THEOREM_DEFAULTS, 1000, tol=0.0) == [
+        bounds.theorem_bound(THEOREM_DEFAULTS).final
+    ] * 2
+    # case_i rises until its increments round to 0
+    seq = optimizer.refine_iterative(CASE_I_START, 1000, tol=0.0)
+    assert len(seq) == 7
+    assert seq[-1] == seq[-2] and all(a < b for a, b in zip(seq[:-2], seq[1:-1]))

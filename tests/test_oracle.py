@@ -43,6 +43,14 @@ def test_rng_streams_and_seeds_differ():
     assert not np.array_equal(a, c)
 
 
+def test_rng_seed_and_stream_lie_in_0_to_2_pow_64():
+    # reducing them mod 2**64 would let two seeds name one stream
+    CounterRng((1 << 64) - 1, stream=(1 << 64) - 1).raw(1)
+    for seed, stream in ((-1, 0), (1 << 64, 0), (0, -1), (0, 1 << 64)):
+        with pytest.raises(DomainError):
+            CounterRng(seed, stream)
+
+
 # Words and doubles at (seed, stream, counter), recorded from the
 # allocating implementation of the generator; the in-place one must draw
 # the same bits.
@@ -371,7 +379,45 @@ THRESHOLD_SETS = [
     ([4.0], [4.0]),
     ([_below(4.0)], [_above(4.0)]),
     ([PI + 1e-15, 5.5], [5.5, TWO_PI - 1e-15]),
+    # ends at exactly 2pi, which every negative angle near 0 wraps to
+    ([TWO_PI], [TWO_PI]),
+    ([0.0], [TWO_PI]),
+    ([PI], [TWO_PI]),
+    ([1.0, 5.0], [2.0, TWO_PI]),
+    ([_below(TWO_PI)], [TWO_PI]),
+    # ends one float above pi, the first wrap of a negative angle past pi
+    ([_above(PI)], [_above(PI)]),
+    ([0.0], [_above(PI)]),
+    ([_above(PI)], [5.0]),
+    ([PI, _above(PI, 2)], [_above(PI), TWO_PI]),
+    # ends at and around 4.0, where the wrapped angles' float spacing doubles
+    ([_below(4.0, 2)], [4.0]),
+    ([4.0], [_above(4.0, 2)]),
+    ([_below(4.0)], [_below(4.0)]),
+    ([_above(4.0)], [_above(4.0)]),
+    ([3.0, _above(4.0)], [_below(4.0), 5.0]),
+    # ends within 1e-16 of 2pi, which round to 2pi, and ends a few floats below
+    ([TWO_PI - 1e-16], [TWO_PI + 1e-16]),
+    ([_below(TWO_PI, 3), _below(TWO_PI)], [_below(TWO_PI, 2), TWO_PI - 1e-16]),
 ]
+
+
+def _random_threshold_sets(n, seed):
+    """Seeded unions of 1 to 3 intervals on [0, 2pi]; about a quarter of
+    the ends are moved to within 3 floats of pi, 4.0 or 2pi."""
+    gen = np.random.default_rng(seed)
+    sets = []
+    for _ in range(n):
+        ends = gen.uniform(0.0, TWO_PI, 2 * int(gen.integers(1, 4)))
+        for i in np.flatnonzero(gen.random(ends.size) < 0.25):
+            x, k = (PI, 4.0, TWO_PI)[gen.integers(3)], int(gen.integers(-3, 4))
+            ends[i] = min(_above(x, k) if k > 0 else _below(x, -k), TWO_PI)
+        ends.sort()
+        sets.append((list(ends[0::2]), list(ends[1::2])))
+    return sets
+
+
+THRESHOLD_SETS += _random_threshold_sets(200, seed=7)
 
 
 def _wrapped_reference_mask(ang, starts, stops):

@@ -90,71 +90,45 @@ def test_no_module_reads_another_modules_private_names():
     assert reads == ALLOWED_PRIVATE_READS
 
 
-def test_runtime_needs_numpy_but_not_mpmath_or_pytest():
+def _child_words(code):
+    """The words ``python -c code`` prints, run in a child interpreter."""
     # the child imports the same package as this process, installed or not
     src = str(Path(kakeya.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = (
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_runtime_needs_numpy_but_not_mpmath_or_pytest():
+    assert _child_words(
         "import sys, kakeya, kakeya.cli; "
         "print(' '.join(m for m in ('mpmath', 'pytest', 'numpy') if m in sys.modules))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["numpy"]
-
-
-def test_importing_the_package_does_not_load_the_thread_pool():
-    # SectorMeasure imports concurrent.futures when it runs; every command
-    # that runs no check must not pay for that import at startup
-    src = str(Path(kakeya.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = "import sys, kakeya, kakeya.cli; print('concurrent.futures' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    ) == ["numpy"]
 
 
 def test_importing_the_package_does_not_load_a_process_pool():
     # run_checks imports multiprocessing when it starts a pool; every
     # command that runs no check, and a single check, must not pay for it
-    src = str(Path(kakeya.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = (
+    assert _child_words(
         "import sys, kakeya, kakeya.cli; from kakeya import oracle; "
         "oracle.run_check(oracle.CheckId.C_MIN, samples=100); "
         "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    ) == []
 
 
 def test_the_draw_table_is_built_on_first_use_and_only_as_large_as_used():
     # verify's parent process draws only SectorMeasure's set parameters, a
     # few words at a time; the full table belongs to the workers' draws
-    src = str(Path(kakeya.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = (
+    built, after_sets, after_block = _child_words(
         "import kakeya, kakeya.cli; from kakeya import oracle, rng; "
         "print(rng._golden_steps is None); "
         "oracle._sector_sets(rng.CounterRng(7, 8)); print(len(rng._golden_steps)); "
         "rng.CounterRng(7).uniforms(10**5); print(len(rng._golden_steps))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
-    built, after_sets, after_block = proc.stdout.split()
     assert built == "True"
     assert int(after_sets) <= 8
     assert int(after_block) == 1 << 14

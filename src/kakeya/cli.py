@@ -8,6 +8,7 @@ field names, static SVG 1.1 plots) are byte-identical across runs for
 identical configuration and seed.
 Each run has a mode, its preset or scan function: ``_MODES`` gives the flags
 each mode reads and the files it can write; any other flag or format is an error.
+``_FLAGS`` gives each flag's default and integer limits.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from .bounds import (
     BoundParams,
     THEOREM_DEFAULTS,
 )
-from .errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet, WorkerLost
+from .errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet, WorkerLost, as_integer
 from .optimizer import SearchBox
 from .oracle import DEFAULT_SEED, CheckId
 
-__all__ = ["Config", "OutputTable", "main"]
+__all__ = ["OutputTable", "main"]
 
 # The sec41 preset searches the parameter intervals published with the
 # refined optimum; wider boxes admit slightly larger objective values at
@@ -44,17 +45,24 @@ _SEC41_BOX = dict(
     lam=(0.90696, 0.90697),
 )
 
-# Every flag but --preset and --config, by long name.
+# Every flag but --preset and --config, by long name.  Besides argparse's
+# keys, an entry may give the flag's ``default``, the integer limits ``lo``
+# and ``hi``, and the environment variable ``env`` read after a config file.
 _FLAGS = {
-    "a": dict(type=float, help="needle-height cap, in (0, 1/2)"),
-    "r0": dict(type=float, help="cutoff radius, in (a, 1/2)"),
-    "p": dict(type=float, help="direction-proportion split, in [0, 1]"),
-    "lambda": dict(dest="lam", type=float, help="interpolation weight for r_lambda, in [0, 1]"),
-    "seed": dict(type=int, help="master seed (default: KAKEYA_SEED env var, else 7)"),
-    "rlambda-convention": dict(choices=(RLAMBDA_REPRODUCING, RLAMBDA_PAPER_LITERAL)),
-    "output-dir": dict(type=str),
+    "a": dict(type=float, default=THEOREM_DEFAULTS.a, help="needle-height cap, in (0, 1/2)"),
+    "r0": dict(type=float, default=THEOREM_DEFAULTS.r0, help="cutoff radius, in (a, 1/2)"),
+    "p": dict(type=float, default=THEOREM_DEFAULTS.p,
+              help="direction-proportion split, in [0, 1]"),
+    "lambda": dict(dest="lam", type=float, default=THEOREM_DEFAULTS.lam,
+                   help="interpolation weight for r_lambda, in [0, 1]"),
+    "seed": dict(type=int, default=DEFAULT_SEED, env="KAKEYA_SEED",
+                 help="master seed (default: KAKEYA_SEED env var, else 7)"),
+    "rlambda-convention": dict(choices=(RLAMBDA_REPRODUCING, RLAMBDA_PAPER_LITERAL),
+                               default=RLAMBDA_REPRODUCING),
+    "output-dir": dict(type=Path, default=Path(".")),
     "emit": dict(type=str, help="comma list of the formats this mode writes"),
-    "digits": dict(type=int, help="significant digits for printed numbers"),
+    "digits": dict(type=int, default=6, lo=1, hi=17,
+                   help="significant digits for printed numbers, 1 to 17"),
     "refine": dict(type=int, metavar="N",
                    help="append N steps of the iterative inner-bound refinement"),
     "all": dict(action="store_true", help="run every check"),
@@ -64,14 +72,17 @@ _FLAGS = {
                                    f"(100 to {oracle.MAX_SAMPLES})"),
     "from": dict(dest="r_from", type=float),
     "to": dict(dest="r_to", type=float),
-    "steps": dict(type=int, help="default 100"),
+    "steps": dict(type=int, default=100, lo=2, help="default 100"),
     "a-from": dict(type=float),
     "a-to": dict(type=float),
-    "a-steps": dict(type=int, help="default 50"),
+    # the a and r0 counts default to 50 in _cmd_scan, which must tell a
+    # given count from a default one
+    "a-steps": dict(type=int, lo=2, help="default 50"),
     "r0-from": dict(type=float),
     "r0-to": dict(type=float),
-    "r0-steps": dict(type=int, help="default 50"),
+    "r0-steps": dict(type=int, lo=2, help="default 50"),
 }
+_TABLE_ONLY = ("default", "lo", "hi", "env")
 # A scan evaluates at most this many points (a-steps x r0-steps for a scan
 # over (a, r0)); a larger request is a DomainError before any evaluation.
 MAX_SCAN_POINTS = 10**6
@@ -119,26 +130,6 @@ _PRESETS = {"bound": tuple(_MODES["bound"]), "optimize": tuple(_MODES["optimize"
 
 def _dest(flag: str) -> str:
     return _FLAGS[flag].get("dest", flag.replace("-", "_"))
-
-
-@dataclass(frozen=True)
-class Config:
-    """Resolved run configuration (flags override config-file values).
-
-    A field is None when the run's mode (see ``_MODES``) reads none of
-    its flags; parameters the mode does not read keep their theorem values.
-    ``a`` is set instead of ``params`` for scan c, which reads a alone:
-    c(r, a) is defined for every a > 0, so no r0 may cap it.
-    """
-
-    params: BoundParams | None
-    a: float | None
-    rlambda_convention: str | None
-    seed: int | None
-    output_dir: Path
-    emit: frozenset[str] | None
-    digits: int | None
-    preset: str | None
 
 
 @dataclass(frozen=True)
@@ -194,7 +185,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("function", choices=tuple(_MODES["scan"]))
         for flag, spec in _FLAGS.items():
             if any(flag in reads for reads, _ in _MODES[name].values()):
-                p.add_argument(f"--{flag}", default=None, **spec)
+                # default None tells a given flag from an absent one
+                argparse_keys = {k: v for k, v in spec.items() if k not in _TABLE_ONLY}
+                p.add_argument(f"--{flag}", **argparse_keys, default=None)
         if _PRESETS[name]:
             p.add_argument("--preset", choices=_PRESETS[name], default=None)
         p.add_argument("--config", type=str, default=None, help="flat key = value config file")
@@ -216,7 +209,35 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve_config(args) -> Config:
+def _from_text(flag: str, text: str, name: str):
+    """A config-file or environment value of ``flag``, converted and checked like the flag.
+
+    ``name`` says where the text came from; a value that does not convert
+    or lies outside the flag's limits is a DomainError naming it.
+    """
+    spec = _FLAGS[flag]
+    kind = spec.get("type", str)
+    try:
+        value = kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise DomainError(f"{name} must be {what}, got {text!r}") from None
+    if kind is int:
+        as_integer(value, name, spec.get("lo"), spec.get("hi"))
+    return value
+
+
+def _resolve_config(args) -> argparse.Namespace:
+    """The run's one namespace of options.
+
+    Each flag's value comes from the command line, else the config file
+    (which the theorem preset ignores for the parameter point), else the
+    flag's ``env`` variable, else its ``_FLAGS`` default; it is None when
+    the mode (see ``_MODES``) does not read the flag.  The namespace also
+    holds ``command``, ``function`` (scan's), ``preset`` and ``params``, the
+    BoundParams of a mode that reads r0, else None: scan c reads a alone,
+    since no r0 caps c(r, a).
+    """
     fileconf = _load_config_file(args.config) if args.config else {}
     # verify has no --preset flag, but a config file may still name one
     preset = getattr(args, "preset", None) or fileconf.get("preset")
@@ -224,66 +245,44 @@ def _resolve_config(args) -> Config:
         if not any(preset in names for names in _PRESETS.values()):
             raise DomainError(f"unknown preset {preset!r}")
         raise DomainError(f"preset {preset!r} does not apply to {args.command}")
-    scan = args.command == "scan"
-    mode = args.function if scan else preset or next(iter(_MODES[args.command]))
-    where = f"scan {mode}" if scan else f"preset {preset}" if preset else args.command
+    function = getattr(args, "function", None)
+    mode = function or preset or next(iter(_MODES[args.command]))
+    where = f"scan {mode}" if function else f"preset {preset}" if preset else args.command
     reads, formats = _MODES[args.command][mode]
-    for flag in _FLAGS:
+    if preset == "theorem":  # the preset fixes the parameter point; flags still win
+        fileconf = {key: value for key, value in fileconf.items() if key not in _PARAMS}
+    ns = argparse.Namespace(command=args.command, function=function, preset=preset, params=None)
+    for flag, spec in _FLAGS.items():
         value = getattr(args, _dest(flag), None)
-        if flag.endswith("steps") and value is not None and value < 2:
-            raise DomainError(f"--{flag} must be >= 2, got {value}")
-        if value is not None and flag not in reads:
-            raise DomainError(f"--{flag} does not apply to {where}")
-
-    def pick(flag, default, conf=fileconf):
-        """The flag's value, else the file's, else ``default``; None if unread."""
-        if flag not in reads:
-            return None
-        flag_value = getattr(args, _dest(flag))
-        if flag_value is not None:
-            return flag_value
-        if flag in conf:
-            return _FLAGS[flag].get("type", str)(conf[flag])
-        return default
-
-    params = a = None
-    if "a" in reads:
-        # the theorem preset fixes the parameter point; explicit flags still win
-        conf = {} if preset == "theorem" else fileconf
-        given = {_dest(flag): pick(flag, None, conf) for flag in _PARAMS}
-        if "r0" in reads:
-            params = replace(THEOREM_DEFAULTS, **{k: v for k, v in given.items() if v is not None})
-        else:
-            a = THEOREM_DEFAULTS.a if given["a"] is None else given["a"]
-    seed = pick("seed", None)
-    if "seed" in reads and seed is None:
-        env_seed = os.environ.get("KAKEYA_SEED")
-        seed = int(env_seed) if env_seed else DEFAULT_SEED
-    emit = None
+        if value is not None:
+            if spec.get("type") is int:
+                as_integer(value, f"--{flag}", spec.get("lo"), spec.get("hi"))
+            if flag not in reads:
+                raise DomainError(f"--{flag} does not apply to {where}")
+        elif flag in reads:
+            env = spec.get("env")
+            if flag in fileconf:
+                value = _from_text(flag, fileconf[flag], f"{args.config}: {flag}")
+            elif env and os.environ.get(env):
+                value = _from_text(flag, os.environ[env], env)
+            else:
+                value = spec.get("default")
+        setattr(ns, _dest(flag), value)
+    if "r0" in reads:  # a parameter the mode does not read keeps its theorem value
+        given = {_dest(flag): getattr(ns, _dest(flag)) for flag in _PARAMS}
+        ns.params = replace(THEOREM_DEFAULTS, **{k: v for k, v in given.items() if v is not None})
     if formats:
-        emit_raw = pick("emit", ",".join(f for f in formats if f != "svg"))
-        emit = frozenset(tok.strip() for tok in emit_raw.split(",") if tok.strip())
-        bad = ",".join(sorted(emit - set(formats)))
+        emit = ns.emit if ns.emit is not None else ",".join(f for f in formats if f != "svg")
+        ns.emit = frozenset(tok.strip() for tok in emit.split(",") if tok.strip())
+        bad = ",".join(sorted(ns.emit - set(formats)))
         if bad:
             raise DomainError(f"{where} cannot emit {bad}; --emit takes {','.join(formats)}")
-    digits = pick("digits", 6)
-    if digits is not None and digits < 1:
-        raise DomainError(f"digits must be >= 1, got {digits}")
-    return Config(
-        params=params,
-        a=a,
-        rlambda_convention=pick("rlambda-convention", RLAMBDA_REPRODUCING),
-        seed=seed,
-        output_dir=Path(pick("output-dir", ".")),
-        emit=emit,
-        digits=digits,
-        preset=preset,
-    )
+    return ns
 
 
-def _write_json(cfg: Config, name: str, payload: dict) -> Path:
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.output_dir / name
+def _write_json(ns: argparse.Namespace, name: str, payload: dict) -> Path:
+    ns.output_dir.mkdir(parents=True, exist_ok=True)
+    path = ns.output_dir / name
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
@@ -358,16 +357,16 @@ def _write_svg(path: Path, xs, ys, x_label: str, y_label: str, title: str) -> No
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_bound(cfg: Config, args) -> int:
-    digits = cfg.digits
-    if cfg.preset == "cunningham":
+def _cmd_bound(ns: argparse.Namespace) -> int:
+    digits = ns.digits
+    if ns.preset == "cunningham":
         coeff = bounds.cunningham_bound()
         print("cunningham (direction set [0, pi), cutoff 1/6)")
         print(f"coefficient_of_pi = {coeff:.17g}")
         print(f"absolute_area = {coeff * math.pi:.17g}")
         print(f"equals 1/108 within {abs(coeff - 1.0 / 108.0):.3g}")
-        if "json" in cfg.emit:
-            path = _write_json(cfg, "bound.json", {
+        if "json" in ns.emit:
+            path = _write_json(ns, "bound.json", {
                 "preset": "cunningham",
                 "coefficient_of_pi": coeff,
                 "absolute_area": coeff * math.pi,
@@ -375,12 +374,12 @@ def _cmd_bound(cfg: Config, args) -> int:
             print(f"wrote {path}")
         return 0
 
-    params = cfg.params
-    breakdown = bounds.theorem_bound(params, convention=cfg.rlambda_convention)
-    derived = bounds.derive_params(params, cfg.rlambda_convention)
+    params = ns.params
+    breakdown = bounds.theorem_bound(params, convention=ns.rlambda_convention)
+    derived = bounds.derive_params(params, ns.rlambda_convention)
     print(
         f"a = {params.a:.{digits}g}  r0 = {params.r0:.{digits}g}  p = {params.p:.{digits}g}  "
-        f"lambda = {params.lam:.{digits}g}  convention = {cfg.rlambda_convention}"
+        f"lambda = {params.lam:.{digits}g}  convention = {ns.rlambda_convention}"
     )
     print(
         f"r_lambda = {derived.r_lambda:.{digits}g}  delta1 = {derived.delta1:.{digits}g}  "
@@ -399,35 +398,30 @@ def _cmd_bound(cfg: Config, args) -> int:
     print(table.render(digits))
     rel = ">=" if breakdown.final >= 1.0 / 98.0 else "<"
     print(f"final {rel} 1/98  ({breakdown.final:.17g} vs {1.0 / 98.0:.17g})")
-    if "csv" in cfg.emit:
-        table.write_csv(cfg.output_dir / "bound.csv")
-        print(f"wrote {cfg.output_dir / 'bound.csv'}")
-    if "json" in cfg.emit:
-        path = _write_json(cfg, "bound.json", {
+    if "csv" in ns.emit:
+        table.write_csv(ns.output_dir / "bound.csv")
+        print(f"wrote {ns.output_dir / 'bound.csv'}")
+    if "json" in ns.emit:
+        path = _write_json(ns, "bound.json", {
             "params": _params_json(params),
-            "convention": cfg.rlambda_convention,
+            "convention": ns.rlambda_convention,
             **asdict(breakdown),
         })
         print(f"wrote {path}")
     return 0
 
 
-def _cmd_optimize(cfg: Config, args) -> int:
-    if cfg.preset == "sec41":
+def _cmd_optimize(ns: argparse.Namespace) -> int:
+    if ns.preset == "sec41":
         box = SearchBox(**_SEC41_BOX)
     else:
         # no preset: collapse the box to the configured parameter point
-        params = cfg.params
-        box = SearchBox(
-            a=(params.a, params.a),
-            r0=(params.r0, params.r0),
-            lam=(params.lam, params.lam),
-        )
-    result = optimizer.optimize(box, cfg.rlambda_convention)
+        box = SearchBox(a=(ns.a, ns.a), r0=(ns.r0, ns.r0), lam=(ns.lam, ns.lam))
+    result = optimizer.optimize(box, ns.rlambda_convention)
     best = result.best
     print(
-        f"optimum: a = {best.a:.{cfg.digits}g}  r0 = {best.r0:.{cfg.digits}g}  "
-        f"p = {best.p:.{cfg.digits}g}  lambda = {best.lam:.{cfg.digits}g}"
+        f"optimum: a = {best.a:.{ns.digits}g}  r0 = {best.r0:.{ns.digits}g}  "
+        f"p = {best.p:.{ns.digits}g}  lambda = {best.lam:.{ns.digits}g}"
     )
     print(f"bound coefficient_of_pi = {result.breakdown.final:.17g}")
     payload = {
@@ -437,22 +431,20 @@ def _cmd_optimize(cfg: Config, args) -> int:
         "breakdown": asdict(result.breakdown),
         "trace": [{**_params_json(pt), "value": value} for pt, value in result.trace],
     }
-    if args.refine:
-        seq = optimizer.refine_iterative(
-            best, args.refine, convention=cfg.rlambda_convention
-        )
+    if ns.refine:
+        seq = optimizer.refine_iterative(best, ns.refine, convention=ns.rlambda_convention)
         payload["refine"] = seq
         print("refine sequence:", " ".join(f"{v:.12g}" for v in seq))
-    path = _write_json(cfg, "optimize.json", payload)
+    path = _write_json(ns, "optimize.json", payload)
     print(f"wrote {path}")
     return 0
 
 
-def _cmd_verify(cfg: Config, args) -> int:
-    if args.all and args.check:
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    if ns.all and ns.check:
         raise DomainError("--all and --check cannot be combined")
-    selected = [CheckId(name) for name in args.check or ()] or list(CheckId)
-    reports = oracle.run_checks(selected, samples=args.samples, seed=cfg.seed)
+    selected = [CheckId(name) for name in ns.check or ()] or list(CheckId)
+    reports = oracle.run_checks(selected, samples=ns.samples, seed=ns.seed)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         print(
@@ -460,8 +452,8 @@ def _cmd_verify(cfg: Config, args) -> int:
             f"(tolerance {rep.tolerance:.6g}, samples {rep.samples}, seed {rep.seed})"
         )
     all_pass = all(rep.passed for rep in reports)
-    path = _write_json(cfg, "verify.json", {
-        "seed": cfg.seed,
+    path = _write_json(ns, "verify.json", {
+        "seed": ns.seed,
         "all_pass": all_pass,
         "checks": [rep.as_dict() for rep in reports],
     })
@@ -485,64 +477,63 @@ def _grid(lo: float, hi: float, steps: int, name: str, rows: int = 1) -> list[fl
     return [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
 
 
-def _scan_range(args, steps, domain_lo, domain_hi, what) -> list[float]:
-    lo = args.r_from if args.r_from is not None else domain_lo
-    hi = args.r_to if args.r_to is not None else domain_hi
+def _scan_range(ns: argparse.Namespace, domain_lo, domain_hi, what) -> list[float]:
+    lo = ns.r_from if ns.r_from is not None else domain_lo
+    hi = ns.r_to if ns.r_to is not None else domain_hi
     if not all(domain_lo <= end <= domain_hi for end in (lo, hi)):
         raise DomainError(
             f"scan range [{lo}, {hi}] outside the domain [{domain_lo}, {domain_hi}] of {what}"
         )
-    return _grid(lo, hi, steps, "r")
+    return _grid(lo, hi, ns.steps, "r")
 
 
-def _cmd_scan(cfg: Config, args) -> int:
-    params = cfg.params
-    fn = args.function
-    steps = 100 if args.steps is None else args.steps
+def _cmd_scan(ns: argparse.Namespace) -> int:
+    params = ns.params
+    fn = ns.function
     caption = f"scan of {fn}"
     if fn == "f":
-        grid = _scan_range(args, steps, 0.0, 0.5, "the outer-area rate")
+        grid = _scan_range(ns, 0.0, 0.5, "the outer-area rate")
         table = OutputTable(
             columns=("r", "f"),
             rows=[(r, bounds.exterior_area_rate(r)) for r in grid],
             caption=caption,
         )
     elif fn == "c":
-        grid = _scan_range(args, steps, cfg.a, 4.0, "the needle-outside rate")
+        grid = _scan_range(ns, ns.a, 4.0, "the needle-outside rate")
         table = OutputTable(
             columns=("r", "c"),
-            rows=[(r, bounds.outside_area_rate(r, cfg.a)) for r in grid],
+            rows=[(r, bounds.outside_area_rate(r, ns.a)) for r in grid],
             caption=caption,
         )
     elif fn == "g":
-        derived = bounds.derive_params(params, cfg.rlambda_convention)
-        grid = _scan_range(args, steps, 1e-9, 0.5 - 1e-9, "the direction-ratio cap")
+        derived = bounds.derive_params(params, ns.rlambda_convention)
+        grid = _scan_range(ns, 1e-9, 0.5 - 1e-9, "the direction-ratio cap")
         rows = [
             (r, bounds.direction_ratio_cap(r, derived), bounds.active_g_branch(r, derived))
             for r in grid
         ]
         table = OutputTable(columns=("r", "g", "active_branch"), rows=rows, caption=caption)
-        for kink in bounds.g_branch_kinks(params, cfg.rlambda_convention, grid[0], grid[-1]):
+        for kink in bounds.g_branch_kinks(params, ns.rlambda_convention, grid[0], grid[-1]):
             print(f"branch switch at r = {kink:.12g}")
     else:
-        if args.a_steps is not None and args.a_from is None and args.a_to is None:
+        if ns.a_steps is not None and ns.a_from is None and ns.a_to is None:
             raise DomainError("--a-steps needs --a-from or --a-to")
-        a_lo = args.a_from if args.a_from is not None else params.a
-        a_hi = args.a_to if args.a_to is not None else params.a
-        a_grid = _grid(a_lo, a_hi, 50 if args.a_steps is None else args.a_steps, "a")
-        if (args.r0_from is None) != (args.r0_to is None):
+        a_lo = ns.a_from if ns.a_from is not None else params.a
+        a_hi = ns.a_to if ns.a_to is not None else params.a
+        a_grid = _grid(a_lo, a_hi, 50 if ns.a_steps is None else ns.a_steps, "a")
+        if (ns.r0_from is None) != (ns.r0_to is None):
             raise DomainError("--r0-from and --r0-to must be given together")
-        if args.r0_steps is not None and args.r0_from is None:
+        if ns.r0_steps is not None and ns.r0_from is None:
             raise DomainError("--r0-steps needs --r0-from and --r0-to")
 
         def value_at(a, r0):
             bp = BoundParams(a=a, r0=r0, p=params.p, lam=params.lam)
-            breakdown = bounds.theorem_bound(bp, convention=cfg.rlambda_convention)
+            breakdown = bounds.theorem_bound(bp, convention=ns.rlambda_convention)
             return getattr(breakdown, fn)
 
-        if args.r0_from is not None:
-            r0_steps = 50 if args.r0_steps is None else args.r0_steps
-            r0_grid = _grid(args.r0_from, args.r0_to, r0_steps, "r0", len(a_grid))
+        if ns.r0_from is not None:
+            r0_steps = 50 if ns.r0_steps is None else ns.r0_steps
+            r0_grid = _grid(ns.r0_from, ns.r0_to, r0_steps, "r0", len(a_grid))
             columns = ("a",) + tuple(f"r0={r0:.10g}" for r0 in r0_grid)
             rows = [tuple([a] + [value_at(a, r0) for r0 in r0_grid]) for a in a_grid]
             table = OutputTable(columns=columns, rows=rows, caption=f"{caption} over (a, r0)")
@@ -553,17 +544,17 @@ def _cmd_scan(cfg: Config, args) -> int:
                 caption=f"{caption} over a",
             )
 
-    if "svg" in cfg.emit and len(table.rows) < 2:
+    if "svg" in ns.emit and len(table.rows) < 2:
         raise DomainError(f"scan {fn} has one row; --emit svg needs a range of two or more points")
-    print(table.render(cfg.digits))
-    if "csv" in cfg.emit:
-        path = cfg.output_dir / f"scan_{fn}.csv"
+    print(table.render(ns.digits))
+    if "csv" in ns.emit:
+        path = ns.output_dir / f"scan_{fn}.csv"
         table.write_csv(path)
         print(f"wrote {path}")
-    if "svg" in cfg.emit:
+    if "svg" in ns.emit:
         xs = [row[0] for row in table.rows]
         ys = [row[1] for row in table.rows]
-        path = cfg.output_dir / f"scan_{fn}.svg"
+        path = ns.output_dir / f"scan_{fn}.svg"
         _write_svg(path, xs, ys, table.columns[0], table.columns[1], caption)
         print(f"wrote {path}")
     return 0
@@ -575,10 +566,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        cfg = _resolve_config(args)
+        ns = _resolve_config(args)
         run = {"bound": _cmd_bound, "optimize": _cmd_optimize, "verify": _cmd_verify,
-               "scan": _cmd_scan}[args.command]
-        return run(cfg, args)
+               "scan": _cmd_scan}[ns.command]
+        return run(ns)
     except (CaseIIInfeasible, EmptyFeasibleSet) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
@@ -586,9 +577,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:
-        # DomainError subclasses ValueError; plain ValueError also covers
-        # malformed numerics from config files or KAKEYA_SEED; OSError
-        # covers an unreadable --config or an unusable --output-dir
+        # DomainError subclasses ValueError; OSError covers an unreadable
+        # --config or an unusable --output-dir
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,6 @@ __all__ = [
     "NeedleTriangle",
     "Arc",
     "make_triangle",
-    "triangle_vertices",
     "exterior_area",
     "exterior_area_isosceles",
     "exterior_angle_ratio",
@@ -90,26 +89,6 @@ class Arc:
 # Triangle construction
 # ---------------------------------------------------------------------------
 
-def triangle_vertices(alpha: float, delta: float, t: float) -> tuple[Point, Point]:
-    """Endpoints (A, B) of the needle for the canonical triangle chart.
-
-    The supporting line lies at signed distance ``delta`` along the left
-    normal of the direction vector, so triangles at directions alpha and
-    alpha + pi are reflections of each other through O.  ``t`` may lie
-    outside [0, 1] here; the public constructor restricts it.  Non-finite
-    inputs raise DomainError.
-    """
-    if not (math.isfinite(alpha) and math.isfinite(delta) and math.isfinite(t)):
-        raise DomainError("triangle parameters must be finite")
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    # foot of the perpendicular is at delta * n with n = (-sin, cos)
-    fx, fy = -delta * sa, delta * ca
-    return (
-        Point(fx - t * ca, fy - t * sa),
-        Point(fx + (1.0 - t) * ca, fy + (1.0 - t) * sa),
-    )
-
-
 def make_triangle(alpha: float, delta: float, t: float) -> NeedleTriangle:
     """Build the needle triangle for direction alpha, height delta, foot t.
 
@@ -127,7 +106,12 @@ def make_triangle(alpha: float, delta: float, t: float) -> NeedleTriangle:
         alpha += math.pi
     if alpha >= math.pi:  # fmod can round up to pi for inputs just below a multiple
         alpha = 0.0
-    a, b = triangle_vertices(alpha, delta, t)
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    # the supporting line lies at distance delta along the left normal
+    # n = (-sin, cos) of the direction, so the foot is delta * n
+    fx, fy = -delta * sa, delta * ca
+    a = Point(fx - t * ca, fy - t * sa)
+    b = Point(fx + (1.0 - t) * ca, fy + (1.0 - t) * sa)
     return NeedleTriangle(alpha=alpha, delta=delta, t=t, vertices=(Point(0.0, 0.0), a, b))
 
 

@@ -265,16 +265,17 @@ def _h_fractions(n):
     )
 
 
+def _dip_below_flat_limit(r, fractions):
+    """How far the quotient at heights ``fractions * 3r/5`` dips below its delta -> 0 limit."""
+    limit = geom.exterior_angle_ratio(0.0, r)
+    return max(limit - geom.exterior_angle_ratio(frac * _H_CAP_RATIO * r, r) for frac in fractions)
+
+
 def _check_h_min_at_zero(samples, _rng):
     n_r = max(10, int(round(math.sqrt(samples))))
     n_d = max(10, samples // n_r)
-    r_grid = np.linspace(0.15, 0.5, n_r)
     fractions = _h_fractions(n_d)
-    worst = -math.inf
-    for r in r_grid:
-        limit = geom.exterior_angle_ratio(0.0, r)
-        for frac in fractions:
-            worst = max(worst, limit - geom.exterior_angle_ratio(frac * _H_CAP_RATIO * r, r))
+    worst = max(_dip_below_flat_limit(r, fractions) for r in np.linspace(0.15, 0.5, n_r))
     spec = (
         f"{n_r} r x {n_d} delta grid; r in [0.15, 0.5], "
         f"delta in (0, {_H_CAP_RATIO}*r]"
@@ -760,11 +761,7 @@ def find_h_threshold(lo: float, hi: float, tol: float) -> float:
     fractions = _h_fractions(_H_THRESHOLD_GRID)
 
     def min_at_zero(r: float) -> bool:
-        limit = geom.exterior_angle_ratio(0.0, r)
-        return all(
-            geom.exterior_angle_ratio(frac * _H_CAP_RATIO * r, r) >= limit - 1e-13
-            for frac in fractions
-        )
+        return _dip_below_flat_limit(r, fractions) <= 1e-13
 
     p_lo, p_hi = min_at_zero(lo), min_at_zero(hi)
     if p_lo == p_hi:

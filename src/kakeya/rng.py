@@ -75,8 +75,12 @@ def mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer applied elementwise to a uint64 array.
 
     Works in place: ``z`` is overwritten with the result, which is also
-    returned.
+    returned.  Anything but a writeable uint64 array of at least one
+    dimension is a DomainError.
     """
+    if not (isinstance(z, np.ndarray) and z.dtype == np.uint64 and z.ndim
+            and z.flags.writeable):
+        raise DomainError("mix64 takes a writeable uint64 array of at least one dimension")
     t = z >> _U64(30)
     z ^= t
     z *= _MIX1

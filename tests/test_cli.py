@@ -507,6 +507,19 @@ def test_digits_below_one_exit_2(tmp_path, capsys):
         assert "digits must be >= 1" in capsys.readouterr().err
 
 
+def test_digits_above_17_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("digits = 18\n")
+    # 2**31 - 1 digits once asked the float formatter for about 2 GB
+    for source in (("--digits", "18"), ("--digits", str(2**31 - 1)),
+                   ("--digits", str(10**12)), ("--config", str(cfg))):
+        assert run_cli("bound", *source, "--output-dir", str(out)) == 2
+        assert "digits must be <= 17" in capsys.readouterr().err
+        assert not out.exists()
+    assert run_cli("bound", "--digits", "17", "--output-dir", str(out)) == 0
+
+
 @pytest.mark.parametrize("flag", ["--steps", "--a-steps", "--r0-steps"])
 def test_scan_counts_below_two_exit_2(flag, tmp_path, capsys):
     for count in ("1", "0", "-3"):
@@ -566,14 +579,23 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
 def test_malformed_numeric_inputs_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("KAKEYA_SEED", "not-a-number")
     assert run_cli("verify", "--check", "CMin", "--output-dir", str(tmp_path)) == 2
+    assert "KAKEYA_SEED must be an integer, got 'not-a-number'" in capsys.readouterr().err
     # an explicit flag wins before the broken environment value is touched
     assert run_cli(
         "verify", "--check", "CMin", "--seed", "5", "--output-dir", str(tmp_path)
     ) == 0
     monkeypatch.delenv("KAKEYA_SEED")
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("a = zero point one\n")
-    assert run_cli("bound", "--config", str(cfg)) == 2
+    # a malformed value names its key and the file
+    for command, line, message in (
+        (("bound",), "a = zero point one", "a must be a number, got 'zero point one'"),
+        (("bound",), "digits = 6.5", "digits must be an integer, got '6.5'"),
+        (("verify", "--check", "CMin"), "seed =", "seed must be an integer, got ''"),
+    ):
+        cfg.write_text(line + "\n")
+        assert run_cli(*command, "--config", str(cfg), "--output-dir", str(tmp_path / "out")) == 2
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     cfg.write_text("just words without an equals sign\n")
     assert run_cli("bound", "--config", str(cfg)) == 2
 

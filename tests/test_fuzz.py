@@ -9,7 +9,9 @@ three-argument functions see every combination of the values; wider ones
 see a seeded sample.  Sample counts are floats, which are rejected, or
 integers of at most 100, so no call starts heavy work; ``optimize`` sees
 point boxes only, which it settles in two evaluations.  ``rng.mix64``
-takes uint64 arrays only and is left out.
+works in place on uint64 arrays, so it sees instead a float, an integer
+and a read-only array, a list, a scalar and a 0-d array, each of which
+must be a DomainError.
 
 Each numeric flag of each CLI mode, the same key in a config file, and
 KAKEYA_SEED get the same kinds of values as text, plus a non-number and
@@ -31,7 +33,7 @@ import pytest
 
 from kakeya import bounds, cli, geom, optimizer, oracle, rng
 from kakeya.bounds import RLAMBDA_PAPER_LITERAL, RLAMBDA_REPRODUCING, BoundParams, THEOREM_DEFAULTS
-from kakeya.errors import KakeyaError
+from kakeya.errors import DomainError, KakeyaError
 
 SEED = 20240601
 VALUES = (
@@ -85,7 +87,6 @@ ENTRY_POINTS = {
         (VALUES, VALUES),
     ),
     # geom
-    "triangle_vertices": (geom.triangle_vertices, (VALUES,) * 3),
     "make_triangle": (geom.make_triangle, (VALUES,) * 3),
     "exterior_area": (lambda r: geom.exterior_area(TRI, r), (VALUES,)),
     "intersection_arcs": (lambda r: geom.intersection_arcs(TRI, r), (VALUES,)),
@@ -181,6 +182,27 @@ def test_entry_point_gives_finite_values_or_a_typed_error(name):
             elif not all(math.isfinite(x) for x in _numbers(got)):
                 bad.append((args, f"non-finite result {got!r}"))
     assert not bad, f"{len(bad)} bad calls, first ones: {bad[:5]}"
+
+
+def _read_only(z):
+    z.flags.writeable = False
+    return z
+
+
+MIX64_REJECTED = {
+    "float64 array": np.zeros(3),
+    "int64 array": np.zeros(3, dtype=np.int64),
+    "read-only uint64 array": _read_only(np.zeros(3, dtype=np.uint64)),
+    "list": [1, 2, 3],
+    "numpy scalar": np.uint64(3),
+    "0-d uint64 array": np.array(3, dtype=np.uint64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIX64_REJECTED))
+def test_mix64_rejects_anything_but_a_writeable_uint64_array(name):
+    with pytest.raises(DomainError):
+        rng.mix64(MIX64_REJECTED[name])
 
 
 CLI_VALUES = ("nan", "inf", "-inf", "0", "-0", "5e-324", "-1", "1e300", str(10**12), "one", "")

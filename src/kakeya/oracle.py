@@ -1,14 +1,15 @@
 """Independent brute-force verification of the supporting geometry.
 
 Each check re-derives a claim of the bound machinery by sampling, grid
-scanning or exact clipping with its own membership and root-finding
-code, never through the closed forms it is checking.  The two
-disjointness checks draw seeded needle pairs that meet the angular-gap
-criterion and intersect each pair's triangles exactly (Sutherland-Hodgman
-clipping, independent of ``geom``); their violation counts overlapping
-pairs.  Randomness comes from the counter-based generator in
-:mod:`kakeya.rng`; every check derives its own substream from (seed,
-check), so checks are order-independent and reproducible.
+scanning or an exact overlap test with its own membership and
+root-finding code, never through the closed forms it is checking.  The
+two disjointness checks draw seeded needle pairs that meet the
+angular-gap criterion and decide exactly whether each pair's triangles
+overlap, from the direction ranges and reaches of the two triangles
+about their common vertex O (independent of ``geom``); their violation
+counts overlapping pairs.  Randomness comes from the counter-based
+generator in :mod:`kakeya.rng`; every check derives its own substream
+from (seed, check), so checks are order-independent and reproducible.
 
 :func:`run_checks` runs a selection of checks as one list of tasks: each
 check but SectorMeasure is one task, and each of SectorMeasure's sets is
@@ -47,9 +48,9 @@ __all__ = [
 
 DEFAULT_SEED = 7
 
-# Default cap on sampled needle heights; mirrors the height cap of the
-# headline bound parameters.
-_HEIGHT_CAP = math.pi / 49.0
+# Default cap on sampled needle heights: the headline bound's height cap.
+_HEIGHT_CAP = bounds.THEOREM_DEFAULTS.a
+_TWO_PI = 2.0 * math.pi
 
 
 class CheckId(enum.Enum):
@@ -161,74 +162,55 @@ def mc_area(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized triangle helpers (membership and clipping math independent
-# of geom's clipping and arc formulas)
+# Needle triangles in polar form about O (overlap math independent of
+# geom's clipping and arc formulas)
 # ---------------------------------------------------------------------------
 
-def _vertices_arrays(alpha, delta, foot):
-    """Needle endpoints for direction/height/foot arrays (foot unrestricted)."""
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    fx, fy = -delta * sa, delta * ca
-    return fx - foot * ca, fy - foot * sa, fx + (1.0 - foot) * ca, fy + (1.0 - foot) * sa
+def _wedges(alpha, delta, foot):
+    """Triangles (O, A, B) of needles (alpha, delta, foot) in polar form about O.
 
-
-# Pairs per clipping block.  A block's polygons take 24 vertex slots per
-# pair, so memory stays flat as the pair count grows; any size gives the
-# same flags.
-_CLIP_BLOCK = 4096
-
-
-def _overlapping_pairs(r, v1, v2, exterior):
-    """Exact overlap flags for triangle pairs (O, A1, B1), (O, A2, B2).
-
-    ``v1``/``v2`` are (ax, ay, bx, by) arrays.  Sutherland-Hodgman clips
-    the first triangle against the three closed half-planes of the second,
-    which leaves the convex polygon P = T1 & T2.  Inner parts overlap when
-    P has positive shoelace area: its interior then reaches O, inside the
-    disk.  Outer parts (``exterior``) overlap when, in addition, a vertex
-    of P lies strictly beyond r: max |x| over P is taken at a vertex, and
-    the points of P near that vertex lie beyond r too.
-
-    Polygons are fixed-width rows of vertex slots.  Each clip maps k slots
-    to 2k: slot 2j holds the point where edge (j-1, j) crosses the line,
-    slot 2j+1 vertex j.  A skipped slot repeats the last kept vertex
-    cyclically, which changes neither the area nor the largest radius.
+    Returns (psi, delta, lo, hi): the needle line has normal direction psi
+    and lies at distance delta from O, and the triangle spans the
+    directions [lo, hi], less than pi apart for delta > 0.  Along a
+    direction theta in that range it reaches out to delta / cos(theta - psi).
     """
-    flags = np.empty(r.shape[0], dtype=bool)
-    for lo in range(0, r.shape[0], _CLIP_BLOCK):
-        hi = min(lo + _CLIP_BLOCK, r.shape[0])
-        ax1, ay1, bx1, by1 = (arr[lo:hi, None] for arr in v1)
-        ax2, ay2, bx2, by2 = (arr[lo:hi, None] for arr in v2)
-        zero = np.zeros_like(ax1)
-        px = np.concatenate((zero, ax1, bx1), axis=1)
-        py = np.concatenate((zero, ay1, by1), axis=1)
-        orient = np.sign(ax2 * by2 - ay2 * bx2)
-        for (ex, ey, fx, fy) in ((zero, zero, ax2, ay2), (ax2, ay2, bx2, by2), (bx2, by2, zero, zero)):
-            n, k = px.shape
-            # >= 0 on the kept closed side; exactly 0 at O for the edges
-            # through O, so O is always kept and no row runs empty
-            side = orient * ((fx - ex) * (py - ey) - (fy - ey) * (px - ex))
-            sx, sy, s_side = (np.roll(arr, 1, axis=1) for arr in (px, py, side))
-            e_in = side >= 0.0
-            crosses = (s_side >= 0.0) != e_in
-            # the two ends of a crossing edge lie on opposite sides, so the
-            # denominator is nonzero wherever the quotient is used
-            t = s_side / np.where(crosses, s_side - side, 1.0)
-            out_x = np.stack((sx + t * (px - sx), px), axis=2).reshape(n, 2 * k)
-            out_y = np.stack((sy + t * (py - sy), py), axis=2).reshape(n, 2 * k)
-            keep = np.stack((crosses, e_in), axis=2).reshape(n, 2 * k)
-            idx = np.where(keep, np.arange(2 * k), -1)
-            np.maximum.accumulate(idx, axis=1, out=idx)
-            idx = np.where(idx < 0, idx[:, -1:], idx)  # wrap to the row's last kept slot
-            px = np.take_along_axis(out_x, idx, axis=1)
-            py = np.take_along_axis(out_y, idx, axis=1)
-        area2 = np.sum(px * np.roll(py, -1, axis=1) - np.roll(px, -1, axis=1) * py, axis=1)
-        hit = area2 != 0.0
-        if exterior:
-            rc = r[lo:hi]
-            hit &= np.max(px * px + py * py, axis=1) > rc * rc
-        flags[lo:hi] = hit
-    return flags
+    psi = alpha + 0.5 * math.pi
+    return psi, delta, psi - np.arctan2(1.0 - foot, delta), psi + np.arctan2(foot, delta)
+
+
+def _overlapping_pairs(r, w1, w2, exterior):
+    """Exact overlap flags for triangle pairs with the common vertex O.
+
+    ``w1``/``w2`` are (psi, delta, lo, hi) arrays as ``_wedges`` gives
+    them.  The intersection of two triangles is star-shaped about O: along
+    each direction of the common open range it reaches out to the smaller
+    of the two reaches.  Inner parts overlap when that range is nonempty
+    and both heights are positive; outer parts (``exterior``) when, in
+    addition, the smaller reach somewhere exceeds r.  Each reach is convex
+    in the direction, so the smaller one is largest at an end of the range
+    or where the two needle lines cross.
+    """
+    psi1, d1, lo1, hi1 = w1
+    psi2, d2, lo2, hi2 = w2
+    # the second triangle turned by whole turns to within pi of the first:
+    # two arcs shorter than pi then share at most one interval
+    turn = _TWO_PI * np.round((psi2 - psi1) / _TWO_PI)
+    lo = np.maximum(lo1, lo2 - turn)
+    hi = np.minimum(hi1, hi2 - turn)
+    hit = (lo < hi) & (d1 > 0.0) & (d2 > 0.0)
+    if not exterior:
+        return hit
+    psi2 = psi2 - turn
+    # r cos(theta - psi_i) at both ends of the range, where both cosines
+    # are positive: reach_i > r there reads delta_i > r cos
+    c1lo, c1hi, c2lo, c2hi = (r * np.cos(theta - psi) for psi in (psi1, psi2) for theta in (lo, hi))
+    # the needle lines cross inside the range when the sign of
+    # reach2 - reach1 flips across it, at the point X with
+    # |X|^2 sin^2(psi2 - psi1) = |d1 e^(i psi2) - d2 e^(i psi1)|^2
+    flips = (d1 * c2lo - d2 * c1lo) * (d1 * c2hi - d2 * c1hi) <= 0.0
+    dpsi = psi2 - psi1
+    crossing = flips & (d1 * d1 + d2 * d2 - 2.0 * d1 * d2 * np.cos(dpsi) > (r * np.sin(dpsi)) ** 2)
+    return hit & (((d1 > c1lo) & (d2 > c2lo)) | ((d1 > c1hi) & (d2 > c2hi)) | crossing)
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +290,8 @@ def _check_ext_disjoint(samples, rng):
     r, d1, d2, a1, a2 = _disjoint_pairs(samples, rng, r_lo=0.05)
     t1 = rng.uniforms(samples)
     t2 = rng.uniforms(samples)
-    v1 = _vertices_arrays(a1, d1, t1)
-    v2 = _vertices_arrays(a2, d2, t2)
-    overlaps = int(np.count_nonzero(_overlapping_pairs(r, v1, v2, exterior=True)))
+    w1, w2 = _wedges(a1, d1, t1), _wedges(a2, d2, t2)
+    overlaps = int(np.count_nonzero(_overlapping_pairs(r, w1, w2, exterior=True)))
     # the library predicate must agree with the sampled gap condition
     mismatches = sum(
         0 if geom.exterior_disjoint_criterion(a1[i], d1[i], a2[i], d2[i], r[i]) else 1
@@ -318,7 +299,7 @@ def _check_ext_disjoint(samples, rng):
     )
     spec = (
         f"{samples} gap-criterion pairs, outer parts intersected exactly "
-        "(Sutherland-Hodgman); violation counts overlapping pairs"
+        "(polar ranges about O); violation counts overlapping pairs"
     )
     return float(overlaps + mismatches), spec
 
@@ -333,12 +314,11 @@ def _check_int_disjoint(samples, rng):
     side2 = rng.uniforms(samples) < 0.5
     t1 = np.where(side1, -margin1, 1.0 + margin1)
     t2 = np.where(side2, -margin2, 1.0 + margin2)
-    v1 = _vertices_arrays(a1, d1, t1)
-    v2 = _vertices_arrays(a2, d2, t2)
-    overlaps = int(np.count_nonzero(_overlapping_pairs(r, v1, v2, exterior=False)))
+    w1, w2 = _wedges(a1, d1, t1), _wedges(a2, d2, t2)
+    overlaps = int(np.count_nonzero(_overlapping_pairs(r, w1, w2, exterior=False)))
     spec = (
         f"{samples} gap-criterion pairs with needles clear of the disk, inner parts "
-        "intersected exactly (Sutherland-Hodgman); violation counts overlapping pairs"
+        "intersected exactly (polar ranges about O); violation counts overlapping pairs"
     )
     return float(overlaps), spec
 
@@ -392,9 +372,6 @@ def _check_f_argmax(samples, _rng):
     argmax = 0.5 * (b_lo + b_hi)
     spec = f"{samples}-point grid on [0.15, 0.5] + golden-section refinement"
     return abs(argmax - 1.0 / 6.0), spec
-
-
-_TWO_PI = 2.0 * math.pi
 
 
 def _first_wrapping_to(t):
@@ -628,10 +605,11 @@ _CHECKS = {
 }
 
 
-# Largest accepted ``samples``.  The disjointness checks hold about 260
-# bytes per pair at their peak and IsoscelesMinimality, ArcConsistency
-# and FArgmax about 50 bytes per sample, so a run at the limit stays near
-# 1 GB; the largest default, SectorMeasure's 10**6, sits well below it.
+# Largest accepted ``samples``.  The disjointness checks peak at about
+# 260 bytes per pair while drawing their pairs (their overlap test needs
+# about 230) and IsoscelesMinimality, ArcConsistency and FArgmax about
+# 50 bytes per sample, so a run at the limit stays near 1 GB; the
+# largest default, SectorMeasure's 10**6, sits well below it.
 MAX_SAMPLES = 4_000_000
 
 
@@ -687,13 +665,16 @@ def run_checks(
 
     ``samples`` counts configurations for the sampling checks, grid points
     for the scan checks, and per-set draws for SectorMeasure; it must lie
-    in [100, MAX_SAMPLES], or DomainError is raised before any draw.
+    in [100, MAX_SAMPLES], or DomainError is raised before any draw, as
+    it is for a check that is not a CheckId.
     Failures are reported in the returned records, never raised; an error
     raised inside a check comes out of this call, and a worker process
     that dies comes out as WorkerLost.
     """
     sizes = []
     for check in checks:
+        if not isinstance(check, CheckId):
+            raise DomainError(f"unknown check {check!r}; expected a CheckId")
         default_samples = _CHECKS[check][1]
         n = default_samples if samples is None else as_integer(samples, "samples")
         if not 100 <= n <= MAX_SAMPLES:

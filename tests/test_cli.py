@@ -285,10 +285,10 @@ def reduced_verify_all(tmp_path_factory):
 
 def test_reduced_verify_all_artifact_is_pinned(reduced_verify_all):
     # sha256 of the reduced verify.json, recorded when the disjointness
-    # checks moved to exact clipping; any change to a drawn value, a hit
-    # count or a grid_spec shows here
+    # checks moved to the polar overlap test (their grid_specs changed);
+    # any change to a drawn value, a hit count or a grid_spec shows here
     digest = hashlib.sha256(reduced_verify_all).hexdigest()
-    assert digest == "789f50084cdb3eac706faa5c5ced121af30e6ea4d1e782d5a7154116e5cd057b"
+    assert digest == "cfa644ccea8a984b7a6ee70f5b0ee374ccc44d9a4adf373cdaa25a40408a5059"
 
 
 # sha256 of json.dumps(record, sort_keys=True) for the records of the

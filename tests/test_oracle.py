@@ -2,10 +2,10 @@
 against the formula, Monte Carlo contracts and block layout, the
 SectorMeasure membership kernel against its reference and its raw-angle
 thresholds ulp by ulp, the pooled checks against their serial loops, the
-exact disjointness clipping against the sampler it replaced, planted
-defects the disjointness checks must catch, ArcConsistency's vectorised
-probing against its loop, the check dispatcher at reduced sizes, and
-threshold location."""
+exact polar disjointness test against the sampler it replaced and on
+edge cases, planted defects the disjointness checks must catch,
+ArcConsistency's vectorised probing against its loop, the check
+dispatcher at reduced sizes, and threshold location."""
 
 from __future__ import annotations
 
@@ -607,16 +607,28 @@ def test_run_checks_rejects_a_bad_count_before_drawing_or_forking(monkeypatch):
     for samples in (99, oracle.MAX_SAMPLES + 1, 1000.0):
         with pytest.raises(DomainError):
             oracle.run_checks(list(CheckId), samples=samples)
+    # an unknown check, after a valid one, is named and refused just as early
+    for bad in ("CMin", None):
+        for samples in (None, 1000):
+            with pytest.raises(DomainError, match=f"unknown check {bad!r}"):
+                oracle.run_checks([CheckId.SECTOR_MEASURE, bad], samples=samples)
 
 
 # ---------------------------------------------------------------------------
-# Exact disjointness clipping
+# Exact disjointness test
 # ---------------------------------------------------------------------------
 
 # The sampled cross-hit counter the two disjointness checks used before
-# exact clipping, kept as a test-side reference: uniform points of each
+# the exact test, kept as a test-side reference: uniform points of each
 # triangle on the requested side of the circle, counted when they fall
 # strictly inside the other triangle.
+
+def _vertices_arrays(alpha, delta, foot):
+    """Needle endpoints for direction/height/foot arrays (foot unrestricted)."""
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    fx, fy = -delta * sa, delta * ca
+    return fx - foot * ca, fy - foot * sa, fx + (1.0 - foot) * ca, fy + (1.0 - foot) * sa
+
 
 def _in_triangle_strict(ax, ay, bx, by, px, py):
     """Strict interior test for points P against triangles (O, A, B)."""
@@ -687,7 +699,8 @@ def _weakened_disjoint_pairs(factor):
 def _weak_only_pairs(check, factor, samples=10_000):
     """Needle pairs as ``check`` builds them, from a ``factor``-weakened gap
     test, kept only where the true gap test fails: the pairs that may
-    overlap.  Returns (r, v1, v2, rng), the rng positioned after them."""
+    overlap.  Returns (r, n1, n2, rng): the needles as (alpha, delta, foot)
+    arrays, the rng positioned after them."""
     rng = CounterRng(oracle.DEFAULT_SEED, stream=1 + list(CheckId).index(check))
     r, d1, d2, a1, a2 = _weakened_disjoint_pairs(factor)(
         samples, rng, 0.05 if check is CheckId.EXT_DISJOINT else 0.1
@@ -704,9 +717,7 @@ def _weak_only_pairs(check, factor, samples=10_000):
         m2 = np.sqrt(r * r - d2 * d2) * (1.0 + rng.uniforms(n)) + 1e-9
         t1 = np.where(rng.uniforms(n) < 0.5, -m1, 1.0 + m1)
         t2 = np.where(rng.uniforms(n) < 0.5, -m2, 1.0 + m2)
-    v1 = oracle._vertices_arrays(a1, d1, t1)
-    v2 = oracle._vertices_arrays(a2, d2, t2)
-    return r, v1, v2, rng
+    return r, (a1, d1, t1), (a2, d2, t2), rng
 
 
 def test_weakened_pair_copy_at_factor_one_is_the_oracle_stream():
@@ -724,10 +735,11 @@ def test_weakened_pair_copy_at_factor_one_is_the_oracle_stream():
 def test_exact_clipping_flags_every_sampled_cross_hit(check, factor):
     # IntDisjoint's pairs do not overlap at x0.9, so it is weakened
     # further to give the sampler something to find
-    r, v1, v2, rng = _weak_only_pairs(check, factor)
-    r, v1, v2 = r[:300], tuple(a[:300] for a in v1), tuple(a[:300] for a in v2)
+    r, n1, n2, rng = _weak_only_pairs(check, factor)
+    r, n1, n2 = r[:300], tuple(a[:300] for a in n1), tuple(a[:300] for a in n2)
     exterior = check is CheckId.EXT_DISJOINT
-    flags = oracle._overlapping_pairs(r, v1, v2, exterior=exterior)
+    flags = oracle._overlapping_pairs(r, oracle._wedges(*n1), oracle._wedges(*n2), exterior)
+    v1, v2 = _vertices_arrays(*n1), _vertices_arrays(*n2)
     sampled = np.array([
         _count_cross_hits(
             r[i:i + 1], tuple(a[i:i + 1] for a in v1), tuple(a[i:i + 1] for a in v2),
@@ -740,9 +752,26 @@ def test_exact_clipping_flags_every_sampled_cross_hit(check, factor):
     assert not np.any(sampled & ~flags), np.flatnonzero(sampled & ~flags)
 
 
-def _tri(*points):
-    """(ax, ay, bx, by) arrays of triangles (O, A, B) given as (A, B) pairs."""
-    return tuple(np.array([p[k][j] for p in points]) for k in (0, 1) for j in (0, 1))
+def _wedge(a, b):
+    """The triangle (O, A, B) as (psi, delta, lo, hi), from its vertices.
+
+    psi is the direction of the unit normal n of line AB with n . A >= 0,
+    delta = n . A, and [lo, hi] the directions of A and B written within
+    pi of psi, in either order.
+    """
+    (ax, ay), (bx, by) = a, b
+    cross = ax * by - ay * bx
+    sign = 1.0 if cross >= 0.0 else -1.0
+    psi = math.atan2(-sign * (bx - ax), sign * (by - ay))
+    delta = abs(cross) / math.hypot(bx - ax, by - ay)
+    ends = [psi + math.remainder(math.atan2(y, x) - psi, 2.0 * math.pi) for x, y in (a, b)]
+    return psi, delta, min(ends), max(ends)
+
+
+def _flags(w1, w2, r, exterior):
+    """Flag of one pair given in the polar chart, ``_wedges``' layout."""
+    as_arrays = [tuple(np.array([x]) for x in w) for w in (w1, w2)]
+    return bool(oracle._overlapping_pairs(np.array([r]), *as_arrays, exterior=exterior)[0])
 
 
 def _pair_flags(first, second, r, exterior):
@@ -750,8 +779,7 @@ def _pair_flags(first, second, r, exterior):
     flags = []
     for v1, v2 in ((first, second), (second, first)):
         for u1, u2 in ((v1, v2), (v1[::-1], v2), (v1, v2[::-1])):
-            flags.append(bool(oracle._overlapping_pairs(
-                np.array([r]), _tri(u1), _tri(u2), exterior=exterior)[0]))
+            flags.append(_flags(_wedge(*u1), _wedge(*u2), r, exterior))
     return set(flags)
 
 
@@ -778,31 +806,81 @@ def test_exact_clipping_hand_built_pairs():
     assert _pair_flags(*nested, 0.1, exterior=True) == {True}
 
 
-def test_exact_clipping_is_block_size_invariant(monkeypatch):
-    r, v1, v2, _ = _weak_only_pairs(CheckId.EXT_DISJOINT, 0.9)
-    results = {}
-    for block in (1, 7, r.shape[0]):
-        monkeypatch.setattr(oracle, "_CLIP_BLOCK", block)
-        for exterior in (True, False):
-            results[block, exterior] = oracle._overlapping_pairs(r, v1, v2, exterior=exterior)
+def test_polar_overlap_edge_cases():
+    wide = (0.0, 0.1, -1.2, 1.2)
     for exterior in (True, False):
-        want = results[r.shape[0], exterior]
-        assert np.count_nonzero(want) >= 10
-        for block in (1, 7):
-            assert np.array_equal(results[block, exterior], want)
+        # a zero-height triangle is a segment with no interior
+        for psi in (0.0, 0.5, 2.0 * math.pi):
+            flat = (psi, 0.0, psi - 0.5 * math.pi, psi + 0.5 * math.pi)
+            assert not _flags(flat, wide, 0.01, exterior)
+            assert not _flags(wide, flat, 0.01, exterior)
+        # ranges that only touch, hi1 == lo2, also written a turn apart
+        left, right = (0.0, 0.1, -0.5, 0.25), (0.5, 0.1, 0.25, 1.0)
+        turned = (0.5 + 2.0 * math.pi, 0.1, 0.25 + 2.0 * math.pi, 1.0 + 2.0 * math.pi)
+        for w2 in (right, turned):
+            assert not _flags(left, w2, 0.01, exterior)
+            assert not _flags(w2, left, 0.01, exterior)
+    # ranges written a whole turn apart that meet across 0, one near 2pi
+    # and the other near 0, and ranges that meet across +-pi
+    for psi1, psi2 in ((2.0 * math.pi - 0.2, 0.2), (math.pi - 0.2, -math.pi + 0.2)):
+        w1 = (psi1, 0.1, psi1 - 0.5, psi1 + 0.5)
+        w2 = (psi2, 0.1, psi2 - 0.5, psi2 + 0.5)
+        for first, second in ((w1, w2), (w2, w1)):
+            assert _flags(first, second, 0.3, exterior=False)
+            # the lines cross at radius 0.1/cos 0.2 = 0.10203
+            assert _flags(first, second, 0.102, exterior=True)
+            assert not _flags(first, second, 0.1021, exterior=True)
+    # identical needles: the outer parts overlap when the range ends reach
+    # beyond r, here 0.1/cos 0.5 = 0.11395
+    same = (1.0, 0.1, 0.5, 1.5)
+    assert _flags(same, same, 0.2, exterior=False)
+    assert _flags(same, same, 0.1139, exterior=True)
+    assert not _flags(same, same, 0.114, exterior=True)
+    # lines that cross inside the common range [-0.1, 0.1], at radius
+    # 0.1/cos 0.3 = 0.10468, while the smaller reach at both ends is
+    # 0.1/cos 0.2 = 0.10203: only the crossing reaches beyond r
+    w1, w2 = (-0.3, 0.1, -0.8, 0.1), (0.3, 0.1, -0.1, 0.8)
+    assert _flags(w1, w2, 0.103, exterior=True) and _flags(w2, w1, 0.103, exterior=True)
+    assert not _flags(w1, w2, 0.105, exterior=True)
+
+
+def test_polar_overlap_is_rotation_invariant():
+    r, (a1, d1, t1), (a2, d2, t2), _ = _weak_only_pairs(CheckId.EXT_DISJOINT, 0.5)
+    r, a1, d1, t1, a2, d2, t2 = (x[:1000] for x in (r, a1, d1, t1, a2, d2, t2))
+
+    def flags(turn, exterior):
+        w1, w2 = oracle._wedges(a1 + turn, d1, t1), oracle._wedges(a2 + turn, d2, t2)
+        return oracle._overlapping_pairs(r, w1, w2, exterior)
+
+    for exterior in (True, False):
+        want = flags(0.0, exterior)
+        assert want.shape == (1000,) and 0 < np.count_nonzero(want) < 1000
+        for k in range(1, 6):
+            assert np.array_equal(flags(k * math.pi / 3.0, exterior), want), (exterior, k)
 
 
 @pytest.mark.parametrize(
-    "check, factor",
-    [(CheckId.EXT_DISJOINT, 0.97), (CheckId.INT_DISJOINT, 0.5)],
-    ids=["ExtDisjoint-x0.97", "IntDisjoint-x0.5"],
+    "check, factor, overlaps",
+    [
+        (CheckId.EXT_DISJOINT, 0.99, 7),
+        (CheckId.EXT_DISJOINT, 0.97, 16),
+        (CheckId.EXT_DISJOINT, 0.9, 45),
+        (CheckId.INT_DISJOINT, 0.8, 0),
+        (CheckId.INT_DISJOINT, 0.5, 20),
+    ],
+    ids=[
+        "ExtDisjoint-x0.99", "ExtDisjoint-x0.97", "ExtDisjoint-x0.9",
+        "IntDisjoint-x0.8", "IntDisjoint-x0.5",
+    ],
 )
-def test_disjointness_checks_catch_a_weakened_gap_criterion(monkeypatch, check, factor):
+def test_disjointness_checks_catch_a_weakened_gap_criterion(monkeypatch, check, factor, overlaps):
+    # the overlap counts the Sutherland-Hodgman clipping found before the
+    # polar test, at seed 7 and 10,000 pairs
     counts = []
     exact = oracle._overlapping_pairs
 
-    def spy(r, v1, v2, exterior):
-        flags = exact(r, v1, v2, exterior)
+    def spy(r, w1, w2, exterior):
+        flags = exact(r, w1, w2, exterior)
         counts.append(int(np.count_nonzero(flags)))
         return flags
 
@@ -811,8 +889,10 @@ def test_disjointness_checks_catch_a_weakened_gap_criterion(monkeypatch, check, 
     report = oracle.run_check(check, samples=10_000, seed=oracle.DEFAULT_SEED)
     # the overlap count alone, not ExtDisjoint's mismatches against the
     # library criterion, must see the planted defect
-    assert len(counts) == 1 and counts[0] >= 1
-    assert not report.passed
+    assert counts == [overlaps]
+    assert report.max_violation >= overlaps
+    if overlaps:
+        assert not report.passed
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@ Library layout:
 - :mod:`kakeya.optimizer`: balanced-split parameter search and the
   iterative inner-bound refinement.
 - :mod:`kakeya.oracle`: seeded brute-force checks of every geometric
-  claim the bounds rest on.
+  claim the bounds rest on; :mod:`kakeya.catalogue` names them.
 - :mod:`kakeya.cli`: the ``kakeya`` command.
+
+Importing the package loads no numpy.  The names backed by
+:mod:`kakeya.oracle`, which does, resolve on first access.
 """
 
 from .bounds import (
@@ -31,9 +34,9 @@ from .errors import (
     EmptyFeasibleSet,
     KakeyaError,
 )
+from .catalogue import CheckId
 from .geom import Arc, NeedleTriangle, Point, make_triangle
 from .optimizer import OptimizationResult, SearchBox, optimize, refine_iterative
-from .oracle import CheckId, CheckReport, McEstimate, find_h_threshold, mc_area, run_check
 
 __version__ = "0.1.0"
 
@@ -67,3 +70,15 @@ __all__ = [
     "run_check",
     "theorem_bound",
 ]
+
+_ORACLE_NAMES = frozenset(("CheckReport", "McEstimate", "find_h_threshold", "mc_area", "run_check"))
+
+
+def __getattr__(name):
+    # PEP 562: the oracle, and numpy with it, loads when one of its names is first read
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        value = globals()[name] = getattr(oracle, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

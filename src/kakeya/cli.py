@@ -22,16 +22,16 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from . import bounds, optimizer, oracle
+from . import bounds, optimizer
 from .bounds import (
     RLAMBDA_PAPER_LITERAL,
     RLAMBDA_REPRODUCING,
     BoundParams,
     THEOREM_DEFAULTS,
 )
+from .catalogue import DEFAULT_SEED, MAX_SAMPLES, CheckId
 from .errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet, WorkerLost, as_integer
 from .optimizer import SearchBox
-from .oracle import DEFAULT_SEED, CheckId
 
 __all__ = ["OutputTable", "main"]
 
@@ -69,7 +69,7 @@ _FLAGS = {
     "check": dict(action="append", choices=sorted(c.value for c in CheckId),
                   help="run one named check (repeatable)"),
     "samples": dict(type=int, help="override the per-check sample/grid size "
-                                   f"(100 to {oracle.MAX_SAMPLES})"),
+                                   f"(100 to {MAX_SAMPLES})"),
     "from": dict(dest="r_from", type=float),
     "to": dict(dest="r_to", type=float),
     "steps": dict(type=int, default=100, lo=2, help="default 100"),
@@ -140,15 +140,22 @@ class OutputTable:
     rows: list[tuple]
     caption: str
 
-    def render(self, digits: int) -> str:
+    def render(self, digits: int, round_down: bool = False) -> str:
+        """The table as text, floats to ``digits`` significant digits.
+
+        With ``round_down`` each float is rounded toward -inf instead of to
+        nearest, so that no printed lower bound exceeds its value.
+        """
+        def text(v) -> str:
+            if not isinstance(v, float):
+                return str(v)
+            return _round_down(v, digits) if round_down else f"{v:.{digits}g}"
+
         widths = [max(len(c), 12) for c in self.columns]
         lines = [self.caption]
         lines.append("  ".join(c.ljust(w) for c, w in zip(self.columns, widths)))
         for row in self.rows:
-            cells = [
-                (f"{v:.{digits}g}" if isinstance(v, float) else str(v)).ljust(w)
-                for v, w in zip(row, widths)
-            ]
+            cells = [text(v).ljust(w) for v, w in zip(row, widths)]
             lines.append("  ".join(cells))
         return "\n".join(lines)
 
@@ -161,6 +168,24 @@ class OutputTable:
                 writer.writerow(
                     [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]
                 )
+
+
+def _round_down(value: float, digits: int) -> str:
+    """``f"{value:.{digits}g}"``, but rounded toward -inf instead of to nearest."""
+    if not math.isfinite(value):
+        return f"{value:.{digits}g}"
+    # imported here: only bound's table rounds this way
+    from decimal import ROUND_FLOOR, Context, Decimal
+
+    down = Context(prec=digits, rounding=ROUND_FLOOR).plus(Decimal(value))
+    exp = down.adjusted()
+    if -4 <= exp < digits:  # where the g format writes no exponent
+        text, suffix = format(down, "f"), ""
+    else:
+        text, suffix = format(down.scaleb(-exp), "f"), f"e{exp:+03d}"
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return text + suffix
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +420,7 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
         ],
         caption="lower-bound breakdown (final = min of the three terms)",
     )
-    print(table.render(digits))
+    print(table.render(digits, round_down=True))  # every term is a lower bound
     rel = ">=" if breakdown.final >= 1.0 / 98.0 else "<"
     print(f"final {rel} 1/98  ({breakdown.final:.17g} vs {1.0 / 98.0:.17g})")
     if "csv" in ns.emit:
@@ -443,6 +468,9 @@ def _cmd_optimize(ns: argparse.Namespace) -> int:
 def _cmd_verify(ns: argparse.Namespace) -> int:
     if ns.all and ns.check:
         raise DomainError("--all and --check cannot be combined")
+    # the checks load numpy; every other command runs without it
+    from . import oracle
+
     selected = [CheckId(name) for name in ns.check or ()] or list(CheckId)
     reports = oracle.run_checks(selected, samples=ns.samples, seed=ns.seed)
     for rep in reports:

@@ -22,7 +22,6 @@ the worker count.
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 from dataclasses import dataclass
@@ -31,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import bounds, geom
+from .catalogue import DEFAULT_SEED, MAX_SAMPLES, CheckId
 from .errors import BracketError, DomainError, WorkerLost, as_integer
 from .rng import CounterRng
 
@@ -46,25 +46,9 @@ __all__ = [
     "find_h_threshold",
 ]
 
-DEFAULT_SEED = 7
-
 # Default cap on sampled needle heights: the headline bound's height cap.
 _HEIGHT_CAP = bounds.THEOREM_DEFAULTS.a
 _TWO_PI = 2.0 * math.pi
-
-
-class CheckId(enum.Enum):
-    """Closed enumeration of the verifiable geometric claims."""
-
-    ISOSCELES_MINIMALITY = "IsoscelesMinimality"
-    H_MIN_AT_ZERO = "HMinAtZero"
-    EXT_DISJOINT = "ExtDisjoint"
-    INT_DISJOINT = "IntDisjoint"
-    JGAMMA_RATIO = "JGammaRatio"
-    C_MIN = "CMin"
-    F_ARGMAX = "FArgmax"
-    SECTOR_MEASURE = "SectorMeasure"
-    ARC_CONSISTENCY = "ArcConsistency"
 
 
 @dataclass(frozen=True)
@@ -339,12 +323,18 @@ def _check_c_min(samples, _rng):
     a = _HEIGHT_CAP
     n_r = max(10, int(round(math.sqrt(samples))))
     n_x = max(10, samples // n_r)
-    worst = -math.inf
-    for r in np.linspace(a, 1.5, n_r):
-        c_ra = bounds.outside_area_rate(r, a)
-        for frac in np.linspace(1e-6, 1.0, n_x):
-            worst = max(worst, c_ra - bounds.outside_area_rate(r, frac * a))
     spec = f"{n_r} r x {n_x} x grid; r in [a, 1.5], x in (0, a], a = {a:.6f}"
+    worst = -math.inf
+    try:
+        for r in np.linspace(a, 1.5, n_r):
+            x = a
+            c_ra = bounds.outside_area_rate(r, x)
+            for frac in np.linspace(1e-6, 1.0, n_x):
+                x = frac * a
+                worst = max(worst, c_ra - bounds.outside_area_rate(r, x))
+    except DomainError as exc:
+        # the library rejects a point of its own domain: a failure, with its witness
+        return math.inf, f"{spec}; DomainError at (r, x) = ({r:.17g}, {x:.17g}): {exc}"
     return worst, spec
 
 
@@ -603,14 +593,6 @@ _CHECKS = {
     CheckId.SECTOR_MEASURE: (None, 1_000_000, 3.0),
     CheckId.ARC_CONSISTENCY: (_check_arc_consistency, 10_000, 1e-9),
 }
-
-
-# Largest accepted ``samples``.  The disjointness checks peak at about
-# 260 bytes per pair while drawing their pairs (their overlap test needs
-# about 230) and IsoscelesMinimality, ArcConsistency and FArgmax about
-# 50 bytes per sample, so a run at the limit stays near 1 GB; the
-# largest default, SectorMeasure's 10**6, sits well below it.
-MAX_SAMPLES = 4_000_000
 
 
 def _worker_count(n_tasks):

@@ -9,8 +9,10 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -363,14 +365,50 @@ def test_theorem_bound_artifacts_are_pinned(tmp_path):
     }
 
 
+def test_bound_table_rounds_its_lower_bounds_down(tmp_path, capsys):
+    # to nearest, final = 1/98 = 0.0102040816... would print as 0.0102041
+    assert run_cli("bound", "--digits", "6", "--output-dir", str(tmp_path)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = {words[0]: words[1:] for words in map(str.split, lines) if len(words) == 3}
+    assert rows["final"] == ["0.010204", "0.032057"]
+    assert rows["case_i"] == ["0.0102054", "0.0320613"]
+
+
+def test_round_down_prints_the_nearest_digits_at_or_below_the_value():
+    rnd = random.Random(16)
+    for _ in range(5000):
+        value = rnd.choice((-1.0, 1.0)) * 10.0 ** rnd.uniform(-9.0, 9.0)
+        digits = rnd.randint(1, 17)
+        text, nearest = cli._round_down(value, digits), f"{value:.{digits}g}"
+        assert Decimal(text) <= Decimal(value)
+        if Decimal(nearest) <= Decimal(value):
+            assert text == nearest
+        else:  # one unit lower in the last printed digit, laid out like the g format
+            assert Decimal(text) < Decimal(nearest)
+            assert digits > 15 or f"{float(text):.{digits}g}" == text
+    for value in (0.0, -0.0, math.inf, -math.inf):
+        assert cli._round_down(value, 6) == f"{value:.6g}"
+
+
 def test_verify_failure_exits_1(tmp_path, monkeypatch):
     failing = oracle.CheckReport(
         id=oracle.CheckId.F_ARGMAX, samples=100, grid_spec="forced", max_violation=1.0,
         tolerance=0.0, passed=False, seed=7,
     )
-    monkeypatch.setattr(cli.oracle, "run_checks", lambda *args, **kwargs: [failing])
+    monkeypatch.setattr(oracle, "run_checks", lambda *args, **kwargs: [failing])
     code = run_cli("verify", "--check", "FArgmax", "--output-dir", str(tmp_path))
     assert code == 1
+
+
+def test_verify_library_domain_error_is_a_failure_exit_1(tmp_path, monkeypatch, capsys):
+    real = cli.bounds.outside_area_rate
+    monkeypatch.setattr(cli.bounds, "outside_area_rate", lambda r, a: real(r, a * (1.0 + 1e-6)))
+    code = run_cli("verify", "--check", "CMin", "--samples", "100", "--output-dir", str(tmp_path))
+    assert code == 1
+    assert "FAIL CMin: max_violation = inf" in capsys.readouterr().out
+    (record,) = json.loads((tmp_path / "verify.json").read_text())["checks"]
+    assert record["pass"] is False
+    assert "DomainError at (r, x)" in record["grid_spec"]
 
 
 def test_verify_worker_death_exits_4_and_writes_nothing(tmp_path, monkeypatch, capsys):

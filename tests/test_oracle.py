@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from kakeya import geom, oracle
+from kakeya import bounds, geom, oracle
 from kakeya.errors import BracketError, DomainError, WorkerLost
 from kakeya.oracle import CheckId
 from kakeya.rng import CounterRng, mix64
@@ -1003,6 +1003,17 @@ def test_every_check_passes_at_reduced_size(check):
     assert report.samples == 800
     assert report.seed == oracle.DEFAULT_SEED
     assert report.grid_spec
+
+
+def test_c_min_reports_a_library_domain_error_as_a_failure(monkeypatch):
+    # a rate that rejects its own domain edge: a(1 + 1e-6) > r at r = a
+    real = bounds.outside_area_rate
+    monkeypatch.setattr(bounds, "outside_area_rate", lambda r, a: real(r, a * (1.0 + 1e-6)))
+    report = oracle.run_check(CheckId.C_MIN, samples=100)
+    assert not report.passed
+    assert report.max_violation == math.inf
+    a = f"{bounds.THEOREM_DEFAULTS.a:.17g}"
+    assert f"DomainError at (r, x) = ({a}, {a})" in report.grid_spec
 
 
 def test_checks_are_reproducible():

@@ -16,7 +16,7 @@ import pytest
 import kakeya
 from kakeya import geom, oracle
 
-MODULES = ("bounds", "cli", "geom", "optimizer", "oracle")
+MODULES = ("bounds", "catalogue", "cli", "geom", "optimizer", "oracle")
 
 # Library API removed because no bound, optimizer step, check, command or
 # benchmark used it; each quantity keeps one public path.
@@ -93,6 +93,52 @@ def test_no_module_reads_another_modules_private_names():
     assert reads == ALLOWED_PRIVATE_READS
 
 
+def _module_level_imports(path: Path, package: set[str]):
+    """Every module the file imports when it is itself imported.
+
+    Imports inside a function run only when it is called and are skipped.
+    A package module is named by its stem, any other by its top-level name.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        nodes.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "kakeya" if node.level else node.module
+            if node.level and node.module:
+                base += "." + node.module
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] != "kakeya":
+                yield parts[0]
+            elif len(parts) > 1 and parts[1] in package:
+                yield parts[1]
+
+
+def test_only_the_oracle_and_its_generator_load_numpy_at_import():
+    # numpy costs about half of a cold start; the commands other than
+    # verify never need it
+    src = Path(kakeya.__file__).parent
+    package = {path.stem for path in src.glob("*.py")}
+    imports = {
+        (path.stem, module)
+        for path in sorted(src.glob("*.py"))
+        for module in _module_level_imports(path, package)
+    }
+    assert {stem for stem, module in imports if module == "numpy"} == {"oracle", "rng"}
+    assert {(stem, module) for stem, module in imports if module in ("oracle", "rng")} == {
+        ("oracle", "rng")
+    }
+
+
 def _child_words(code):
     """The words ``python -c code`` prints, run in a child interpreter."""
     # the child imports the same package as this process, installed or not
@@ -106,11 +152,30 @@ def _child_words(code):
     return proc.stdout.split()
 
 
-def test_runtime_needs_numpy_but_not_mpmath_or_pytest():
+def test_runtime_needs_numpy_but_not_mpmath_or_pytest(tmp_path):
+    # exit codes and loaded modules after bound, optimize and scan, then after verify
+    loaded = "print(*[m for m in ('mpmath', 'pytest', 'numpy') if m in sys.modules] or ['none'])"
     assert _child_words(
-        "import sys, kakeya, kakeya.cli; "
-        "print(' '.join(m for m in ('mpmath', 'pytest', 'numpy') if m in sys.modules))"
-    ) == ["numpy"]
+        "import contextlib, io, sys, kakeya, kakeya.cli\n"
+        f"out = ['--output-dir', {str(tmp_path)!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [kakeya.cli.main(argv + out) for argv in (\n"
+        "        ['bound'], ['optimize', '--preset', 'sec41', '--refine', '10'], ['scan', 'final'])]\n"
+        f"print(*codes); {loaded}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = kakeya.cli.main(['verify', '--check', 'CMin', '--samples', '100'] + out)\n"
+        f"print(code); {loaded}\n"
+    ) == ["0", "0", "0", "none", "0", "numpy"]
+
+
+def test_the_oracle_names_of_the_package_resolve_on_first_access():
+    assert _child_words(
+        "import sys, kakeya; print('kakeya.oracle' in sys.modules); "
+        "from kakeya import run_check; from kakeya import oracle, catalogue; "
+        "print(run_check is oracle.run_check, kakeya.mc_area is oracle.mc_area, "
+        "kakeya.CheckId is oracle.CheckId is catalogue.CheckId, "
+        "oracle.MAX_SAMPLES is catalogue.MAX_SAMPLES, 'numpy' in sys.modules)"
+    ) == ["False", "True", "True", "True", "True", "True"]
 
 
 def test_importing_the_package_does_not_load_a_process_pool():

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,7 +69,9 @@ class CheckReport:
             "id": self.id.value,
             "samples": self.samples,
             "grid_spec": self.grid_spec,
-            "max_violation": self.max_violation,
+            # strict JSON has no Infinity: an infinite violation is written
+            # as the largest float, still failing
+            "max_violation": min(self.max_violation, sys.float_info.max),
             "tolerance": self.tolerance,
             "pass": self.passed,
             "seed": self.seed,
@@ -237,9 +240,14 @@ def _dip_below_flat_limit(r, fractions):
     return max(limit - geom.exterior_angle_ratio(frac * _H_CAP_RATIO * r, r) for frac in fractions)
 
 
-def _check_h_min_at_zero(samples, _rng):
+def _grid_shape(samples):
+    """(rows, columns) of a scan grid of about ``samples`` points, each at least 10."""
     n_r = max(10, int(round(math.sqrt(samples))))
-    n_d = max(10, samples // n_r)
+    return n_r, max(10, samples // n_r)
+
+
+def _check_h_min_at_zero(samples, _rng):
+    n_r, n_d = _grid_shape(samples)
     fractions = _h_fractions(n_d)
     worst = max(_dip_below_flat_limit(r, fractions) for r in np.linspace(0.15, 0.5, n_r))
     spec = (
@@ -308,8 +316,7 @@ def _check_int_disjoint(samples, rng):
 
 
 def _check_jgamma_ratio(samples, _rng):
-    n_r = max(10, int(round(math.sqrt(samples))))
-    n_d = max(10, samples // n_r)
+    n_r, n_d = _grid_shape(samples)
     worst = -math.inf
     for r in np.linspace(0.05, 0.49, n_r):
         cap = (1.0 + 2.0 * r) / (1.0 - 2.0 * r)
@@ -321,8 +328,7 @@ def _check_jgamma_ratio(samples, _rng):
 
 def _check_c_min(samples, _rng):
     a = _HEIGHT_CAP
-    n_r = max(10, int(round(math.sqrt(samples))))
-    n_x = max(10, samples // n_r)
+    n_r, n_x = _grid_shape(samples)
     spec = f"{n_r} r x {n_x} x grid; r in [a, 1.5], x in (0, a], a = {a:.6f}"
     worst = -math.inf
     try:
@@ -364,72 +370,32 @@ def _check_f_argmax(samples, _rng):
     return abs(argmax - 1.0 / 6.0), spec
 
 
-def _first_wrapping_to(t):
-    """First negative raw angle a, counting up from -pi, with a + 2pi >= t.
-
-    For pi < t.  The rounded sum a + 2pi reaches t from the midpoint
-    between t and the float below it.  Both differences to 2pi are exact
-    (Sterbenz), so half their sum, rounded once, is the float nearest that
-    midpoint less 2pi: the edge or the float just below it.  The wrapped
-    angle is nondecreasing in a, so stepping up while the rounded sum
-    itself falls short lands on the edge exactly.  Past 2pi, where no
-    negative angle reaches t, the start is capped at 0.0, which is returned.
-    """
-    a = min(0.5 * ((math.nextafter(t, 0.0) - _TWO_PI) + (t - _TWO_PI)), 0.0)
-    while a < 0.0 and a + _TWO_PI < t:
-        a = math.nextafter(a, math.inf)
-    return a
-
-
-def _raw_angle_range(start, stop):
-    """The arctan2 outputs a with start <= a + 2pi if a < 0 else a <= stop.
-
-    For 0 <= start, stop <= 2pi.  Returns (lo, hi, wraps): raw angles
-    lo <= a <= hi, or, when the set runs from the nonnegative angles into
-    the negative ones, a >= lo or a <= hi.  None when it is empty.  The
-    nonnegative angles wrap to themselves, so a start up to pi and a stop
-    below pi are their own thresholds.  The negative angles wrap into
-    [pi, 2pi] (-pi wraps to pi itself), so every other end bounds them.
-    """
-    lo = start if start <= math.pi else _first_wrapping_to(start)
-    if stop < math.pi:
-        hi = stop
-    else:
-        hi = math.nextafter(_first_wrapping_to(math.nextafter(stop, math.inf)), -math.inf)
-    wraps = start <= math.pi <= stop
-    if start > stop or (lo > hi and not wraps):
-        return None
-    return lo, hi, wraps
-
-
-def _in_raw_ranges(ang, ranges):
-    """Mask of the raw angles ``ang`` inside any of ``ranges`` (see _raw_angle_range)."""
-    inside = np.zeros(ang.shape, dtype=bool)
-    for lo, hi, wraps in ranges:
-        if wraps:
-            inside |= (ang >= lo) | (ang <= hi)
-        else:
-            inside |= (lo <= ang) & (ang <= hi)
-    return inside
-
-
 def _sector_region(starts, stops, radius):
     """Membership in the polar sector {|p| <= radius, angle in the union}.
 
     ``starts``/``stops`` are closed angle intervals in [0, 2pi).  A point
     is in an interval when its arctan2 angle a, wrapped to a + 2pi if
-    a < 0, lies in it.  Each interval is turned once into the range of raw
-    angles it holds (``_raw_angle_range``), so the points' angles are
-    compared as they come from arctan2, never wrapped; the mask is the
-    wrapped rule's, bit for bit.  The radial test compares squares; it can
-    round differently from ``hypot(x, y) <= radius`` only for points within
-    a few ulps of the circle.
+    a < 0, lies in it.  The ends are moved into arctan2's range instead: a
+    start above pi, and a stop at or above pi, less 2pi (exact, by
+    Sterbenz).  An interval that holds pi then keeps the raw angles at or
+    above its start or at or below its stop, any other one those between
+    its ends.  The two rules differ only at points whose wrapped angle
+    rounds onto an interval end, a null set.  The radial test compares
+    squares; it can round differently from ``hypot(x, y) <= radius`` only
+    for points within a few ulps of the circle.
     """
     radius2 = radius * radius
-    ranges = [r for r in map(_raw_angle_range, starts, stops) if r is not None]
 
     def region(xs, ys):
-        inside = _in_raw_ranges(np.arctan2(ys, xs), ranges)
+        ang = np.arctan2(ys, xs)
+        inside = np.zeros(ang.shape, dtype=bool)
+        for start, stop in zip(starts, stops):
+            lo = start if start <= math.pi else start - _TWO_PI
+            hi = stop if stop < math.pi else stop - _TWO_PI
+            if start <= math.pi <= stop:
+                inside |= (ang >= lo) | (ang <= hi)
+            else:
+                inside |= (lo <= ang) & (ang <= hi)
         rad2 = xs * xs
         rad2 += ys * ys
         inside &= rad2 <= radius2

@@ -293,6 +293,15 @@ def test_reduced_verify_all_artifact_is_pinned(reduced_verify_all):
     assert digest == "cfa644ccea8a984b7a6ee70f5b0ee374ccc44d9a4adf373cdaa25a40408a5059"
 
 
+def test_full_size_verify_all_artifact_is_pinned(tmp_path):
+    # sha256 of verify.json from `verify --all --seed 7` at the default
+    # sizes (10^6 points per SectorMeasure set), as logged in CHANGES.md
+    code = run_cli("verify", "--all", "--seed", "7", "--output-dir", str(tmp_path))
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
+    assert digest == "58ed2854153f861d30dad2cd532c1e635b5740e7e1b11a630be438d966daa26f"
+
+
 # sha256 of json.dumps(record, sort_keys=True) for the records of the
 # reduced `verify --all` that exact disjointness clipping left alone,
 # recorded from the sampled implementation
@@ -400,13 +409,20 @@ def test_verify_failure_exits_1(tmp_path, monkeypatch):
     assert code == 1
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 def test_verify_library_domain_error_is_a_failure_exit_1(tmp_path, monkeypatch, capsys):
     real = cli.bounds.outside_area_rate
     monkeypatch.setattr(cli.bounds, "outside_area_rate", lambda r, a: real(r, a * (1.0 + 1e-6)))
     code = run_cli("verify", "--check", "CMin", "--samples", "100", "--output-dir", str(tmp_path))
     assert code == 1
     assert "FAIL CMin: max_violation = inf" in capsys.readouterr().out
-    (record,) = json.loads((tmp_path / "verify.json").read_text())["checks"]
+    # strict (RFC 8259) JSON: the infinite violation is written as a finite float
+    text = (tmp_path / "verify.json").read_text()
+    (record,) = json.loads(text, parse_constant=_reject_constant)["checks"]
+    assert record["max_violation"] == sys.float_info.max
     assert record["pass"] is False
     assert "DomainError at (r, x)" in record["grid_spec"]
 

@@ -63,7 +63,7 @@ _FLAGS = {
     "emit": dict(type=str, help="comma list of the formats this mode writes"),
     "digits": dict(type=int, default=6, lo=1, hi=17,
                    help="significant digits for printed numbers, 1 to 17"),
-    "refine": dict(type=int, metavar="N",
+    "refine": dict(type=int, metavar="N", lo=0,
                    help="append N steps of the iterative inner-bound refinement"),
     "all": dict(action="store_true", help="run every check"),
     "check": dict(action="append", choices=sorted(c.value for c in CheckId),

@@ -286,11 +286,11 @@ def reduced_verify_all(tmp_path_factory):
 
 
 def test_reduced_verify_all_artifact_is_pinned(reduced_verify_all):
-    # sha256 of the reduced verify.json, recorded when the disjointness
-    # checks moved to the polar overlap test (their grid_specs changed);
-    # any change to a drawn value, a hit count or a grid_spec shows here
+    # sha256 of the reduced verify.json, recorded when SectorMeasure's
+    # violation became a family-wise z (its record changed); any change to
+    # a drawn value, a hit count or a grid_spec shows here
     digest = hashlib.sha256(reduced_verify_all).hexdigest()
-    assert digest == "cfa644ccea8a984b7a6ee70f5b0ee374ccc44d9a4adf373cdaa25a40408a5059"
+    assert digest == "0ca89ce764bc07056b06e686cf54e11bba6c7f6e3e7c8729e1561cd38cb0eed7"
 
 
 def test_full_size_verify_all_artifact_is_pinned(tmp_path):
@@ -299,19 +299,20 @@ def test_full_size_verify_all_artifact_is_pinned(tmp_path):
     code = run_cli("verify", "--all", "--seed", "7", "--output-dir", str(tmp_path))
     assert code == 0
     digest = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
-    assert digest == "58ed2854153f861d30dad2cd532c1e635b5740e7e1b11a630be438d966daa26f"
+    assert digest == "e5fc0c1fb5b272001f904f93f1806c3549e14e9971f06710c251035bfe6c317c"
 
 
 # sha256 of json.dumps(record, sort_keys=True) for the records of the
 # reduced `verify --all` that exact disjointness clipping left alone,
-# recorded from the sampled implementation
+# recorded from the sampled implementation; SectorMeasure's re-recorded
+# when its violation became a family-wise z
 UNCHANGED_REDUCED_RECORDS = {
     "IsoscelesMinimality": "7b47f55cdf2ec4216289495cb90c667c6eab2986c3c032d0fc352b0b389c4d5c",
     "HMinAtZero": "df7f7daca9bc1b6193b812587a1c6acc14ba53cf138d74f22dda129446fc0670",
     "JGammaRatio": "3d8c36c0e7ae95997960fea2a46626611a8aa24d024712ec5ab3c4ded4245629",
     "CMin": "5e90464edc15ced747937bbe4ec9f2dab92b571d19c5b86db64975256de8195f",
     "FArgmax": "379abaa89efffaf4e0f45024f76349118717e10afc83c35b0d2a441683ee6ec0",
-    "SectorMeasure": "d251532d3944c9ee62f331e464664756aa0bc3893450aa899118244015760388",
+    "SectorMeasure": "42a12a819cec211c251b6ae1740e3cf098101f79761d41ad4f97de89ab046605",
     "ArcConsistency": "d5b06dd461b04e8961ef60c7cef227c0465abed679efa4ccac89c3491b5873a7",
 }
 
@@ -332,6 +333,16 @@ def test_verify_all_with_check_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "--all and --check cannot be combined" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+
+
+def test_verify_with_a_repeated_check_exits_2(tmp_path, capsys):
+    code = run_cli(
+        "verify", "--check", "CMin", "--check", "CMin", "--samples", "100",
+        "--output-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert "check CMin is named twice" in capsys.readouterr().err
     assert not (tmp_path / "verify.json").exists()
 
 
@@ -559,6 +570,15 @@ def test_digits_below_one_exit_2(tmp_path, capsys):
         code = run_cli("bound", "--digits", digits, "--output-dir", str(tmp_path))
         assert code == 2
         assert "digits must be >= 1" in capsys.readouterr().err
+
+
+def test_negative_refine_exits_2_before_optimizing(tmp_path, capsys):
+    code = run_cli("optimize", "--preset", "sec41", "--refine", "-1", "--output-dir", str(tmp_path))
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert "--refine must be >= 0, got -1" in err
+    assert "optimum" not in out
+    assert not (tmp_path / "optimize.json").exists()
 
 
 def test_digits_above_17_exit_2(tmp_path, capsys):

@@ -23,6 +23,7 @@ the worker count.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -92,14 +93,24 @@ class McEstimate:
 # Monte Carlo area
 # ---------------------------------------------------------------------------
 
-# Stream layout: the samples come in chunks of _MC_CHUNK points, each
-# drawing all its x coordinates, then all its y coordinates.  Changing it
-# changes every estimate.
-_MC_CHUNK = 1 << 19
-# Points per ``region`` call: a block's coordinates and temporaries,
-# 128 KiB per float array, stay in a core's L2 cache.  Any size gives the
-# same draws and hits.
+# Points per ``region`` call: a block's words, coordinates and
+# temporaries, 128 KiB per array, stay in a core's L2 cache.  Any size
+# gives the same points and hits.
 _MC_BLOCK = 1 << 14
+_INV_2_32 = 2.0**-32
+# index of a word's high half in its uint32 view
+_HIGH = 1 if sys.byteorder == "little" else 0
+
+
+def _bbox_floats(bbox):
+    """``bbox`` as four floats (xmin, ymin, xmax, ymax), or DomainError."""
+    try:
+        ends = tuple(bbox)
+        if len(ends) != 4 or not all(isinstance(v, numbers.Real) for v in ends):
+            raise TypeError
+        return tuple(float(v) for v in ends)
+    except (TypeError, OverflowError):
+        raise DomainError(f"bbox must be four finite reals, got {bbox!r}") from None
 
 
 def mc_area(
@@ -108,37 +119,58 @@ def mc_area(
     samples: int,
     seed: int,
 ) -> McEstimate:
-    """Unbiased hit-or-miss area estimate of ``region`` inside ``bbox``.
+    """Hit-or-miss area estimate of ``region`` inside ``bbox``.
 
-    ``region(xs, ys)`` must return a boolean membership array and may be
-    called on any number of blocks; it must not write into ``xs``/``ys``.
-    It may run in a worker process, where state it changes is not seen by
-    the caller, so it must keep no state between calls.  The estimate is
-    bbox_area * hits/samples with standard error
-    bbox_area * sqrt(phat*(1-phat)/samples), and is bit-identical for a
-    fixed (seed, samples).
+    ``bbox`` is four finite reals (xmin, ymin, xmax, ymax) with
+    xmax > xmin and ymax > ymin.  ``region(xs, ys)`` must return a
+    boolean membership array of the shape of ``xs``, and may be called
+    on any number of blocks; it must not write into ``xs``/``ys``.  It may
+    run in a worker process, where state it changes is not seen by the
+    caller, so it must keep no state between calls.  Anything else is a
+    DomainError.  The estimate is bbox_area * hits/samples with standard
+    error bbox_area * sqrt(phat*(1-phat)/samples), and is bit-identical
+    for a fixed (seed, samples).
+
+    Point i comes from word i of ``CounterRng(seed, 0)``: its high 32
+    bits k give x = xmin + k * ((xmax - xmin) * 2**-32), its low 32 bits
+    give y the same way.  So the points are uniform on a 2**32 x 2**32
+    lattice in the box, and the hit probability differs from the area
+    fraction only through the lattice cells that the region's boundary
+    crosses: about (boundary length / box side) * 2**-32, near 1e-9
+    relative for the sector sets, which is under 1e-5 sigma even at
+    MAX_SAMPLES points.
     """
     samples = as_integer(samples, "samples", lo=1)
-    xmin, ymin, xmax, ymax = bbox
+    xmin, ymin, xmax, ymax = _bbox_floats(bbox)
     area_box = (xmax - xmin) * (ymax - ymin)
     if not (xmax > xmin and ymax > ymin and math.isfinite(area_box)):
         raise DomainError(f"degenerate or unbounded bbox {bbox}")
+    xscale, yscale = (xmax - xmin) * _INV_2_32, (ymax - ymin) * _INV_2_32
     rng = CounterRng(seed, stream=0)
-    # a block's xs in row 0 and its ys in row 1 of one reused buffer
-    coords = np.empty((2, min(_MC_BLOCK, samples)))
+    # one block's words, and its xs in row 0 and its ys in row 1, in
+    # buffers reused by every block
+    size = min(_MC_BLOCK, samples)
+    words = np.empty(size, dtype=np.uint64)
+    coords = np.empty((2, size))
     hits = 0
-    for start in range(0, samples, _MC_CHUNK):
-        n = min(_MC_CHUNK, samples - start)
-        # the chunk's xs sit at counters [2*start, 2*start + n), its ys
-        # right after; blocks read matching pieces of the two runs
-        for lo in range(0, n, _MC_BLOCK):
-            m = min(_MC_BLOCK, n - lo)
-            xs, ys = coords[0, :m], coords[1, :m]
-            rng.seek(2 * start + lo)
-            rng.uniform(xmin, xmax, m, out=xs)
-            rng.seek(2 * start + n + lo)
-            rng.uniform(ymin, ymax, m, out=ys)
-            hits += int(np.count_nonzero(region(xs, ys)))
+    for lo in range(0, samples, _MC_BLOCK):
+        m = min(_MC_BLOCK, samples - lo)
+        halves = rng.raw(m, out=words[:m]).view(np.uint32)
+        xs, ys = coords[0, :m], coords[1, :m]
+        np.copyto(xs, halves[_HIGH::2])
+        np.copyto(ys, halves[1 - _HIGH::2])
+        xs *= xscale
+        xs += xmin
+        ys *= yscale
+        ys += ymin
+        inside = region(xs, ys)
+        if not (isinstance(inside, np.ndarray) and inside.dtype == np.bool_
+                and inside.shape == (m,)):
+            raise DomainError(
+                f"region must return a boolean array of shape ({m},), got {type(inside).__name__} "
+                f"(dtype {getattr(inside, 'dtype', None)}, shape {getattr(inside, 'shape', None)})"
+            )
+        hits += int(np.count_nonzero(inside))
     phat = hits / samples
     return McEstimate(
         value=area_box * phat,
@@ -257,41 +289,76 @@ def _check_h_min_at_zero(samples, _rng):
     return worst, spec
 
 
-def _disjoint_pairs(samples, rng, r_lo):
-    """Accepted (r, delta_i, alpha_i) batches meeting the angular-gap test."""
+def _kept_pairs(samples, draw):
+    """The first ``samples`` pairs kept by ``draw(n)``, which gives (keep, arrays) for n pairs."""
     out = []
     have = 0
     while have < samples:
-        n = max(1024, 2 * (samples - have))
-        r = rng.uniform(r_lo, 0.5, n)
-        cap = np.minimum(_HEIGHT_CAP, 0.9 * r)
-        d1 = rng.uniforms(n) * cap
-        d2 = rng.uniforms(n) * cap
-        a1 = rng.uniform(0.0, math.pi, n)
+        keep, arrays = draw(max(1024, 2 * (samples - have)))
+        out.append(tuple(x[keep] for x in arrays))
+        have += int(np.count_nonzero(keep))
+    return tuple(np.concatenate(parts)[:samples] for parts in zip(*out))
+
+
+def _needles(rng, n, r_lo):
+    """n draws of (r, delta1, delta2, alpha1): a radius, two heights below it, a direction."""
+    r = rng.uniform(r_lo, 0.5, n)
+    cap = np.minimum(_HEIGHT_CAP, 0.9 * r)
+    return r, rng.uniforms(n) * cap, rng.uniforms(n) * cap, rng.uniform(0.0, math.pi, n)
+
+
+def _disjoint_pairs(samples, rng, r_lo):
+    """Accepted (r, delta_i, alpha_i) batches meeting the angular-gap test."""
+
+    def draw(n):
+        r, d1, d2, a1 = _needles(rng, n, r_lo)
         a2 = rng.uniform(0.0, math.pi, n)
         g = np.abs(a1 - a2)
-        gap = np.minimum(g, math.pi - g)
-        ok = gap >= np.arcsin(d1 / r) + np.arcsin(d2 / r)
-        out.append((r[ok], d1[ok], d2[ok], a1[ok], a2[ok]))
-        have += int(np.count_nonzero(ok))
-    r, d1, d2, a1, a2 = (np.concatenate(parts) for parts in zip(*out))
-    return r[:samples], d1[:samples], d2[:samples], a1[:samples], a2[:samples]
+        keep = np.minimum(g, math.pi - g) >= np.arcsin(d1 / r) + np.arcsin(d2 / r)
+        return keep, (r, d1, d2, a1, a2)
+
+    return _kept_pairs(samples, draw)
+
+
+def _near_miss_pairs(samples, rng, r_lo):
+    """(r, delta_i, alpha_i) pairs just short of the angular-gap test.
+
+    With need = asin(delta1/r) + asin(delta2/r) at most pi/2, the
+    directions lie u * need apart for u uniform on [0.9, 0.99]: a gap the
+    test must reject.
+    """
+
+    def draw(n):
+        r, d1, d2, a1 = _needles(rng, n, r_lo)
+        need = np.arcsin(d1 / r) + np.arcsin(d2 / r)
+        a2 = a1 + rng.uniform(0.9, 0.99, n) * need
+        return need <= 0.5 * math.pi, (r, d1, d2, a1, a2)
+
+    return _kept_pairs(samples, draw)
+
+
+def _criterion_accepts(r, d1, d2, a1, a2):
+    """How many of the pairs ``geom.exterior_disjoint_criterion`` accepts."""
+    return sum(
+        geom.exterior_disjoint_criterion(a1[i], d1[i], a2[i], d2[i], r[i]) for i in range(r.shape[0])
+    )
 
 
 def _check_ext_disjoint(samples, rng):
-    r, d1, d2, a1, a2 = _disjoint_pairs(samples, rng, r_lo=0.05)
+    pairs = _disjoint_pairs(samples, rng, r_lo=0.05)
+    r, d1, d2, a1, a2 = pairs
     t1 = rng.uniforms(samples)
     t2 = rng.uniforms(samples)
     w1, w2 = _wedges(a1, d1, t1), _wedges(a2, d2, t2)
     overlaps = int(np.count_nonzero(_overlapping_pairs(r, w1, w2, exterior=True)))
-    # the library predicate must agree with the sampled gap condition
-    mismatches = sum(
-        0 if geom.exterior_disjoint_criterion(a1[i], d1[i], a2[i], d2[i], r[i]) else 1
-        for i in range(samples)
-    )
+    # the library predicate must accept every pair that meets the gap and
+    # reject every pair just short of it
+    mismatches = samples - _criterion_accepts(*pairs)
+    mismatches += _criterion_accepts(*_near_miss_pairs(samples, rng, r_lo=0.05))
     spec = (
         f"{samples} gap-criterion pairs, outer parts intersected exactly "
-        "(polar ranges about O); violation counts overlapping pairs"
+        f"(polar ranges about O), and {samples} near-miss pairs (gap u*need, u in [0.9, 0.99]); "
+        "violation counts overlapping pairs and pairs where geom's criterion disagrees"
     )
     return float(overlaps + mismatches), spec
 

@@ -286,11 +286,12 @@ def reduced_verify_all(tmp_path_factory):
 
 
 def test_reduced_verify_all_artifact_is_pinned(reduced_verify_all):
-    # sha256 of the reduced verify.json, recorded when SectorMeasure's
-    # violation became a family-wise z (its record changed); any change to
-    # a drawn value, a hit count or a grid_spec shows here
+    # sha256 of the reduced verify.json, recorded when mc_area took each
+    # point from one stream word (SectorMeasure's record changed) and
+    # ExtDisjoint added its near-miss pairs (its grid_spec changed); any
+    # change to a drawn value, a hit count or a grid_spec shows here
     digest = hashlib.sha256(reduced_verify_all).hexdigest()
-    assert digest == "0ca89ce764bc07056b06e686cf54e11bba6c7f6e3e7c8729e1561cd38cb0eed7"
+    assert digest == "9787d25fefac64c0db4c199bd14ba106caaee66c6101ba36f1792bdc8ad28ac4"
 
 
 def test_full_size_verify_all_artifact_is_pinned(tmp_path):
@@ -299,20 +300,20 @@ def test_full_size_verify_all_artifact_is_pinned(tmp_path):
     code = run_cli("verify", "--all", "--seed", "7", "--output-dir", str(tmp_path))
     assert code == 0
     digest = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
-    assert digest == "e5fc0c1fb5b272001f904f93f1806c3549e14e9971f06710c251035bfe6c317c"
+    assert digest == "259fa38f561b1424cca849701a90dd75f55af8782409b4d26b15b29d67119d93"
 
 
 # sha256 of json.dumps(record, sort_keys=True) for the records of the
 # reduced `verify --all` that exact disjointness clipping left alone,
 # recorded from the sampled implementation; SectorMeasure's re-recorded
-# when its violation became a family-wise z
+# when mc_area took each point from one stream word
 UNCHANGED_REDUCED_RECORDS = {
     "IsoscelesMinimality": "7b47f55cdf2ec4216289495cb90c667c6eab2986c3c032d0fc352b0b389c4d5c",
     "HMinAtZero": "df7f7daca9bc1b6193b812587a1c6acc14ba53cf138d74f22dda129446fc0670",
     "JGammaRatio": "3d8c36c0e7ae95997960fea2a46626611a8aa24d024712ec5ab3c4ded4245629",
     "CMin": "5e90464edc15ced747937bbe4ec9f2dab92b571d19c5b86db64975256de8195f",
     "FArgmax": "379abaa89efffaf4e0f45024f76349118717e10afc83c35b0d2a441683ee6ec0",
-    "SectorMeasure": "42a12a819cec211c251b6ae1740e3cf098101f79761d41ad4f97de89ab046605",
+    "SectorMeasure": "ef7a8f2c8f11a55aae73670dc5dd3a0126d2a0144db977fee00e8a8af9c19a9e",
     "ArcConsistency": "d5b06dd461b04e8961ef60c7cef227c0465abed679efa4ccac89c3491b5873a7",
 }
 

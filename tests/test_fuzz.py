@@ -11,7 +11,9 @@ integers of at most 100, so no call starts heavy work; ``optimize`` sees
 point boxes only, which it settles in two evaluations.  ``rng.mix64``
 works in place on uint64 arrays, so it sees instead a float, an integer
 and a read-only array, a list, a scalar and a 0-d array, each of which
-must be a DomainError.
+must be a DomainError.  ``mc_area`` also sees bboxes that are not four
+reals, and regions that do not return a boolean block, which it must
+refuse.
 
 Each numeric flag of each CLI mode, the same key in a config file, and
 KAKEYA_SEED get the same kinds of values as text, plus a non-number and
@@ -48,6 +50,33 @@ DERIVED = bounds.derive_params(THEOREM_DEFAULTS)
 
 def _half_plane(xs, ys):
     return xs < ys
+
+
+# bboxes that are not four reals (and a few that are), and regions whose
+# result is not a boolean block of the points' shape
+BBOX_OBJECTS = (
+    None, 1.0, "0011", (0, 0, 1), (0, 0, 1, 1, 2), (0, 0, 1, "a"), (0, 0, 1, 10**400),
+    (0, 0, 1, 1j), [0, 0, 1, 1], np.array([0.0, 0.0, 1.0, 1.0]), (np.float32(0), 0, 1, np.int8(1)),
+)
+REGIONS = (
+    lambda xs, ys: None,
+    lambda xs, ys: (xs < ys).tolist(),
+    lambda xs, ys: (xs < ys).astype(np.float64),
+    lambda xs, ys: (xs < ys)[1:],
+    lambda xs, ys: np.bool_(True),
+)
+
+
+def _refused(value):
+    """Fail a call that should have raised a KakeyaError but returned."""
+    raise AssertionError(f"accepted, returned {value!r}")
+
+
+def _plain_floats(est):
+    """Pass an estimate on, failing the call if a number in it is not a float."""
+    if type(est.value) is not float or type(est.std_error) is not float:
+        raise AssertionError(f"estimate of non-float numbers {est!r}")
+    return est
 
 
 def _nonnegative(value):
@@ -121,6 +150,16 @@ ENTRY_POINTS = {
     ),
     "mc_area(bbox)": (
         lambda *bbox: oracle.mc_area(_half_plane, bbox, 100, 0), (VALUES,) * 4
+    ),
+    "mc_area(numpy bbox)": (
+        lambda *bbox: _plain_floats(oracle.mc_area(_half_plane, np.array(bbox), 100, 0)),
+        (VALUES,) * 4,
+    ),
+    "mc_area(bbox object)": (
+        lambda bbox: _plain_floats(oracle.mc_area(_half_plane, bbox, 100, 0)), (BBOX_OBJECTS,)
+    ),
+    "mc_area(region)": (
+        lambda region: _refused(oracle.mc_area(region, (0, 0, 1, 1), 100, 0)), (REGIONS,)
     ),
     "mc_area(samples)": (lambda n: oracle.mc_area(_half_plane, (0, 0, 1, 1), n, 0), (COUNTS,)),
     "mc_area(seed)": (lambda seed: oracle.mc_area(_half_plane, (0, 0, 1, 1), 100, seed), (COUNTS,)),

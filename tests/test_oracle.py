@@ -16,6 +16,7 @@ import math
 import multiprocessing
 import os
 import statistics
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -242,23 +243,61 @@ def test_mc_area_determinism_and_validation():
         oracle.mc_area(region, (1, -1, 1, 1), 100, 3)
 
 
-def _chunked_hits(region, bbox, samples, seed, chunk=1 << 19):
-    """Hit count drawn the unblocked way: per chunk, all xs, then all ys."""
+@pytest.mark.parametrize(
+    "bbox",
+    [(0, 0, 1), (0, 0, 1, 1, 2), (0, 0, 1, "a"), None, 1.0, "0011", (0, 0, 1, 10**400),
+     (0, 0, 1, math.nan), (0, 0, 1, math.inf), (0, 0, 1, 1j), (-1e308, 0, 1e308, 1)],
+    ids=lambda bbox: repr(bbox)[:20],
+)
+def test_mc_area_rejects_a_bbox_that_is_not_four_finite_reals(bbox):
+    with pytest.raises(DomainError, match="bbox"):
+        oracle.mc_area(lambda xs, ys: xs > ys, bbox, 100, 3)
+
+
+def test_mc_area_takes_numpy_and_integer_bbox_ends_as_floats():
+    region = lambda xs, ys: xs > ys
+    want = oracle.mc_area(region, (0.0, 0.0, 1.0, 1.0), 1000, 3)
+    for bbox in ((0, 0, 1, 1), tuple(np.float64(v) for v in (0, 0, 1, 1)),
+                 np.array([0.0, 0.0, 1.0, 1.0]), [np.int32(0), 0, np.float32(1), 1]):
+        got = oracle.mc_area(region, bbox, 1000, 3)
+        assert type(got.value) is float and type(got.std_error) is float
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    "membership",
+    [
+        lambda xs, ys: None,
+        lambda xs, ys: (xs > ys).tolist(),
+        lambda xs, ys: (xs > ys).astype(np.float64),
+        lambda xs, ys: (xs > ys).astype(np.int8),
+        lambda xs, ys: (xs > ys)[1:],
+        lambda xs, ys: np.concatenate([xs > ys, xs > ys]),
+        lambda xs, ys: (xs > ys).reshape(-1, 1),
+        lambda xs, ys: np.bool_(True),
+        lambda xs, ys: True,
+    ],
+    ids=["None", "list", "float64", "int8", "short", "long", "column", "numpy-bool", "bool"],
+)
+def test_mc_area_rejects_a_region_that_gives_no_boolean_block(membership):
+    with pytest.raises(DomainError, match="region must return a boolean array"):
+        oracle.mc_area(membership, (0.0, 0.0, 1.0, 1.0), 1000, 3)
+
+
+def _lattice_points(bbox, samples, seed):
+    """The points mc_area must draw: point i from word i of CounterRng(seed, 0),
+    x from its high 32 bits and y from its low 32 bits, on a 2**-32 lattice."""
     xmin, ymin, xmax, ymax = bbox
-    rng = CounterRng(seed, stream=0)
-    hits = 0
-    for start in range(0, samples, chunk):
-        n = min(chunk, samples - start)
-        xs = rng.uniform(xmin, xmax, n)
-        ys = rng.uniform(ymin, ymax, n)
-        hits += int(np.count_nonzero(region(xs, ys)))
-    return hits
+    words = CounterRng(seed, stream=0).raw(samples)
+    high = (words >> np.uint64(32)).astype(np.float64)
+    low = (words & np.uint64(0xFFFFFFFF)).astype(np.float64)
+    return xmin + high * ((xmax - xmin) * 2.0**-32), ymin + low * ((ymax - ymin) * 2.0**-32)
 
 
 @pytest.mark.parametrize("seed", [21, (1 << 63) - 1, 1 << 63])
-def test_mc_area_block_draws_are_seek_and_uniform(seed):
-    # two chunks, the second ending in an odd partial block
-    samples = (1 << 19) + 2 * (1 << 14) + 777
+def test_mc_area_blocks_are_the_stream_words_split_in_halves(seed):
+    # five whole blocks and an odd partial one
+    samples = 5 * (1 << 14) + 777
     bbox = (-0.3, 1.25, 0.9, 2.5)
     blocks = []
 
@@ -267,30 +306,48 @@ def test_mc_area_block_draws_are_seek_and_uniform(seed):
         return xs < 0.0
 
     oracle.mc_area(record, bbox, samples, seed)
-    rng = CounterRng(seed, stream=0)
-    want = []
-    for start in range(0, samples, 1 << 19):
-        n = min(1 << 19, samples - start)
-        for lo in range(0, n, 1 << 14):
-            m = min(1 << 14, n - lo)
-            rng.seek(2 * start + lo)
-            xs = rng.uniform(bbox[0], bbox[2], m)
-            rng.seek(2 * start + n + lo)
-            want.append((xs, rng.uniform(bbox[1], bbox[3], m)))
-    assert len(blocks) == len(want) == 35
-    for (gx, gy), (wx, wy) in zip(blocks, want):
-        assert gx.tobytes() == wx.tobytes() and gy.tobytes() == wy.tobytes()
+    xs, ys = _lattice_points(bbox, samples, seed)
+    assert [bx.shape[0] for bx, _ in blocks] == [1 << 14] * 5 + [777]
+    lo = 0
+    for bx, by in blocks:
+        hi = lo + bx.shape[0]
+        assert bx.tobytes() == xs[lo:hi].tobytes() and by.tobytes() == ys[lo:hi].tobytes()
+        lo = hi
+    assert lo == samples
 
 
-def test_mc_area_blocks_keep_the_chunked_stream_layout():
-    # two chunks, the second ending in a partial block
-    samples = (1 << 19) + 3 * (1 << 16) + 777
+def test_mc_area_counts_the_hits_of_the_lattice_points():
+    samples = 3 * (1 << 16) + 777
     region = _reference_sector_region(np.array([0.3, 2.9]), np.array([1.7, 4.4]), 0.8)
     bbox = (-0.8, -0.8, 0.8, 0.8)
     est = oracle.mc_area(region, bbox, samples, 21)
-    hits = _chunked_hits(region, bbox, samples, 21)
+    hits = int(np.count_nonzero(region(*_lattice_points(bbox, samples, 21))))
     assert 0 < hits < samples
     assert est.value == 1.6 * 1.6 * (hits / samples)
+
+
+def test_mc_area_memory_stays_flat_in_the_sample_count():
+    region = lambda xs, ys: xs < ys
+    oracle.mc_area(region, (0.0, 0.0, 1.0, 1.0), 1 << 15, 1)  # the generator's table, once
+    peaks = []
+    for samples in (100_000, 4_000_000):
+        tracemalloc.start()
+        try:
+            oracle.mc_area(region, (0.0, 0.0, 1.0, 1.0), samples, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 1 << 20, peaks
+    assert abs(peaks[1] - peaks[0]) <= 64 << 10, peaks
+
+
+def test_mc_area_estimate_does_not_depend_on_the_block_size(monkeypatch):
+    region = _reference_sector_region(np.array([0.3, 2.9]), np.array([1.7, 4.4]), 0.8)
+    bbox = (-0.8, -0.8, 0.8, 0.8)
+    want = oracle.mc_area(region, bbox, 123_457, 5)
+    monkeypatch.setattr(oracle, "_MC_BLOCK", 1000)
+    assert oracle.mc_area(region, bbox, 123_457, 5) == want
+    assert 0.0 < want.value < 1.6 * 1.6
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +535,13 @@ def test_arctan2_stays_in_the_range_the_thresholds_cover():
 
 
 # ---------------------------------------------------------------------------
-# SectorMeasure on the thread pool
+# SectorMeasure on the process pool
 # ---------------------------------------------------------------------------
 
 def _serial_sector_measure(samples, rng, n_sets=100):
-    """The serial SectorMeasure loop the thread pool replaced: each set draws
-    its parameters and takes its estimate before the next set draws."""
+    """The serial SectorMeasure loop that the per-set pool tasks replaced:
+    each set draws its parameters and takes its estimate before the next
+    set draws."""
     worst = 0.0
     for _ in range(n_sets):
         n_intervals = 1 + int(rng.raw(1)[0] % np.uint64(3))
@@ -1098,6 +1156,13 @@ MUTANTS = {
     "outside_area_rate at a(1 + 1e-6)": (
         bounds, "outside_area_rate", lambda real: lambda r, a: real(r, a * (1.0 + 1e-6)),
         CheckId.C_MIN),
+    # the unsafe direction: also accepts gaps of 0.97 of the requirement
+    "exterior_disjoint_criterion gap x 0.97": (
+        geom, "exterior_disjoint_criterion",
+        lambda real: lambda a1, d1, a2, d2, r: real(a1, d1, a2, d2, r) or (
+            geom.angular_gap(a1, a2) >= 0.97 * (math.asin(d1 / r) + math.asin(d2 / r))
+        ),
+        CheckId.EXT_DISJOINT),
 }
 
 

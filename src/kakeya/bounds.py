@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import NamedTuple
 
 from . import geom
@@ -90,10 +91,17 @@ class BoundParams:
 
     def __post_init__(self):
         # one test for the common all-finite case; the sum of finite
-        # values can only overflow, and then the loop finds no culprit
-        if not math.isfinite(self.a + self.r0 + self.p + self.lam):
+        # reals can only overflow, and then the loop finds no culprit
+        try:
+            finite = math.isfinite(self.a + self.r0 + self.p + self.lam)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
             for name in ("a", "r0", "p", "lam"):
-                if not math.isfinite(getattr(self, name)):
+                value = getattr(self, name)
+                if not isinstance(value, Real):
+                    raise DomainError(f"{name} must be a real number, got {value!r}")
+                if not -math.inf < value < math.inf:
                     raise DomainError(f"{name} must be finite")
         if not self.a < self.r0:
             raise DomainError(f"a must be < r0, got a={self.a}, r0={self.r0}")
@@ -298,7 +306,7 @@ def _g_pieces(lo: float, hi: float, derived: DerivedParams) -> list[tuple[float,
 
 
 def _check_tol(tol: float) -> None:
-    if not tol > 0.0:
+    if not (isinstance(tol, Real) and tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
 
 

@@ -16,7 +16,7 @@ class CaseIIInfeasible(KakeyaError):
 
 
 class EmptyFeasibleSet(KakeyaError):
-    """Every corner of an optimization search box was infeasible."""
+    """Every point the optimizer probed in its search box was infeasible."""
 
 
 class BracketError(KakeyaError, ValueError):

@@ -7,13 +7,15 @@ objective is
     min( balanced case value,  a/(2*pi) )
 
 since a/(2*pi) is the standing trivial bound that caps how much the case
-machinery may claim.  The search seeds from the best corner of the box and
-refines coordinate-wise by golden-section search.  Golden-section never
-evaluates an interval end, so the corners are exactly the points it cannot
-reach; the sec41 optimum sits on two of them.  Ties in the objective (it
-plateaus at a/(2*pi) once the balanced value exceeds it) break toward the
-larger balanced value, which pins the refinement to the constrained
-optimum instead of an arbitrary plateau point.
+machinery may claim.  One compass (pattern) search finds the maximum: from
+the box centre it probes a step up and down each axis, moves on strict
+improvement and halves its steps when no probe improves (the direct-search
+family of Hooke & Jeeves 1961, surveyed by Kolda, Lewis & Torczon 2003).
+Its first probes are the interval ends themselves, where the sec41 optimum
+sits on two axes.  Ties in the objective (it plateaus at a/(2*pi) once the
+balanced value exceeds it) break toward the larger balanced value, which
+pins the search to the constrained optimum instead of an arbitrary plateau
+point.
 
 Every term of the objective, and the ratio q of the iterative refinement,
 comes from one ``bounds.bound_terms`` record per point; this module only
@@ -22,9 +24,9 @@ solves for p and searches.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 from . import bounds
 from .bounds import RLAMBDA_REPRODUCING, BoundBreakdown, BoundParams
@@ -32,16 +34,18 @@ from .errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet, as_integer
 
 __all__ = ["SearchBox", "OptimizationResult", "optimize", "refine_iterative"]
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# A refinement pass that raises the objective by less than this ends the
-# search; a golden-section line search stops once its bracket is this narrow.
-_PASS_TOL = 1e-9
-_LINE_TOL = 1e-8
+# The search ends once every step is at most this wide.
+_STEP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SearchBox:
-    """Closed intervals for (a, r0, lambda); a point interval fixes its axis."""
+    """Closed intervals for (a, r0, lambda); a point interval fixes its axis.
+
+    Each is a (lo, hi) pair of finite reals with lo <= hi; the a interval
+    lies below the r0 interval, both inside (0, 1/2), and the lambda
+    interval inside [0, 1].  DomainError otherwise.
+    """
 
     a: tuple[float, float]
     r0: tuple[float, float]
@@ -49,13 +53,20 @@ class SearchBox:
 
     def __post_init__(self):
         for name in ("a", "r0", "lam"):
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise DomainError(f"invalid {name} interval [{lo}, {hi}]")
+            interval = getattr(self, name)
+            try:
+                lo, hi = interval
+                valid = all(isinstance(x, Real) and math.isfinite(x) for x in (lo, hi)) and lo <= hi
+            except (TypeError, ValueError, OverflowError):
+                valid = False
+            if not valid:
+                raise DomainError(f"{name} must be an interval (lo, hi) of finite reals, got {interval!r}")
         if self.a[1] >= self.r0[0]:
             raise DomainError("a interval must lie strictly below the r0 interval")
         if self.a[0] <= 0.0 or self.r0[1] >= 0.5:
             raise DomainError("intervals must stay inside (0, 1/2)")
+        if not (0.0 <= self.lam[0] and self.lam[1] <= 1.0):
+            raise DomainError(f"lambda must lie in [0, 1], got the interval {self.lam!r}")
 
 
 @dataclass(frozen=True)
@@ -86,94 +97,62 @@ def optimize(
     box: SearchBox,
     convention: str = RLAMBDA_REPRODUCING,
 ) -> OptimizationResult:
-    """Deterministic box corners + coordinate golden-section maximization.
+    """Compass search for the largest objective in ``box``.
 
-    Evaluates the balanced objective at the box corners (a point interval
-    contributes one value), in a -> r0 -> lambda order, keeping the first
-    strict best.  It then refines coordinate-by-coordinate until a full
-    pass improves the objective by less than 1e-9.  Infeasible points
-    (Case II undefined) are skipped; if every corner is infeasible,
+    The search starts at the box centre, each axis's step half its
+    interval width.  A round takes a, then r0, then lambda: it probes one
+    step up and, unless that moves, one step down, each probe clipped to
+    its interval, and moves to a probe whose key (objective, balanced
+    value) is strictly larger.  A probe that equals the current point (a
+    fixed axis, a box edge) is skipped unevaluated.  A round without a
+    move halves every step; the search ends once every step is at most
+    1e-10.  The trace holds the start point (when feasible), then the
+    point at each halving after the objective rose.  An infeasible point (Case II
+    undefined) ranks below every feasible one; if the search ends on one,
     EmptyFeasibleSet is raised.  A point outside the bound's domain (an
-    unknown convention, lambda outside [0, 1], r0 < 0.15) is an input
-    error: its DomainError propagates.
+    unknown convention, r0 < 0.15) is an input error: its DomainError
+    propagates.
     """
 
-    def evaluate(a, r0, lam):
+    def evaluate(point):
         try:
-            return _balanced_point(a, r0, lam, convention)
+            phi, value, p = _balanced_point(*point, convention)
         except CaseIIInfeasible:
-            return None
+            return (-math.inf, -math.inf), None
+        return (phi, value), p
 
-    def ends(interval):
-        lo, hi = interval
-        return (lo,) if hi <= lo else (lo, hi)
+    intervals = (box.a, box.r0, box.lam)
+    point = tuple((lo + hi) / 2.0 for lo, hi in intervals)
+    steps = [(hi - lo) / 2.0 for lo, hi in intervals]
+    key, p = evaluate(point)
+    trace = [] if p is None else [(_params_at(point, p), key[0])]
+    while max(steps) > _STEP_TOL:
+        moved = False
+        for axis, (lo, hi) in enumerate(intervals):
+            for sign in (1.0, -1.0):
+                x = min(hi, max(lo, point[axis] + sign * steps[axis]))
+                if x == point[axis]:
+                    continue
+                trial = point[:axis] + (x,) + point[axis + 1:]
+                trial_key, trial_p = evaluate(trial)
+                if trial_key > key:
+                    point, key, p, moved = trial, trial_key, trial_p, True
+                    break
+        if not moved:
+            steps = [step / 2.0 for step in steps]
+            if p is not None and (not trace or key[0] > trace[-1][1]):
+                trace.append((_params_at(point, p), key[0]))
+    if p is None:
+        raise EmptyFeasibleSet("every point the search probed was infeasible")
 
-    best = None  # ((objective, balanced value), (a, r0, lam), p)
-    for corner in itertools.product(ends(box.a), ends(box.r0), ends(box.lam)):
-        got = evaluate(*corner)
-        if got is None:
-            continue
-        phi, value, p = got
-        if best is None or (phi, value) > best[0]:
-            best = ((phi, value), corner, p)
-    if best is None:
-        raise EmptyFeasibleSet("every corner of the search box was infeasible")
-    key, point, p = best
-    trace = [(_params_at(point, p), key[0])]
-
-    def line_key(point):
-        got = evaluate(*point)
-        return (-math.inf, -math.inf) if got is None else (got[0], got[1])
-
-    for _ in range(64):  # passes; _PASS_TOL normally stops the loop much earlier
-        prev_phi = key[0]
-        for coord, interval in ((0, box.a), (1, box.r0), (2, box.lam)):
-            if interval[1] > interval[0]:
-                key, point = _golden_max(line_key, point, coord, interval, key)
-        phi, value, p = evaluate(*point)
-        trace.append((_params_at(point, p), phi))
-        if phi - prev_phi < _PASS_TOL:
-            break
-
-    best_params = _params_at(point, p)
-    breakdown = bounds.theorem_bound(best_params, convention=convention)
-    return OptimizationResult(
-        best=best_params, breakdown=breakdown, balanced_p=p, trace=trace
-    )
+    best = _params_at(point, p)
+    breakdown = bounds.theorem_bound(best, convention=convention)
+    return OptimizationResult(best=best, breakdown=breakdown, balanced_p=p, trace=trace)
 
 
 def _params_at(point, p):
     a, r0, lam = point
     return BoundParams(a=a, r0=r0, p=p, lam=lam)
-
-
-def _golden_max(line_key, point, coord, interval, key):
-    """Golden-section ascent of one coordinate; returns (key, point)."""
-
-    def key_at(x):
-        trial = list(point)
-        trial[coord] = x
-        return line_key(tuple(trial))
-
-    lo, hi = interval
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    k1, k2 = key_at(x1), key_at(x2)
-    while hi - lo > _LINE_TOL:
-        if k1 < k2:
-            lo, x1, k1 = x1, x2, k2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            k2 = key_at(x2)
-        else:
-            hi, x2, k2 = x2, x1, k1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            k1 = key_at(x1)
-    x_best, k_best = (x1, k1) if k1 >= k2 else (x2, k2)
-    if k_best > key:
-        out = list(point)
-        out[coord] = x_best
-        return k_best, tuple(out)
-    return key, point
 
 
 def refine_iterative(
@@ -192,8 +171,8 @@ def refine_iterative(
     ``tol=0`` it stops once the sequence is pinned.
     """
     max_iter = as_integer(max_iter, "max_iter", lo=0)
-    if not tol >= 0.0:
-        raise DomainError(f"tol must be >= 0, got {tol}")
+    if not (isinstance(tol, Real) and tol >= 0.0):
+        raise DomainError(f"tol must be a real >= 0, got {tol!r}")
     terms = bounds.bound_terms(start, convention)
     base_case_i, case_ii = terms.split(start.p)
     values = [min(base_case_i, case_ii, terms.half_a)]

@@ -18,11 +18,11 @@ The hot path builds no counter array.  ``raw`` adds one scalar offset,
 base + counter * GOLDEN, to a table of GOLDEN * i (built on first use,
 2**14 words at most) one piece at a time, and ``mix64`` runs the
 finalizer over each piece in place with one shift scratch buffer.
-``uniforms``/``uniform`` draw the words into the memory of their output
-doubles and shift, convert and scale them there.  Each of the three
-writes into ``out=``, a buffer the caller reuses, or else allocates its
-one result array.  Each in-place step rounds exactly like the expression
-it replaces, so the drawn values are those of the formula above.
+``raw`` writes into ``out=``, a buffer the caller reuses, or else
+allocates its one result array.  ``uniforms``/``uniform`` shift, convert
+and scale the words in that array's memory; each in-place step rounds
+exactly like the expression it replaces, so the drawn values are those
+of the formula above.
 """
 
 from __future__ import annotations
@@ -134,26 +134,23 @@ class CounterRng:
         self._counter += n
         return out
 
-    def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Next ``n`` doubles, uniform on [0, 1), as a float64 array, ``out`` if given."""
-        n = as_integer(n, "n", lo=0)
-        u = _check_out(out, n, np.float64)
-        # the words are drawn into the memory of their doubles and cut to
-        # their top 53 bits there; below 2**53 the int64 conversion is
-        # exact (and faster than the uint64 one), and so is the scaling
-        words = self.raw(n, out=u.view(np.uint64))
+    def uniforms(self, n: int) -> np.ndarray:
+        """Next ``n`` doubles, uniform on [0, 1), as a float64 array."""
+        words = self.raw(n)
+        # the top 53 bits of each word, converted and scaled in the words'
+        # memory; below 2**53 the int64 conversion is exact (and faster
+        # than the uint64 one), and so is the scaling
         words >>= _U64(11)
+        u = words.view(np.float64)
         np.copyto(u, words.view(np.int64), casting="unsafe")
         u *= _INV_2_53
         return u
 
-    def uniform(
-        self, lo: float, hi: float, n: int, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def uniform(self, lo: float, hi: float, n: int) -> np.ndarray:
         """Next ``n`` doubles, uniform on [lo, hi); lo and hi - lo must be finite."""
         if not (math.isfinite(lo) and math.isfinite(hi - lo)):
             raise DomainError(f"uniform range [{lo}, {hi}) is not finite")
-        u = self.uniforms(n, out)
+        u = self.uniforms(n)
         u *= hi - lo
         u += lo
         return u

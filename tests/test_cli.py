@@ -360,15 +360,15 @@ def test_verify_rejects_an_oversized_sample_count(tmp_path, capsys):
 
 def test_sec41_optimize_artifact_is_pinned(tmp_path):
     # sha256 of optimize.json from `optimize --preset sec41 --refine 10`,
-    # recorded when the search started from the box corners instead of a
-    # 32**3 lattice (only `box` and `trace[0]` changed then); any change to
-    # a floating-point operation of the search or the breakdown shows here
+    # recorded when one compass search replaced corner seeding and
+    # golden-section passes; any change to a floating-point operation of
+    # the search or the breakdown shows here
     code = run_cli(
         "optimize", "--preset", "sec41", "--refine", "10", "--output-dir", str(tmp_path)
     )
     assert code == 0
     digest = hashlib.sha256((tmp_path / "optimize.json").read_bytes()).hexdigest()
-    assert digest == "813ac7c9eeb636702cfe239df239186597e385c3c0dc9fb0709b0b96a19e564e"
+    assert digest == "87ca629cf1ee6988bbe65cd465c6d790a477100fe90bb66b046b5980c28e540b"
 
 
 def test_theorem_bound_artifacts_are_pinned(tmp_path):

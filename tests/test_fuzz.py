@@ -8,7 +8,10 @@ finite ``geom.theta_isosceles`` angle must not be negative.  One- to
 three-argument functions see every combination of the values; wider ones
 see a seeded sample.  Sample counts are floats, which are rejected, or
 integers of at most 100, so no call starts heavy work; ``optimize`` sees
-point boxes only, which it settles in two evaluations.  ``rng.mix64``
+point boxes only, which it settles in one evaluation.  ``SearchBox``,
+``BoundParams`` and the ``tol`` arguments also see objects that are not
+reals (and ``SearchBox`` intervals that are not (lo, hi) pairs, or lambda
+intervals outside [0, 1]), which they must refuse.  ``rng.mix64``
 works in place on uint64 arrays, so it sees instead a float, an integer
 and a read-only array, a list, a scalar and a 0-d array, each of which
 must be a DomainError.  ``mc_area`` also sees bboxes that are not four
@@ -58,6 +61,14 @@ BBOX_OBJECTS = (
     None, 1.0, "0011", (0, 0, 1), (0, 0, 1, 1, 2), (0, 0, 1, "a"), (0, 0, 1, 10**400),
     (0, 0, 1, 1j), [0, 0, 1, 1], np.array([0.0, 0.0, 1.0, 1.0]), (np.float32(0), 0, 1, np.int8(1)),
 )
+# objects that are not reals, intervals that are not (lo, hi) pairs of
+# finite reals, and lambda intervals that leave [0, 1]
+NON_REALS = ("x", "0.06", None, 1j, [0.06], (0.06,), b"1")
+INTERVALS = (0.06, (0.06, 0.065, 0.07), (0.06, "x"), ("x", 0.07), (0.06,), None, "ab",
+             (0.06, None), (0.06, 10**400), (0.06, 1j))
+LAMBDA_OUTSIDE = ((-0.5, 0.6), (0.5, 1.5), (-1e300, 0.5), (0.9, 1e300), (-1.0, 2.0))
+BOX = {"a": (0.06, 0.066), "r0": (0.22, 0.24), "lam": (0.88, 0.93)}
+PARAMS = {"a": 0.06, "r0": 0.25, "p": 0.5, "lam": 0.9}
 REGIONS = (
     lambda xs, ys: None,
     lambda xs, ys: (xs < ys).tolist(),
@@ -110,7 +121,17 @@ ENTRY_POINTS = {
         lambda a, r0, p, lam: bounds.theorem_bound(BoundParams(a, r0, p, lam)), (VALUES,) * 4
     ),
     "theorem_bound(tol)": (lambda tol: bounds.theorem_bound(THEOREM_DEFAULTS, tol), (VALUES,)),
+    "theorem_bound(tol object)": (
+        lambda tol: _refused(bounds.theorem_bound(THEOREM_DEFAULTS, tol)), (NON_REALS,)
+    ),
     "case_i_integral(tol)": (lambda tol: bounds.case_i_integral(THEOREM_DEFAULTS, tol), (VALUES,)),
+    "case_i_integral(tol object)": (
+        lambda tol: _refused(bounds.case_i_integral(THEOREM_DEFAULTS, tol)), (NON_REALS,)
+    ),
+    "BoundParams(object)": (
+        lambda name, value: _refused(BoundParams(**{**PARAMS, name: value})),
+        (tuple(PARAMS), NON_REALS),
+    ),
     "g_branch_kinks": (
         lambda lo, hi: bounds.g_branch_kinks(THEOREM_DEFAULTS, RLAMBDA_REPRODUCING, lo, hi),
         (VALUES, VALUES),
@@ -134,12 +155,22 @@ ENTRY_POINTS = {
         lambda a0, a1, r0, r1, lam0, lam1: optimizer.SearchBox((a0, a1), (r0, r1), (lam0, lam1)),
         (VALUES,) * 6,
     ),
+    "SearchBox(interval object)": (
+        lambda name, interval: _refused(optimizer.SearchBox(**{**BOX, name: interval})),
+        (tuple(BOX), INTERVALS),
+    ),
+    "SearchBox(lambda outside [0, 1])": (
+        lambda lam: _refused(optimizer.SearchBox(**{**BOX, "lam": lam})), (LAMBDA_OUTSIDE,)
+    ),
     "optimize(point box)": (
         lambda a, r0, lam: optimizer.optimize(optimizer.SearchBox((a, a), (r0, r0), (lam, lam))),
         (VALUES,) * 3,
     ),
     "refine_iterative": (
         lambda n, tol: optimizer.refine_iterative(THEOREM_DEFAULTS, n, tol), (COUNTS, VALUES)
+    ),
+    "refine_iterative(tol object)": (
+        lambda tol: _refused(optimizer.refine_iterative(THEOREM_DEFAULTS, 3, tol)), (NON_REALS,)
     ),
     # oracle
     "run_check(samples)": (

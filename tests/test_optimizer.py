@@ -1,5 +1,5 @@
-"""Optimizer tests: the balance closed form, search determinism, and the
-iterative refinement contracts."""
+"""Optimizer tests: the balance closed form, the compass search's reach,
+tie-break and cost, and the iterative refinement contracts."""
 
 from __future__ import annotations
 
@@ -47,7 +47,8 @@ def test_optimize_point_box_evaluates_that_point():
     # the balanced value exceeds the trivial a/2 term here, so the
     # objective (and the breakdown minimum) pins to exactly 1/98
     assert result.breakdown.final == 1.0 / 98.0
-    assert len(result.trace) >= 1
+    # the centre is the only point, so the trace holds it alone
+    assert result.trace == [(result.best, 1.0 / 98.0)]
 
 
 def test_optimize_is_deterministic():
@@ -85,63 +86,29 @@ def test_optimize_derives_once_per_evaluation(monkeypatch):
     monkeypatch.setattr(bounds, "case_i_integral", counted("case_i_integral", bounds.case_i_integral))
     result = optimizer.optimize(box)
     assert result == expected
-    # the 8 corners, then at least one golden-section line search
-    assert calls["evaluations"] > 2 ** 3
+    # the centre, then a first round that probes each of the three axes
+    assert calls["evaluations"] >= 1 + 3
     # one of each per evaluation, plus one each for the final breakdown
     assert calls["derive_params"] == calls["evaluations"] + 1
     assert calls["case_i_integral"] == calls["evaluations"] + 1
 
 
-def lattice_search(box, grid, convention):
-    """The grid**3 lattice seeding that box corners replaced, as a reference.
-
-    Same visiting order (a -> r0 -> lambda), same strict ``>`` tie rule, and
-    the same golden-section passes with the 1e-9 pass tolerance.
-    """
-
-    def evaluate(point):
-        try:
-            return optimizer._balanced_point(*point, convention)
-        except (CaseIIInfeasible, DomainError):
-            return None
-
-    def axis(lo, hi):
-        if hi <= lo:
-            return [lo]
-        return [lo + (hi - lo) * k / (grid - 1) for k in range(grid)]
-
-    best = None
-    for point in itertools.product(axis(*box.a), axis(*box.r0), axis(*box.lam)):
-        got = evaluate(point)
-        if got is not None and (best is None or (got[0], got[1]) > best[0]):
-            best = ((got[0], got[1]), point, got[2])
-    key, point, p = best
-    trace = [(BoundParams(point[0], point[1], p, point[2]), key[0])]
-
-    def line_key(trial):
-        got = evaluate(trial)
-        return (-math.inf, -math.inf) if got is None else (got[0], got[1])
-
-    for _ in range(64):
-        prev_phi = key[0]
-        for coord, interval in enumerate((box.a, box.r0, box.lam)):
-            if interval[1] > interval[0]:
-                key, point = optimizer._golden_max(line_key, point, coord, interval, key)
-        phi, _, p = evaluate(point)
-        trace.append((BoundParams(point[0], point[1], p, point[2]), phi))
-        if phi - prev_phi < 1e-9:
-            break
-    best_params = BoundParams(point[0], point[1], p, point[2])
-    return optimizer.OptimizationResult(
-        best=best_params,
-        breakdown=bounds.theorem_bound(best_params, convention=convention),
-        balanced_p=p,
-        trace=trace,
-    )
-
-
 SEC41_BOX = SearchBox(a=(0.06473, 0.06474), r0=(0.22785, 0.22786), lam=(0.90696, 0.90697))
 TEST_BOX = SearchBox(a=(0.06, 0.066), r0=(0.22, 0.24), lam=(0.88, 0.93))
+
+
+def _axis(lo, hi, grid):
+    return [lo + (hi - lo) * k / (grid - 1) for k in range(grid)]
+
+
+def lattice_objectives(box, grid, convention):
+    """The objective at every feasible point of a grid**3 lattice spanning ``box``."""
+    axes = (_axis(*interval, grid) for interval in (box.a, box.r0, box.lam))
+    for point in itertools.product(*axes):
+        try:
+            yield optimizer._balanced_point(*point, convention)[0]
+        except CaseIIInfeasible:
+            pass
 
 
 @pytest.mark.parametrize("box, convention", [
@@ -151,15 +118,68 @@ TEST_BOX = SearchBox(a=(0.06, 0.066), r0=(0.22, 0.24), lam=(0.88, 0.93))
     (TEST_BOX, RLAMBDA_PAPER_LITERAL),
 ], ids=["sec41-reproducing", "sec41-paper-literal", "test-box-reproducing",
         "test-box-paper-literal"])
-def test_corner_seeding_matches_the_lattice_search(box, convention):
+def test_no_lattice_point_beats_the_search(box, convention):
     result = optimizer.optimize(box, convention)
-    # the 2-point lattice is the corners: the whole result agrees
-    assert result == lattice_search(box, 2, convention)
-    # the 32-point lattice seeds elsewhere but refines to the same optimum
-    dense = lattice_search(box, 32, convention)
-    assert (result.best, result.breakdown, result.balanced_p) == (
-        dense.best, dense.breakdown, dense.balanced_p
+    assert max(lattice_objectives(box, 16, convention)) <= result.breakdown.final
+
+
+def test_objective_ties_break_toward_the_larger_balanced_value():
+    # at a = pi/49 the balanced value exceeds a/(2 pi) across the box, so
+    # the objective is flat at 1/98 and only the tie-break can move
+    a = THEOREM_DEFAULTS.a
+    box = SearchBox(a=(a, a), r0=(0.24, 0.26), lam=(0.85, 0.95))
+    result = optimizer.optimize(box)
+    assert result.breakdown.final == 1.0 / 98.0
+    balanced = min(result.breakdown.case_i, result.breakdown.case_ii)
+    lattice = itertools.product(_axis(0.24, 0.26, 16), _axis(0.85, 0.95, 16))
+    assert all(
+        optimizer._balanced_point(a, r0, lam, RLAMBDA_REPRODUCING)[1] <= balanced
+        for r0, lam in lattice
     )
+
+
+def test_sec41_search_lands_on_the_published_edges():
+    result = optimizer.optimize(SEC41_BOX)
+    assert (result.best.r0, result.best.lam) == (0.22786, 0.90696)
+    assert abs(result.breakdown.case_i - result.breakdown.half_a) <= 1e-10
+    assert result.breakdown.final >= 0.010302214733313277
+
+
+def test_search_finds_the_plain_optimum_of_a_wide_box():
+    # the scheme's plain optimum pi/96.89, far from the sec41 box in lambda
+    result = optimizer.optimize(SearchBox(a=(0.02, 0.12), r0=(0.15, 0.45), lam=(0.0, 1.0)))
+    assert result.breakdown.final >= 0.0103213
+    best = result.best
+    assert (best.a, best.r0, best.lam) == pytest.approx((0.064851, 0.23763, 0.80332), abs=1e-5)
+
+
+def test_sec41_search_costs_at_most_112_evaluations(monkeypatch):
+    # 112 is what corner seeding plus golden-section passes spent on this box
+    calls = []
+    balanced_point = optimizer._balanced_point
+
+    def counted(*args):
+        calls.append(args)
+        return balanced_point(*args)
+
+    monkeypatch.setattr(optimizer, "_balanced_point", counted)
+    optimizer.optimize(SEC41_BOX)
+    assert len(calls) <= 112
+
+
+def test_optimize_moves_off_an_infeasible_start(monkeypatch):
+    balanced_point = optimizer._balanced_point
+
+    def infeasible_above(a, r0, lam, convention):
+        if lam > 0.9:
+            raise CaseIIInfeasible("forced")
+        return balanced_point(a, r0, lam, convention)
+
+    monkeypatch.setattr(optimizer, "_balanced_point", infeasible_above)
+    # the centre, lambda = 0.905, is infeasible; the first lambda step down is not
+    result = optimizer.optimize(TEST_BOX)
+    assert result.best.lam <= 0.9
+    assert result.trace and result.trace[-1] == (result.best, result.breakdown.final)
 
 
 def test_optimize_raises_on_empty_feasible_set(monkeypatch):

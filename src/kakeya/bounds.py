@@ -38,7 +38,6 @@ __all__ = [
     "THEOREM_DEFAULTS",
     "UPPER_BOUND_COEFF",
     "R_STAR",
-    "exterior_area_rate",
     "outside_area_rate",
     "direction_ratio_cap",
     "active_g_branch",
@@ -175,13 +174,6 @@ THEOREM_DEFAULTS = BoundParams(a=math.pi / 49.0, r0=0.25, p=0.9, lam=0.9)
 # ---------------------------------------------------------------------------
 # Rate functions
 # ---------------------------------------------------------------------------
-
-def exterior_area_rate(r: float) -> float:
-    """Outer-area rate r*(2r - 1)^2 / 2, valid on [0, 1/2], maximal at 1/6."""
-    if not 0.0 <= r <= 0.5:
-        raise DomainError(f"r must lie in [0, 1/2], got {r}")
-    return geom._flat_exterior_rate(r)
-
 
 def outside_area_rate(r: float, a: float) -> float:
     """Area rate a / (2*asin(a/r)) for needles clear of the disk of radius r.
@@ -367,7 +359,7 @@ def bound_terms(params: BoundParams, convention: str = RLAMBDA_REPRODUCING) -> B
     derived = derive_params(params, convention)
     if params.r0 < 0.15:
         raise DomainError(f"r0 must be >= 0.15 for the outer-area rate, got {params.r0}")
-    f_r0 = exterior_area_rate(params.r0)
+    f_r0 = geom.exterior_area_rate(params.r0)
     integral = case_i_integral(params, convention=convention, derived=derived)
     # the weight of an inner bound at r0; >= 0.18 for r0 >= 0.15
     inner = 1.0 - f_r0 / (2.0 * params.r0 * params.r0)
@@ -409,4 +401,4 @@ def theorem_bound(
 
 def cunningham_bound() -> float:
     """The classical constant 1/108 (coefficient of pi): f(1/6)/4."""
-    return 0.25 * exterior_area_rate(1.0 / 6.0)
+    return 0.25 * geom.exterior_area_rate(1.0 / 6.0)

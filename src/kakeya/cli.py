@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from . import bounds, optimizer
+from . import bounds, geom, optimizer
 from .bounds import (
     RLAMBDA_PAPER_LITERAL,
     RLAMBDA_REPRODUCING,
@@ -523,7 +523,7 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
         grid = _scan_range(ns, 0.0, 0.5, "the outer-area rate")
         table = OutputTable(
             columns=("r", "f"),
-            rows=[(r, bounds.exterior_area_rate(r)) for r in grid],
+            rows=[(r, geom.exterior_area_rate(r)) for r in grid],
             caption=caption,
         )
     elif fn == "c":

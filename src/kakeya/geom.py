@@ -4,10 +4,12 @@ A *needle* is a closed unit segment at direction ``alpha``; together with
 the origin O it spans a closed triangle.  The cutoff circle S_r of radius
 ``r`` about O splits each triangle into an inner part (inside the open
 disk B_r) and an outer part.  This module provides the triangle chart
-(``alpha``, ``delta``, ``t``), exact circular clipping of the outer area,
-the closed forms for the isosceles configuration, the central angles of
-the arcs a triangle cuts on S_r, and the angular-gap disjointness
-criterion.  All functions are pure and operate in binary64.
+(``alpha``, ``delta``, ``t``) and its polar form about O: the wedge of
+directions at O less the core where S_r pokes past the needle, from which
+both the outer area and the arcs cut on S_r are read.  It also holds the
+closed forms for the isosceles configuration, the outer-area rate f, and
+the angular-gap disjointness criterion.  All functions are pure and
+operate in binary64.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "exterior_area",
     "exterior_area_isosceles",
     "exterior_angle_ratio",
+    "exterior_area_rate",
     "theta_isosceles",
     "direction_ratio",
     "far_endpoint_distance",
@@ -116,59 +119,45 @@ def make_triangle(alpha: float, delta: float, t: float) -> NeedleTriangle:
 
 
 # ---------------------------------------------------------------------------
-# Circular clipping of the outer area
+# The polar chart: outer area and arcs
 # ---------------------------------------------------------------------------
 
-def _sector_area(ux: float, uy: float, vx: float, vy: float, r: float) -> float:
-    """Signed area of the circular sector swept from direction u to v."""
-    ang = math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
-    return 0.5 * r * r * ang
+def _polar_chart(tri: NeedleTriangle, r: float) -> tuple[float, float, float, float]:
+    """The triangle about O, cut by S_r: (psi, span_a, span_b, core).
 
-
-def _disk_triangle_area(ax: float, ay: float, bx: float, by: float, r: float) -> float:
-    """Signed area of (triangle O-A-B) intersected with the closed disk.
-
-    Walks the needle edge A->B, splitting it where it crosses the circle:
-    the sub-segment inside the disk contributes a plain triangle with
-    apex O, the parts outside contribute circular sectors.  The two edges
-    through O never contribute (their spanned triangles are degenerate).
+    ``psi`` is the direction of the needle normal.  The triangle spans the
+    directions psi - span_b to psi + span_a, with span_a = atan2(t, delta)
+    toward vertex A and span_b = atan2(1 - t, delta) toward B, and along
+    direction psi + phi it reaches out to delta / cos(phi).  That reach is
+    below r exactly on the core |phi| < acos(delta/r); the core is 0 when
+    delta >= r.
     """
-    cross = ax * by - ay * bx
-    if cross == 0.0:
-        return 0.0
-    ra = math.hypot(ax, ay)
-    rb = math.hypot(bx, by)
-    if ra <= r and rb <= r:
-        return 0.5 * cross
-    dx, dy = bx - ax, by - ay
-    qa = dx * dx + dy * dy
-    qb = 2.0 * (ax * dx + ay * dy)
-    qc = ax * ax + ay * ay - r * r
-    disc = qb * qb - 4.0 * qa * qc
-    if disc <= 0.0 or qa == 0.0:
-        # edge stays outside the disk: the whole wedge is a sector
-        return _sector_area(ax, ay, bx, by, r)
-    sq = math.sqrt(disc)
-    u_lo = max(0.0, (-qb - sq) / (2.0 * qa))
-    u_hi = min(1.0, (-qb + sq) / (2.0 * qa))
-    if u_lo >= u_hi:
-        return _sector_area(ax, ay, bx, by, r)
-    x1, y1 = ax + u_lo * dx, ay + u_lo * dy
-    x2, y2 = ax + u_hi * dx, ay + u_hi * dy
-    area = 0.5 * (x1 * y2 - y1 * x2)
-    if u_lo > 0.0:
-        area += _sector_area(ax, ay, x1, y1, r)
-    if u_hi < 1.0:
-        area += _sector_area(x2, y2, bx, by, r)
-    return area
+    delta, t = tri.delta, tri.t
+    core = math.acos(delta / r) if delta < r else 0.0
+    return tri.alpha + 0.5 * math.pi, math.atan2(t, delta), math.atan2(1.0 - t, delta), core
 
 
 def exterior_area(tri: NeedleTriangle, r: float) -> float:
-    """Area of the triangle part outside the open disk B_r (exact clipping)."""
+    """Area of the triangle part outside the open disk B_r, exact in the chart.
+
+        |outer| = delta/2 - inner,
+        inner   = delta/2 * (min(t, h) + min(1 - t, h))
+                  + r^2/2 * ((span_a - core)+ + (span_b - core)+)
+
+    with the angles of ``_polar_chart`` and h = r*sin(core), which is
+    sqrt(r^2 - delta^2), or 0 when delta >= r: within the core the disk
+    holds the triangle out to the needle, beyond it a circular sector.  A
+    triangle within the closed disk has outer area exactly 0.
+    """
     if not r > 0.0:
         raise DomainError(f"r must be > 0, got {r}")
-    _, a, b = tri.vertices
-    inner = abs(_disk_triangle_area(a.x, a.y, b.x, b.y, r))
+    delta, t = tri.delta, tri.t
+    _, span_a, span_b, core = _polar_chart(tri, r)
+    h = r * math.sin(core)
+    inner = 0.5 * delta * (min(t, h) + min(1.0 - t, h))
+    for span in (span_a, span_b):
+        if span > core:  # tested first: r may be inf where the sector is empty
+            inner += 0.5 * r * (r * (span - core))  # r^2 alone may overflow
     return max(0.0, tri.area - inner)
 
 
@@ -201,17 +190,18 @@ def exterior_angle_ratio(delta: float, r: float) -> float:
     """
     _require_circle_cuts_needle(delta, r)
     if delta == 0.0:
-        return _flat_exterior_rate(r)
+        return exterior_area_rate(r)
     return exterior_area_isosceles(delta, r) / math.asin(delta / r)
 
 
-def _flat_exterior_rate(r: float) -> float:
-    """The outer-area rate f(r) = r*(2r - 1)^2 / 2, with no domain check.
+def exterior_area_rate(r: float) -> float:
+    """Outer-area rate f(r) = r*(2r - 1)^2 / 2, valid on [0, 1/2], maximal at 1/6.
 
-    The one copy of the closed form: exterior_angle_ratio's delta -> 0
-    limit and ``bounds.exterior_area_rate`` both return it, each after
-    checking its own domain.
+    The flat (delta -> 0) limit of exterior_angle_ratio, and the rate the
+    bound reads at r0.
     """
+    if not 0.0 <= r <= 0.5:
+        raise DomainError(f"r must lie in [0, 1/2], got {r}")
     return 0.5 * r * (2.0 * r - 1.0) ** 2
 
 
@@ -346,24 +336,17 @@ def intersection_arcs(tri: NeedleTriangle, r: float) -> list[Arc]:
     """
     if not r > 0.0:
         raise DomainError(f"r must be > 0, got {r}")
-    delta, t = tri.delta, tri.t
-    if delta <= 0.0:
+    if tri.delta <= 0.0:
         return []  # degenerate segment: the intersection has measure zero
-    psi = tri.alpha + 0.5 * math.pi  # direction of the needle normal
-    span_a = math.atan2(t, delta)  # wedge half-opening toward vertex A
-    span_b = math.atan2(1.0 - t, delta)  # and toward vertex B
-    if delta >= r:
-        w = 0.0
-    else:
-        w = math.acos(delta / r)
-    if w <= 0.0:
+    psi, span_a, span_b, core = _polar_chart(tri, r)
+    if core <= 0.0:
         arcs = [(psi - span_b, psi + span_a)]
     else:
         arcs = []
-        if span_b > w:
-            arcs.append((psi - span_b, psi - w))
-        if span_a > w:
-            arcs.append((psi + w, psi + span_a))
+        if span_b > core:
+            arcs.append((psi - span_b, psi - core))
+        if span_a > core:
+            arcs.append((psi + core, psi + span_a))
     out = [
         Arc(r=r, start=lo, end=hi, theta=hi - lo)
         for lo, hi in arcs

@@ -147,15 +147,13 @@ def mc_area(
         raise DomainError(f"degenerate or unbounded bbox {bbox}")
     xscale, yscale = (xmax - xmin) * _INV_2_32, (ymax - ymin) * _INV_2_32
     rng = CounterRng(seed, stream=0)
-    # one block's words, and its xs in row 0 and its ys in row 1, in
-    # buffers reused by every block
-    size = min(_MC_BLOCK, samples)
-    words = np.empty(size, dtype=np.uint64)
-    coords = np.empty((2, size))
+    # one block's xs in row 0 and its ys in row 1, in a buffer reused by
+    # every block
+    coords = np.empty((2, min(_MC_BLOCK, samples)))
     hits = 0
     for lo in range(0, samples, _MC_BLOCK):
         m = min(_MC_BLOCK, samples - lo)
-        halves = rng.raw(m, out=words[:m]).view(np.uint32)
+        halves = rng.raw(m).view(np.uint32)
         xs, ys = coords[0, :m], coords[1, :m]
         np.copyto(xs, halves[_HIGH::2])
         np.copyto(ys, halves[1 - _HIGH::2])
@@ -413,24 +411,24 @@ def _check_c_min(samples, _rng):
 def _check_f_argmax(samples, _rng):
     lo, hi = 0.15, 0.5
     grid = np.linspace(lo, hi, samples)
-    vals = [bounds.exterior_area_rate(r) for r in grid]
+    vals = [geom.exterior_area_rate(r) for r in grid]
     k = int(np.argmax(vals))
     b_lo = grid[max(0, k - 1)]
     b_hi = grid[min(samples - 1, k + 1)]
     inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b_hi - inv_golden * (b_hi - b_lo)
     x2 = b_lo + inv_golden * (b_hi - b_lo)
-    f1 = bounds.exterior_area_rate(x1)
-    f2 = bounds.exterior_area_rate(x2)
+    f1 = geom.exterior_area_rate(x1)
+    f2 = geom.exterior_area_rate(x2)
     while b_hi - b_lo > 1e-10:
         if f1 < f2:
             b_lo, x1, f1 = x1, x2, f2
             x2 = b_lo + inv_golden * (b_hi - b_lo)
-            f2 = bounds.exterior_area_rate(x2)
+            f2 = geom.exterior_area_rate(x2)
         else:
             b_hi, x2, f2 = x2, x1, f1
             x1 = b_hi - inv_golden * (b_hi - b_lo)
-            f1 = bounds.exterior_area_rate(x1)
+            f1 = geom.exterior_area_rate(x1)
     argmax = 0.5 * (b_lo + b_hi)
     spec = f"{samples}-point grid on [0.15, 0.5] + golden-section refinement"
     return abs(argmax - 1.0 / 6.0), spec

@@ -18,11 +18,10 @@ The hot path builds no counter array.  ``raw`` adds one scalar offset,
 base + counter * GOLDEN, to a table of GOLDEN * i (built on first use,
 2**14 words at most) one piece at a time, and ``mix64`` runs the
 finalizer over each piece in place with one shift scratch buffer.
-``raw`` writes into ``out=``, a buffer the caller reuses, or else
-allocates its one result array.  ``uniforms``/``uniform`` shift, convert
-and scale the words in that array's memory; each in-place step rounds
-exactly like the expression it replaces, so the drawn values are those
-of the formula above.
+``raw`` allocates its one result array, and ``uniforms``/``uniform``
+shift, convert and scale the words in that array's memory; each in-place
+step rounds exactly like the expression it replaces, so the drawn values
+are those of the formula above.
 """
 
 from __future__ import annotations
@@ -59,16 +58,6 @@ def _steps(m: int) -> np.ndarray:
     if have < m:
         _golden_steps = np.arange(min(_PIECE, max(m, 2 * have)), dtype=np.uint64) * GOLDEN
     return _golden_steps[:m]
-
-
-def _check_out(out, n: int, dtype) -> np.ndarray:
-    """``out`` if it is a contiguous ``dtype`` array of n elements, else a new one."""
-    if out is None:
-        return np.empty(n, dtype=dtype)
-    if not (isinstance(out, np.ndarray) and out.dtype == dtype and out.shape == (n,)
-            and out.flags.c_contiguous and out.flags.writeable):
-        raise DomainError(f"out must be a writeable contiguous {np.dtype(dtype)} array of {n} elements")
-    return out
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
@@ -117,15 +106,15 @@ class CounterRng:
         """Move to ``counter``: the next draw is output(counter)."""
         self._counter = as_integer(counter, "counter", lo=0)
 
-    def raw(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Next ``n`` raw 64-bit words as a uint64 array, ``out`` if given.
+    def raw(self, n: int) -> np.ndarray:
+        """Next ``n`` raw 64-bit words as a uint64 array.
 
         The counters drawn must lie below 2**64, the period of the stream.
         """
         n = as_integer(n, "n", lo=0)
         if self._counter + n > 1 << 64:
             raise DomainError(f"counters {self._counter} + {n} run past 2**64")
-        out = _check_out(out, n, np.uint64)
+        out = np.empty(n, dtype=np.uint64)
         for lo in range(0, n, _PIECE):
             piece = out[lo:lo + _PIECE]
             offset = (self._base + (self._counter + lo) * _GOLDEN) & _MASK

@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from kakeya import bounds, optimizer
+from kakeya import bounds, geom, optimizer
 from kakeya.bounds import (
     BoundParams,
     RLAMBDA_PAPER_LITERAL,
@@ -125,13 +125,13 @@ def kink_split_simpson(a, r0, r_lambda, tol=1e-13):
 # ---------------------------------------------------------------------------
 
 def test_area_rate_values():
-    assert bounds.exterior_area_rate(1.0 / 6.0) == pytest.approx(1.0 / 27.0, abs=1e-16)
-    assert bounds.exterior_area_rate(0.5) == 0.0
+    assert geom.exterior_area_rate(1.0 / 6.0) == pytest.approx(1.0 / 27.0, abs=1e-16)
+    assert geom.exterior_area_rate(0.5) == 0.0
     with pytest.raises(DomainError):
-        bounds.exterior_area_rate(0.6)
+        geom.exterior_area_rate(0.6)
     # in-domain (r >= 0.15) the inner-area coefficient is strictly positive
     for r in np.linspace(0.15, 0.5, 30):
-        f_r = bounds.exterior_area_rate(r)
+        f_r = geom.exterior_area_rate(r)
         assert 1.0 - f_r / (2.0 * r * r) > 0.0
 
 
@@ -141,7 +141,7 @@ def test_area_rate_peaks_at_one_sixth():
     step = 1e-5
 
     def slope(x):
-        return bounds.exterior_area_rate(x + step) - bounds.exterior_area_rate(x - step)
+        return geom.exterior_area_rate(x + step) - geom.exterior_area_rate(x - step)
 
     lo, hi = 0.151, 0.49
     assert slope(lo) > 0.0 > slope(hi)
@@ -393,7 +393,7 @@ def test_case_i_bound_reproduces_the_published_coefficient():
 def test_case_i_bound_degenerate_and_monotone_in_p():
     base = THEOREM_DEFAULTS
     at_zero = bounds.theorem_bound(BoundParams(a=base.a, r0=base.r0, p=0.0, lam=base.lam)).case_i
-    assert at_zero == pytest.approx(0.25 * bounds.exterior_area_rate(0.25), abs=1e-15)
+    assert at_zero == pytest.approx(0.25 * geom.exterior_area_rate(0.25), abs=1e-15)
     assert at_zero == pytest.approx(0.0078125, abs=1e-15)
     prev = at_zero
     for p in (0.25, 0.5, 0.75, 1.0):

@@ -497,7 +497,8 @@ def test_scan_point_cap_exits_2_before_evaluating(words, tmp_path, monkeypatch, 
     def no_evaluation(*args, **kwargs):
         raise AssertionError("evaluated a point")
 
-    for name in ("exterior_area_rate", "direction_ratio_cap", "theorem_bound"):
+    monkeypatch.setattr(cli.geom, "exterior_area_rate", no_evaluation)
+    for name in ("direction_ratio_cap", "theorem_bound"):
         monkeypatch.setattr(cli.bounds, name, no_evaluation)
     out = tmp_path / "out"
     assert run_cli("scan", *words, "--output-dir", str(out)) == 2

@@ -99,7 +99,6 @@ def _nonnegative(value):
 
 ENTRY_POINTS = {
     # bounds
-    "exterior_area_rate": (bounds.exterior_area_rate, (VALUES,)),
     "outside_area_rate": (bounds.outside_area_rate, (VALUES, VALUES)),
     "direction_ratio_cap": (lambda r: bounds.direction_ratio_cap(r, DERIVED), (VALUES,)),
     "derive_params": (
@@ -142,6 +141,7 @@ ENTRY_POINTS = {
     "intersection_arcs": (lambda r: geom.intersection_arcs(TRI, r), (VALUES,)),
     "exterior_area_isosceles": (geom.exterior_area_isosceles, (VALUES, VALUES)),
     "exterior_angle_ratio": (geom.exterior_angle_ratio, (VALUES, VALUES)),
+    "exterior_area_rate": (geom.exterior_area_rate, (VALUES,)),
     "theta_isosceles": (
         lambda delta, r: _nonnegative(geom.theta_isosceles(delta, r)), (VALUES, VALUES)
     ),

@@ -1,5 +1,5 @@
-"""Geometry tests: closed forms against a 40-digit mpmath oracle, clipping
-against Monte Carlo, arcs against independent edge-circle root finding."""
+"""Geometry tests: closed forms against a 40-digit mpmath oracle, the outer
+area against Monte Carlo, arcs against independent edge-circle root finding."""
 
 from __future__ import annotations
 
@@ -93,6 +93,28 @@ def test_make_triangle_rejects_bad_inputs(alpha, delta, t):
 def test_exterior_area_degenerate_and_contained():
     assert geom.exterior_area(geom.make_triangle(0.4, 0.0, 0.5), 0.25) == 0.0
     assert geom.exterior_area(geom.make_triangle(0.4, 0.1, 0.5), 2.0) == 0.0
+    # every vertex lies within sqrt(1 + 1/4) < 1.2 of O, so each triangle
+    # is inside the disk and its outer area is exactly 0, with no residue
+    rng = CounterRng(21, stream=4)
+    n = 10_000
+    delta = rng.uniform(0.0, 0.5, n)
+    r = rng.uniform(1.2, 10.0, n)
+    alpha = rng.uniform(0.0, math.pi, n)
+    t = rng.uniforms(n)
+    for i in range(n):
+        assert geom.exterior_area(geom.make_triangle(alpha[i], delta[i], t[i]), r[i]) == 0.0, i
+    # a height whose vertex cross product cancels to 0, and radii up to
+    # those where r^2 overflows
+    assert geom.exterior_area(geom.make_triangle(0.3, 1e-300, 0.4), 2.0) == 0.0
+    for radius in (5.0, 1e200, math.inf):
+        assert geom.exterior_area(geom.make_triangle(0.3, 0.05, 0.4), radius) == 0.0, radius
+
+
+def test_exterior_area_where_r_squared_overflows():
+    # delta > r = 1e200: the disk cuts a sector of area r^2 * atan(1/(2 delta)),
+    # about 5e149, from the triangle's 5e249; r^2 itself overflows
+    tri = geom.make_triangle(0.0, 1e250, 0.5)
+    assert geom.exterior_area(tri, 1e200) == pytest.approx(5e249, rel=1e-12)
 
 
 def test_exterior_area_matches_closed_form_isosceles():
@@ -102,9 +124,16 @@ def test_exterior_area_matches_closed_form_isosceles():
     )
 
 
-def test_exterior_area_against_monte_carlo():
-    delta, r = 0.05, 0.25
-    tri = geom.make_triangle(0.7, delta, 0.5)
+@pytest.mark.parametrize("delta, t, r, samples", [
+    pytest.param(0.05, 0.5, 0.25, 2_000_000, id="isosceles"),
+    pytest.param(0.05, 0.0, 0.25, 1_000_000, id="t=0"),
+    pytest.param(0.1, 0.2, 0.3, 1_000_000, id="t=0.2"),
+    pytest.param(0.03, 0.9, 0.2, 1_000_000, id="t=0.9"),
+    pytest.param(0.3, 0.7, 0.2, 1_000_000, id="delta>r"),
+])
+def test_exterior_area_against_monte_carlo(delta, t, r, samples):
+    # membership from the vertices' half-planes, not from the polar chart
+    tri = geom.make_triangle(0.7, delta, t)
     _, a, b = tri.vertices
 
     def region(xs, ys):
@@ -117,7 +146,7 @@ def test_exterior_area_against_monte_carlo():
     xs = [a.x, b.x, 0.0]
     ys = [a.y, b.y, 0.0]
     bbox = (min(xs), min(ys), max(xs), max(ys))
-    est = oracle.mc_area(region, bbox, samples=2_000_000, seed=11)
+    est = oracle.mc_area(region, bbox, samples=samples, seed=11)
     exact = geom.exterior_area(tri, r)
     assert abs(est.value - exact) <= 3.0 * est.std_error
 

@@ -25,7 +25,7 @@ REMOVED = {
     "kakeya.geom": (
         "DirectionInterval", "direction_interval", "theta_max", "triangle_vertices", "vertex_reach",
     ),
-    "kakeya.bounds": ("case_i_bound", "case_ii_bound"),
+    "kakeya.bounds": ("case_i_bound", "case_ii_bound", "exterior_area_rate"),
     "kakeya.optimizer": ("balance_p",),
     "kakeya.cli": ("Config",),
 }
@@ -41,7 +41,7 @@ def test_every_exported_name_resolves(name):
 
 def test_export_counts():
     assert len(kakeya.__all__) == 28
-    assert len(geom.__all__) == 14
+    assert len(geom.__all__) == 15
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED))
@@ -57,10 +57,8 @@ def test_removed_members_are_gone():
     assert "tolerance" not in inspect.signature(oracle.run_check).parameters
 
 
-# The one private name a module may read from another: the single copy of
-# f(r), kept in geom on purpose (bounds.exterior_area_rate checks its domain
-# and returns it).
-ALLOWED_PRIVATE_READS = {("bounds", "geom", "_flat_exterior_rate")}
+# No module reads another module's private names.
+ALLOWED_PRIVATE_READS = set()
 
 
 def _private_reads(path: Path, package: set[str]):

@@ -2,8 +2,9 @@
 
 Library layout:
 
-- :mod:`kakeya.geom`: needle triangles, circular clipping, arcs, and the
-  closed-form cross-section geometry.
+- :mod:`kakeya.geom`: needle triangles as their (alpha, delta, t) chart,
+  their outer areas and arcs on the cutoff circle, and the closed-form
+  cross-section geometry.
 - :mod:`kakeya.bounds`: the rate functions, the Case I / Case II bounds,
   and the assembled breakdown with its published constants.
 - :mod:`kakeya.optimizer`: balanced-split parameter search and the
@@ -35,7 +36,7 @@ from .errors import (
     KakeyaError,
 )
 from .catalogue import CheckId
-from .geom import Arc, NeedleTriangle, Point, make_triangle
+from .geom import Arc, NeedleTriangle, make_triangle
 from .optimizer import OptimizationResult, SearchBox, optimize, refine_iterative
 
 __version__ = "0.1.0"
@@ -55,7 +56,6 @@ __all__ = [
     "McEstimate",
     "NeedleTriangle",
     "OptimizationResult",
-    "Point",
     "RLAMBDA_PAPER_LITERAL",
     "RLAMBDA_REPRODUCING",
     "SearchBox",

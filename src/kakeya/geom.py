@@ -3,10 +3,12 @@
 A *needle* is a closed unit segment at direction ``alpha``; together with
 the origin O it spans a closed triangle.  The cutoff circle S_r of radius
 ``r`` about O splits each triangle into an inner part (inside the open
-disk B_r) and an outer part.  This module provides the triangle chart
-(``alpha``, ``delta``, ``t``) and its polar form about O: the wedge of
-directions at O less the core where S_r pokes past the needle, from which
-both the outer area and the arcs cut on S_r are read.  It also holds the
+disk B_r) and an outer part.  A triangle is held as its chart
+(``alpha``, ``delta``, ``t``) alone, with no vertex coordinates; its polar
+form about O, the wedge of directions at O less the core where S_r pokes
+past the needle, gives both the outer area and the arcs cut on S_r.
+Vertex coordinates are built only by the oracle, which probes the
+triangles in the plane to check this module.  It also holds the
 closed forms for the isosceles configuration, the outer-area rate f, and
 the angular-gap disjointness criterion.  All functions are pure and
 operate in binary64.
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 __all__ = [
-    "Point",
     "NeedleTriangle",
     "Arc",
     "make_triangle",
@@ -44,29 +45,21 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Point:
-    """A point of the plane, in units of the needle length."""
-
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
 class NeedleTriangle:
-    """Closed triangle spanned by the origin and a unit needle.
+    """Closed triangle spanned by the origin and a unit needle, as its chart.
 
-    ``alpha`` is the needle direction in [0, pi), ``delta`` the distance
-    from O to the needle's supporting line, and ``t`` in [0, 1] the
-    position of the foot of the perpendicular from O along the needle,
-    measured from endpoint A toward endpoint B.  ``t = 1/2`` is the
-    isosceles configuration; ``delta = 0`` degenerates to a segment
-    through O with zero area.
+    ``alpha`` is the needle direction u = (cos alpha, sin alpha) with
+    alpha in [0, pi), ``delta`` the distance from O to the needle's
+    supporting line, and ``t`` in [0, 1] the position of the foot
+    f = delta * (-sin alpha, cos alpha) of the perpendicular from O along
+    the needle, measured from endpoint A = f - t*u toward endpoint
+    B = f + (1 - t)*u.  ``t = 1/2`` is the isosceles configuration;
+    ``delta = 0`` degenerates to a segment through O with zero area.
     """
 
     alpha: float
     delta: float
     t: float
-    vertices: tuple[Point, Point, Point]
 
     @property
     def area(self) -> float:
@@ -109,13 +102,7 @@ def make_triangle(alpha: float, delta: float, t: float) -> NeedleTriangle:
         alpha += math.pi
     if alpha >= math.pi:  # fmod can round up to pi for inputs just below a multiple
         alpha = 0.0
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    # the supporting line lies at distance delta along the left normal
-    # n = (-sin, cos) of the direction, so the foot is delta * n
-    fx, fy = -delta * sa, delta * ca
-    a = Point(fx - t * ca, fy - t * sa)
-    b = Point(fx + (1.0 - t) * ca, fy + (1.0 - t) * sa)
-    return NeedleTriangle(alpha=alpha, delta=delta, t=t, vertices=(Point(0.0, 0.0), a, b))
+    return NeedleTriangle(alpha=alpha, delta=delta, t=t)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ the worker count.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import os
@@ -239,12 +240,10 @@ def _check_isosceles_minimality(samples, rng):
     delta = rng.uniforms(samples) * np.minimum(_HEIGHT_CAP, 0.9 * r)
     alpha = rng.uniform(0.0, math.pi, samples)
     t = rng.uniforms(samples)
-    worst = 0.0
-    for i in range(samples):
-        tri = geom.make_triangle(alpha[i], delta[i], t[i])
-        gap = geom.exterior_area_isosceles(delta[i], r[i]) - geom.exterior_area(tri, r[i])
-        if gap > worst:
-            worst = gap
+    worst = max(
+        geom.exterior_area_isosceles(di, ri) - geom.exterior_area(geom.make_triangle(ai, di, ti), ri)
+        for ri, di, ai, ti in zip(r.tolist(), delta.tolist(), alpha.tolist(), t.tolist())
+    )
     spec = f"{samples} random (alpha, delta, t, r); r in [0.15, 0.5], delta < min({_HEIGHT_CAP:.4f}, 0.9r)"
     return worst, spec
 
@@ -261,7 +260,7 @@ _H_THRESHOLD_GRID = 512  # heights per radius in find_h_threshold
 def _h_fractions(n):
     return np.concatenate(
         [np.geomspace(1e-8, 0.01, n // 4), np.linspace(0.01, 1.0, n - n // 4)]
-    )
+    ).tolist()
 
 
 def _dip_below_flat_limit(r, fractions):
@@ -279,7 +278,7 @@ def _grid_shape(samples):
 def _check_h_min_at_zero(samples, _rng):
     n_r, n_d = _grid_shape(samples)
     fractions = _h_fractions(n_d)
-    worst = max(_dip_below_flat_limit(r, fractions) for r in np.linspace(0.15, 0.5, n_r))
+    worst = max(_dip_below_flat_limit(r, fractions) for r in np.linspace(0.15, 0.5, n_r).tolist())
     spec = (
         f"{n_r} r x {n_d} delta grid; r in [0.15, 0.5], "
         f"delta in (0, {_H_CAP_RATIO}*r]"
@@ -337,9 +336,9 @@ def _near_miss_pairs(samples, rng, r_lo):
 
 def _criterion_accepts(r, d1, d2, a1, a2):
     """How many of the pairs ``geom.exterior_disjoint_criterion`` accepts."""
-    return sum(
-        geom.exterior_disjoint_criterion(a1[i], d1[i], a2[i], d2[i], r[i]) for i in range(r.shape[0])
-    )
+    return sum(map(
+        geom.exterior_disjoint_criterion, a1.tolist(), d1.tolist(), a2.tolist(), d2.tolist(), r.tolist()
+    ))
 
 
 def _check_ext_disjoint(samples, rng):
@@ -382,10 +381,11 @@ def _check_int_disjoint(samples, rng):
 
 def _check_jgamma_ratio(samples, _rng):
     n_r, n_d = _grid_shape(samples)
+    fractions = np.linspace(1e-6, 0.999999, n_d).tolist()
     worst = -math.inf
-    for r in np.linspace(0.05, 0.49, n_r):
+    for r in np.linspace(0.05, 0.49, n_r).tolist():
         cap = (1.0 + 2.0 * r) / (1.0 - 2.0 * r)
-        for frac in np.linspace(1e-6, 0.999999, n_d):
+        for frac in fractions:
             worst = max(worst, geom.direction_ratio(frac * r, r) - cap)
     spec = f"{n_r} r x {n_d} delta0 grid; r in [0.05, 0.49], delta0/r in (0, 1)"
     return worst, spec
@@ -397,7 +397,7 @@ def _check_c_min(samples, _rng):
     spec = f"{n_r} r x {n_x} x grid; r in [a, 1.5], x in (0, a], a = {a:.6f}"
     x = np.linspace(1e-6, 1.0, n_x) * a
     worst = -math.inf
-    for r in np.linspace(a, 1.5, n_r):
+    for r in np.linspace(a, 1.5, n_r).tolist():
         try:
             c_ra = bounds.outside_area_rate(r, a)
         except DomainError as exc:
@@ -410,9 +410,9 @@ def _check_c_min(samples, _rng):
 
 def _check_f_argmax(samples, _rng):
     lo, hi = 0.15, 0.5
-    grid = np.linspace(lo, hi, samples)
+    grid = np.linspace(lo, hi, samples).tolist()
     vals = [geom.exterior_area_rate(r) for r in grid]
-    k = int(np.argmax(vals))
+    k = vals.index(max(vals))
     b_lo = grid[max(0, k - 1)]
     b_hi = grid[min(samples - 1, k + 1)]
     inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
@@ -541,6 +541,18 @@ def _sector_verdict(samples, sets, estimates):
 _EDGES = ((0, 1), (1, 2), (2, 0))  # (O, A), (A, B), (B, O)
 
 
+def _triangle_corners(alpha, delta, t):
+    """Corners (O, A, B) of the needle triangles (alpha, delta, t), shape (n, 3, 2).
+
+    With the needle direction u = (cos alpha, sin alpha), the foot of the
+    perpendicular from O is f = delta * (-sin alpha, cos alpha), and the
+    needle runs from A = f - t*u to B = f + (1 - t)*u.
+    """
+    u = np.stack((np.cos(alpha), np.sin(alpha)), axis=-1)
+    f = delta[:, None] * np.stack((-u[:, 1], u[:, 0]), axis=-1)
+    return np.stack((np.zeros_like(f), f - t[:, None] * u, f + (1.0 - t)[:, None] * u), axis=1)
+
+
 def _circle_points_in_triangles(vertices, r, phi):
     """Whether r*(cos phi, sin phi) lies in the closed triangle (O, A, B).
 
@@ -558,14 +570,15 @@ def _circle_points_in_triangles(vertices, r, phi):
 
 
 def _arc_totals_by_probing(vertices, r):
-    """Total central angle of (triangle intersect S_r), by edge roots and probes.
+    """Total central angle and first angular moment of (triangle intersect S_r).
 
     ``vertices`` is an (n, 3, 2) array of triangles (O, A, B), ``r`` their
     radii.  The edges' crossings with the circle, in (0, 1) of each edge's
     parameter, cut it into arcs; an arc counts when the circle point at
     its middle angle lies in the closed triangle.  With no crossing the
     circle lies wholly inside or outside: it is taken as one arc from -pi
-    to pi, probed at angle 0.
+    to pi, probed at angle 0.  Returns the arcs' total angle and the sum
+    of e^(i end) - e^(i start) over them, which places them on the circle.
     """
     roots = np.full((r.shape[0], 2 * len(_EDGES)), math.inf)
     for k, (i, j) in enumerate(_EDGES):
@@ -592,7 +605,8 @@ def _arc_totals_by_probing(vertices, r):
     ends = np.where(col == (count - 1)[:, None], roots[:, :1] + _TWO_PI, np.roll(roots, -1, axis=1))
     starts, ends = np.where(arc, roots, 0.0), np.where(arc, ends, 0.0)
     inside = _circle_points_in_triangles(vertices[:, None], r[:, None], 0.5 * (starts + ends))
-    return np.sum(ends - starts, axis=1, where=inside)
+    moments = np.sum(np.exp(1j * ends) - np.exp(1j * starts), axis=1, where=inside)
+    return np.sum(ends - starts, axis=1, where=inside), moments
 
 
 def _check_arc_consistency(samples, rng):
@@ -600,15 +614,20 @@ def _check_arc_consistency(samples, rng):
     delta = rng.uniforms(samples) * np.minimum(_HEIGHT_CAP, 0.9 * r)
     alpha = rng.uniform(0.0, math.pi, samples)
     t = rng.uniforms(samples)
-    totals = np.empty(samples)
-    vertices = np.empty((samples, 3, 2))
-    for i in range(samples):
-        tri = geom.make_triangle(alpha[i], delta[i], t[i])
-        totals[i] = sum(arc.theta for arc in geom.intersection_arcs(tri, r[i]))
-        vertices[i] = [(p.x, p.y) for p in tri.vertices]
-    worst = max(0.0, float(np.max(np.abs(totals - _arc_totals_by_probing(vertices, r)))))
-    spec = f"{samples} random triangles; arc angles vs edge-circle root finding"
-    return worst, spec
+    # alpha lies in [0, pi), where make_triangle's reduction mod pi is the
+    # identity: both sides see the same triangle
+    arcs = [
+        geom.intersection_arcs(geom.make_triangle(ai, di, ti), ri)
+        for ri, di, ai, ti in zip(r.tolist(), delta.tolist(), alpha.tolist(), t.tolist())
+    ]
+    # each triangle's arcs as their total angle and first angular moment
+    # sum(e^(i end) - e^(i start)), which places them on the circle
+    totals = np.array([sum(arc.theta for arc in row) for row in arcs])
+    moments = np.array([sum(cmath.rect(1.0, a.end) - cmath.rect(1.0, a.start) for a in row) for row in arcs])
+    probed_totals, probed_moments = _arc_totals_by_probing(_triangle_corners(alpha, delta, t), r)
+    worst = max(np.max(np.abs(totals - probed_totals)), np.max(np.abs(moments - probed_moments)))
+    spec = f"{samples} random triangles; arc angles and angular moments vs edge-circle root finding"
+    return float(worst), spec
 
 
 # ---------------------------------------------------------------------------

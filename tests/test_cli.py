@@ -286,12 +286,11 @@ def reduced_verify_all(tmp_path_factory):
 
 
 def test_reduced_verify_all_artifact_is_pinned(reduced_verify_all):
-    # sha256 of the reduced verify.json, recorded when mc_area took each
-    # point from one stream word (SectorMeasure's record changed) and
-    # ExtDisjoint added its near-miss pairs (its grid_spec changed); any
-    # change to a drawn value, a hit count or a grid_spec shows here
+    # sha256 of the reduced verify.json, recorded when ArcConsistency added
+    # the arcs' first angular moment (its grid_spec changed); any change to
+    # a drawn value, a hit count or a grid_spec shows here
     digest = hashlib.sha256(reduced_verify_all).hexdigest()
-    assert digest == "9787d25fefac64c0db4c199bd14ba106caaee66c6101ba36f1792bdc8ad28ac4"
+    assert digest == "6750abbebbd3f2b3c6b0b69c85728dc0d84b92c299928de0efc8dcc32be89091"
 
 
 def test_full_size_verify_all_artifact_is_pinned(tmp_path):
@@ -300,13 +299,14 @@ def test_full_size_verify_all_artifact_is_pinned(tmp_path):
     code = run_cli("verify", "--all", "--seed", "7", "--output-dir", str(tmp_path))
     assert code == 0
     digest = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
-    assert digest == "259fa38f561b1424cca849701a90dd75f55af8782409b4d26b15b29d67119d93"
+    assert digest == "8765da81e6dece99c6f5a51a2a9a8d9992ab401e9145285cf974554d84b2f4b1"
 
 
 # sha256 of json.dumps(record, sort_keys=True) for the records of the
 # reduced `verify --all` that exact disjointness clipping left alone,
 # recorded from the sampled implementation; SectorMeasure's re-recorded
-# when mc_area took each point from one stream word
+# when mc_area took each point from one stream word, ArcConsistency's when
+# it added the arcs' first angular moment
 UNCHANGED_REDUCED_RECORDS = {
     "IsoscelesMinimality": "7b47f55cdf2ec4216289495cb90c667c6eab2986c3c032d0fc352b0b389c4d5c",
     "HMinAtZero": "df7f7daca9bc1b6193b812587a1c6acc14ba53cf138d74f22dda129446fc0670",
@@ -314,7 +314,7 @@ UNCHANGED_REDUCED_RECORDS = {
     "CMin": "5e90464edc15ced747937bbe4ec9f2dab92b571d19c5b86db64975256de8195f",
     "FArgmax": "379abaa89efffaf4e0f45024f76349118717e10afc83c35b0d2a441683ee6ec0",
     "SectorMeasure": "ef7a8f2c8f11a55aae73670dc5dd3a0126d2a0144db977fee00e8a8af9c19a9e",
-    "ArcConsistency": "d5b06dd461b04e8961ef60c7cef227c0465abed679efa4ccac89c3491b5873a7",
+    "ArcConsistency": "7fe6efcc3327672c6b417d700bdff4c9f8e53a931d93395ddd27dc247f15cfc0",
 }
 
 

@@ -1,8 +1,12 @@
 """Geometry tests: closed forms against a 40-digit mpmath oracle, the outer
-area against Monte Carlo, arcs against independent edge-circle root finding."""
+area against Monte Carlo, arcs against independent edge-circle root finding.
+
+A triangle is held as its chart (alpha, delta, t); its corners in the plane
+come from the oracle's builder, the one place that makes them."""
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 
@@ -33,29 +37,39 @@ def mp_theta_isosceles(delta, r):
 # Triangle construction
 # ---------------------------------------------------------------------------
 
+def _corners(tri):
+    """The oracle's (1, 3, 2) corner array (O, A, B) of one triangle."""
+    return oracle._triangle_corners(np.array([tri.alpha]), np.array([tri.delta]), np.array([tri.t]))
+
+
+def _needle_ends(tri):
+    """Corners A and B of one triangle, as (x, y) pairs of floats."""
+    _, a, b = _corners(tri)[0].tolist()
+    return a, b
+
+
 def test_degenerate_triangle_is_a_segment_through_origin():
     tri = geom.make_triangle(0.0, 0.0, 0.5)
     assert tri.area == 0.0
-    o, a, b = tri.vertices
-    assert (a.x, a.y) == (-0.5, 0.0)
-    assert (b.x, b.y) == (0.5, 0.0)
+    o, a, b = _corners(tri)[0].tolist()
+    assert o == [0.0, 0.0]
+    assert a == [-0.5, 0.0]
+    assert b == [0.5, 0.0]
 
 
 def test_isosceles_triangle_has_equal_legs():
-    tri = geom.make_triangle(math.pi / 2, 0.1, 0.5)
-    _, a, b = tri.vertices
+    (ax, ay), (bx, by) = _needle_ends(geom.make_triangle(math.pi / 2, 0.1, 0.5))
     leg = math.sqrt(0.1**2 + 0.25)
-    assert math.hypot(a.x, a.y) == pytest.approx(leg, abs=1e-14)
-    assert math.hypot(b.x, b.y) == pytest.approx(leg, abs=1e-14)
+    assert math.hypot(ax, ay) == pytest.approx(leg, abs=1e-14)
+    assert math.hypot(bx, by) == pytest.approx(leg, abs=1e-14)
 
 
 def test_vertices_recompute_height_and_base_length():
     # independent point-line distance: |cross(B-A, A)| / |B-A|
-    tri = geom.make_triangle(1.0, 0.05, 0.2)
-    _, a, b = tri.vertices
-    ux, uy = b.x - a.x, b.y - a.y
+    (ax, ay), (bx, by) = _needle_ends(geom.make_triangle(1.0, 0.05, 0.2))
+    ux, uy = bx - ax, by - ay
     base = math.hypot(ux, uy)
-    dist = abs(ux * a.y - uy * a.x) / base
+    dist = abs(ux * ay - uy * ax) / base
     assert base == pytest.approx(1.0, abs=1e-12)
     assert dist == pytest.approx(0.05, abs=1e-12)
 
@@ -70,10 +84,10 @@ def test_foot_half_iff_isosceles():
     alphas = rng.uniform(0.0, math.pi, 50)
     deltas = rng.uniform(0.001, 0.2, 50)
     ts = rng.uniforms(50)
-    for alpha, delta, t in zip(alphas, deltas, ts):
-        tri = geom.make_triangle(alpha, delta, t)
-        _, a, b = tri.vertices
-        equal_legs = abs(math.hypot(a.x, a.y) - math.hypot(b.x, b.y)) < 1e-12
+    corners = oracle._triangle_corners(alphas, deltas, ts)
+    legs = np.hypot(corners[:, :, 0], corners[:, :, 1])
+    for (_, leg_a, leg_b), t in zip(legs.tolist(), ts.tolist()):
+        equal_legs = abs(leg_a - leg_b) < 1e-12
         assert equal_legs == (abs(t - 0.5) < 1e-12)
 
 
@@ -132,19 +146,19 @@ def test_exterior_area_matches_closed_form_isosceles():
     pytest.param(0.3, 0.7, 0.2, 1_000_000, id="delta>r"),
 ])
 def test_exterior_area_against_monte_carlo(delta, t, r, samples):
-    # membership from the vertices' half-planes, not from the polar chart
+    # membership from the corners' half-planes, not from the polar chart
     tri = geom.make_triangle(0.7, delta, t)
-    _, a, b = tri.vertices
+    (ax, ay), (bx, by) = _needle_ends(tri)
 
     def region(xs, ys):
-        d1 = a.x * ys - a.y * xs
-        d2 = (b.x - a.x) * (ys - a.y) - (b.y - a.y) * (xs - a.x)
-        d3 = -(b.x * (ys - b.y) - b.y * (xs - b.x))
+        d1 = ax * ys - ay * xs
+        d2 = (bx - ax) * (ys - ay) - (by - ay) * (xs - ax)
+        d3 = -(bx * (ys - by) - by * (xs - bx))
         inside = ((d1 >= 0) & (d2 >= 0) & (d3 >= 0)) | ((d1 <= 0) & (d2 <= 0) & (d3 <= 0))
         return inside & (np.hypot(xs, ys) >= r)
 
-    xs = [a.x, b.x, 0.0]
-    ys = [a.y, b.y, 0.0]
+    xs = [ax, bx, 0.0]
+    ys = [ay, by, 0.0]
     bbox = (min(xs), min(ys), max(xs), max(ys))
     est = oracle.mc_area(region, bbox, samples=samples, seed=11)
     exact = geom.exterior_area(tri, r)
@@ -369,16 +383,15 @@ def test_arcs_sorted_longest_first_and_consistent_with_probing():
         thetas = [arc.theta for arc in arcs]
         assert thetas == sorted(thetas, reverse=True)
         assert all(th > 0.0 for th in thetas)
-        probed = oracle._arc_totals_by_probing(_vertices(tri), r[i:i + 1])[0]
-        assert sum(thetas) == pytest.approx(probed, abs=1e-9)
-
-
-def _vertices(tri):
-    return np.array([[(p.x, p.y) for p in tri.vertices]])
+        total, moment = oracle._arc_totals_by_probing(_corners(tri), r[i:i + 1])
+        assert sum(thetas) == pytest.approx(total[0], abs=1e-9)
+        # the arcs sit where the probes find them, not only at their length
+        placed = sum(cmath.rect(1.0, arc.end) - cmath.rect(1.0, arc.start) for arc in arcs)
+        assert abs(placed - moment[0]) <= 1e-9
 
 
 def _point_on_circle_in_triangle(tri, r, phi):
-    return bool(oracle._circle_points_in_triangles(_vertices(tri), np.array([r]), [phi])[0])
+    return bool(oracle._circle_points_in_triangles(_corners(tri), np.array([r]), [phi])[0])
 
 
 def test_arc_interiors_lie_inside_the_triangle():

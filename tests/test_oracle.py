@@ -11,6 +11,7 @@ location."""
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 import multiprocessing
@@ -1022,62 +1023,67 @@ def _circle_edge_angles(ax, ay, bx, by, r):
     return angles
 
 
-def _point_on_circle_in_triangle(tri, r, phi):
+def _point_on_circle_in_triangle(corners, r, phi):
     px, py = r * math.cos(phi), r * math.sin(phi)
-    _, a, b = tri.vertices
-    d1 = a.x * py - a.y * px
-    d2 = (b.x - a.x) * (py - a.y) - (b.y - a.y) * (px - a.x)
-    d3 = -(b.x * (py - b.y) - b.y * (px - b.x))
+    _, (ax, ay), (bx, by) = corners
+    d1 = ax * py - ay * px
+    d2 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    d3 = -(bx * (py - by) - by * (px - bx))
     has_pos = d1 > 0 or d2 > 0 or d3 > 0
     has_neg = d1 < 0 or d2 < 0 or d3 < 0
     return not (has_pos and has_neg)
 
 
-def _arc_total_by_probing(tri, r):
-    """Total central angle of (triangle intersect S_r) via edge roots + probes."""
-    o, a, b = tri.vertices
+def _arc_total_by_probing(corners, r):
+    """Total central angle and first angular moment of (triangle intersect
+    S_r) via edge roots + probes; ``corners`` is ((Ox, Oy), (Ax, Ay), (Bx, By))."""
+    o, a, b = corners
     angles = []
     for (p, q) in ((o, a), (a, b), (b, o)):
-        angles.extend(_circle_edge_angles(p.x, p.y, q.x, q.y, r))
+        angles.extend(_circle_edge_angles(*p, *q, r))
     if not angles:
-        probe = _point_on_circle_in_triangle(tri, r, 0.0)
-        return 2.0 * math.pi if probe else 0.0
+        probe = _point_on_circle_in_triangle(corners, r, 0.0)
+        return (2.0 * math.pi if probe else 0.0), 0j  # a whole circle has moment 0
     angles = sorted(angles)
-    total = 0.0
+    total, moment = 0.0, 0j
     for i, start in enumerate(angles):
         end = angles[i + 1] if i + 1 < len(angles) else angles[0] + 2.0 * math.pi
         if end <= start:
             continue
-        if _point_on_circle_in_triangle(tri, r, 0.5 * (start + end)):
+        if _point_on_circle_in_triangle(corners, r, 0.5 * (start + end)):
             total += end - start
-    return total
+            moment += cmath.rect(1.0, end) - cmath.rect(1.0, start)
+    return total, moment
 
 
-def _probe_both_ways(tris, r):
+def _probe_both_ways(corners, r):
     """The loop's totals, once the kernel's are found to agree with them up
     to rounding: each row falls in the same class (no arc, the whole
     circle, or a part of it) and differs by at most 4 ulps of 2pi (numpy's
-    and math's arctan2, cos and sin may differ in the last bit)."""
-    vertices = np.array([[(p.x, p.y) for p in tri.vertices] for tri in tris])
-    got = oracle._arc_totals_by_probing(vertices, np.asarray(r, dtype=np.float64))
-    want = np.array([_arc_total_by_probing(tri, ri) for tri, ri in zip(tris, r)])
+    and math's arctan2, cos and sin may differ in the last bit); the
+    moments, sums of at most three unit-vector differences, by 1e-14."""
+    r = np.asarray(r, dtype=np.float64)
+    got, got_moment = oracle._arc_totals_by_probing(corners, r)
+    rows = [_arc_total_by_probing(c, ri) for c, ri in zip(corners.tolist(), r.tolist())]
+    want, want_moment = (np.array(x) for x in zip(*rows))
     assert np.array_equal(got == 0.0, want == 0.0)
     assert np.array_equal(got == TWO_PI, want == TWO_PI)
     assert np.max(np.abs(got - want)) <= 4.0 * math.ulp(TWO_PI)
+    assert np.max(np.abs(got_moment - want_moment)) <= 1e-14
     return want
 
 
 def test_vectorised_arc_probing_matches_the_loop():
     # triangles drawn as ArcConsistency draws them, and as many again with
-    # radii up to beyond the far vertex, so every root count occurs
+    # radii up to beyond the far vertex, so every root count occurs; with
+    # directions in [0, 2pi) the triangles face every way about O
     rng = CounterRng(2025, stream=4)
     n = 12_000
     r = np.concatenate((rng.uniform(0.05, 0.5, n), rng.uniform(0.01, 1.2, n)))
     delta = rng.uniforms(2 * n) * np.minimum(oracle._HEIGHT_CAP, 0.9 * r)
     alpha = rng.uniform(0.0, 2.0 * math.pi, 2 * n)
     t = rng.uniforms(2 * n)
-    tris = [geom.make_triangle(alpha[i], delta[i], t[i]) for i in range(2 * n)]
-    want = _probe_both_ways(tris, r)
+    want = _probe_both_ways(oracle._triangle_corners(alpha, delta, t), r)
     assert np.count_nonzero(want == 0.0) >= 100 and np.count_nonzero(want > 0.0) >= n
 
 
@@ -1092,9 +1098,8 @@ def test_vectorised_arc_probing_on_tangent_vertex_and_bare_circles():
         (0.5, 0.25, 2.0), (0.0, 0.125, 1.5), (1.0, 0.125, 1.5),
         (0.5, 0.0, 0.25), (0.0, 0.0, 0.5), (0.25, 0.0, 1.0),
     ]
-    tris = [geom.make_triangle(0.0, delta, t) for t, delta, _ in cases]
-    r = [radius for _, _, radius in cases]
-    want = _probe_both_ways(tris, r)
+    t, delta, r = (np.array(column) for column in zip(*cases))
+    want = _probe_both_ways(oracle._triangle_corners(np.zeros(len(cases)), delta, t), r)
     assert want[0] > 0.0 and want[6] == 0.0 and want[7] == 0.0
 
 
@@ -1137,6 +1142,16 @@ MUTANTS = {
     "polar chart core x 1.001": (
         geom, "_polar_chart",
         lambda real: lambda tri, r: (*real(tri, r)[:3], real(tri, r)[3] * 1.001),
+        CheckId.ARC_CONSISTENCY),
+    # arcs of the right lengths in the wrong places: only ArcConsistency's
+    # first angular moment sees these two
+    "polar chart psi + 1e-6": (
+        geom, "_polar_chart",
+        lambda real: lambda tri, r: (real(tri, r)[0] + 1e-6, *real(tri, r)[1:]),
+        CheckId.ARC_CONSISTENCY),
+    "polar chart span_a <-> span_b": (
+        geom, "_polar_chart",
+        lambda real: lambda tri, r: (lambda psi, a, b, core: (psi, b, a, core))(*real(tri, r)),
         CheckId.ARC_CONSISTENCY),
     "outside_area_rate x 1.001": (
         bounds, "outside_area_rate", lambda real: lambda r, a: real(r, a) * 1.001,

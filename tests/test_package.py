@@ -4,6 +4,7 @@ runtime dependencies."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -21,9 +22,10 @@ MODULES = ("bounds", "catalogue", "cli", "geom", "optimizer", "oracle")
 # Library API removed because no bound, optimizer step, check, command or
 # benchmark used it; each quantity keeps one public path.
 REMOVED = {
-    "kakeya": ("DirectionInterval", "balance_p", "case_i_bound", "case_ii_bound"),
+    "kakeya": ("DirectionInterval", "Point", "balance_p", "case_i_bound", "case_ii_bound"),
     "kakeya.geom": (
-        "DirectionInterval", "direction_interval", "theta_max", "triangle_vertices", "vertex_reach",
+        "DirectionInterval", "Point", "direction_interval", "theta_max", "triangle_vertices",
+        "vertex_reach",
     ),
     "kakeya.bounds": ("case_i_bound", "case_ii_bound", "exterior_area_rate"),
     "kakeya.optimizer": ("balance_p",),
@@ -40,8 +42,8 @@ def test_every_exported_name_resolves(name):
 
 
 def test_export_counts():
-    assert len(kakeya.__all__) == 28
-    assert len(geom.__all__) == 15
+    assert len(kakeya.__all__) == 27
+    assert len(geom.__all__) == 14
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED))
@@ -54,6 +56,8 @@ def test_removed_names_are_gone(name):
 
 def test_removed_members_are_gone():
     assert not hasattr(geom.Arc, "length")
+    # a triangle is its chart: no vertex coordinates are stored
+    assert tuple(f.name for f in dataclasses.fields(geom.NeedleTriangle)) == ("alpha", "delta", "t")
     assert "tolerance" not in inspect.signature(oracle.run_check).parameters
 
 

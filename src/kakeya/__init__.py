@@ -36,13 +36,12 @@ from .errors import (
     KakeyaError,
 )
 from .catalogue import CheckId
-from .geom import Arc, NeedleTriangle, make_triangle
+from .geom import NeedleTriangle, make_triangle
 from .optimizer import OptimizationResult, SearchBox, optimize, refine_iterative
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc",
     "BoundBreakdown",
     "BoundParams",
     "BracketError",

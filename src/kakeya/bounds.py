@@ -256,10 +256,8 @@ def _branch_values(r: float, derived: DerivedParams) -> tuple[float, float, floa
 
 def _argmax_branch(r: float, derived: DerivedParams) -> int:
     """Index of the largest branch at r; on a tie the lower index wins."""
-    v0, v1, v2 = _branch_values(r, derived)
-    if v1 > v0:
-        return 2 if v2 > v1 else 1
-    return 2 if v2 > v0 else 0
+    values = _branch_values(r, derived)
+    return values.index(max(values))
 
 
 def _antiderivative(branch: int, r: float, g_mid: float) -> float:

@@ -7,11 +7,13 @@ disk B_r) and an outer part.  A triangle is held as its chart
 (``alpha``, ``delta``, ``t``) alone, with no vertex coordinates; its polar
 form about O, the wedge of directions at O less the core where S_r pokes
 past the needle, gives both the outer area and the arcs cut on S_r.
-Vertex coordinates are built only by the oracle, which probes the
-triangles in the plane to check this module.  It also holds the
-closed forms for the isosceles configuration, the outer-area rate f, and
-the angular-gap disjointness criterion.  All functions are pure and
-operate in binary64.
+An arc is its (start, end) pair of absolute plane directions, with
+end > start; a triangle's arcs come in chart order, the side of B first,
+and zero-length tangencies are left out.  Vertex coordinates are built
+only by the oracle, which probes the triangles in the plane to check
+this module.  It also holds the closed forms for the isosceles
+configuration, the outer-area rate f, and the angular-gap disjointness
+criterion.  All functions are pure and operate in binary64.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import DomainError
 
 __all__ = [
     "NeedleTriangle",
-    "Arc",
     "make_triangle",
     "exterior_area",
     "exterior_area_isosceles",
@@ -60,25 +61,6 @@ class NeedleTriangle:
     alpha: float
     delta: float
     t: float
-
-    @property
-    def area(self) -> float:
-        """Triangle area, delta / 2 (unit base, height delta)."""
-        return 0.5 * self.delta
-
-
-@dataclass(frozen=True)
-class Arc:
-    """A connected component of (triangle intersect S_r) on the circle.
-
-    Angles are absolute plane directions with ``end >= start``; ``theta``
-    is the central angle subtended at O.
-    """
-
-    r: float
-    start: float
-    end: float
-    theta: float
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +127,7 @@ def exterior_area(tri: NeedleTriangle, r: float) -> float:
     for span in (span_a, span_b):
         if span > core:  # tested first: r may be inf where the sector is empty
             inner += 0.5 * r * (r * (span - core))  # r^2 alone may overflow
-    return max(0.0, tri.area - inner)
+    return max(0.0, 0.5 * delta - inner)
 
 
 def exterior_area_isosceles(delta: float, r: float) -> float:
@@ -312,14 +294,15 @@ def exterior_disjoint_criterion(
 # Arcs
 # ---------------------------------------------------------------------------
 
-def intersection_arcs(tri: NeedleTriangle, r: float) -> list[Arc]:
-    """Connected components of (triangle intersect S_r), longest first.
+def intersection_arcs(tri: NeedleTriangle, r: float) -> list[tuple[float, float]]:
+    """Connected components of (triangle intersect S_r) as (start, end) pairs.
 
     A triangle meets its cutoff circle in zero, one, or two arcs: the
     wedge of directions spanned at O, minus the angular core closer than
     arccos(delta/r) to the needle normal where the circle pokes past the
-    needle.  Zero-length tangencies are excluded; ties in the ordering
-    break by start angle.
+    needle.  Angles are absolute plane directions with end > start, in
+    chart order: the arc on the side of B first.  Zero-length tangencies
+    are excluded.
     """
     if not r > 0.0:
         raise DomainError(f"r must be > 0, got {r}")
@@ -334,13 +317,7 @@ def intersection_arcs(tri: NeedleTriangle, r: float) -> list[Arc]:
             arcs.append((psi - span_b, psi - core))
         if span_a > core:
             arcs.append((psi + core, psi + span_a))
-    out = [
-        Arc(r=r, start=lo, end=hi, theta=hi - lo)
-        for lo, hi in arcs
-        if hi - lo > 0.0
-    ]
-    out.sort(key=lambda arc: (-arc.theta, arc.start))
-    return out
+    return [(lo, hi) for lo, hi in arcs if hi > lo]
 
 
 # ---------------------------------------------------------------------------

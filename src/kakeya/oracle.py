@@ -71,9 +71,10 @@ class CheckReport:
             "id": self.id.value,
             "samples": self.samples,
             "grid_spec": self.grid_spec,
-            # strict JSON has no Infinity: an infinite violation is written
-            # as the largest float, still failing
-            "max_violation": min(self.max_violation, sys.float_info.max),
+            # strict JSON has no Infinity or NaN: such a violation is written
+            # as the largest float, still failing (min keeps its first
+            # argument unless the second is smaller, which NaN never is)
+            "max_violation": min(sys.float_info.max, self.max_violation),
             "tolerance": self.tolerance,
             "pass": self.passed,
             "seed": self.seed,
@@ -235,12 +236,17 @@ def _overlapping_pairs(r, w1, w2, exterior):
 # Individual checks
 # ---------------------------------------------------------------------------
 
+def _largest(gaps):
+    """The largest of ``gaps``, or NaN if any is NaN (``max`` drops a NaN that is not first)."""
+    return float(np.max(np.fromiter(gaps, float)))
+
+
 def _check_isosceles_minimality(samples, rng):
     r = rng.uniform(0.15, 0.5, samples)
     delta = rng.uniforms(samples) * np.minimum(_HEIGHT_CAP, 0.9 * r)
     alpha = rng.uniform(0.0, math.pi, samples)
     t = rng.uniforms(samples)
-    worst = max(
+    worst = _largest(
         geom.exterior_area_isosceles(di, ri) - geom.exterior_area(geom.make_triangle(ai, di, ti), ri)
         for ri, di, ai, ti in zip(r.tolist(), delta.tolist(), alpha.tolist(), t.tolist())
     )
@@ -266,7 +272,7 @@ def _h_fractions(n):
 def _dip_below_flat_limit(r, fractions):
     """How far the quotient at heights ``fractions * 3r/5`` dips below its delta -> 0 limit."""
     limit = geom.exterior_angle_ratio(0.0, r)
-    return max(limit - geom.exterior_angle_ratio(frac * _H_CAP_RATIO * r, r) for frac in fractions)
+    return _largest(limit - geom.exterior_angle_ratio(frac * _H_CAP_RATIO * r, r) for frac in fractions)
 
 
 def _grid_shape(samples):
@@ -278,7 +284,7 @@ def _grid_shape(samples):
 def _check_h_min_at_zero(samples, _rng):
     n_r, n_d = _grid_shape(samples)
     fractions = _h_fractions(n_d)
-    worst = max(_dip_below_flat_limit(r, fractions) for r in np.linspace(0.15, 0.5, n_r).tolist())
+    worst = _largest(_dip_below_flat_limit(r, fractions) for r in np.linspace(0.15, 0.5, n_r).tolist())
     spec = (
         f"{n_r} r x {n_d} delta grid; r in [0.15, 0.5], "
         f"delta in (0, {_H_CAP_RATIO}*r]"
@@ -382,13 +388,12 @@ def _check_int_disjoint(samples, rng):
 def _check_jgamma_ratio(samples, _rng):
     n_r, n_d = _grid_shape(samples)
     fractions = np.linspace(1e-6, 0.999999, n_d).tolist()
-    worst = -math.inf
+    gaps = []
     for r in np.linspace(0.05, 0.49, n_r).tolist():
         cap = (1.0 + 2.0 * r) / (1.0 - 2.0 * r)
-        for frac in fractions:
-            worst = max(worst, geom.direction_ratio(frac * r, r) - cap)
+        gaps.extend(geom.direction_ratio(frac * r, r) - cap for frac in fractions)
     spec = f"{n_r} r x {n_d} delta0 grid; r in [0.05, 0.49], delta0/r in (0, 1)"
-    return worst, spec
+    return _largest(gaps), spec
 
 
 def _check_c_min(samples, _rng):
@@ -396,7 +401,7 @@ def _check_c_min(samples, _rng):
     n_r, n_x = _grid_shape(samples)
     spec = f"{n_r} r x {n_x} x grid; r in [a, 1.5], x in (0, a], a = {a:.6f}"
     x = np.linspace(1e-6, 1.0, n_x) * a
-    worst = -math.inf
+    gaps = []
     for r in np.linspace(a, 1.5, n_r).tolist():
         try:
             c_ra = bounds.outside_area_rate(r, a)
@@ -404,8 +409,8 @@ def _check_c_min(samples, _rng):
             # the library rejects a point of its own domain: a failure, with its witness
             return math.inf, f"{spec}; DomainError at (r, x) = ({r:.17g}, {a:.17g}): {exc}"
         # the library's rate at a against the least rate x / (2 asin(x/r)) on the grid
-        worst = max(worst, c_ra - float(np.min(x / (2.0 * np.arcsin(x / r)))))
-    return worst, spec
+        gaps.append(c_ra - float(np.min(x / (2.0 * np.arcsin(x / r)))))
+    return _largest(gaps), spec
 
 
 def _check_f_argmax(samples, _rng):
@@ -622,12 +627,14 @@ def _check_arc_consistency(samples, rng):
     ]
     # each triangle's arcs as their total angle and first angular moment
     # sum(e^(i end) - e^(i start)), which places them on the circle
-    totals = np.array([sum(arc.theta for arc in row) for row in arcs])
-    moments = np.array([sum(cmath.rect(1.0, a.end) - cmath.rect(1.0, a.start) for a in row) for row in arcs])
+    totals = np.array([sum(end - start for start, end in row) for row in arcs])
+    moments = np.array([
+        sum(cmath.rect(1.0, end) - cmath.rect(1.0, start) for start, end in row) for row in arcs
+    ])
     probed_totals, probed_moments = _arc_totals_by_probing(_triangle_corners(alpha, delta, t), r)
-    worst = max(np.max(np.abs(totals - probed_totals)), np.max(np.abs(moments - probed_moments)))
+    worst = _largest((np.max(np.abs(totals - probed_totals)), np.max(np.abs(moments - probed_moments))))
     spec = f"{samples} random triangles; arc angles and angular moments vs edge-circle root finding"
-    return float(worst), spec
+    return worst, spec
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +745,8 @@ def run_checks(
             violation, spec = next(verdicts)
         else:
             violation, spec = _sector_verdict(n, sets, [next(estimates) for _ in sets])
-        violation = float(max(0.0, violation))
+        # only a negative violation is clamped: a NaN one stays NaN and fails
+        violation = 0.0 if violation <= 0.0 else float(violation)
         tol = _CHECKS[check][2]
         reports.append(CheckReport(
             id=check,

@@ -439,6 +439,35 @@ def test_verify_library_domain_error_is_a_failure_exit_1(tmp_path, monkeypatch, 
     assert "DomainError at (r, x)" in record["grid_spec"]
 
 
+@pytest.mark.parametrize("words", [
+    ("bound", "--preset", "theorem"),
+    ("bound", "--preset", "cunningham"),
+    ("optimize", "--preset", "theorem"),
+    ("optimize", "--preset", "sec41", "--refine", "10"),
+    ("verify", "--all", "--samples", "100"),
+])
+def test_every_json_artifact_is_strict_json(words, tmp_path):
+    assert run_cli(*words, "--output-dir", str(tmp_path)) == 0
+    paths = sorted(tmp_path.glob("*.json"))
+    assert [path.name for path in paths] == [f"{words[0]}.json"]
+    json.loads(paths[0].read_text(), parse_constant=_reject_constant)
+
+
+def test_verify_nan_violation_is_a_failure_in_strict_json(tmp_path, monkeypatch, capsys):
+    # a library function that returns NaN on part of its domain
+    real = cli.geom.exterior_area
+    monkeypatch.setattr(cli.geom, "exterior_area",
+                        lambda tri, r: math.nan if r > 0.4 else real(tri, r))
+    code = run_cli("verify", "--check", "IsoscelesMinimality", "--samples", "100",
+                   "--output-dir", str(tmp_path))
+    assert code == 1
+    assert "FAIL IsoscelesMinimality: max_violation = nan" in capsys.readouterr().out
+    text = (tmp_path / "verify.json").read_text()
+    (record,) = json.loads(text, parse_constant=_reject_constant)["checks"]
+    assert record["max_violation"] == sys.float_info.max
+    assert record["pass"] is False
+
+
 def test_verify_worker_death_exits_4_and_writes_nothing(tmp_path, monkeypatch, capsys):
     def die(region, bbox, samples, seed):
         os._exit(1)  # as a worker killed for memory would

@@ -50,11 +50,13 @@ def _needle_ends(tri):
 
 def test_degenerate_triangle_is_a_segment_through_origin():
     tri = geom.make_triangle(0.0, 0.0, 0.5)
-    assert tri.area == 0.0
     o, a, b = _corners(tri)[0].tolist()
     assert o == [0.0, 0.0]
     assert a == [-0.5, 0.0]
     assert b == [0.5, 0.0]
+    # zero area, so no part of it lies outside any circle
+    assert a[0] * b[1] - a[1] * b[0] == 0.0
+    assert geom.exterior_area(tri, 0.25) == 0.0
 
 
 def test_isosceles_triangle_has_equal_legs():
@@ -365,11 +367,11 @@ def test_arcs_isosceles_match_the_central_angle_formula():
     arcs = geom.intersection_arcs(geom.make_triangle(1.1, delta, 0.5), r)
     assert len(arcs) == 2
     theta = geom.theta_isosceles(delta, r)
-    for arc in arcs:
-        assert arc.theta == pytest.approx(theta, abs=1e-12)
+    for start, end in arcs:
+        assert end - start == pytest.approx(theta, abs=1e-12)
 
 
-def test_arcs_sorted_longest_first_and_consistent_with_probing():
+def test_arcs_are_ordered_pairs_consistent_with_probing():
     rng = CounterRng(31, stream=6)
     n = 500
     r = rng.uniform(0.05, 0.5, n)
@@ -380,13 +382,11 @@ def test_arcs_sorted_longest_first_and_consistent_with_probing():
         tri = geom.make_triangle(alpha[i], delta[i], t[i])
         arcs = geom.intersection_arcs(tri, r[i])
         assert len(arcs) <= 2
-        thetas = [arc.theta for arc in arcs]
-        assert thetas == sorted(thetas, reverse=True)
-        assert all(th > 0.0 for th in thetas)
+        assert all(type(start) is float and end > start for start, end in arcs)
         total, moment = oracle._arc_totals_by_probing(_corners(tri), r[i:i + 1])
-        assert sum(thetas) == pytest.approx(total[0], abs=1e-9)
+        assert sum(end - start for start, end in arcs) == pytest.approx(total[0], abs=1e-9)
         # the arcs sit where the probes find them, not only at their length
-        placed = sum(cmath.rect(1.0, arc.end) - cmath.rect(1.0, arc.start) for arc in arcs)
+        placed = sum(cmath.rect(1.0, end) - cmath.rect(1.0, start) for start, end in arcs)
         assert abs(placed - moment[0]) <= 1e-9
 
 
@@ -399,10 +399,10 @@ def test_arc_interiors_lie_inside_the_triangle():
     r = 0.25
     arcs = geom.intersection_arcs(tri, r)
     assert arcs
-    for arc in arcs:
-        nudge = 1e-9 * arc.theta
-        for phi in (arc.start + nudge, arc.end - nudge, 0.5 * (arc.start + arc.end)):
+    for start, end in arcs:
+        nudge = 1e-9 * (end - start)
+        for phi in (start + nudge, end - nudge, 0.5 * (start + end)):
             assert _point_on_circle_in_triangle(tri, r, phi)
         # just past either endpoint the circle leaves the triangle
-        assert not _point_on_circle_in_triangle(tri, r, arc.start - 1e-6)
-        assert not _point_on_circle_in_triangle(tri, r, arc.end + 1e-6)
+        assert not _point_on_circle_in_triangle(tri, r, start - 1e-6)
+        assert not _point_on_circle_in_triangle(tri, r, end + 1e-6)

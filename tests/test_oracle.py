@@ -12,11 +12,11 @@ location."""
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import multiprocessing
 import os
 import statistics
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -1132,10 +1132,10 @@ MUTANTS = {
     "direction_ratio x 1.001": (
         geom, "direction_ratio", lambda real: lambda delta0, r: real(delta0, r) * 1.001,
         CheckId.JGAMMA_RATIO),
-    "intersection_arcs theta x 1.001": (
+    "intersection_arcs stretched x 1.001": (
         geom, "intersection_arcs",
         lambda real: lambda tri, r: [
-            dataclasses.replace(arc, theta=arc.theta * 1.001) for arc in real(tri, r)
+            (start, start + 1.001 * (end - start)) for start, end in real(tri, r)
         ],
         CheckId.ARC_CONSISTENCY),
     # the polar chart that intersection_arcs and exterior_area both read
@@ -1169,6 +1169,38 @@ MUTANTS = {
             geom.angular_gap(a1, a2) >= 0.97 * (math.asin(d1 / r) + math.asin(d2 / r))
         ),
         CheckId.EXT_DISJOINT),
+    # NaN on part of the domain, so that a fold's first value is usually a
+    # number: Python's max drops a NaN that does not come first
+    "intersection_arcs NaN ends at r > 0.4": (
+        geom, "intersection_arcs",
+        lambda real: lambda tri, r: (
+            [(math.nan, math.nan) for _ in real(tri, r)] if r > 0.4 else real(tri, r)
+        ),
+        CheckId.ARC_CONSISTENCY),
+    "exterior_area NaN at r > 0.4": (
+        geom, "exterior_area",
+        lambda real: lambda tri, r: math.nan if r > 0.4 else real(tri, r),
+        CheckId.ISOSCELES_MINIMALITY),
+    "exterior_area_isosceles NaN at r > 0.4": (
+        geom, "exterior_area_isosceles",
+        lambda real: lambda delta, r: math.nan if r > 0.4 else real(delta, r),
+        CheckId.ISOSCELES_MINIMALITY),
+    "outside_area_rate NaN at r > 1": (
+        bounds, "outside_area_rate",
+        lambda real: lambda r, a: math.nan if r > 1.0 else real(r, a),
+        CheckId.C_MIN),
+    "direction_ratio NaN at r > 0.3": (
+        geom, "direction_ratio",
+        lambda real: lambda delta0, r: math.nan if r > 0.3 else real(delta0, r),
+        CheckId.JGAMMA_RATIO),
+    "exterior_angle_ratio NaN at r > 0.3": (
+        geom, "exterior_angle_ratio",
+        lambda real: lambda delta, r: math.nan if r > 0.3 else real(delta, r),
+        CheckId.H_MIN_AT_ZERO),
+    "exterior_area_rate NaN at r > 0.3": (
+        geom, "exterior_area_rate",
+        lambda real: lambda r: math.nan if r > 0.3 else real(r),
+        CheckId.H_MIN_AT_ZERO),
 }
 
 
@@ -1249,6 +1281,22 @@ def test_pass_flag_follows_the_tolerance(monkeypatch):
     assert report.tolerance == 0.0
     assert not report.passed
     assert report.max_violation > 0.0
+
+
+@pytest.mark.parametrize("violation, clamped, written", [
+    (-1e-3, 0.0, 0.0),
+    (-0.0, 0.0, 0.0),
+    (2.5e-11, 2.5e-11, 2.5e-11),
+    (math.inf, math.inf, sys.float_info.max),
+    (math.nan, math.nan, sys.float_info.max),
+])
+def test_only_a_negative_violation_is_clamped(monkeypatch, violation, clamped, written):
+    monkeypatch.setitem(oracle._CHECKS, CheckId.F_ARGMAX,
+                        (lambda samples, rng: (violation, "stub"), 100_000, 1e-10))
+    report = oracle.run_check(CheckId.F_ARGMAX, samples=100)
+    assert repr(report.max_violation) == repr(clamped)  # NaN stays NaN, -0.0 becomes 0.0
+    assert report.passed is (clamped <= 1e-10)
+    assert report.as_dict()["max_violation"] == written
 
 
 # ---------------------------------------------------------------------------

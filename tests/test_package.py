@@ -22,10 +22,10 @@ MODULES = ("bounds", "catalogue", "cli", "geom", "optimizer", "oracle")
 # Library API removed because no bound, optimizer step, check, command or
 # benchmark used it; each quantity keeps one public path.
 REMOVED = {
-    "kakeya": ("DirectionInterval", "Point", "balance_p", "case_i_bound", "case_ii_bound"),
+    "kakeya": ("Arc", "DirectionInterval", "Point", "balance_p", "case_i_bound", "case_ii_bound"),
     "kakeya.geom": (
-        "DirectionInterval", "Point", "direction_interval", "theta_max", "triangle_vertices",
-        "vertex_reach",
+        "Arc", "DirectionInterval", "Point", "direction_interval", "theta_max",
+        "triangle_vertices", "vertex_reach",
     ),
     "kakeya.bounds": ("case_i_bound", "case_ii_bound", "exterior_area_rate"),
     "kakeya.optimizer": ("balance_p",),
@@ -42,8 +42,8 @@ def test_every_exported_name_resolves(name):
 
 
 def test_export_counts():
-    assert len(kakeya.__all__) == 27
-    assert len(geom.__all__) == 14
+    assert len(kakeya.__all__) == 26
+    assert len(geom.__all__) == 13
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED))
@@ -55,9 +55,9 @@ def test_removed_names_are_gone(name):
 
 
 def test_removed_members_are_gone():
-    assert not hasattr(geom.Arc, "length")
-    # a triangle is its chart: no vertex coordinates are stored
+    # a triangle is its chart: no vertex coordinates or area are stored
     assert tuple(f.name for f in dataclasses.fields(geom.NeedleTriangle)) == ("alpha", "delta", "t")
+    assert not hasattr(geom.NeedleTriangle, "area")
     assert "tolerance" not in inspect.signature(oracle.run_check).parameters
 
 
@@ -202,3 +202,22 @@ def test_the_draw_table_is_built_on_first_use_and_only_as_large_as_used():
     assert built == "True"
     assert int(after_sets) <= 8
     assert int(after_block) == 1 << 14
+
+
+def test_code_line_counter_skips_docstrings_comments_and_blank_lines(tmp_path):
+    # the rule behind the code-line counts quoted in ROADMAP and CHANGES.md
+    (tmp_path / "mod.py").write_text(
+        '"""A module docstring,\nover two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "x = (1 +\n"
+        "     2 +\n"
+        "     3)  # a trailing comment\n"
+        "def f():\n"
+        '    """A docstring."""\n'
+        "    return x\n"
+    )
+    tool = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+    proc = subprocess.run([sys.executable, str(tool), str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["5 mod", "5 total"]

@@ -89,19 +89,12 @@ class BoundParams:
     lam: float
 
     def __post_init__(self):
-        # one test for the common all-finite case; the sum of finite
-        # reals can only overflow, and then the loop finds no culprit
-        try:
-            finite = math.isfinite(self.a + self.r0 + self.p + self.lam)
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite:
-            for name in ("a", "r0", "p", "lam"):
-                value = getattr(self, name)
-                if not isinstance(value, Real):
-                    raise DomainError(f"{name} must be a real number, got {value!r}")
-                if not -math.inf < value < math.inf:
-                    raise DomainError(f"{name} must be finite")
+        for name in ("a", "r0", "p", "lam"):
+            value = getattr(self, name)
+            if not isinstance(value, Real):
+                raise DomainError(f"{name} must be a real number, got {value!r}")
+            if not -math.inf < value < math.inf:
+                raise DomainError(f"{name} must be finite")
         if not self.a < self.r0:
             raise DomainError(f"a must be < r0, got a={self.a}, r0={self.r0}")
         if not 0.0 < self.a < 0.5:
@@ -122,7 +115,6 @@ class DerivedParams:
     delta1: float
     r1: float
     g_mid: float
-    case_ii_feasible: bool
 
 
 @dataclass(frozen=True)
@@ -216,8 +208,8 @@ def derive_params(
     """Resolve r_lambda, the height cap delta1, and the needle reach r1.
 
     Under the default convention r_lambda = lam*r0 + (1-lam)*a; the
-    ``paper-literal`` convention swaps the weights.  Case II infeasibility
-    (r1 - 1 <= a) is recorded as a flag, not raised here.
+    ``paper-literal`` convention swaps the weights.  Case II feasibility
+    (r1 - 1 > a) is not checked here; ``bound_terms`` raises on it.
     """
     if convention not in _CONVENTIONS:
         raise DomainError(f"unknown r_lambda convention: {convention!r}")
@@ -233,7 +225,6 @@ def derive_params(
         delta1=delta1,
         r1=r1,
         g_mid=g_mid,
-        case_ii_feasible=r1 - 1.0 > params.a,
     )
 
 
@@ -361,7 +352,7 @@ def bound_terms(params: BoundParams, convention: str = RLAMBDA_REPRODUCING) -> B
     integral = case_i_integral(params, convention=convention, derived=derived)
     # the weight of an inner bound at r0; >= 0.18 for r0 >= 0.15
     inner = 1.0 - f_r0 / (2.0 * params.r0 * params.r0)
-    if not derived.case_ii_feasible:
+    if not derived.r1 - 1.0 > params.a:
         raise CaseIIInfeasible(
             f"r1 - 1 = {derived.r1 - 1.0} <= a = {params.a}: needle-outside rate undefined"
         )

@@ -33,7 +33,7 @@ from .catalogue import DEFAULT_SEED, MAX_SAMPLES, CheckId
 from .errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet, WorkerLost, as_integer
 from .optimizer import SearchBox
 
-__all__ = ["OutputTable", "main"]
+__all__ = ["main"]
 
 # The sec41 preset searches the parameter intervals published with the
 # refined optimum; wider boxes admit slightly larger objective values at
@@ -452,7 +452,7 @@ def _cmd_optimize(ns: argparse.Namespace) -> int:
     payload = {
         "box": {"a": box.a, "r0": box.r0, "lambda": box.lam},
         "best": _params_json(best),
-        "balanced_p": result.balanced_p,
+        "balanced_p": best.p,
         "breakdown": asdict(result.breakdown),
         "trace": [{**_params_json(pt), "value": value} for pt, value in result.trace],
     }
@@ -492,6 +492,8 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 def _grid(lo: float, hi: float, steps: int, name: str, rows: int = 1) -> list[float]:
     """``steps`` evenly spaced points from lo to hi; one point when lo == hi.
 
+    The last point is ``hi`` itself, so rounding never carries it past the end.
+
     The grid spans ``rows`` rows of a scan; DomainError if the scan would
     then evaluate more than MAX_SCAN_POINTS points.
     """
@@ -502,7 +504,7 @@ def _grid(lo: float, hi: float, steps: int, name: str, rows: int = 1) -> list[fl
     if rows * steps > MAX_SCAN_POINTS:
         raise DomainError(f"a scan evaluates at most {MAX_SCAN_POINTS} points, "
                           f"not {rows * steps}")
-    return [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
+    return [lo + (hi - lo) * k / (steps - 1) for k in range(steps - 1)] + [hi]
 
 
 def _scan_range(ns: argparse.Namespace, domain_lo, domain_hi, what) -> list[float]:

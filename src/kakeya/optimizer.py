@@ -42,9 +42,10 @@ _STEP_TOL = 1e-10
 class SearchBox:
     """Closed intervals for (a, r0, lambda); a point interval fixes its axis.
 
-    Each is a (lo, hi) pair of finite reals with lo <= hi; the a interval
-    lies below the r0 interval, both inside (0, 1/2), and the lambda
-    interval inside [0, 1].  DomainError otherwise.
+    Each is a (lo, hi) pair with lo <= hi.  The box is valid when
+    ``BoundParams`` accepts its two extreme corners, (a_hi, r0_lo,
+    lambda_lo) and (a_lo, r0_hi, lambda_hi), so every point of the box is
+    in the bound's domain; DomainError otherwise.
     """
 
     a: tuple[float, float]
@@ -52,28 +53,27 @@ class SearchBox:
     lam: tuple[float, float]
 
     def __post_init__(self):
-        for name in ("a", "r0", "lam"):
-            interval = getattr(self, name)
-            try:
-                lo, hi = interval
-                valid = all(isinstance(x, Real) and math.isfinite(x) for x in (lo, hi)) and lo <= hi
-            except (TypeError, ValueError, OverflowError):
-                valid = False
-            if not valid:
-                raise DomainError(f"{name} must be an interval (lo, hi) of finite reals, got {interval!r}")
-        if self.a[1] >= self.r0[0]:
-            raise DomainError("a interval must lie strictly below the r0 interval")
-        if self.a[0] <= 0.0 or self.r0[1] >= 0.5:
-            raise DomainError("intervals must stay inside (0, 1/2)")
-        if not (0.0 <= self.lam[0] and self.lam[1] <= 1.0):
-            raise DomainError(f"lambda must lie in [0, 1], got the interval {self.lam!r}")
+        try:
+            (a_lo, a_hi), (r0_lo, r0_hi), (lam_lo, lam_hi) = self.a, self.r0, self.lam
+        except (TypeError, ValueError):
+            raise DomainError(f"each interval must be a pair (lo, hi), got {self!r}") from None
+        BoundParams(a=a_hi, r0=r0_lo, p=0.0, lam=lam_lo)
+        BoundParams(a=a_lo, r0=r0_hi, p=0.0, lam=lam_hi)
+        for name, lo, hi in (("a", a_lo, a_hi), ("r0", r0_lo, r0_hi), ("lambda", lam_lo, lam_hi)):
+            if not lo <= hi:
+                raise DomainError(f"{name} interval must have lo <= hi, got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The best point the search found, its bound and the search's trace.
+
+    ``best.p`` is the balanced split at the best (a, r0, lambda);
+    ``trace`` holds (point, objective) pairs as ``optimize`` describes.
+    """
+
     best: BoundParams
     breakdown: BoundBreakdown
-    balanced_p: float
     trace: list[tuple[BoundParams, float]] = field(default_factory=list)
 
 
@@ -147,7 +147,7 @@ def optimize(
 
     best = _params_at(point, p)
     breakdown = bounds.theorem_bound(best, convention=convention)
-    return OptimizationResult(best=best, breakdown=breakdown, balanced_p=p, trace=trace)
+    return OptimizationResult(best=best, breakdown=breakdown, trace=trace)
 
 
 def _params_at(point, p):

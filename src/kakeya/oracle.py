@@ -63,8 +63,12 @@ class CheckReport:
     grid_spec: str
     max_violation: float
     tolerance: float
-    passed: bool
     seed: int
+
+    @property
+    def passed(self) -> bool:
+        """``max_violation <= tolerance``; a NaN violation fails."""
+        return bool(self.max_violation <= self.tolerance)
 
     def as_dict(self) -> dict:
         return {
@@ -754,7 +758,6 @@ def run_checks(
             grid_spec=spec,
             max_violation=violation,
             tolerance=tol,
-            passed=violation <= tol,
             seed=seed,
         ))
     return reports

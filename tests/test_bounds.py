@@ -203,7 +203,7 @@ def test_derive_params_default_chain():
     assert derived.r_lambda == pytest.approx(0.23141141357875468, abs=1e-16)
     assert derived.delta1 == pytest.approx(0.017261659295639277, abs=1e-15)
     assert derived.r1 == pytest.approx(1.8582319009098822, abs=1e-13)
-    assert derived.case_ii_feasible
+    assert derived.r1 - 1.0 > THEOREM_DEFAULTS.a
 
 
 def test_derive_params_interpolation_endpoints():
@@ -422,7 +422,7 @@ def test_case_ii_infeasibility_is_a_typed_error():
     # r_lambda = a, and for a <= 1e-17 r1 rounds to exactly 1.
     params = BoundParams(a=1e-200, r0=0.25, p=0.5, lam=1.0)
     derived = bounds.derive_params(params, RLAMBDA_PAPER_LITERAL)
-    assert derived.r1 == 1.0 and not derived.case_ii_feasible
+    assert derived.r1 == 1.0 and not derived.r1 - 1.0 > params.a
     with pytest.raises(CaseIIInfeasible, match="r1 - 1 = 0.0 <= a"):
         bounds.theorem_bound(params, convention=RLAMBDA_PAPER_LITERAL)
     with pytest.raises(CaseIIInfeasible):

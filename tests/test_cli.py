@@ -117,6 +117,27 @@ def test_scan_g_reports_branch_switches(tmp_path, capsys):
     assert switches[1] == pytest.approx(0.2352988169, abs=1e-3)
 
 
+def test_scan_grid_ends_at_its_range_end(tmp_path):
+    # 0.1 + (0.5 - 0.1) * 6 / 6 rounds to 0.5000000000000001, outside the domain of f
+    code = run_cli(
+        "scan", "f", "--from", "0.1", "--to", "0.5", "--steps", "7", "--output-dir", str(tmp_path)
+    )
+    assert code == 0
+    with (tmp_path / "scan_f.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 8 and float(rows[-1][0]) == 0.5
+
+
+def test_grid_last_point_is_the_range_end():
+    rnd = random.Random(20240601)
+    for _ in range(2000):
+        lo, hi = sorted(rnd.uniform(-1.0, 1.0) for _ in range(2))
+        n = rnd.randint(2, 200)
+        grid = cli._grid(lo, hi, n, "r")
+        assert len(grid) == n and grid[0] == lo and grid[-1] == hi
+    assert cli._grid(0.15, 0.5 - 1e-9, 100, "r")[-1] == 0.5 - 1e-9
+
+
 def test_scan_domain_violation_exits_2(capsys):
     assert run_cli("scan", "f", "--from", "0.4", "--to", "0.7") == 2
     assert run_cli("scan", "f", "--from", "-0.1", "--to", "0.2") == 2
@@ -414,8 +435,9 @@ def test_round_down_prints_the_nearest_digits_at_or_below_the_value():
 def test_verify_failure_exits_1(tmp_path, monkeypatch):
     failing = oracle.CheckReport(
         id=oracle.CheckId.F_ARGMAX, samples=100, grid_spec="forced", max_violation=1.0,
-        tolerance=0.0, passed=False, seed=7,
+        tolerance=0.0, seed=7,
     )
+    assert not failing.passed
     monkeypatch.setattr(oracle, "run_checks", lambda *args, **kwargs: [failing])
     code = run_cli("verify", "--check", "FArgmax", "--output-dir", str(tmp_path))
     assert code == 1

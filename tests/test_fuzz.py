@@ -11,7 +11,9 @@ integers of at most 100, so no call starts heavy work; ``optimize`` sees
 point boxes only, which it settles in one evaluation.  ``SearchBox``,
 ``BoundParams`` and the ``tol`` arguments also see objects that are not
 reals (and ``SearchBox`` intervals that are not (lo, hi) pairs, or lambda
-intervals outside [0, 1]), which they must refuse.  ``rng.mix64``
+intervals outside [0, 1]), which they must refuse; over seeded boxes of
+ordinary, edge and junk ends, ``SearchBox`` accepts exactly those whose
+two extreme corners ``BoundParams`` accepts.  ``rng.mix64``
 works in place on uint64 arrays, so it sees instead a float, an integer
 and a read-only array, a list, a scalar and a 0-d array, each of which
 must be a DomainError.  ``mc_area`` also sees bboxes that are not four
@@ -32,6 +34,7 @@ import enum
 import itertools
 import math
 import random
+from numbers import Real
 
 import numpy as np
 import pytest
@@ -273,6 +276,72 @@ MIX64_REJECTED = {
 def test_mix64_rejects_anything_but_a_writeable_uint64_array(name):
     with pytest.raises(DomainError):
         rng.mix64(MIX64_REJECTED[name])
+
+
+# interval ends per axis: ordinary values, the domain's edges and their
+# neighbours, and junk (non-finite, huge, not real)
+BOX_ENDS = {
+    "a": (0.01, 0.05, 0.06, 0.066, 0.2),
+    "r0": (0.15, 0.22, 0.25, 0.3, 0.49),
+    "lam": (0.0, 0.3, 0.9, 1.0, True),
+}
+EDGE_ENDS = (
+    0.0, -0.0, 5e-324, 0.5, math.nextafter(0.5, 0.0), 1.0, math.nextafter(1.0, 2.0), 1, False,
+)
+JUNK_ENDS = (math.nan, math.inf, -math.inf, -1.0, 1e300, 10**400) + NON_REALS
+
+
+def _box_interval(axis, rnd):
+    """One interval: mostly an ordered pair of ordinary ends, else anything."""
+    if rnd.random() < 0.1:
+        return rnd.choice(INTERVALS)
+    ends = [rnd.choices((BOX_ENDS[axis], EDGE_ENDS, JUNK_ENDS), (85, 10, 5))[0] for _ in range(2)]
+    if JUNK_ENDS in ends:
+        return tuple(rnd.choice(pool) for pool in ends)
+    pair = sorted(rnd.choice(pool) for pool in ends)
+    return tuple(pair if rnd.random() < 0.8 else pair[::-1])
+
+
+def _corners_accepted(a, r0, lam):
+    """BoundParams takes the box's two extreme corners, and its intervals are ordered."""
+    try:
+        (a_lo, a_hi), (r0_lo, r0_hi), (lam_lo, lam_hi) = a, r0, lam
+        BoundParams(a_hi, r0_lo, 0.0, lam_lo)
+        BoundParams(a_lo, r0_hi, 0.0, lam_hi)
+    except (TypeError, ValueError, DomainError):
+        return False
+    return a_lo <= a_hi and r0_lo <= r0_hi and lam_lo <= lam_hi
+
+
+def _in_paper_domain(a, r0, lam):
+    """0 < a_lo <= a_hi < r0_lo <= r0_hi < 1/2 and 0 <= lam_lo <= lam_hi <= 1, finite reals."""
+    try:
+        ends = (a_lo, a_hi), (r0_lo, r0_hi), (lam_lo, lam_hi) = a, r0, lam
+    except (TypeError, ValueError):
+        return False
+    if not all(isinstance(x, Real) and -math.inf < x < math.inf for pair in ends for x in pair):
+        return False
+    return 0.0 < a_lo <= a_hi < r0_lo <= r0_hi < 0.5 and 0.0 <= lam_lo <= lam_hi <= 1.0
+
+
+def test_search_box_accepts_exactly_the_boxes_whose_corners_bound_params_accepts():
+    rnd = random.Random(f"{SEED}:SearchBox corners")
+    outcomes, bad = {True: 0, False: 0}, []
+    for _ in range(5000):
+        box = {axis: _box_interval(axis, rnd) for axis in BOX_ENDS}
+        try:
+            optimizer.SearchBox(**box)
+            accepted = True
+        except DomainError:
+            accepted = False
+        except Exception as exc:  # an untyped error is a failure of the constructor
+            bad.append((box, f"{type(exc).__name__}: {exc}"))
+            continue
+        if accepted != _corners_accepted(**box) or accepted != _in_paper_domain(**box):
+            bad.append((box, accepted))
+        outcomes[accepted] += 1
+    assert not bad, f"{len(bad)} boxes judged wrongly, first ones: {bad[:5]}"
+    assert min(outcomes.values()) >= 500, outcomes
 
 
 CLI_VALUES = ("nan", "inf", "-inf", "0", "-0", "5e-324", "-1", "1e300", str(10**12), "one", "")

@@ -7,6 +7,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import kakeya
-from kakeya import geom, oracle
+from kakeya import bounds, cli, geom, optimizer, oracle
 
 MODULES = ("bounds", "catalogue", "cli", "geom", "optimizer", "oracle")
 
@@ -44,6 +45,7 @@ def test_every_exported_name_resolves(name):
 def test_export_counts():
     assert len(kakeya.__all__) == 26
     assert len(geom.__all__) == 13
+    assert cli.__all__ == ["main"]
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED))
@@ -54,11 +56,26 @@ def test_removed_names_are_gone(name):
         assert gone not in module.__all__
 
 
+def _field_names(cls):
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def test_removed_members_are_gone():
     # a triangle is its chart: no vertex coordinates or area are stored
-    assert tuple(f.name for f in dataclasses.fields(geom.NeedleTriangle)) == ("alpha", "delta", "t")
+    assert _field_names(geom.NeedleTriangle) == ("alpha", "delta", "t")
     assert not hasattr(geom.NeedleTriangle, "area")
     assert "tolerance" not in inspect.signature(oracle.run_check).parameters
+    # a record stores no value it can compute from its other fields
+    assert _field_names(optimizer.OptimizationResult) == ("best", "breakdown", "trace")
+    assert _field_names(bounds.DerivedParams) == ("r_lambda", "delta1", "r1", "g_mid")
+    assert "passed" not in _field_names(oracle.CheckReport)
+    for violation in (0.0, 1e-3, math.inf, math.nan):
+        report = oracle.CheckReport(
+            id=oracle.CheckId.C_MIN, samples=100, grid_spec="", max_violation=violation,
+            tolerance=1e-10, seed=7,
+        )
+        assert report.passed is (report.max_violation <= report.tolerance)
+        assert report.as_dict()["pass"] is report.passed
 
 
 # No module reads another module's private names.

@@ -96,15 +96,23 @@ class BoundParams:
             if not -math.inf < value < math.inf:
                 raise DomainError(f"{name} must be finite")
         if not self.a < self.r0:
-            raise DomainError(f"a must be < r0, got a={self.a}, r0={self.r0}")
+            raise DomainError(f"a must be < r0, got a={_shown(self.a)}, r0={_shown(self.r0)}")
         if not 0.0 < self.a < 0.5:
-            raise DomainError(f"a must lie in (0, 1/2), got {self.a}")
+            raise DomainError(f"a must lie in (0, 1/2), got {_shown(self.a)}")
         if not self.r0 < 0.5:
-            raise DomainError(f"r0 must be < 1/2, got {self.r0}")
+            raise DomainError(f"r0 must be < 1/2, got {_shown(self.r0)}")
         if not 0.0 <= self.p <= 1.0:
-            raise DomainError(f"p must lie in [0, 1], got {self.p}")
+            raise DomainError(f"p must lie in [0, 1], got {_shown(self.p)}")
         if not 0.0 <= self.lam <= 1.0:
-            raise DomainError(f"lambda must lie in [0, 1], got {self.lam}")
+            raise DomainError(f"lambda must lie in [0, 1], got {_shown(self.lam)}")
+
+
+def _shown(value) -> str:
+    """``value`` for an error message; a wide int shows its size, since
+    ``str`` refuses one of over 4,300 digits."""
+    if isinstance(value, int) and value.bit_length() > 1024:
+        return f"an int of {value.bit_length()} bits"
+    return str(value)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,10 @@ DEFAULT_SEED = 7
 
 # Largest accepted ``samples``.  The disjointness checks peak at about
 # 260 bytes per pair while drawing their pairs (their overlap test needs
-# about 230) and IsoscelesMinimality, ArcConsistency and FArgmax about
-# 50 bytes per sample, so a run at the limit stays near 1 GB; the
-# largest default, SectorMeasure's 10**6, sits well below it.
+# about 230), IsoscelesMinimality, ArcConsistency and FArgmax at about
+# 50 bytes per sample and SectorMeasure at about 11 per cloud point (its
+# sorted disk angles), so a run at the limit stays near 1 GB; the
+# largest default, SectorMeasure's 10**6, takes about 9 MB.
 MAX_SAMPLES = 4_000_000
 
 

@@ -11,13 +11,13 @@ counts overlapping pairs.  Randomness comes from the counter-based
 generator in :mod:`kakeya.rng`; every check derives its own substream
 from (seed, check), so checks are order-independent and reproducible.
 
-:func:`run_checks` runs a selection of checks as one list of tasks: each
-check but SectorMeasure is one task, and each of SectorMeasure's sets is
-one more, its parameters drawn beforehand from the check's stream.  The
-tasks run on one pool of forked worker processes, one per available CPU,
-or in-process on one CPU.  Every task reads only its own ``CounterRng``
-and results are folded in report order, so the records do not depend on
-the worker count.
+:func:`run_checks` runs a selection of checks as one task each, on one
+pool of forked worker processes, one per available CPU, or in-process on
+one CPU.  Every task reads only its own ``CounterRng`` and results are
+folded in report order, so the records do not depend on the worker
+count.  SectorMeasure counts all of its 100 interval unions on one
+sorted cloud of disk angles; the unions' z values are then dependent,
+and Sidak's inequality keeps the family-wise tolerance valid.
 """
 
 from __future__ import annotations
@@ -119,6 +119,33 @@ def _bbox_floats(bbox):
         raise DomainError(f"bbox must be four finite reals, got {bbox!r}") from None
 
 
+def _lattice_blocks(bbox, samples, seed):
+    """``samples`` lattice points in ``bbox``, as (xs, ys) blocks.
+
+    ``bbox`` is four floats (xmin, ymin, xmax, ymax).  Point i comes from
+    word i of ``CounterRng(seed, 0)``: its high 32 bits k give
+    x = xmin + k * ((xmax - xmin) * 2**-32), its low 32 bits give y the
+    same way.  The blocks hold at most ``_MC_BLOCK`` points and are views
+    of one buffer, which the next block overwrites.
+    """
+    xmin, ymin, xmax, ymax = bbox
+    xscale, yscale = (xmax - xmin) * _INV_2_32, (ymax - ymin) * _INV_2_32
+    rng = CounterRng(seed, stream=0)
+    # one block's xs in row 0 and its ys in row 1
+    coords = np.empty((2, min(_MC_BLOCK, samples)))
+    for lo in range(0, samples, _MC_BLOCK):
+        m = min(_MC_BLOCK, samples - lo)
+        halves = rng.raw(m).view(np.uint32)
+        xs, ys = coords[0, :m], coords[1, :m]
+        np.copyto(xs, halves[_HIGH::2])
+        np.copyto(ys, halves[1 - _HIGH::2])
+        xs *= xscale
+        xs += xmin
+        ys *= yscale
+        ys += ymin
+        yield xs, ys
+
+
 def mc_area(
     region: Callable[[np.ndarray, np.ndarray], np.ndarray],
     bbox: tuple[float, float, float, float],
@@ -137,37 +164,22 @@ def mc_area(
     error bbox_area * sqrt(phat*(1-phat)/samples), and is bit-identical
     for a fixed (seed, samples).
 
-    Point i comes from word i of ``CounterRng(seed, 0)``: its high 32
-    bits k give x = xmin + k * ((xmax - xmin) * 2**-32), its low 32 bits
-    give y the same way.  So the points are uniform on a 2**32 x 2**32
-    lattice in the box, and the hit probability differs from the area
-    fraction only through the lattice cells that the region's boundary
-    crosses: about (boundary length / box side) * 2**-32, near 1e-9
-    relative for the sector sets, which is under 1e-5 sigma even at
-    MAX_SAMPLES points.
+    The points are those of ``_lattice_blocks``: uniform on a 2**32 x
+    2**32 lattice in the box, so the hit probability differs from the
+    area fraction only through the lattice cells that the region's
+    boundary crosses, about (boundary length / box side) * 2**-32, under
+    1e-5 sigma for a disk sector even at MAX_SAMPLES points.
     """
     samples = as_integer(samples, "samples", lo=1)
-    xmin, ymin, xmax, ymax = _bbox_floats(bbox)
+    ends = _bbox_floats(bbox)
+    xmin, ymin, xmax, ymax = ends
     area_box = (xmax - xmin) * (ymax - ymin)
     if not (xmax > xmin and ymax > ymin and math.isfinite(area_box)):
         raise DomainError(f"degenerate or unbounded bbox {bbox}")
-    xscale, yscale = (xmax - xmin) * _INV_2_32, (ymax - ymin) * _INV_2_32
-    rng = CounterRng(seed, stream=0)
-    # one block's xs in row 0 and its ys in row 1, in a buffer reused by
-    # every block
-    coords = np.empty((2, min(_MC_BLOCK, samples)))
     hits = 0
-    for lo in range(0, samples, _MC_BLOCK):
-        m = min(_MC_BLOCK, samples - lo)
-        halves = rng.raw(m).view(np.uint32)
-        xs, ys = coords[0, :m], coords[1, :m]
-        np.copyto(xs, halves[_HIGH::2])
-        np.copyto(ys, halves[1 - _HIGH::2])
-        xs *= xscale
-        xs += xmin
-        ys *= yscale
-        ys += ymin
+    for xs, ys in _lattice_blocks(ends, samples, seed):
         inside = region(xs, ys)
+        m = xs.shape[0]
         if not (isinstance(inside, np.ndarray) and inside.dtype == np.bool_
                 and inside.shape == (m,)):
             raise DomainError(
@@ -443,68 +455,48 @@ def _check_f_argmax(samples, _rng):
     return abs(argmax - 1.0 / 6.0), spec
 
 
-def _sector_region(starts, stops, radius):
-    """Membership in the polar sector {|p| <= radius, angle in the union}.
-
-    ``starts``/``stops`` are closed angle intervals in [0, 2pi).  A point
-    is in an interval when its arctan2 angle a, wrapped to a + 2pi if
-    a < 0, lies in it.  The ends are moved into arctan2's range instead: a
-    start above pi, and a stop at or above pi, less 2pi (exact, by
-    Sterbenz).  An interval that holds pi then keeps the raw angles at or
-    above its start or at or below its stop, any other one those between
-    its ends.  The two rules differ only at points whose wrapped angle
-    rounds onto an interval end, a null set.  The radial test compares
-    squares; it can round differently from ``hypot(x, y) <= radius`` only
-    for points within a few ulps of the circle.
-    """
-    radius2 = radius * radius
-
-    def region(xs, ys):
-        ang = np.arctan2(ys, xs)
-        inside = np.zeros(ang.shape, dtype=bool)
-        for start, stop in zip(starts, stops):
-            lo = start if start <= math.pi else start - _TWO_PI
-            hi = stop if stop < math.pi else stop - _TWO_PI
-            if start <= math.pi <= stop:
-                inside |= (ang >= lo) | (ang <= hi)
-            else:
-                inside |= (lo <= ang) & (ang <= hi)
-        rad2 = xs * xs
-        rad2 += ys * ys
-        inside &= rad2 <= radius2
-        return inside
-
-    return region
-
-
 _SECTOR_SETS = 100  # interval unions per SectorMeasure run
 
 
-def _sector_sets(rng):
-    """SectorMeasure's sets as (starts, stops, radius, seed), drawn in set order."""
-    sets = []
-    for _ in range(_SECTOR_SETS):
-        n_intervals = 1 + int(rng.raw(1)[0] % np.uint64(3))
-        ends = np.sort(rng.uniform(0.0, 2.0 * math.pi, 2 * n_intervals))
-        radius = float(rng.uniform(0.3, 1.2, 1)[0])
-        set_seed = int(rng.raw(1)[0])
-        sets.append((ends[0::2], ends[1::2], radius, set_seed))
-    return sets
+def _disk_angles(samples, seed):
+    """Sorted angles of the lattice points of (-1, -1, 1, 1) that lie in the unit disk.
+
+    Each angle is arctan2's, wrapped to a + 2pi if a < 0, so it lies in
+    [0, 2pi].  The points are ``mc_area``'s, so x = -1 + k * 2**-31 exactly.
+    """
+    angles = np.empty(samples)
+    kept = 0
+    for xs, ys in _lattice_blocks((-1.0, -1.0, 1.0, 1.0), samples, seed):
+        ang = np.arctan2(ys, xs)[xs * xs + ys * ys <= 1.0]
+        ang[ang < 0.0] += _TWO_PI
+        angles[kept:kept + ang.shape[0]] = ang
+        kept += ang.shape[0]
+    angles = angles[:kept]
+    angles.sort()
+    return angles
 
 
-def _sector_estimate(sector_set, samples):
-    """Monte Carlo area of one set's polar sector, a pure function of the set."""
-    starts, stops, radius, set_seed = sector_set
-    region = _sector_region(starts, stops, radius)
-    return mc_area(region, (-radius, -radius, radius, radius), samples, set_seed)
+def _union_hits(sorted_angles, starts, stops):
+    """How many of ``sorted_angles`` lie in the union of closed intervals [starts_i, stops_i].
+
+    The intervals are in order and can only touch, so each counts the
+    angles up to its stop less those below its start, or below the last
+    stop where that is higher: an angle on a shared end counts once.
+    """
+    hi = np.searchsorted(sorted_angles, stops, "right")
+    lo = np.searchsorted(sorted_angles, starts, "left")
+    lo[1:] = np.maximum(lo[1:], hi[:-1])
+    return int(np.sum(hi - lo))
 
 
 def _family_wise_z(z, n):
-    """The largest of ``n`` independent |z| values, in one-test sigma units.
+    """The largest of ``n`` |z| values, in one-test sigma units.
 
-    Sidak (1967): the chance that the largest of n |z| reaches ``z`` is
-    p = 1 - (1 - erfc(z/sqrt 2))^n; the result is the z whose one-test
-    two-sided p-value erfc(z/sqrt 2) is p, found by bisection on [0, z].
+    Sidak (1967): the chance that the largest of n independent |z| reaches
+    ``z`` is p = 1 - (1 - erfc(z/sqrt 2))^n, and for jointly normal |z|
+    under any correlation it is at most p.  The result is the z whose
+    one-test two-sided p-value erfc(z/sqrt 2) is p, found by bisection on
+    [0, z].
     """
     if not 0.0 < z < math.inf:
         return z
@@ -519,32 +511,39 @@ def _family_wise_z(z, n):
     return 0.5 * (lo + hi)
 
 
-def _sector_verdict(samples, sets, estimates):
-    """Polar sector area of random interval unions vs r^2/2 * measure.
+def _check_sector_measure(samples, rng):
+    """Polar sector area of random interval unions vs measure/2 in the unit disk.
 
-    Deviations are normalized by the exact sampling deviation of the
-    hit-or-miss estimator (the target area is known, so the true hit
-    probability is too); this keeps the statistic calibrated even at
-    tiny sample counts.  The largest one over the sets is reported as a
-    family-wise z, so that the 3-sigma tolerance keeps a 0.27% false-alarm
-    rate whatever the number of sets.
+    Every union is counted on one cloud of ``samples`` lattice points in
+    the box (-1, -1, 1, 1), whose hit probability for a union of angular
+    measure m is p = m/8.  Deviations are normalized by the exact
+    sampling deviation of the hit-or-miss estimator, sqrt(p(1 - p)/n),
+    which keeps the statistic calibrated even at tiny sample counts.  The
+    largest one over the unions is reported as a family-wise z.  The
+    unions share the cloud, so their z values are dependent; by Sidak's
+    inequality for jointly normal |z| under any correlation, the 3-sigma
+    tolerance still keeps a false-alarm rate of at most 0.27%.
     """
+    unions = []
+    for _ in range(_SECTOR_SETS):
+        n_intervals = 1 + int(rng.raw(1)[0] % np.uint64(3))
+        ends = np.sort(rng.uniform(0.0, _TWO_PI, 2 * n_intervals))
+        unions.append((ends[0::2], ends[1::2]))
+    angles = _disk_angles(samples, int(rng.raw(1)[0]))
     worst = 0.0
-    for (starts, stops, radius, _), est in zip(sets, estimates):
-        measure = float(np.sum(stops - starts))
-        exact = 0.5 * radius * radius * measure
-        box_area = 4.0 * radius * radius
-        p_true = exact / box_area
-        sigma = box_area * math.sqrt(p_true * (1.0 - p_true) / samples)
+    for starts, stops in unions:
+        p = float(np.sum(stops - starts)) / 8.0
+        deviation = abs(_union_hits(angles, starts, stops) / samples - p)
+        sigma = math.sqrt(p * (1.0 - p) / samples)
         if sigma > 0.0:
-            worst = max(worst, abs(est.value - exact) / sigma)
-        elif est.value != exact:
+            worst = max(worst, deviation / sigma)
+        elif deviation:
             worst = math.inf
     spec = (
-        f"{len(sets)} random interval unions in [0, 2pi), {samples} samples each; "
-        "violation in family-wise (Sidak) sigma units"
+        f"{_SECTOR_SETS} random interval unions in [0, 2pi), counted on one cloud of {samples} "
+        "lattice points in [-1, 1]^2; violation in family-wise (Sidak) sigma units"
     )
-    return _family_wise_z(worst, len(sets)), spec
+    return _family_wise_z(worst, _SECTOR_SETS), spec
 
 
 _EDGES = ((0, 1), (1, 2), (2, 0))  # (O, A), (A, B), (B, O)
@@ -645,8 +644,6 @@ def _check_arc_consistency(samples, rng):
 # Dispatcher
 # ---------------------------------------------------------------------------
 
-# SectorMeasure has no function here: run_checks draws its sets and runs
-# each as a task of its own.
 _CHECKS = {
     CheckId.ISOSCELES_MINIMALITY: (_check_isosceles_minimality, 10_000, 1e-10),
     CheckId.H_MIN_AT_ZERO: (_check_h_min_at_zero, 10_000, 1e-12),
@@ -655,7 +652,7 @@ _CHECKS = {
     CheckId.JGAMMA_RATIO: (_check_jgamma_ratio, 10_000, 1e-9),
     CheckId.C_MIN: (_check_c_min, 10_000, 1e-9),
     CheckId.F_ARGMAX: (_check_f_argmax, 100_000, 1e-6),
-    CheckId.SECTOR_MEASURE: (None, 1_000_000, 3.0),
+    CheckId.SECTOR_MEASURE: (_check_sector_measure, 1_000_000, 3.0),
     CheckId.ARC_CONSISTENCY: (_check_arc_consistency, 10_000, 1e-9),
 }
 
@@ -711,7 +708,7 @@ def run_checks(
     """Run the given checks over seed-derived samples or grids; one report each.
 
     ``samples`` counts configurations for the sampling checks, grid points
-    for the scan checks, and per-set draws for SectorMeasure; it must lie
+    for the scan checks, and cloud points for SectorMeasure; it must lie
     in [100, MAX_SAMPLES], or DomainError is raised before any draw, as
     it is for a check that is not a CheckId or that is named twice.
     Failures are reported in the returned records, never raised; an error
@@ -729,35 +726,20 @@ def run_checks(
         if not 100 <= n <= MAX_SAMPLES:
             raise DomainError(f"samples must be in [100, {MAX_SAMPLES}], got {n}")
         sizes[check] = n
-    # whole checks first, then SectorMeasure's sets, drawn here in stream order
-    plan, check_tasks, set_tasks = [], [], []
-    for check, n in sizes.items():
-        rng = CounterRng(seed, stream=1 + list(CheckId).index(check))
-        sets = None
-        if check is CheckId.SECTOR_MEASURE:
-            sets = _sector_sets(rng)
-            set_tasks.extend((_sector_estimate, (s, n)) for s in sets)
-        else:
-            check_tasks.append((_CHECKS[check][0], (n, rng)))
-        plan.append((check, n, sets))
-    results = _map_tasks(check_tasks + set_tasks)
-    verdicts = iter(results[: len(check_tasks)])
-    estimates = iter(results[len(check_tasks):])
+    tasks = [
+        (_CHECKS[check][0], (n, CounterRng(seed, stream=1 + list(CheckId).index(check))))
+        for check, n in sizes.items()
+    ]
     reports = []
-    for check, n, sets in plan:
-        if sets is None:
-            violation, spec = next(verdicts)
-        else:
-            violation, spec = _sector_verdict(n, sets, [next(estimates) for _ in sets])
+    for (check, n), (violation, spec) in zip(sizes.items(), _map_tasks(tasks)):
         # only a negative violation is clamped: a NaN one stays NaN and fails
         violation = 0.0 if violation <= 0.0 else float(violation)
-        tol = _CHECKS[check][2]
         reports.append(CheckReport(
             id=check,
             samples=n,
             grid_spec=spec,
             max_violation=violation,
-            tolerance=tol,
+            tolerance=_CHECKS[check][2],
             seed=seed,
         ))
     return reports

@@ -27,6 +27,7 @@ are those of the formula above.
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -136,9 +137,10 @@ class CounterRng:
         return u
 
     def uniform(self, lo: float, hi: float, n: int) -> np.ndarray:
-        """Next ``n`` doubles, uniform on [lo, hi); lo and hi - lo must be finite."""
-        if not (math.isfinite(lo) and math.isfinite(hi - lo)):
-            raise DomainError(f"uniform range [{lo}, {hi}) is not finite")
+        """Next ``n`` doubles, uniform on [lo, hi); lo, hi and hi - lo must be finite reals."""
+        if not (isinstance(lo, Real) and isinstance(hi, Real)
+                and math.isfinite(lo) and math.isfinite(hi - lo)):
+            raise DomainError(f"uniform range [{lo!r}, {hi!r}) is not two finite reals")
         u = self.uniforms(n)
         u *= hi - lo
         u += lo

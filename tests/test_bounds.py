@@ -509,6 +509,18 @@ def test_bound_params_names_the_first_non_finite_field():
         BoundParams(a=1e308, r0=1e308, p=1e308, lam=0.9)
 
 
+
+@pytest.mark.parametrize("name", ["a", "r0", "p", "lam"])
+def test_bound_params_names_an_int_past_the_digit_limit_by_its_size(name):
+    # str() refuses an int of more than 4,300 digits; the message used to
+    # fail on it with a raw ValueError
+    for value in (10**5000, -(10**5000)):
+        fields = {"a": 0.06, "r0": 0.25, "p": 0.5, "lam": 0.9, name: value}
+        with pytest.raises(DomainError, match=f"got .*an int of {value.bit_length()} bits"):
+            BoundParams(**fields)
+    with pytest.raises(DomainError, match="got 1e\\+300$"):
+        BoundParams(a=0.06, r0=0.25, p=0.5, lam=1e300)
+
 # ---------------------------------------------------------------------------
 # Historical constant
 # ---------------------------------------------------------------------------

@@ -307,34 +307,37 @@ def reduced_verify_all(tmp_path_factory):
 
 
 def test_reduced_verify_all_artifact_is_pinned(reduced_verify_all):
-    # sha256 of the reduced verify.json, recorded when ArcConsistency added
-    # the arcs' first angular moment (its grid_spec changed); any change to
-    # a drawn value, a hit count or a grid_spec shows here
+    # sha256 of the reduced verify.json, re-recorded when SectorMeasure
+    # began to count its unions on one lattice cloud (its record changed,
+    # the other eight did not); any change to a drawn value, a hit count
+    # or a grid_spec shows here
     digest = hashlib.sha256(reduced_verify_all).hexdigest()
-    assert digest == "6750abbebbd3f2b3c6b0b69c85728dc0d84b92c299928de0efc8dcc32be89091"
+    assert digest == "f2bfe255b4beb8e6a5909baee9143abacdc759ec4e2c099b20f01d872cc6c8d7"
 
 
 def test_full_size_verify_all_artifact_is_pinned(tmp_path):
     # sha256 of verify.json from `verify --all --seed 7` at the default
-    # sizes (10^6 points per SectorMeasure set), as logged in CHANGES.md
+    # sizes (one cloud of 10^6 points for SectorMeasure's unions), as
+    # logged in CHANGES.md
     code = run_cli("verify", "--all", "--seed", "7", "--output-dir", str(tmp_path))
     assert code == 0
     digest = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
-    assert digest == "8765da81e6dece99c6f5a51a2a9a8d9992ab401e9145285cf974554d84b2f4b1"
+    assert digest == "b78f056bab542de80e1fcff0bfcd8dc6467079cd49642788d1516607b106cf38"
 
 
 # sha256 of json.dumps(record, sort_keys=True) for the records of the
 # reduced `verify --all` that exact disjointness clipping left alone,
 # recorded from the sampled implementation; SectorMeasure's re-recorded
-# when mc_area took each point from one stream word, ArcConsistency's when
-# it added the arcs' first angular moment
+# when mc_area took each point from one stream word and again when it
+# counted all its unions on one cloud, ArcConsistency's when it added the
+# arcs' first angular moment
 UNCHANGED_REDUCED_RECORDS = {
     "IsoscelesMinimality": "7b47f55cdf2ec4216289495cb90c667c6eab2986c3c032d0fc352b0b389c4d5c",
     "HMinAtZero": "df7f7daca9bc1b6193b812587a1c6acc14ba53cf138d74f22dda129446fc0670",
     "JGammaRatio": "3d8c36c0e7ae95997960fea2a46626611a8aa24d024712ec5ab3c4ded4245629",
     "CMin": "5e90464edc15ced747937bbe4ec9f2dab92b571d19c5b86db64975256de8195f",
     "FArgmax": "379abaa89efffaf4e0f45024f76349118717e10afc83c35b0d2a441683ee6ec0",
-    "SectorMeasure": "ef7a8f2c8f11a55aae73670dc5dd3a0126d2a0144db977fee00e8a8af9c19a9e",
+    "SectorMeasure": "02a2e1e48451a32f6b36cc65dcf0a1efc746794244034f730c8ec1c5d9c2c8cb",
     "ArcConsistency": "7fe6efcc3327672c6b417d700bdff4c9f8e53a931d93395ddd27dc247f15cfc0",
 }
 
@@ -491,12 +494,12 @@ def test_verify_nan_violation_is_a_failure_in_strict_json(tmp_path, monkeypatch,
 
 
 def test_verify_worker_death_exits_4_and_writes_nothing(tmp_path, monkeypatch, capsys):
-    def die(region, bbox, samples, seed):
+    def die(angles, starts, stops):
         os._exit(1)  # as a worker killed for memory would
 
     monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: 2)
-    monkeypatch.setattr(oracle, "mc_area", die)
-    code = run_cli("verify", "--check", "SectorMeasure", "--samples", "100",
+    monkeypatch.setattr(oracle, "_union_hits", die)
+    code = run_cli("verify", "--check", "SectorMeasure", "--check", "CMin", "--samples", "100",
                    "--output-dir", str(tmp_path))
     assert code == 4
     assert "worker process" in capsys.readouterr().err

@@ -9,14 +9,14 @@ three-argument functions see every combination of the values; wider ones
 see a seeded sample.  Sample counts are floats, which are rejected, or
 integers of at most 100, so no call starts heavy work; ``optimize`` sees
 point boxes only, which it settles in one evaluation.  ``SearchBox``,
-``BoundParams`` and the ``tol`` arguments also see objects that are not
-reals (and ``SearchBox`` intervals that are not (lo, hi) pairs, or lambda
-intervals outside [0, 1]), which they must refuse; over seeded boxes of
-ordinary, edge and junk ends, ``SearchBox`` accepts exactly those whose
-two extreme corners ``BoundParams`` accepts.  ``rng.mix64``
-works in place on uint64 arrays, so it sees instead a float, an integer
-and a read-only array, a list, a scalar and a 0-d array, each of which
-must be a DomainError.  ``mc_area`` also sees bboxes that are not four
+``BoundParams``, ``CounterRng.uniform`` and the ``tol`` arguments also see
+objects that are not reals (and ``SearchBox`` intervals that are not (lo,
+hi) pairs, or lambda intervals outside [0, 1]), which they must refuse;
+over seeded boxes of ordinary, edge and junk ends, ``SearchBox`` accepts
+exactly those whose two extreme corners ``BoundParams`` accepts.
+``rng.mix64`` works in place on uint64 arrays, so it sees instead a
+float, an integer and a read-only array, a list, a scalar and a 0-d
+array, each of which must be a DomainError.  ``mc_area`` also sees bboxes that are not four
 reals, and regions that do not return a boolean block, which it must
 refuse.
 
@@ -208,6 +208,12 @@ ENTRY_POINTS = {
     "raw": (lambda n: rng.CounterRng(7).raw(n), (COUNTS,)),
     "uniforms": (lambda n: rng.CounterRng(7).uniforms(n), (COUNTS,)),
     "uniform": (lambda lo, hi: rng.CounterRng(7).uniform(lo, hi, 10), (VALUES, VALUES)),
+    "uniform(lo object)": (
+        lambda lo, hi: _refused(rng.CounterRng(7).uniform(lo, hi, 3)), (NON_REALS, VALUES)
+    ),
+    "uniform(hi object)": (
+        lambda lo, hi: _refused(rng.CounterRng(7).uniform(lo, hi, 3)), (VALUES, NON_REALS)
+    ),
 }
 
 

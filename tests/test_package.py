@@ -208,12 +208,13 @@ def test_importing_the_package_does_not_load_a_process_pool():
 
 
 def test_the_draw_table_is_built_on_first_use_and_only_as_large_as_used():
-    # verify's parent process draws only SectorMeasure's set parameters, a
-    # few words at a time; the full table belongs to the workers' draws
+    # a process that draws a few words, such as verify's parent, which
+    # draws none, builds only a few entries; the full table belongs to
+    # block draws
     built, after_sets, after_block = _child_words(
         "import kakeya, kakeya.cli; from kakeya import oracle, rng; "
         "print(rng._golden_steps is None); "
-        "oracle._sector_sets(rng.CounterRng(7, 8)); print(len(rng._golden_steps)); "
+        "rng.CounterRng(7, 8).raw(3); print(len(rng._golden_steps)); "
         "rng.CounterRng(7).uniforms(10**5); print(len(rng._golden_steps))"
     )
     assert built == "True"

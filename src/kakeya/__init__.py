@@ -52,7 +52,6 @@ __all__ = [
     "DomainError",
     "EmptyFeasibleSet",
     "KakeyaError",
-    "McEstimate",
     "NeedleTriangle",
     "OptimizationResult",
     "RLAMBDA_PAPER_LITERAL",
@@ -63,14 +62,13 @@ __all__ = [
     "cunningham_bound",
     "find_h_threshold",
     "make_triangle",
-    "mc_area",
     "optimize",
     "refine_iterative",
     "run_check",
     "theorem_bound",
 ]
 
-_ORACLE_NAMES = frozenset(("CheckReport", "McEstimate", "find_h_threshold", "mc_area", "run_check"))
+_ORACLE_NAMES = frozenset(("CheckReport", "find_h_threshold", "run_check"))
 
 
 def __getattr__(name):

@@ -26,7 +26,7 @@ from numbers import Real
 from typing import NamedTuple
 
 from . import geom
-from .errors import CaseIIInfeasible, DomainError
+from .errors import CaseIIInfeasible, DomainError, shown
 
 __all__ = [
     "RLAMBDA_REPRODUCING",
@@ -36,7 +36,6 @@ __all__ = [
     "BoundBreakdown",
     "BoundTerms",
     "THEOREM_DEFAULTS",
-    "UPPER_BOUND_COEFF",
     "R_STAR",
     "outside_area_rate",
     "direction_ratio_cap",
@@ -57,11 +56,6 @@ __all__ = [
 RLAMBDA_REPRODUCING = "reproducing"
 RLAMBDA_PAPER_LITERAL = "paper-literal"
 _CONVENTIONS = (RLAMBDA_REPRODUCING, RLAMBDA_PAPER_LITERAL)
-
-# Smallest-area constant of the known tricuspoid-style constructions,
-# (5 - 2*sqrt(2))/24 as a coefficient of pi: every valid lower bound must
-# stay below it.
-UPPER_BOUND_COEFF = (5.0 - 2.0 * math.sqrt(2.0)) / 24.0
 
 # The radius where the two increasing branches of the g-cap meet,
 # (1+2r)/(1-2r) = pi/(pi/2 - atan(2r)); below it the arc branch is larger.
@@ -96,23 +90,15 @@ class BoundParams:
             if not -math.inf < value < math.inf:
                 raise DomainError(f"{name} must be finite")
         if not self.a < self.r0:
-            raise DomainError(f"a must be < r0, got a={_shown(self.a)}, r0={_shown(self.r0)}")
+            raise DomainError(f"a must be < r0, got a={shown(self.a)}, r0={shown(self.r0)}")
         if not 0.0 < self.a < 0.5:
-            raise DomainError(f"a must lie in (0, 1/2), got {_shown(self.a)}")
+            raise DomainError(f"a must lie in (0, 1/2), got {shown(self.a)}")
         if not self.r0 < 0.5:
-            raise DomainError(f"r0 must be < 1/2, got {_shown(self.r0)}")
+            raise DomainError(f"r0 must be < 1/2, got {shown(self.r0)}")
         if not 0.0 <= self.p <= 1.0:
-            raise DomainError(f"p must lie in [0, 1], got {_shown(self.p)}")
+            raise DomainError(f"p must lie in [0, 1], got {shown(self.p)}")
         if not 0.0 <= self.lam <= 1.0:
-            raise DomainError(f"lambda must lie in [0, 1], got {_shown(self.lam)}")
-
-
-def _shown(value) -> str:
-    """``value`` for an error message; a wide int shows its size, since
-    ``str`` refuses one of over 4,300 digits."""
-    if isinstance(value, int) and value.bit_length() > 1024:
-        return f"an int of {value.bit_length()} bits"
-    return str(value)
+            raise DomainError(f"lambda must lie in [0, 1], got {shown(self.lam)}")
 
 
 @dataclass(frozen=True)

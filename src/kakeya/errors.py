@@ -27,6 +27,14 @@ class WorkerLost(KakeyaError):
     """A worker process ended without returning its result (killed, say, for memory)."""
 
 
+def shown(value) -> str:
+    """``value`` for an error message; a wide int shows its size, since
+    ``str`` refuses one of over 4,300 digits."""
+    if isinstance(value, int) and value.bit_length() > 1024:
+        return f"an int of {value.bit_length()} bits"
+    return str(value)
+
+
 def as_integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
     """``value`` as a Python int, or DomainError if it is not an integer in [lo, hi]."""
     try:
@@ -34,7 +42,7 @@ def as_integer(value, name: str, lo: int | None = None, hi: int | None = None) -
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
     if lo is not None and out < lo:
-        raise DomainError(f"{name} must be >= {lo}, got {out}")
+        raise DomainError(f"{name} must be >= {lo}, got {shown(out)}")
     if hi is not None and out > hi:
-        raise DomainError(f"{name} must be <= {hi}, got {out}")
+        raise DomainError(f"{name} must be <= {hi}, got {shown(out)}")
     return out

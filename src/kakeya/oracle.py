@@ -24,17 +24,16 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from numbers import Real
 
 import numpy as np
 
 from . import bounds, geom
 from .catalogue import DEFAULT_SEED, MAX_SAMPLES, CheckId
-from .errors import BracketError, DomainError, WorkerLost, as_integer
+from .errors import BracketError, DomainError, WorkerLost, as_integer, shown
 from .rng import CounterRng
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "MAX_SAMPLES",
     "CheckId",
     "CheckReport",
-    "McEstimate",
-    "mc_area",
     "run_check",
     "run_checks",
     "find_h_threshold",
@@ -83,117 +80,6 @@ class CheckReport:
             "pass": self.passed,
             "seed": self.seed,
         }
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """Hit-or-miss Monte Carlo area estimate with its standard error."""
-
-    value: float
-    std_error: float
-    samples: int
-    seed: int
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo area
-# ---------------------------------------------------------------------------
-
-# Points per ``region`` call: a block's words, coordinates and
-# temporaries, 128 KiB per array, stay in a core's L2 cache.  Any size
-# gives the same points and hits.
-_MC_BLOCK = 1 << 14
-_INV_2_32 = 2.0**-32
-# index of a word's high half in its uint32 view
-_HIGH = 1 if sys.byteorder == "little" else 0
-
-
-def _bbox_floats(bbox):
-    """``bbox`` as four floats (xmin, ymin, xmax, ymax), or DomainError."""
-    try:
-        ends = tuple(bbox)
-        if len(ends) != 4 or not all(isinstance(v, numbers.Real) for v in ends):
-            raise TypeError
-        return tuple(float(v) for v in ends)
-    except (TypeError, OverflowError):
-        raise DomainError(f"bbox must be four finite reals, got {bbox!r}") from None
-
-
-def _lattice_blocks(bbox, samples, seed):
-    """``samples`` lattice points in ``bbox``, as (xs, ys) blocks.
-
-    ``bbox`` is four floats (xmin, ymin, xmax, ymax).  Point i comes from
-    word i of ``CounterRng(seed, 0)``: its high 32 bits k give
-    x = xmin + k * ((xmax - xmin) * 2**-32), its low 32 bits give y the
-    same way.  The blocks hold at most ``_MC_BLOCK`` points and are views
-    of one buffer, which the next block overwrites.
-    """
-    xmin, ymin, xmax, ymax = bbox
-    xscale, yscale = (xmax - xmin) * _INV_2_32, (ymax - ymin) * _INV_2_32
-    rng = CounterRng(seed, stream=0)
-    # one block's xs in row 0 and its ys in row 1
-    coords = np.empty((2, min(_MC_BLOCK, samples)))
-    for lo in range(0, samples, _MC_BLOCK):
-        m = min(_MC_BLOCK, samples - lo)
-        halves = rng.raw(m).view(np.uint32)
-        xs, ys = coords[0, :m], coords[1, :m]
-        np.copyto(xs, halves[_HIGH::2])
-        np.copyto(ys, halves[1 - _HIGH::2])
-        xs *= xscale
-        xs += xmin
-        ys *= yscale
-        ys += ymin
-        yield xs, ys
-
-
-def mc_area(
-    region: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    bbox: tuple[float, float, float, float],
-    samples: int,
-    seed: int,
-) -> McEstimate:
-    """Hit-or-miss area estimate of ``region`` inside ``bbox``.
-
-    ``bbox`` is four finite reals (xmin, ymin, xmax, ymax) with
-    xmax > xmin and ymax > ymin.  ``region(xs, ys)`` must return a
-    boolean membership array of the shape of ``xs``, and may be called
-    on any number of blocks; it must not write into ``xs``/``ys``.  It may
-    run in a worker process, where state it changes is not seen by the
-    caller, so it must keep no state between calls.  Anything else is a
-    DomainError.  The estimate is bbox_area * hits/samples with standard
-    error bbox_area * sqrt(phat*(1-phat)/samples), and is bit-identical
-    for a fixed (seed, samples).
-
-    The points are those of ``_lattice_blocks``: uniform on a 2**32 x
-    2**32 lattice in the box, so the hit probability differs from the
-    area fraction only through the lattice cells that the region's
-    boundary crosses, about (boundary length / box side) * 2**-32, under
-    1e-5 sigma for a disk sector even at MAX_SAMPLES points.
-    """
-    samples = as_integer(samples, "samples", lo=1)
-    ends = _bbox_floats(bbox)
-    xmin, ymin, xmax, ymax = ends
-    area_box = (xmax - xmin) * (ymax - ymin)
-    if not (xmax > xmin and ymax > ymin and math.isfinite(area_box)):
-        raise DomainError(f"degenerate or unbounded bbox {bbox}")
-    hits = 0
-    for xs, ys in _lattice_blocks(ends, samples, seed):
-        inside = region(xs, ys)
-        m = xs.shape[0]
-        if not (isinstance(inside, np.ndarray) and inside.dtype == np.bool_
-                and inside.shape == (m,)):
-            raise DomainError(
-                f"region must return a boolean array of shape ({m},), got {type(inside).__name__} "
-                f"(dtype {getattr(inside, 'dtype', None)}, shape {getattr(inside, 'shape', None)})"
-            )
-        hits += int(np.count_nonzero(inside))
-    phat = hits / samples
-    return McEstimate(
-        value=area_box * phat,
-        std_error=area_box * math.sqrt(phat * (1.0 - phat) / samples),
-        samples=samples,
-        seed=seed,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -456,17 +342,30 @@ def _check_f_argmax(samples, _rng):
 
 
 _SECTOR_SETS = 100  # interval unions per SectorMeasure run
+# Cloud points per draw: a block's words, coordinates and temporaries,
+# 128 KiB per array, stay in a core's L2 cache.  Any size gives the same
+# points.
+_CLOUD_BLOCK = 1 << 14
+# index of a word's high half in its uint32 view
+_HIGH = 1 if sys.byteorder == "little" else 0
 
 
 def _disk_angles(samples, seed):
     """Sorted angles of the lattice points of (-1, -1, 1, 1) that lie in the unit disk.
 
+    Point i comes from word i of ``CounterRng(seed, 0)``: its high 32 bits
+    k give x = -1 + k * 2**-31 exactly, its low 32 bits give y the same
+    way, so the points are uniform on a 2**32 x 2**32 lattice in the box.
     Each angle is arctan2's, wrapped to a + 2pi if a < 0, so it lies in
-    [0, 2pi].  The points are ``mc_area``'s, so x = -1 + k * 2**-31 exactly.
+    [0, 2pi].  The words are drawn ``_CLOUD_BLOCK`` at a time.
     """
+    rng = CounterRng(seed, stream=0)
     angles = np.empty(samples)
     kept = 0
-    for xs, ys in _lattice_blocks((-1.0, -1.0, 1.0, 1.0), samples, seed):
+    for lo in range(0, samples, _CLOUD_BLOCK):
+        halves = rng.raw(min(_CLOUD_BLOCK, samples - lo)).view(np.uint32)
+        xs = halves[_HIGH::2] * 2.0**-31 - 1.0
+        ys = halves[1 - _HIGH::2] * 2.0**-31 - 1.0
         ang = np.arctan2(ys, xs)[xs * xs + ys * ys <= 1.0]
         ang[ang < 0.0] += _TWO_PI
         angles[kept:kept + ang.shape[0]] = ang
@@ -724,7 +623,7 @@ def run_checks(
         default_samples = _CHECKS[check][1]
         n = default_samples if samples is None else as_integer(samples, "samples")
         if not 100 <= n <= MAX_SAMPLES:
-            raise DomainError(f"samples must be in [100, {MAX_SAMPLES}], got {n}")
+            raise DomainError(f"samples must be in [100, {MAX_SAMPLES}], got {shown(n)}")
         sizes[check] = n
     tasks = [
         (_CHECKS[check][0], (n, CounterRng(seed, stream=1 + list(CheckId).index(check))))
@@ -764,12 +663,17 @@ def find_h_threshold(lo: float, hi: float, tol: float) -> float:
     Bisects the predicate "min over a delta-grid of the quotient is
     attained in the delta -> 0 limit" on [lo, hi], with heights spanning
     (0, 3r/5] as in the minimum claim; raises BracketError if the
-    predicate does not change across the bracket.
+    predicate does not change across the bracket.  ``lo``, ``hi`` and
+    ``tol`` must be real numbers, else DomainError.
     """
+    if not all(isinstance(v, Real) for v in (lo, hi, tol)):
+        raise DomainError(
+            f"lo, hi and tol must be real numbers, got {shown(lo)}, {shown(hi)}, {shown(tol)}"
+        )
     if not lo < hi:
-        raise BracketError(f"need lo < hi, got [{lo}, {hi}]")
+        raise BracketError(f"need lo < hi, got [{shown(lo)}, {shown(hi)}]")
     if not tol > 0.0:
-        raise DomainError(f"tol must be > 0, got {tol}")
+        raise DomainError(f"tol must be > 0, got {shown(tol)}")
     fractions = _h_fractions(_H_THRESHOLD_GRID)
 
     def min_at_zero(r: float) -> bool:

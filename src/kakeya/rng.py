@@ -14,14 +14,12 @@ A generator reads its stream sequentially from counter 0; ``seek`` moves
 it to any counter, so a draw is addressable by (seed, stream, counter) and
 a consumer may read a stretch of the stream in any order of pieces.
 
-The hot path builds no counter array.  ``raw`` adds one scalar offset,
-base + counter * GOLDEN, to a table of GOLDEN * i (built on first use,
-2**14 words at most) one piece at a time, and ``mix64`` runs the
-finalizer over each piece in place with one shift scratch buffer.
-``raw`` allocates its one result array, and ``uniforms``/``uniform``
-shift, convert and scale the words in that array's memory; each in-place
-step rounds exactly like the expression it replaces, so the drawn values
-are those of the formula above.
+``raw`` is that formula in one numpy pass: the counters 0..n-1 as an
+array, times GOLDEN, plus base + counter * GOLDEN, then ``mix64`` over the
+words in place.  The checks draw at most a few times 10**4 words per call
+at their default sizes, and SectorMeasure draws its cloud 2**14 words at
+a time; at those sizes a draw costs about 9 ns per uniform, a small share
+of any check's time, so the generator keeps no tables or buffers.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import DomainError, as_integer
+from .errors import DomainError, as_integer, shown
 
 # SplitMix64 constants: the 64-bit golden-ratio increment and the two
 # avalanche multipliers of the finalizer.
@@ -43,22 +41,6 @@ _U64 = np.uint64
 _GOLDEN = int(GOLDEN)
 _MASK = (1 << 64) - 1
 _INV_2_53 = float(2.0**-53)
-
-# Largest piece ``raw`` draws at once: its table of GOLDEN * i and its
-# scratch buffer stay in a core's L2 cache.
-_PIECE = 1 << 14
-# GOLDEN * i for i below its length; grown on first use, never at import,
-# so a process that draws only a few words builds only a few entries.
-_golden_steps = None
-
-
-def _steps(m: int) -> np.ndarray:
-    """GOLDEN * i (mod 2**64) for i < m <= _PIECE."""
-    global _golden_steps
-    have = 0 if _golden_steps is None else _golden_steps.shape[0]
-    if have < m:
-        _golden_steps = np.arange(min(_PIECE, max(m, 2 * have)), dtype=np.uint64) * GOLDEN
-    return _golden_steps[:m]
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
@@ -114,34 +96,27 @@ class CounterRng:
         """
         n = as_integer(n, "n", lo=0)
         if self._counter + n > 1 << 64:
-            raise DomainError(f"counters {self._counter} + {n} run past 2**64")
-        out = np.empty(n, dtype=np.uint64)
-        for lo in range(0, n, _PIECE):
-            piece = out[lo:lo + _PIECE]
-            offset = (self._base + (self._counter + lo) * _GOLDEN) & _MASK
-            np.add(_steps(piece.shape[0]), _U64(offset), out=piece)
-            mix64(piece)
+            raise DomainError(f"counters {shown(self._counter)} + {shown(n)} run past 2**64")
+        words = np.arange(n, dtype=np.uint64)
+        words *= GOLDEN
+        words += _U64((self._base + self._counter * _GOLDEN) & _MASK)
         self._counter += n
-        return out
+        return mix64(words)
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next ``n`` doubles, uniform on [0, 1), as a float64 array."""
-        words = self.raw(n)
-        # the top 53 bits of each word, converted and scaled in the words'
-        # memory; below 2**53 the int64 conversion is exact (and faster
-        # than the uint64 one), and so is the scaling
-        words >>= _U64(11)
-        u = words.view(np.float64)
-        np.copyto(u, words.view(np.int64), casting="unsafe")
+        # the top 53 bits of each word; their conversion and scaling are exact
+        u = (self.raw(n) >> _U64(11)).astype(np.float64)
         u *= _INV_2_53
         return u
 
     def uniform(self, lo: float, hi: float, n: int) -> np.ndarray:
         """Next ``n`` doubles, uniform on [lo, hi); lo, hi and hi - lo must be finite reals."""
-        if not (isinstance(lo, Real) and isinstance(hi, Real)
-                and math.isfinite(lo) and math.isfinite(hi - lo)):
-            raise DomainError(f"uniform range [{lo!r}, {hi!r}) is not two finite reals")
-        u = self.uniforms(n)
-        u *= hi - lo
-        u += lo
-        return u
+        try:
+            finite = (isinstance(lo, Real) and isinstance(hi, Real)
+                      and math.isfinite(lo) and math.isfinite(hi - lo))
+        except OverflowError:  # an int end too large for a float
+            finite = False
+        if not finite:
+            raise DomainError(f"uniform range [{shown(lo)}, {shown(hi)}) is not two finite reals")
+        return lo + (hi - lo) * self.uniforms(n)

@@ -528,4 +528,6 @@ def test_bound_params_names_an_int_past_the_digit_limit_by_its_size(name):
 def test_cunningham_constant():
     got = bounds.cunningham_bound()
     assert abs(got - 1.0 / 108.0) <= 1e-15
-    assert 1.0 / 108.0 < 1.0 / 98.0 < bounds.UPPER_BOUND_COEFF
+    # (5 - 2*sqrt(2))/24, the smallest area coefficient of the known
+    # tricuspoid-style constructions: every valid lower bound stays below it
+    assert 1.0 / 108.0 < 1.0 / 98.0 < (5.0 - 2.0 * math.sqrt(2.0)) / 24.0

@@ -328,7 +328,7 @@ def test_full_size_verify_all_artifact_is_pinned(tmp_path):
 # sha256 of json.dumps(record, sort_keys=True) for the records of the
 # reduced `verify --all` that exact disjointness clipping left alone,
 # recorded from the sampled implementation; SectorMeasure's re-recorded
-# when mc_area took each point from one stream word and again when it
+# when its cloud took each point from one stream word and again when it
 # counted all its unions on one cloud, ArcConsistency's when it added the
 # arcs' first angular moment
 UNCHANGED_REDUCED_RECORDS = {

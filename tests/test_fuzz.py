@@ -6,19 +6,20 @@ arguments (and a few ordinary ones).  Every call must return only finite
 numbers or raise a KakeyaError; a NaN argument must always raise, and a
 finite ``geom.theta_isosceles`` angle must not be negative.  One- to
 three-argument functions see every combination of the values; wider ones
-see a seeded sample.  Sample counts are floats, which are rejected, or
-integers of at most 100, so no call starts heavy work; ``optimize`` sees
+see a seeded sample.  Sample counts are floats, which are rejected,
+integers of at most 100, or ints too wide for a float or for ``str``
+(10**400 and +-10**5000), which are rejected or only counted, so no call
+starts heavy work; ``CounterRng.uniform`` sees those ints as ends too,
+and must refuse them.  ``optimize`` sees
 point boxes only, which it settles in one evaluation.  ``SearchBox``,
-``BoundParams``, ``CounterRng.uniform`` and the ``tol`` arguments also see
+``BoundParams``, ``CounterRng.uniform``, ``find_h_threshold`` and the ``tol`` arguments also see
 objects that are not reals (and ``SearchBox`` intervals that are not (lo,
 hi) pairs, or lambda intervals outside [0, 1]), which they must refuse;
 over seeded boxes of ordinary, edge and junk ends, ``SearchBox`` accepts
 exactly those whose two extreme corners ``BoundParams`` accepts.
 ``rng.mix64`` works in place on uint64 arrays, so it sees instead a
 float, an integer and a read-only array, a list, a scalar and a 0-d
-array, each of which must be a DomainError.  ``mc_area`` also sees bboxes that are not four
-reals, and regions that do not return a boolean block, which it must
-refuse.
+array, each of which must be a DomainError.
 
 Each numeric flag of each CLI mode, the same key in a config file, and
 KAKEYA_SEED get the same kinds of values as text, plus a non-number and
@@ -47,23 +48,14 @@ SEED = 20240601
 VALUES = (
     math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1.0, 1e300, -1e300, 0.06, 0.1, 0.25,
 )
-COUNTS = VALUES + (-1, 0, 1, 100)
+# ints that overflow a float, and ints whose str is refused (over 4,300 digits)
+HUGE_INTS = (10**400, 10**5000, -10**5000)
+COUNTS = VALUES + (-1, 0, 1, 100) + HUGE_INTS
 MAX_COMBINATIONS = 2000
 
 TRI = geom.make_triangle(0.3, 0.05, 0.5)
 DERIVED = bounds.derive_params(THEOREM_DEFAULTS)
 
-
-def _half_plane(xs, ys):
-    return xs < ys
-
-
-# bboxes that are not four reals (and a few that are), and regions whose
-# result is not a boolean block of the points' shape
-BBOX_OBJECTS = (
-    None, 1.0, "0011", (0, 0, 1), (0, 0, 1, 1, 2), (0, 0, 1, "a"), (0, 0, 1, 10**400),
-    (0, 0, 1, 1j), [0, 0, 1, 1], np.array([0.0, 0.0, 1.0, 1.0]), (np.float32(0), 0, 1, np.int8(1)),
-)
 # objects that are not reals, intervals that are not (lo, hi) pairs of
 # finite reals, and lambda intervals that leave [0, 1]
 NON_REALS = ("x", "0.06", None, 1j, [0.06], (0.06,), b"1")
@@ -72,25 +64,11 @@ INTERVALS = (0.06, (0.06, 0.065, 0.07), (0.06, "x"), ("x", 0.07), (0.06,), None,
 LAMBDA_OUTSIDE = ((-0.5, 0.6), (0.5, 1.5), (-1e300, 0.5), (0.9, 1e300), (-1.0, 2.0))
 BOX = {"a": (0.06, 0.066), "r0": (0.22, 0.24), "lam": (0.88, 0.93)}
 PARAMS = {"a": 0.06, "r0": 0.25, "p": 0.5, "lam": 0.9}
-REGIONS = (
-    lambda xs, ys: None,
-    lambda xs, ys: (xs < ys).tolist(),
-    lambda xs, ys: (xs < ys).astype(np.float64),
-    lambda xs, ys: (xs < ys)[1:],
-    lambda xs, ys: np.bool_(True),
-)
 
 
 def _refused(value):
     """Fail a call that should have raised a KakeyaError but returned."""
     raise AssertionError(f"accepted, returned {value!r}")
-
-
-def _plain_floats(est):
-    """Pass an estimate on, failing the call if a number in it is not a float."""
-    if type(est.value) is not float or type(est.std_error) is not float:
-        raise AssertionError(f"estimate of non-float numbers {est!r}")
-    return est
 
 
 def _nonnegative(value):
@@ -182,24 +160,18 @@ ENTRY_POINTS = {
     "run_check(seed)": (
         lambda seed: oracle.run_check(oracle.CheckId.C_MIN, samples=100, seed=seed), (COUNTS,)
     ),
-    "mc_area(bbox)": (
-        lambda *bbox: oracle.mc_area(_half_plane, bbox, 100, 0), (VALUES,) * 4
-    ),
-    "mc_area(numpy bbox)": (
-        lambda *bbox: _plain_floats(oracle.mc_area(_half_plane, np.array(bbox), 100, 0)),
-        (VALUES,) * 4,
-    ),
-    "mc_area(bbox object)": (
-        lambda bbox: _plain_floats(oracle.mc_area(_half_plane, bbox, 100, 0)), (BBOX_OBJECTS,)
-    ),
-    "mc_area(region)": (
-        lambda region: _refused(oracle.mc_area(region, (0, 0, 1, 1), 100, 0)), (REGIONS,)
-    ),
-    "mc_area(samples)": (lambda n: oracle.mc_area(_half_plane, (0, 0, 1, 1), n, 0), (COUNTS,)),
-    "mc_area(seed)": (lambda seed: oracle.mc_area(_half_plane, (0, 0, 1, 1), 100, seed), (COUNTS,)),
     "find_h_threshold(tol)": (lambda tol: oracle.find_h_threshold(0.1, 0.2, tol), (VALUES,)),
     "find_h_threshold(lo, hi)": (
         lambda lo, hi: oracle.find_h_threshold(lo, hi, 1e-2), (VALUES, VALUES)
+    ),
+    "find_h_threshold(lo object)": (
+        lambda lo: _refused(oracle.find_h_threshold(lo, 0.2, 1e-2)), (NON_REALS,)
+    ),
+    "find_h_threshold(hi object)": (
+        lambda hi: _refused(oracle.find_h_threshold(0.1, hi, 1e-2)), (NON_REALS,)
+    ),
+    "find_h_threshold(tol object)": (
+        lambda tol: _refused(oracle.find_h_threshold(0.1, 0.2, tol)), (NON_REALS,)
     ),
     # rng
     "CounterRng(seed)": (lambda seed: rng.CounterRng(seed).uniforms(3), (COUNTS,)),
@@ -207,7 +179,9 @@ ENTRY_POINTS = {
     "seek": (lambda counter: rng.CounterRng(7).seek(counter), (COUNTS,)),
     "raw": (lambda n: rng.CounterRng(7).raw(n), (COUNTS,)),
     "uniforms": (lambda n: rng.CounterRng(7).uniforms(n), (COUNTS,)),
-    "uniform": (lambda lo, hi: rng.CounterRng(7).uniform(lo, hi, 10), (VALUES, VALUES)),
+    "uniform": (
+        lambda lo, hi: rng.CounterRng(7).uniform(lo, hi, 10), (VALUES + HUGE_INTS,) * 2
+    ),
     "uniform(lo object)": (
         lambda lo, hi: _refused(rng.CounterRng(7).uniform(lo, hi, 3)), (NON_REALS, VALUES)
     ),

@@ -140,6 +140,22 @@ def test_exterior_area_matches_closed_form_isosceles():
     )
 
 
+def _lattice_estimate(region, bbox, samples, seed):
+    """Hit-or-miss area of ``region`` in ``bbox`` and its standard error.
+
+    Point i comes from word i of CounterRng(seed, 0): x = xmin + k * ((xmax
+    - xmin) * 2**-32) from its high 32 bits k, y the same way from its low
+    32 bits, so the points lie on a 2**32 x 2**32 lattice in the box.
+    """
+    xmin, ymin, xmax, ymax = bbox
+    words = CounterRng(seed, stream=0).raw(samples)
+    xs = xmin + (words >> np.uint64(32)).astype(np.float64) * ((xmax - xmin) * 2.0**-32)
+    ys = ymin + (words & np.uint64(0xFFFFFFFF)).astype(np.float64) * ((ymax - ymin) * 2.0**-32)
+    area = (xmax - xmin) * (ymax - ymin)
+    phat = int(np.count_nonzero(region(xs, ys))) / samples
+    return area * phat, area * math.sqrt(phat * (1.0 - phat) / samples)
+
+
 @pytest.mark.parametrize("delta, t, r, samples", [
     pytest.param(0.05, 0.5, 0.25, 2_000_000, id="isosceles"),
     pytest.param(0.05, 0.0, 0.25, 1_000_000, id="t=0"),
@@ -161,10 +177,9 @@ def test_exterior_area_against_monte_carlo(delta, t, r, samples):
 
     xs = [ax, bx, 0.0]
     ys = [ay, by, 0.0]
-    bbox = (min(xs), min(ys), max(xs), max(ys))
-    est = oracle.mc_area(region, bbox, samples=samples, seed=11)
+    value, std_error = _lattice_estimate(region, (min(xs), min(ys), max(xs), max(ys)), samples, 11)
     exact = geom.exterior_area(tri, r)
-    assert abs(est.value - exact) <= 3.0 * est.std_error
+    assert abs(value - exact) <= 3.0 * std_error
 
 
 def test_exterior_area_isosceles_values():

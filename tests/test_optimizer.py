@@ -221,6 +221,10 @@ def test_search_box_validation():
         SearchBox(a=(0.0, 0.06), r0=(0.2, 0.25), lam=(0.5, 0.6))
 
 
+# (5 - 2*sqrt(2))/24, the smallest area coefficient of the known
+# tricuspoid-style constructions: every valid lower bound stays below it
+UPPER_BOUND_COEFF = (5.0 - 2.0 * math.sqrt(2.0)) / 24.0
+
 # a start where case_i is the active term, so the sequence rises
 CASE_I_START = BoundParams(a=0.0641, r0=0.25, p=0.5, lam=0.9)
 
@@ -230,7 +234,7 @@ def test_refine_iterative_contracts():
         assert optimizer.refine_iterative(start, 0) == [bounds.theorem_bound(start).final]
         seq = optimizer.refine_iterative(start, 8, tol=0.0)
         assert all(b >= a for a, b in zip(seq, seq[1:]))
-        assert all(v <= bounds.UPPER_BOUND_COEFF for v in seq)
+        assert all(v <= UPPER_BOUND_COEFF for v in seq)
         increments = [b - a for a, b in zip(seq, seq[1:])]
         assert all(later <= earlier + 1e-15 for earlier, later in zip(increments, increments[1:]))
     with pytest.raises(DomainError):

@@ -1,5 +1,5 @@
 """Oracle tests: generator reproducibility, pinned draws and buffer draws
-against the formula, Monte Carlo contracts and block layout, the
+against the formula, SectorMeasure's lattice cloud and its blocks, the
 SectorMeasure union count against the reference kernel and against the
 wrapped rule ulp by ulp, SectorMeasure against a mask-per-union
 reference, errors and dead workers on the process pool,
@@ -137,7 +137,7 @@ def _word_int(seed, stream, counter):
 
 
 RNG_ADDRESSES = [(7, 0), ((1 << 63) - 1, 4), (1 << 63, 9), ((1 << 63) + 1, 0), (MASK, 2)]
-# odd sizes, one piece of the word table, and runs across its ends
+# odd sizes, SectorMeasure's block of 2**14 words, and sizes either side of it
 RNG_SIZES = [1, 3, 777, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 3 * (1 << 14) + 5]
 
 
@@ -198,79 +198,11 @@ def test_rng_uniform_range():
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo area
+# SectorMeasure's lattice cloud
 # ---------------------------------------------------------------------------
 
-def test_mc_area_full_region_is_exact():
-    est = oracle.mc_area(lambda xs, ys: np.ones_like(xs, dtype=bool), (0, 0, 1, 1), 1000, 5)
-    assert est.value == 1.0
-    assert est.std_error == 0.0
-
-
-def test_mc_area_quarter_disk():
-    est = oracle.mc_area(
-        lambda xs, ys: xs * xs + ys * ys <= 1.0, (0.0, 0.0, 1.0, 1.0), 1_000_000, 9
-    )
-    assert abs(est.value - math.pi / 4.0) <= 3.0 * est.std_error
-    assert est.std_error == pytest.approx(
-        math.sqrt((est.value) * (1 - est.value) / 1_000_000), rel=1e-12
-    )
-
-
-def test_mc_area_determinism_and_validation():
-    region = lambda xs, ys: xs > ys
-    a = oracle.mc_area(region, (-1, -1, 1, 1), 10_000, 3)
-    b = oracle.mc_area(region, (-1, -1, 1, 1), 10_000, 3)
-    assert a == b
-    with pytest.raises(DomainError):
-        oracle.mc_area(region, (-1, -1, 1, 1), 0, 3)
-    with pytest.raises(DomainError):
-        oracle.mc_area(region, (1, -1, 1, 1), 100, 3)
-
-
-@pytest.mark.parametrize(
-    "bbox",
-    [(0, 0, 1), (0, 0, 1, 1, 2), (0, 0, 1, "a"), None, 1.0, "0011", (0, 0, 1, 10**400),
-     (0, 0, 1, math.nan), (0, 0, 1, math.inf), (0, 0, 1, 1j), (-1e308, 0, 1e308, 1)],
-    ids=lambda bbox: repr(bbox)[:20],
-)
-def test_mc_area_rejects_a_bbox_that_is_not_four_finite_reals(bbox):
-    with pytest.raises(DomainError, match="bbox"):
-        oracle.mc_area(lambda xs, ys: xs > ys, bbox, 100, 3)
-
-
-def test_mc_area_takes_numpy_and_integer_bbox_ends_as_floats():
-    region = lambda xs, ys: xs > ys
-    want = oracle.mc_area(region, (0.0, 0.0, 1.0, 1.0), 1000, 3)
-    for bbox in ((0, 0, 1, 1), tuple(np.float64(v) for v in (0, 0, 1, 1)),
-                 np.array([0.0, 0.0, 1.0, 1.0]), [np.int32(0), 0, np.float32(1), 1]):
-        got = oracle.mc_area(region, bbox, 1000, 3)
-        assert type(got.value) is float and type(got.std_error) is float
-        assert got == want
-
-
-@pytest.mark.parametrize(
-    "membership",
-    [
-        lambda xs, ys: None,
-        lambda xs, ys: (xs > ys).tolist(),
-        lambda xs, ys: (xs > ys).astype(np.float64),
-        lambda xs, ys: (xs > ys).astype(np.int8),
-        lambda xs, ys: (xs > ys)[1:],
-        lambda xs, ys: np.concatenate([xs > ys, xs > ys]),
-        lambda xs, ys: (xs > ys).reshape(-1, 1),
-        lambda xs, ys: np.bool_(True),
-        lambda xs, ys: True,
-    ],
-    ids=["None", "list", "float64", "int8", "short", "long", "column", "numpy-bool", "bool"],
-)
-def test_mc_area_rejects_a_region_that_gives_no_boolean_block(membership):
-    with pytest.raises(DomainError, match="region must return a boolean array"):
-        oracle.mc_area(membership, (0.0, 0.0, 1.0, 1.0), 1000, 3)
-
-
 def _lattice_points(bbox, samples, seed):
-    """The points mc_area must draw: point i from word i of CounterRng(seed, 0),
+    """The cloud's points in ``bbox``: point i from word i of CounterRng(seed, 0),
     x from its high 32 bits and y from its low 32 bits, on a 2**-32 lattice."""
     xmin, ymin, xmax, ymax = bbox
     words = CounterRng(seed, stream=0).raw(samples)
@@ -279,60 +211,27 @@ def _lattice_points(bbox, samples, seed):
     return xmin + high * ((xmax - xmin) * 2.0**-32), ymin + low * ((ymax - ymin) * 2.0**-32)
 
 
+def _reference_disk_angles(samples, seed):
+    """The sorted, wrapped arctan2 angles of the cloud's points in the unit disk."""
+    xs, ys = _lattice_points((-1.0, -1.0, 1.0, 1.0), samples, seed)
+    ang = np.arctan2(ys, xs)[xs * xs + ys * ys <= 1.0]
+    return np.sort(np.where(ang < 0.0, ang + 2.0 * math.pi, ang))
+
+
 @pytest.mark.parametrize("seed", [21, (1 << 63) - 1, 1 << 63])
-def test_mc_area_blocks_are_the_stream_words_split_in_halves(seed):
+def test_disk_angles_are_the_stream_words_split_in_halves(seed):
     # five whole blocks and an odd partial one
     samples = 5 * (1 << 14) + 777
-    bbox = (-0.3, 1.25, 0.9, 2.5)
-    blocks = []
-
-    def record(xs, ys):
-        blocks.append((xs.copy(), ys.copy()))
-        return xs < 0.0
-
-    oracle.mc_area(record, bbox, samples, seed)
-    xs, ys = _lattice_points(bbox, samples, seed)
-    assert [bx.shape[0] for bx, _ in blocks] == [1 << 14] * 5 + [777]
-    lo = 0
-    for bx, by in blocks:
-        hi = lo + bx.shape[0]
-        assert bx.tobytes() == xs[lo:hi].tobytes() and by.tobytes() == ys[lo:hi].tobytes()
-        lo = hi
-    assert lo == samples
+    got = oracle._disk_angles(samples, seed)
+    want = _reference_disk_angles(samples, seed)
+    assert 0 < got.shape[0] < samples
+    assert got.tobytes() == want.tobytes()
 
 
-def test_mc_area_counts_the_hits_of_the_lattice_points():
-    samples = 3 * (1 << 16) + 777
-    region = _reference_sector_region(np.array([0.3, 2.9]), np.array([1.7, 4.4]), 0.8)
-    bbox = (-0.8, -0.8, 0.8, 0.8)
-    est = oracle.mc_area(region, bbox, samples, 21)
-    hits = int(np.count_nonzero(region(*_lattice_points(bbox, samples, 21))))
-    assert 0 < hits < samples
-    assert est.value == 1.6 * 1.6 * (hits / samples)
-
-
-def test_mc_area_memory_stays_flat_in_the_sample_count():
-    region = lambda xs, ys: xs < ys
-    oracle.mc_area(region, (0.0, 0.0, 1.0, 1.0), 1 << 15, 1)  # the generator's table, once
-    peaks = []
-    for samples in (100_000, 4_000_000):
-        tracemalloc.start()
-        try:
-            oracle.mc_area(region, (0.0, 0.0, 1.0, 1.0), samples, 1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert max(peaks) < 1 << 20, peaks
-    assert abs(peaks[1] - peaks[0]) <= 64 << 10, peaks
-
-
-def test_mc_area_estimate_does_not_depend_on_the_block_size(monkeypatch):
-    region = _reference_sector_region(np.array([0.3, 2.9]), np.array([1.7, 4.4]), 0.8)
-    bbox = (-0.8, -0.8, 0.8, 0.8)
-    want = oracle.mc_area(region, bbox, 123_457, 5)
-    monkeypatch.setattr(oracle, "_MC_BLOCK", 1000)
-    assert oracle.mc_area(region, bbox, 123_457, 5) == want
-    assert 0.0 < want.value < 1.6 * 1.6
+def test_disk_angles_do_not_depend_on_the_block_size(monkeypatch):
+    want = _reference_disk_angles(123_457, 5)
+    monkeypatch.setattr(oracle, "_CLOUD_BLOCK", 1000)
+    assert oracle._disk_angles(123_457, 5).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +487,6 @@ def test_sector_measure_memory_is_a_few_words_per_sample():
     # the sorted disk angles, one float per kept point, and one block of
     # the lattice cloud at a time
     samples = 400_000
-    oracle.run_check(CheckId.SECTOR_MEASURE, samples=1000)  # the generator's table, once
     tracemalloc.start()
     try:
         oracle.run_check(CheckId.SECTOR_MEASURE, samples=samples)

@@ -10,7 +10,8 @@ Library layout:
 - :mod:`kakeya.optimizer`: balanced-split parameter search and the
   iterative inner-bound refinement.
 - :mod:`kakeya.oracle`: seeded brute-force checks of every geometric
-  claim the bounds rest on; :mod:`kakeya.catalogue` names them.
+  claim the bounds rest on; :mod:`kakeya.catalogue` names them, and
+  :mod:`kakeya.workers` runs them on forked worker processes.
 - :mod:`kakeya.cli`: the ``kakeya`` command.
 
 Importing the package loads no numpy.  The names backed by

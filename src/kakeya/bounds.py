@@ -167,10 +167,11 @@ def outside_area_rate(r: float, a: float) -> float:
     This is the minimum of x / (2*asin(x/r)) over heights x in (0, a];
     at a = r it degenerates to a/pi.
     """
-    if not a > 0.0:
-        raise DomainError(f"a must be > 0, got {a}")
-    if not a <= r:
-        raise DomainError(f"need a <= r, got a={a}, r={r}")
+    try:
+        if not 0.0 < a <= r:
+            raise DomainError(f"need 0 < a <= r, got a={a}, r={r}")
+    except TypeError:
+        raise DomainError(f"need real 0 < a <= r, got a={a!r}, r={r!r}") from None
     angle = math.asin(a / r)
     if not angle > 0.0:  # r = inf, or a/r underflows
         raise DomainError(f"a/r rounds to zero (a={a}, r={r})")

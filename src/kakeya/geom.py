@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, shown
 
 __all__ = [
     "NeedleTriangle",
@@ -70,11 +70,16 @@ class NeedleTriangle:
 def make_triangle(alpha: float, delta: float, t: float) -> NeedleTriangle:
     """Build the needle triangle for direction alpha, height delta, foot t.
 
-    Raises DomainError for non-finite inputs, negative delta, or t outside
-    [0, 1].  ``alpha`` is stored reduced mod pi.
+    Raises DomainError for inputs that are not finite reals, negative
+    delta, or t outside [0, 1].  ``alpha`` is stored reduced mod pi.
     """
-    if not (math.isfinite(alpha) and math.isfinite(delta) and math.isfinite(t)):
-        raise DomainError("triangle parameters must be finite")
+    try:
+        finite = math.isfinite(alpha) and math.isfinite(delta) and math.isfinite(t)
+    except (TypeError, OverflowError):  # not a real, or an int too wide for a float
+        finite = False
+    if not finite:
+        got = ", ".join(map(shown, (alpha, delta, t)))
+        raise DomainError(f"triangle parameters must be finite reals, got {got}")
     if delta < 0.0:
         raise DomainError(f"delta must be >= 0, got {delta}")
     if not 0.0 <= t <= 1.0:
@@ -118,8 +123,11 @@ def exterior_area(tri: NeedleTriangle, r: float) -> float:
     holds the triangle out to the needle, beyond it a circular sector.  A
     triangle within the closed disk has outer area exactly 0.
     """
-    if not r > 0.0:
-        raise DomainError(f"r must be > 0, got {r}")
+    try:
+        if not r > 0.0:
+            raise DomainError(f"r must be > 0, got {r}")
+    except TypeError:
+        raise DomainError(f"r must be a real number, got {r!r}") from None
     delta, t = tri.delta, tri.t
     _, span_a, span_b, core = _polar_chart(tri, r)
     h = r * math.sin(core)
@@ -169,8 +177,11 @@ def exterior_area_rate(r: float) -> float:
     The flat (delta -> 0) limit of exterior_angle_ratio, and the rate the
     bound reads at r0.
     """
-    if not 0.0 <= r <= 0.5:
-        raise DomainError(f"r must lie in [0, 1/2], got {r}")
+    try:
+        if not 0.0 <= r <= 0.5:
+            raise DomainError(f"r must lie in [0, 1/2], got {r}")
+    except TypeError:
+        raise DomainError(f"r must be a real number, got {r!r}") from None
     return 0.5 * r * (2.0 * r - 1.0) ** 2
 
 
@@ -304,8 +315,11 @@ def intersection_arcs(tri: NeedleTriangle, r: float) -> list[tuple[float, float]
     chart order: the arc on the side of B first.  Zero-length tangencies
     are excluded.
     """
-    if not r > 0.0:
-        raise DomainError(f"r must be > 0, got {r}")
+    try:
+        if not r > 0.0:
+            raise DomainError(f"r must be > 0, got {r}")
+    except TypeError:
+        raise DomainError(f"r must be a real number, got {r!r}") from None
     if tri.delta <= 0.0:
         return []  # degenerate segment: the intersection has measure zero
     psi, span_a, span_b, core = _polar_chart(tri, r)

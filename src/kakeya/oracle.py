@@ -11,29 +11,32 @@ counts overlapping pairs.  Randomness comes from the counter-based
 generator in :mod:`kakeya.rng`; every check derives its own substream
 from (seed, check), so checks are order-independent and reproducible.
 
-:func:`run_checks` runs a selection of checks as one task each, on one
-pool of forked worker processes, one per available CPU, or in-process on
-one CPU.  Every task reads only its own ``CounterRng`` and results are
-folded in report order, so the records do not depend on the worker
-count.  SectorMeasure counts all of its 100 interval unions on one
-sorted cloud of disk angles; the unions' z values are then dependent,
-and Sidak's inequality keeps the family-wise tolerance valid.
+:func:`run_checks` runs a selection of checks as one task each, on bare
+``os.fork`` workers (:mod:`kakeya.workers`), one per available CPU, or
+in-process on one CPU.  A task whose worker dies without its result
+comes out as WorkerLost.  Every task reads only its own
+``CounterRng`` and results are folded in report order, so the records
+do not depend on the worker count.  SectorMeasure counts all of its 100
+interval unions on one sorted cloud of disk angles; the unions' z values
+are then dependent, and Sidak's inequality keeps the family-wise
+tolerance valid.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Real
 
 import numpy as np
 
 from . import bounds, geom
 from .catalogue import DEFAULT_SEED, MAX_SAMPLES, CheckId
-from .errors import BracketError, DomainError, WorkerLost, as_integer, shown
+from .errors import BracketError, DomainError, as_integer, shown
 from .rng import CounterRng
 
 __all__ = [
@@ -148,10 +151,11 @@ def _check_isosceles_minimality(samples, rng):
     delta = rng.uniforms(samples) * np.minimum(_HEIGHT_CAP, 0.9 * r)
     alpha = rng.uniform(0.0, math.pi, samples)
     t = rng.uniforms(samples)
-    worst = _largest(
-        geom.exterior_area_isosceles(di, ri) - geom.exterior_area(geom.make_triangle(ai, di, ti), ri)
-        for ri, di, ai, ti in zip(r.tolist(), delta.tolist(), alpha.tolist(), t.tolist())
-    )
+    r, delta = r.tolist(), delta.tolist()
+    triangles = map(geom.make_triangle, alpha.tolist(), delta, t.tolist())
+    worst = _largest(map(
+        operator.sub, map(geom.exterior_area_isosceles, delta, r), map(geom.exterior_area, triangles, r)
+    ))
     spec = f"{samples} random (alpha, delta, t, r); r in [0.15, 0.5], delta < min({_HEIGHT_CAP:.4f}, 0.9r)"
     return worst, spec
 
@@ -318,7 +322,7 @@ def _check_c_min(samples, _rng):
 def _check_f_argmax(samples, _rng):
     lo, hi = 0.15, 0.5
     grid = np.linspace(lo, hi, samples).tolist()
-    vals = [geom.exterior_area_rate(r) for r in grid]
+    vals = list(map(geom.exterior_area_rate, grid))
     k = vals.index(max(vals))
     b_lo = grid[max(0, k - 1)]
     b_hi = grid[min(samples - 1, k + 1)]
@@ -367,7 +371,7 @@ def _disk_angles(samples, seed):
         xs = halves[_HIGH::2] * 2.0**-31 - 1.0
         ys = halves[1 - _HIGH::2] * 2.0**-31 - 1.0
         ang = np.arctan2(ys, xs)[xs * xs + ys * ys <= 1.0]
-        ang[ang < 0.0] += _TWO_PI
+        ang += (ang < 0.0) * _TWO_PI
         angles[kept:kept + ang.shape[0]] = ang
         kept += ang.shape[0]
     angles = angles[:kept]
@@ -516,6 +520,21 @@ def _arc_totals_by_probing(vertices, r):
     return np.sum(ends - starts, axis=1, where=inside), moments
 
 
+def _fold_arcs(arcs):
+    """Each row of (start, end) arcs as its total angle and first angular moment.
+
+    The moment sum(e^(i end) - e^(i start)) places the arcs on the circle.
+    Each row is summed in order from 0.0, as Python's ``sum`` would.
+    """
+    n = len(arcs)
+    rows = np.repeat(np.arange(n), np.fromiter(map(len, arcs), np.intp, n))
+    starts, ends = np.fromiter(chain.from_iterable(chain.from_iterable(arcs)), float).reshape(-1, 2).T
+    moments = np.empty(n, complex)
+    moments.real = np.bincount(rows, np.cos(ends) - np.cos(starts), n)
+    moments.imag = np.bincount(rows, np.sin(ends) - np.sin(starts), n)
+    return np.bincount(rows, ends - starts, n), moments
+
+
 def _check_arc_consistency(samples, rng):
     r = rng.uniform(0.05, 0.5, samples)
     delta = rng.uniforms(samples) * np.minimum(_HEIGHT_CAP, 0.9 * r)
@@ -523,16 +542,8 @@ def _check_arc_consistency(samples, rng):
     t = rng.uniforms(samples)
     # alpha lies in [0, pi), where make_triangle's reduction mod pi is the
     # identity: both sides see the same triangle
-    arcs = [
-        geom.intersection_arcs(geom.make_triangle(ai, di, ti), ri)
-        for ri, di, ai, ti in zip(r.tolist(), delta.tolist(), alpha.tolist(), t.tolist())
-    ]
-    # each triangle's arcs as their total angle and first angular moment
-    # sum(e^(i end) - e^(i start)), which places them on the circle
-    totals = np.array([sum(end - start for start, end in row) for row in arcs])
-    moments = np.array([
-        sum(cmath.rect(1.0, end) - cmath.rect(1.0, start) for start, end in row) for row in arcs
-    ])
+    triangles = map(geom.make_triangle, alpha.tolist(), delta.tolist(), t.tolist())
+    totals, moments = _fold_arcs(list(map(geom.intersection_arcs, triangles, r.tolist())))
     probed_totals, probed_moments = _arc_totals_by_probing(_triangle_corners(alpha, delta, t), r)
     worst = _largest((np.max(np.abs(totals - probed_totals)), np.max(np.abs(moments - probed_moments))))
     spec = f"{samples} random triangles; arc angles and angular moments vs edge-circle root finding"
@@ -565,38 +576,20 @@ def _worker_count(n_tasks):
     return min(cpus, n_tasks)
 
 
-def _call(task):
-    func, args = task
-    return func(*args)
-
-
 def _map_tasks(tasks):
     """The results of ``tasks``, (func, args) pairs, in task order.
 
-    They run on one pool of forked worker processes, or in-process where
-    there is one worker or no "fork" start method.  No worker outlives the
-    call, whether it returns or raises.  The pool is a ProcessPoolExecutor
-    because a worker that dies (say, killed for memory) breaks it with an
-    error, where ``multiprocessing.Pool.map`` would wait forever; that
-    error comes out as WorkerLost.
+    They run in-process where there is one worker or no ``os.fork``, else
+    on bare forked workers (:func:`kakeya.workers.map_forked`), which claim
+    the tasks one at a time; a worker that dies without its task's result
+    comes out as WorkerLost.
     """
     workers = _worker_count(len(tasks))
-    if workers > 1:
-        # imported here so that importing the package does not pay for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+    if workers < 2 or not hasattr(os, "fork"):
+        return [func(*args) for func, args in tasks]
+    from .workers import map_forked  # compiled only by a run that forks
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            try:
-                return list(pool.map(_call, tasks))
-            except BrokenProcessPool as exc:
-                raise WorkerLost(f"a check's worker process ended without a result: {exc}") from exc
-            finally:
-                # after an error, tasks not yet started are dropped
-                pool.shutdown(cancel_futures=True)
-    return list(map(_call, tasks))
+    return map_forked(tasks, workers)
 
 
 def run_checks(

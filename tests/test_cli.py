@@ -7,9 +7,9 @@ import csv
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 from decimal import Decimal
@@ -493,18 +493,32 @@ def test_verify_nan_violation_is_a_failure_in_strict_json(tmp_path, monkeypatch,
     assert record["pass"] is False
 
 
-def test_verify_worker_death_exits_4_and_writes_nothing(tmp_path, monkeypatch, capsys):
-    def die(angles, starts, stops):
-        os._exit(1)  # as a worker killed for memory would
-
+def _verify_with_a_dying_worker(tmp_path, monkeypatch, capsys, death):
+    """Exit code and stderr of a verify run whose SectorMeasure worker dies by ``death()``."""
     monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: 2)
-    monkeypatch.setattr(oracle, "_union_hits", die)
+    monkeypatch.setattr(oracle, "_union_hits", lambda angles, starts, stops: death())
     code = run_cli("verify", "--check", "SectorMeasure", "--check", "CMin", "--samples", "100",
                    "--output-dir", str(tmp_path))
-    assert code == 4
-    assert "worker process" in capsys.readouterr().err
     assert not (tmp_path / "verify.json").exists()
-    assert multiprocessing.active_children() == []
+    # no child is left: multiprocessing.active_children() sees only its own
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return code, capsys.readouterr().err
+
+
+def test_verify_worker_death_exits_4_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    code, err = _verify_with_a_dying_worker(tmp_path, monkeypatch, capsys, lambda: os._exit(1))
+    assert code == 4
+    assert "worker process" in err and "(exit status 1)" in err
+
+
+def test_verify_killed_worker_exits_4_naming_the_signal(tmp_path, monkeypatch, capsys):
+    # as a worker killed for memory would be
+    code, err = _verify_with_a_dying_worker(
+        tmp_path, monkeypatch, capsys, lambda: os.kill(os.getpid(), signal.SIGKILL)
+    )
+    assert code == 4
+    assert "worker process" in err and f"(signal {signal.SIGKILL.value})" in err
 
 
 def test_optimize_infeasibility_exits_3(tmp_path, monkeypatch):

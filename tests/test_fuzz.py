@@ -9,10 +9,13 @@ three-argument functions see every combination of the values; wider ones
 see a seeded sample.  Sample counts are floats, which are rejected,
 integers of at most 100, or ints too wide for a float or for ``str``
 (10**400 and +-10**5000), which are rejected or only counted, so no call
-starts heavy work; ``CounterRng.uniform`` sees those ints as ends too,
-and must refuse them.  ``optimize`` sees
+starts heavy work; ``CounterRng.uniform`` and ``geom.make_triangle``
+see those ints as arguments too, and must refuse them.  ``optimize`` sees
 point boxes only, which it settles in one evaluation.  ``SearchBox``,
-``BoundParams``, ``CounterRng.uniform``, ``find_h_threshold`` and the ``tol`` arguments also see
+``BoundParams``, ``CounterRng.uniform``, ``find_h_threshold``, the ``tol``
+arguments, ``make_triangle``, the radius of ``exterior_area``,
+``intersection_arcs`` and ``exterior_area_rate``, and both arguments of
+``outside_area_rate`` also see
 objects that are not reals (and ``SearchBox`` intervals that are not (lo,
 hi) pairs, or lambda intervals outside [0, 1]), which they must refuse;
 over seeded boxes of ordinary, edge and junk ends, ``SearchBox`` accepts
@@ -53,7 +56,8 @@ HUGE_INTS = (10**400, 10**5000, -10**5000)
 COUNTS = VALUES + (-1, 0, 1, 100) + HUGE_INTS
 MAX_COMBINATIONS = 2000
 
-TRI = geom.make_triangle(0.3, 0.05, 0.5)
+TRIANGLE = {"alpha": 0.3, "delta": 0.05, "t": 0.5}
+TRI = geom.make_triangle(**TRIANGLE)
 DERIVED = bounds.derive_params(THEOREM_DEFAULTS)
 
 # objects that are not reals, intervals that are not (lo, hi) pairs of
@@ -81,6 +85,12 @@ def _nonnegative(value):
 ENTRY_POINTS = {
     # bounds
     "outside_area_rate": (bounds.outside_area_rate, (VALUES, VALUES)),
+    "outside_area_rate(r object)": (
+        lambda r, a: _refused(bounds.outside_area_rate(r, a)), (NON_REALS, VALUES)
+    ),
+    "outside_area_rate(a object)": (
+        lambda r, a: _refused(bounds.outside_area_rate(r, a)), (VALUES, NON_REALS)
+    ),
     "direction_ratio_cap": (lambda r: bounds.direction_ratio_cap(r, DERIVED), (VALUES,)),
     "derive_params": (
         lambda a, r0, p, lam: [
@@ -118,11 +128,22 @@ ENTRY_POINTS = {
     ),
     # geom
     "make_triangle": (geom.make_triangle, (VALUES,) * 3),
+    "make_triangle(object)": (
+        lambda name, value: _refused(geom.make_triangle(**{**TRIANGLE, name: value})),
+        (tuple(TRIANGLE), NON_REALS + HUGE_INTS),
+    ),
     "exterior_area": (lambda r: geom.exterior_area(TRI, r), (VALUES,)),
+    "exterior_area(r object)": (lambda r: _refused(geom.exterior_area(TRI, r)), (NON_REALS,)),
     "intersection_arcs": (lambda r: geom.intersection_arcs(TRI, r), (VALUES,)),
+    "intersection_arcs(r object)": (
+        lambda r: _refused(geom.intersection_arcs(TRI, r)), (NON_REALS,)
+    ),
     "exterior_area_isosceles": (geom.exterior_area_isosceles, (VALUES, VALUES)),
     "exterior_angle_ratio": (geom.exterior_angle_ratio, (VALUES, VALUES)),
     "exterior_area_rate": (geom.exterior_area_rate, (VALUES,)),
+    "exterior_area_rate(r object)": (
+        lambda r: _refused(geom.exterior_area_rate(r)), (NON_REALS,)
+    ),
     "theta_isosceles": (
         lambda delta, r: _nonnegative(geom.theta_isosceles(delta, r)), (VALUES, VALUES)
     ),

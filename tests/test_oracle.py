@@ -2,10 +2,11 @@
 against the formula, SectorMeasure's lattice cloud and its blocks, the
 SectorMeasure union count against the reference kernel and against the
 wrapped rule ulp by ulp, SectorMeasure against a mask-per-union
-reference, errors and dead workers on the process pool,
-the exact polar disjointness test against the sampler it replaced and on
-edge cases, planted defects the disjointness checks must catch,
-ArcConsistency's vectorised probing against its loop, SectorMeasure's
+reference, errors, dead workers and cut result streams on the forked
+workers, the exact polar disjointness test against the sampler it
+replaced and on edge cases, planted defects the disjointness checks must
+catch, ArcConsistency's vectorised probing against its loop and its
+numpy fold of the library's arcs against the per-row one, SectorMeasure's
 family-wise z, a matrix of planted library defects and the check each
 must fail, the check dispatcher at reduced sizes, and threshold
 location."""
@@ -13,11 +14,16 @@ location."""
 from __future__ import annotations
 
 import cmath
+import errno
+import gc
 import math
-import multiprocessing
 import os
+import pickle
+import signal
 import statistics
 import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -526,6 +532,12 @@ def test_worker_count_is_capped_by_the_task_count():
     assert 1 <= oracle._worker_count(100) <= 100
 
 
+def _assert_no_child_left():
+    # multiprocessing.active_children() sees only the children it started
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_sector_measure_estimate_error_comes_out_typed_and_workers_end(monkeypatch):
     # SectorMeasure's worker fails at its 37th union, while CMin runs on
     # the other worker
@@ -548,24 +560,73 @@ def test_sector_measure_estimate_error_comes_out_typed_and_workers_end(monkeypat
     assert info.value is not planted and type(info.value) is BracketError
     assert str(info.value) == str(planted)
     assert calls == []
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
     monkeypatch.setattr(oracle, "_union_hits", real)
     assert all(report.passed for report in oracle.run_checks(checks, samples=500, seed=7))
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
+
+
+def _lose_a_worker(monkeypatch, death):
+    """WorkerLost from a run whose SectorMeasure worker dies by ``death()``."""
+    monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: 2)
+    monkeypatch.setattr(oracle, "_union_hits", lambda angles, starts, stops: death())
+    with pytest.raises(WorkerLost, match="worker process ended without a result") as info:
+        oracle.run_checks([CheckId.C_MIN, CheckId.SECTOR_MEASURE], samples=500, seed=7)
+    _assert_no_child_left()
+    return str(info.value)
 
 
 def test_a_worker_that_dies_breaks_the_run_instead_of_hanging(monkeypatch):
-    from concurrent.futures.process import BrokenProcessPool
+    assert "(exit status 1)" in _lose_a_worker(monkeypatch, lambda: os._exit(1))
 
-    def die(angles, starts, stops):
-        os._exit(1)  # as a worker killed for memory would
+
+def test_a_killed_worker_is_named_by_its_signal(monkeypatch):
+    # as a worker killed for memory would be
+    message = _lose_a_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    assert f"(signal {signal.SIGKILL.value})" in message
+
+
+def test_a_failed_fork_stops_and_reaps_the_workers_already_started(monkeypatch):
+    # the second fork fails while the first worker sleeps in its task: the
+    # error comes out at once, and that worker is killed and reaped
+    real_fork = os.fork
+    forks = []
+
+    def fork_once():
+        if forks:
+            raise OSError(errno.EAGAIN, "planted: no second worker")
+        forks.append(None)
+        return real_fork()
 
     monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: 2)
-    monkeypatch.setattr(oracle, "_union_hits", die)
-    with pytest.raises(WorkerLost) as info:
+    monkeypatch.setattr(os, "fork", fork_once)
+    started = time.monotonic()
+    with pytest.raises(OSError, match="planted"):
+        oracle._map_tasks([(time.sleep, (60.0,)), (time.sleep, (60.0,))])
+    assert time.monotonic() - started < 30.0
+    _assert_no_child_left()
+    assert gc.get_freeze_count() == 0
+
+
+def test_a_cut_result_stream_is_a_lost_worker(monkeypatch):
+    # every record loses its last bytes on the way to the parent
+    real = pickle.dumps
+    monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: 2)
+    monkeypatch.setattr(pickle, "dumps", lambda record: real(record)[:-2])
+    with pytest.raises(WorkerLost, match="worker process ended without a result"):
+        oracle.run_checks([CheckId.C_MIN, CheckId.F_ARGMAX], samples=500, seed=7)
+    _assert_no_child_left()
+
+
+def test_an_exception_that_does_not_pickle_comes_out_as_the_pickling_error(monkeypatch):
+    def fail(angles, starts, stops):
+        raise BracketError(threading.Lock())
+
+    monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: 2)
+    monkeypatch.setattr(oracle, "_union_hits", fail)
+    with pytest.raises(TypeError, match="cannot pickle"):
         oracle.run_checks([CheckId.C_MIN, CheckId.SECTOR_MEASURE], samples=500, seed=7)
-    assert isinstance(info.value.__cause__, BrokenProcessPool)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [2, 7])
@@ -577,7 +638,8 @@ def test_all_checks_give_the_in_process_records_on_a_pool(monkeypatch, workers):
         got = oracle.run_checks(list(CheckId), samples=1000, seed=seed)
         assert [r.id for r in want] == list(CheckId)
         assert got == want, f"seed {seed}"
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
+    assert gc.get_freeze_count() == 0  # the parent's objects are collectable again
 
 
 def test_run_checks_reports_in_the_given_order():
@@ -993,6 +1055,32 @@ def test_vectorised_arc_probing_on_tangent_vertex_and_bare_circles():
     t, delta, r = (np.array(column) for column in zip(*cases))
     want = _probe_both_ways(oracle._triangle_corners(np.zeros(len(cases)), delta, t), r)
     assert want[0] > 0.0 and want[6] == 0.0 and want[7] == 0.0
+
+
+def _fold_arcs_per_row(arcs):
+    """ArcConsistency's fold of the library's arcs before it moved to numpy."""
+    totals = np.array([sum(end - start for start, end in row) for row in arcs])
+    moments = np.array([
+        sum(cmath.rect(1.0, end) - cmath.rect(1.0, start) for start, end in row) for row in arcs
+    ])
+    return totals, moments
+
+
+def test_numpy_arc_fold_is_the_per_row_fold_bit_for_bit():
+    # the library's own rows (one or two arcs), then rows of one and two
+    # arcs with a NaN end, and a row of no arcs at the end
+    rng = CounterRng(2026, stream=5)
+    n = 4000
+    r = rng.uniform(0.05, 0.5, n).tolist()
+    delta = (rng.uniforms(n) * 0.5).tolist()
+    triangles = map(geom.make_triangle, rng.uniform(0.0, math.pi, n).tolist(), delta, rng.uniforms(n).tolist())
+    arcs = list(map(geom.intersection_arcs, triangles, r))
+    arcs += [[(0.5, math.nan)], [(-1.0, 0.25), (math.nan, 3.0)], []]
+    assert {len(row) for row in arcs[:n]} == {1, 2}
+    got, want = oracle._fold_arcs(arcs), _fold_arcs_per_row(arcs)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert np.isnan(got[0][-3:-1]).all() and np.isnan(got[1][-3:-1].real).all()
 
 
 # ---------------------------------------------------------------------------

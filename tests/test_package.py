@@ -18,7 +18,7 @@ import pytest
 import kakeya
 from kakeya import bounds, cli, geom, optimizer, oracle
 
-MODULES = ("bounds", "catalogue", "cli", "geom", "optimizer", "oracle")
+MODULES = ("bounds", "catalogue", "cli", "geom", "optimizer", "oracle", "workers")
 
 # Library API removed because no bound, optimizer step, check, command or
 # benchmark used it; each quantity keeps one public path.
@@ -202,13 +202,29 @@ def test_the_oracle_names_of_the_package_resolve_on_first_access():
 
 
 def test_importing_the_package_does_not_load_a_process_pool():
-    # run_checks imports multiprocessing when it starts a pool; every
-    # command that runs no check, and a single check, must not pay for it
+    # run_checks imports kakeya.workers when it forks; every command that
+    # runs no check, and a single check, must not pay for it
     assert _child_words(
         "import sys, kakeya, kakeya.cli; from kakeya import oracle; "
         "oracle.run_check(oracle.CheckId.C_MIN, samples=100); "
-        "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+        "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures', 'kakeya.workers') "
+        "if m in sys.modules))"
     ) == []
+
+
+def test_a_pooled_verify_loads_no_process_pool_module(tmp_path):
+    # the checks run on bare forked workers: a verify that forks loads
+    # kakeya.workers but neither concurrent.futures nor multiprocessing
+    # (with the socket, logging and subprocess modules they bring)
+    assert _child_words(
+        "import contextlib, io, sys, kakeya.cli; from kakeya import oracle\n"
+        "task_counts = []\n"
+        "oracle._worker_count = lambda n_tasks: task_counts.append(n_tasks) or 2\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = kakeya.cli.main(['verify', '--all', '--samples', '100', '--output-dir', {str(tmp_path)!r}])\n"
+        "print(code, *task_counts, *(m for m in ('multiprocessing', 'concurrent.futures', 'kakeya.workers')"
+        " if m in sys.modules))"
+    ) == ["0", "9", "kakeya.workers"]
 
 
 def test_the_benchmark_modules_import():

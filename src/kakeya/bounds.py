@@ -16,17 +16,21 @@ point: case_i(p) = K0 + p*K1, case_ii(p) = (1 - p)*K2, the trivial term
 a/(2*pi), and the refinement ratio q.  :func:`theorem_bound`, the
 optimizer's balanced split and its iterative refinement all read that
 record.
+
+Arguments are checked by the idiom of :mod:`kakeya.errors`, each guard in
+one place: ``BoundParams`` checks the four parameters, ``derive_params``
+the record every bound function reads first, and ``_branch_values`` the
+radius of ``direction_ratio_cap`` and ``active_g_branch``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import NamedTuple
 
 from . import geom
-from .errors import CaseIIInfeasible, DomainError, shown
+from .errors import CaseIIInfeasible, DomainError, shown, wrong_type
 
 __all__ = [
     "RLAMBDA_REPRODUCING",
@@ -83,12 +87,12 @@ class BoundParams:
     lam: float
 
     def __post_init__(self):
-        for name in ("a", "r0", "p", "lam"):
-            value = getattr(self, name)
-            if not isinstance(value, Real):
-                raise DomainError(f"{name} must be a real number, got {value!r}")
-            if not -math.inf < value < math.inf:
-                raise DomainError(f"{name} must be finite")
+        try:
+            for name in ("a", "r0", "p", "lam"):
+                if not math.isfinite(getattr(self, name)):
+                    raise DomainError(f"{name} must be finite")
+        except (TypeError, OverflowError):
+            raise wrong_type("a, r0, p and lam must be reals", self.a, self.r0, self.p, self.lam) from None
         if not self.a < self.r0:
             raise DomainError(f"a must be < r0, got a={shown(self.a)}, r0={shown(self.r0)}")
         if not 0.0 < self.a < 0.5:
@@ -169,12 +173,12 @@ def outside_area_rate(r: float, a: float) -> float:
     """
     try:
         if not 0.0 < a <= r:
-            raise DomainError(f"need 0 < a <= r, got a={a}, r={r}")
-    except TypeError:
-        raise DomainError(f"need real 0 < a <= r, got a={a!r}, r={r!r}") from None
-    angle = math.asin(a / r)
+            raise DomainError(f"need 0 < a <= r, got a={shown(a)}, r={shown(r)}")
+        angle = math.asin(a / r)  # a / r refuses a too-wide int
+    except (TypeError, OverflowError):
+        raise wrong_type("r and a must be reals", r, a) from None
     if not angle > 0.0:  # r = inf, or a/r underflows
-        raise DomainError(f"a/r rounds to zero (a={a}, r={r})")
+        raise DomainError(f"a/r rounds to zero (a={shown(a)}, r={shown(r)})")
     return a / (2.0 * angle)
 
 
@@ -184,16 +188,15 @@ def direction_ratio_cap(r: float, derived: DerivedParams) -> float:
         g(r) = max( (1+2r)/(1-2r),
                     (1+2*r_lambda)/(1-2*r_lambda),
                     pi / (pi/2 - atan(2r)) )
+
+    on 0 < r < 1/2; DomainError elsewhere.
     """
-    if not 0.0 < r < 0.5:
-        raise DomainError(f"r must lie in (0, 1/2), got {r}")
     return max(_branch_values(r, derived))
 
 
 def active_g_branch(r: float, derived: DerivedParams) -> str:
-    """The formula of the branch of g that is largest at r; on a tie, the first listed."""
-    if not 0.0 < r < 0.5:
-        raise DomainError(f"r must lie in (0, 1/2), got {r}")
+    """The formula of the branch of g that is largest at r, for 0 < r < 1/2;
+    on a tie, the first listed."""
     return _BRANCH_FORMULAS[_argmax_branch(r, derived)]
 
 
@@ -207,11 +210,14 @@ def derive_params(
     (r1 - 1 > a) is not checked here; ``bound_terms`` raises on it.
     """
     if convention not in _CONVENTIONS:
-        raise DomainError(f"unknown r_lambda convention: {convention!r}")
-    if convention == RLAMBDA_REPRODUCING:
-        r_lambda = params.lam * params.r0 + (1.0 - params.lam) * params.a
-    else:
-        r_lambda = params.lam * params.a + (1.0 - params.lam) * params.r0
+        raise DomainError(f"unknown r_lambda convention: {shown(convention)}")
+    try:
+        if convention == RLAMBDA_REPRODUCING:
+            r_lambda = params.lam * params.r0 + (1.0 - params.lam) * params.a
+        else:
+            r_lambda = params.lam * params.a + (1.0 - params.lam) * params.r0
+    except (TypeError, OverflowError, AttributeError):
+        raise wrong_type("params must be a BoundParams", params) from None
     delta1 = geom.outside_distance_cap(r_lambda, params.a)
     r1 = geom.far_endpoint_distance(delta1, r_lambda)
     g_mid = (1.0 + 2.0 * r_lambda) / (1.0 - 2.0 * r_lambda)
@@ -233,11 +239,16 @@ _BRANCH_FORMULAS = ("(1+2r)/(1-2r)", "(1+2r_lambda)/(1-2r_lambda)", "pi/(pi/2-at
 
 def _branch_values(r: float, derived: DerivedParams) -> tuple[float, float, float]:
     """The three branches of the g-cap at r, in the order of _antiderivative."""
-    return (
-        (1.0 + 2.0 * r) / (1.0 - 2.0 * r),
-        derived.g_mid,
-        math.pi / (0.5 * math.pi - math.atan(2.0 * r)),
-    )
+    try:
+        if not 0.0 < r < 0.5:
+            raise DomainError(f"r must lie in (0, 1/2), got {shown(r)}")
+        return (
+            (1.0 + 2.0 * r) / (1.0 - 2.0 * r),
+            derived.g_mid,
+            math.pi / (0.5 * math.pi - math.atan(2.0 * r)),
+        )
+    except (TypeError, OverflowError, AttributeError):
+        raise wrong_type("r must be a real and derived a DerivedParams", r, derived) from None
 
 
 def _argmax_branch(r: float, derived: DerivedParams) -> int:
@@ -282,8 +293,11 @@ def _g_pieces(lo: float, hi: float, derived: DerivedParams) -> list[tuple[float,
 
 
 def _check_tol(tol: float) -> None:
-    if not (isinstance(tol, Real) and tol > 0.0):
-        raise DomainError(f"tol must be > 0, got {tol}")
+    try:
+        if not tol + 0.0 > 0.0:  # + 0.0 refuses an int too wide for a float
+            raise DomainError(f"tol must be > 0, got {shown(tol)}")
+    except (TypeError, OverflowError):
+        raise wrong_type("tol must be a real", tol) from None
 
 
 def g_branch_kinks(
@@ -299,8 +313,11 @@ def g_branch_kinks(
     derived = derive_params(params, convention)
     lo = params.a if lo is None else lo
     hi = params.r0 if hi is None else hi
-    if not 0.0 < lo <= hi < 0.5:
-        raise DomainError(f"kink range must satisfy 0 < lo <= hi < 1/2, got [{lo}, {hi}]")
+    try:
+        if not 0.0 < lo <= hi < 0.5:
+            raise DomainError(f"need 0 < lo <= hi < 1/2, got [{shown(lo)}, {shown(hi)}]")
+    except (TypeError, OverflowError):
+        raise wrong_type("lo and hi must be reals", lo, hi) from None
     return [x1 for _, x1, _ in _g_pieces(lo, hi, derived)[:-1]]
 
 
@@ -342,15 +359,13 @@ def bound_terms(params: BoundParams, convention: str = RLAMBDA_REPRODUCING) -> B
     """
     derived = derive_params(params, convention)
     if params.r0 < 0.15:
-        raise DomainError(f"r0 must be >= 0.15 for the outer-area rate, got {params.r0}")
+        raise DomainError(f"r0 must be >= 0.15 for the outer-area rate, got {shown(params.r0)}")
     f_r0 = geom.exterior_area_rate(params.r0)
     integral = case_i_integral(params, convention=convention, derived=derived)
     # the weight of an inner bound at r0; >= 0.18 for r0 >= 0.15
     inner = 1.0 - f_r0 / (2.0 * params.r0 * params.r0)
     if not derived.r1 - 1.0 > params.a:
-        raise CaseIIInfeasible(
-            f"r1 - 1 = {derived.r1 - 1.0} <= a = {params.a}: needle-outside rate undefined"
-        )
+        raise CaseIIInfeasible(f"Case II undefined: r1 - 1 = {shown(derived.r1 - 1.0)} <= a = {shown(params.a)}")
     c_r1m1 = outside_area_rate(derived.r1 - 1.0, params.a)
     return BoundTerms(
         k0=0.25 * f_r0, k1=inner / 3.0 * integral, k2=0.25 * c_r1m1,

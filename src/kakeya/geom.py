@@ -14,6 +14,14 @@ only by the oracle, which probes the triangles in the plane to check
 this module.  It also holds the closed forms for the isosceles
 configuration, the outer-area rate f, and the angular-gap disjointness
 criterion.  All functions are pure and operate in binary64.
+
+Arguments are checked by the idiom of :mod:`kakeya.errors`: each guard
+lives in one place, inside a ``try`` that turns a wrong type into
+DomainError.  ``_polar_chart`` checks the radius and the triangle of
+``exterior_area`` and ``intersection_arcs``; ``_require_height_below_radius``
+checks a height and its radius for the central angle and the
+disjointness criterion, and ``_require_circle_cuts_needle`` adds, for the
+isosceles closed forms and |OB|, that S_r meets the needle.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, shown
+from .errors import DomainError, shown, wrong_type
 
 __all__ = [
     "NeedleTriangle",
@@ -74,16 +82,15 @@ def make_triangle(alpha: float, delta: float, t: float) -> NeedleTriangle:
     delta, or t outside [0, 1].  ``alpha`` is stored reduced mod pi.
     """
     try:
-        finite = math.isfinite(alpha) and math.isfinite(delta) and math.isfinite(t)
-    except (TypeError, OverflowError):  # not a real, or an int too wide for a float
-        finite = False
-    if not finite:
-        got = ", ".join(map(shown, (alpha, delta, t)))
-        raise DomainError(f"triangle parameters must be finite reals, got {got}")
-    if delta < 0.0:
-        raise DomainError(f"delta must be >= 0, got {delta}")
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"t must lie in [0, 1], got {t}")
+        if not (math.isfinite(alpha) and math.isfinite(delta) and math.isfinite(t)):
+            got = ", ".join(map(shown, (alpha, delta, t)))
+            raise DomainError(f"triangle parameters must be finite, got {got}")
+        if delta < 0.0:
+            raise DomainError(f"delta must be >= 0, got {shown(delta)}")
+        if not 0.0 <= t <= 1.0:
+            raise DomainError(f"t must lie in [0, 1], got {shown(t)}")
+    except (TypeError, OverflowError):
+        raise wrong_type("triangle parameters must be reals", alpha, delta, t) from None
     alpha = math.fmod(alpha, math.pi)
     if alpha < 0.0:
         alpha += math.pi
@@ -104,11 +111,16 @@ def _polar_chart(tri: NeedleTriangle, r: float) -> tuple[float, float, float, fl
     toward vertex A and span_b = atan2(1 - t, delta) toward B, and along
     direction psi + phi it reaches out to delta / cos(phi).  That reach is
     below r exactly on the core |phi| < acos(delta/r); the core is 0 when
-    delta >= r.
+    delta >= r.  DomainError unless r > 0 and ``tri`` is a triangle.
     """
-    delta, t = tri.delta, tri.t
-    core = math.acos(delta / r) if delta < r else 0.0
-    return tri.alpha + 0.5 * math.pi, math.atan2(t, delta), math.atan2(1.0 - t, delta), core
+    try:
+        if not r > 0.0:
+            raise DomainError(f"r must be > 0, got {shown(r)}")
+        delta, t = tri.delta, tri.t
+        core = math.acos(delta / r) if delta < r else 0.0  # delta / r refuses a too-wide int
+        return tri.alpha + 0.5 * math.pi, math.atan2(t, delta), math.atan2(1.0 - t, delta), core
+    except (TypeError, OverflowError, AttributeError):
+        raise wrong_type("tri must be a NeedleTriangle and r a real", tri, r) from None
 
 
 def exterior_area(tri: NeedleTriangle, r: float) -> float:
@@ -123,13 +135,8 @@ def exterior_area(tri: NeedleTriangle, r: float) -> float:
     holds the triangle out to the needle, beyond it a circular sector.  A
     triangle within the closed disk has outer area exactly 0.
     """
-    try:
-        if not r > 0.0:
-            raise DomainError(f"r must be > 0, got {r}")
-    except TypeError:
-        raise DomainError(f"r must be a real number, got {r!r}") from None
-    delta, t = tri.delta, tri.t
     _, span_a, span_b, core = _polar_chart(tri, r)
+    delta, t = tri.delta, tri.t
     h = r * math.sin(core)
     inner = 0.5 * delta * (min(t, h) + min(1.0 - t, h))
     for span in (span_a, span_b):
@@ -179,9 +186,9 @@ def exterior_area_rate(r: float) -> float:
     """
     try:
         if not 0.0 <= r <= 0.5:
-            raise DomainError(f"r must lie in [0, 1/2], got {r}")
-    except TypeError:
-        raise DomainError(f"r must be a real number, got {r!r}") from None
+            raise DomainError(f"r must lie in [0, 1/2], got {shown(r)}")
+    except (TypeError, OverflowError):
+        raise wrong_type("r must be a real", r) from None
     return 0.5 * r * (2.0 * r - 1.0) ** 2
 
 
@@ -198,7 +205,7 @@ def theta_isosceles(delta0: float, r: float) -> float:
     """
     _require_height_below_radius(delta0, r)
     if r > 0.5:
-        raise DomainError(f"r must be <= 1/2, got {r}")
+        raise DomainError(f"r must be <= 1/2, got {shown(r)}")
     return math.asin(delta0 / r) - math.atan(2.0 * delta0)
 
 
@@ -220,16 +227,11 @@ def direction_ratio(delta0: float, r: float) -> float:
     subnormal delta0, whose asin and atan keep too few significant bits,
     and wherever the angle rounds to zero or below (r at or near 1/2).
     """
-    if delta0 <= 0.0:
-        raise DomainError(f"delta0 must be > 0, got {delta0}")
-    _require_height_below_radius(delta0, r)
+    theta = theta_isosceles(delta0, r)  # checks 0 <= delta0 < r <= 1/2
     if delta0 < sys.float_info.min:
-        raise DomainError(f"delta0 = {delta0!r} is subnormal; the central angle is not resolved")
-    theta = theta_isosceles(delta0, r)
+        raise DomainError(f"delta0 must be > 0 and not subnormal, got {shown(delta0)}")
     if not theta > 0.0:
-        raise DomainError(
-            f"central angle at delta0={delta0!r}, r={r!r} is {theta!r}, not positive"
-        )
+        raise DomainError(f"central angle {shown(theta)} is not positive at r={shown(r)}")
     width = math.asin(delta0 / r) + math.atan(2.0 * delta0)
     return width / theta
 
@@ -239,13 +241,13 @@ def far_endpoint_distance(delta0: float, r: float) -> float:
 
         |OB| = sqrt(4*delta0^2 + 1) / (1 - 2*sqrt(r^2 - delta0^2))
 
-    Decreasing in delta0 and increasing in r; requires r < 1/2 so that
-    the denominator stays positive.
+    Decreasing in delta0 and increasing in r; requires S_r to cut the
+    needle inside its ends, so that the denominator stays positive.
     """
-    _require_height_below_radius(delta0, r)
+    _require_circle_cuts_needle(delta0, r)
     denom = 1.0 - 2.0 * math.sqrt(r * r - delta0 * delta0)
     if not denom > 0.0:
-        raise DomainError(f"nonpositive denominator in |OB| (r={r}, delta0={delta0})")
+        raise DomainError(f"nonpositive denominator in |OB| (r={shown(r)}, delta0={shown(delta0)})")
     return math.sqrt(4.0 * delta0 * delta0 + 1.0) / denom
 
 
@@ -257,13 +259,16 @@ def outside_distance_cap(r: float, a: float) -> float:
     The cap solves delta0 / (1/2 - sqrt(r^2 - delta0^2)) = a and lies in
     [0, a] whenever the radicand is nonnegative and r <= 1/2.
     """
-    if not 0.0 < a < 0.5:
-        raise DomainError(f"a must lie in (0, 1/2), got {a}")
-    if not r > 0.0:
-        raise DomainError(f"r must be > 0, got {r}")
+    try:
+        if not 0.0 < a < 0.5:
+            raise DomainError(f"a must lie in (0, 1/2), got {shown(a)}")
+        if not r + 0.0 > 0.0:  # + 0.0 refuses an int too wide for a float
+            raise DomainError(f"r must be > 0, got {shown(r)}")
+    except (TypeError, OverflowError):
+        raise wrong_type("r and a must be reals", r, a) from None
     radicand = 4.0 * r * r * (1.0 + a * a) - a * a
     if not 0.0 <= radicand < math.inf:
-        raise DomainError(f"negative radicand in delta1 (r={r}, a={a})")
+        raise DomainError(f"negative radicand in delta1 (r={shown(r)}, a={shown(a)})")
     return a * (1.0 - math.sqrt(radicand)) / (2.0 * (a * a + 1.0))
 
 
@@ -273,10 +278,13 @@ def outside_distance_cap(r: float, a: float) -> float:
 
 def angular_gap(alpha1: float, alpha2: float) -> float:
     """Distance between two directions on the circle of lines R/(pi Z)."""
-    diff = abs(alpha1 - alpha2)
-    if not diff < math.inf:
-        raise DomainError(f"directions must be finite, got {alpha1}, {alpha2}")
-    g = math.fmod(diff, math.pi)
+    try:
+        # fmod refuses a complex, an int too wide for a float, and inf
+        g = abs(math.fmod(alpha1 - alpha2, math.pi))
+    except (TypeError, OverflowError, ValueError):
+        raise wrong_type("directions must be finite reals", alpha1, alpha2) from None
+    if not g < math.inf:
+        raise DomainError(f"directions must not be NaN, got {shown(alpha1)}, {shown(alpha2)}")
     return min(g, math.pi - g)
 
 
@@ -292,11 +300,10 @@ def exterior_disjoint_criterion(
     configuration and is allowed.  When additionally both needles avoid
     B_r, the same gap makes the inner parts interior-disjoint.
     """
-    if not 0.0 < r <= 0.5:
-        raise DomainError(f"r must lie in (0, 1/2], got {r}")
-    for d in (delta1, delta2):
-        if not 0.0 <= d < r:
-            raise DomainError(f"heights must satisfy 0 <= delta < r, got {d}")
+    _require_height_below_radius(delta1, r)
+    _require_height_below_radius(delta2, r)
+    if r > 0.5:
+        raise DomainError(f"r must be <= 1/2, got {shown(r)}")
     need = math.asin(delta1 / r) + math.asin(delta2 / r)
     return angular_gap(alpha1, alpha2) >= need
 
@@ -315,14 +322,9 @@ def intersection_arcs(tri: NeedleTriangle, r: float) -> list[tuple[float, float]
     chart order: the arc on the side of B first.  Zero-length tangencies
     are excluded.
     """
-    try:
-        if not r > 0.0:
-            raise DomainError(f"r must be > 0, got {r}")
-    except TypeError:
-        raise DomainError(f"r must be a real number, got {r!r}") from None
+    psi, span_a, span_b, core = _polar_chart(tri, r)
     if tri.delta <= 0.0:
         return []  # degenerate segment: the intersection has measure zero
-    psi, span_a, span_b, core = _polar_chart(tri, r)
     if core <= 0.0:
         arcs = [(psi - span_b, psi + span_a)]
     else:
@@ -339,14 +341,21 @@ def intersection_arcs(tri: NeedleTriangle, r: float) -> list[tuple[float, float]
 # ---------------------------------------------------------------------------
 
 def _require_height_below_radius(delta: float, r: float) -> None:
-    if r <= 0.0:
-        raise DomainError(f"r must be > 0, got {r}")
-    if not 0.0 <= delta < r:
-        raise DomainError(f"need 0 <= delta < r, got delta={delta}, r={r}")
+    """DomainError unless 0 <= delta < r, both reals."""
+    try:
+        if r <= 0.0:
+            raise DomainError(f"r must be > 0, got {shown(r)}")
+        if not 0.0 <= delta < r:
+            raise DomainError(f"need 0 <= delta < r, got delta={shown(delta)}, r={shown(r)}")
+    except (TypeError, OverflowError):
+        raise wrong_type("delta and r must be reals", delta, r) from None
 
 
 def _require_circle_cuts_needle(delta: float, r: float) -> None:
     """The isosceles closed forms need S_r to meet the needle itself."""
     _require_height_below_radius(delta, r)
-    if not r * r - delta * delta <= 0.25:
-        raise DomainError(f"S_r misses the needle: r^2 - delta^2 > 1/4 (delta={delta}, r={r})")
+    try:
+        if not r * r - delta * delta <= 0.25:
+            raise DomainError(f"S_r misses the needle at delta={shown(delta)}, r={shown(r)}")
+    except OverflowError:  # the square of a wide int meets a float
+        raise wrong_type("delta and r must be reals whose squares fit a float", delta, r) from None

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 
 from . import bounds
 from .bounds import RLAMBDA_REPRODUCING, BoundBreakdown, BoundParams
-from .errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet, as_integer
+from .errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet, as_integer, shown, wrong_type
 
 __all__ = ["SearchBox", "OptimizationResult", "optimize", "refine_iterative"]
 
@@ -56,12 +55,12 @@ class SearchBox:
         try:
             (a_lo, a_hi), (r0_lo, r0_hi), (lam_lo, lam_hi) = self.a, self.r0, self.lam
         except (TypeError, ValueError):
-            raise DomainError(f"each interval must be a pair (lo, hi), got {self!r}") from None
+            raise wrong_type("each interval must be a pair (lo, hi)", self) from None
         BoundParams(a=a_hi, r0=r0_lo, p=0.0, lam=lam_lo)
         BoundParams(a=a_lo, r0=r0_hi, p=0.0, lam=lam_hi)
         for name, lo, hi in (("a", a_lo, a_hi), ("r0", r0_lo, r0_hi), ("lambda", lam_lo, lam_hi)):
             if not lo <= hi:
-                raise DomainError(f"{name} interval must have lo <= hi, got ({lo}, {hi})")
+                raise DomainError(f"{name} interval ({shown(lo)}, {shown(hi)}) has lo > hi")
 
 
 @dataclass(frozen=True)
@@ -121,9 +120,12 @@ def optimize(
             return (-math.inf, -math.inf), None
         return (phi, value), p
 
-    intervals = (box.a, box.r0, box.lam)
-    point = tuple((lo + hi) / 2.0 for lo, hi in intervals)
-    steps = [(hi - lo) / 2.0 for lo, hi in intervals]
+    try:
+        intervals = (box.a, box.r0, box.lam)
+        point = tuple((lo + hi) / 2.0 for lo, hi in intervals)
+        steps = [(hi - lo) / 2.0 for lo, hi in intervals]
+    except (TypeError, OverflowError, AttributeError):
+        raise wrong_type("box must be a SearchBox", box) from None
     key, p = evaluate(point)
     trace = [] if p is None else [(_params_at(point, p), key[0])]
     while max(steps) > _STEP_TOL:
@@ -171,8 +173,11 @@ def refine_iterative(
     ``tol=0`` it stops once the sequence is pinned.
     """
     max_iter = as_integer(max_iter, "max_iter", lo=0)
-    if not (isinstance(tol, Real) and tol >= 0.0):
-        raise DomainError(f"tol must be a real >= 0, got {tol!r}")
+    try:
+        if not tol + 0.0 >= 0.0:  # + 0.0 refuses an int too wide for a float
+            raise DomainError(f"tol must be >= 0, got {shown(tol)}")
+    except (TypeError, OverflowError):
+        raise wrong_type("tol must be a real", tol) from None
     terms = bounds.bound_terms(start, convention)
     base_case_i, case_ii = terms.split(start.p)
     values = [min(base_case_i, case_ii, terms.half_a)]

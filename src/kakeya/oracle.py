@@ -30,13 +30,12 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Real
 
 import numpy as np
 
 from . import bounds, geom
 from .catalogue import DEFAULT_SEED, MAX_SAMPLES, CheckId
-from .errors import BracketError, DomainError, as_integer, shown
+from .errors import BracketError, DomainError, as_integer, shown, wrong_type
 from .rng import CounterRng
 
 __all__ = [
@@ -607,10 +606,14 @@ def run_checks(
     raised inside a check comes out of this call, and a worker process
     that dies comes out as WorkerLost.
     """
+    try:
+        checks = tuple(checks)
+    except TypeError:
+        raise wrong_type("checks must be an iterable of CheckId", checks) from None
     sizes = {}
     for check in checks:
         if not isinstance(check, CheckId):
-            raise DomainError(f"unknown check {check!r}; expected a CheckId")
+            raise DomainError(f"unknown check {shown(check)}; expected a CheckId")
         if check in sizes:
             raise DomainError(f"check {check.value} is named twice")
         default_samples = _CHECKS[check][1]
@@ -657,16 +660,16 @@ def find_h_threshold(lo: float, hi: float, tol: float) -> float:
     attained in the delta -> 0 limit" on [lo, hi], with heights spanning
     (0, 3r/5] as in the minimum claim; raises BracketError if the
     predicate does not change across the bracket.  ``lo``, ``hi`` and
-    ``tol`` must be real numbers, else DomainError.
+    ``tol`` must be reals a float can hold, else DomainError.
     """
-    if not all(isinstance(v, Real) for v in (lo, hi, tol)):
-        raise DomainError(
-            f"lo, hi and tol must be real numbers, got {shown(lo)}, {shown(hi)}, {shown(tol)}"
-        )
-    if not lo < hi:
-        raise BracketError(f"need lo < hi, got [{shown(lo)}, {shown(hi)}]")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be > 0, got {shown(tol)}")
+    try:
+        # + 0.0 refuses an int too wide for a float, and a str or list, which compare
+        if not lo + 0.0 < hi + 0.0:
+            raise BracketError(f"need lo < hi, got [{shown(lo)}, {shown(hi)}]")
+        if not tol + 0.0 > 0.0:
+            raise DomainError(f"tol must be > 0, got {shown(tol)}")
+    except (TypeError, OverflowError):
+        raise wrong_type("lo, hi and tol must be reals", lo, hi, tol) from None
     fractions = _h_fractions(_H_THRESHOLD_GRID)
 
     def min_at_zero(r: float) -> bool:
@@ -675,7 +678,7 @@ def find_h_threshold(lo: float, hi: float, tol: float) -> float:
     p_lo, p_hi = min_at_zero(lo), min_at_zero(hi)
     if p_lo == p_hi:
         raise BracketError(
-            f"predicate is {p_lo} at both ends of [{lo}, {hi}]; no transition bracketed"
+            f"predicate is {p_lo} at both ends of [{shown(lo)}, {shown(hi)}]; no transition"
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

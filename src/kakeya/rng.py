@@ -25,11 +25,10 @@ of any check's time, so the generator keeps no tables or buffers.
 from __future__ import annotations
 
 import math
-from numbers import Real
 
 import numpy as np
 
-from .errors import DomainError, as_integer, shown
+from .errors import DomainError, as_integer, shown, wrong_type
 
 # SplitMix64 constants: the 64-bit golden-ratio increment and the two
 # avalanche multipliers of the finalizer.
@@ -113,10 +112,8 @@ class CounterRng:
     def uniform(self, lo: float, hi: float, n: int) -> np.ndarray:
         """Next ``n`` doubles, uniform on [lo, hi); lo, hi and hi - lo must be finite reals."""
         try:
-            finite = (isinstance(lo, Real) and isinstance(hi, Real)
-                      and math.isfinite(lo) and math.isfinite(hi - lo))
-        except OverflowError:  # an int end too large for a float
-            finite = False
-        if not finite:
-            raise DomainError(f"uniform range [{shown(lo)}, {shown(hi)}) is not two finite reals")
+            if not (math.isfinite(lo) and math.isfinite(hi - lo)):
+                raise DomainError(f"uniform range [{shown(lo)}, {shown(hi)}) is not finite")
+        except (TypeError, OverflowError):
+            raise wrong_type("lo and hi must be reals", lo, hi) from None
         return lo + (hi - lo) * self.uniforms(n)

@@ -9,20 +9,21 @@ three-argument functions see every combination of the values; wider ones
 see a seeded sample.  Sample counts are floats, which are rejected,
 integers of at most 100, or ints too wide for a float or for ``str``
 (10**400 and +-10**5000), which are rejected or only counted, so no call
-starts heavy work; ``CounterRng.uniform`` and ``geom.make_triangle``
-see those ints as arguments too, and must refuse them.  ``optimize`` sees
-point boxes only, which it settles in one evaluation.  ``SearchBox``,
-``BoundParams``, ``CounterRng.uniform``, ``find_h_threshold``, the ``tol``
-arguments, ``make_triangle``, the radius of ``exterior_area``,
-``intersection_arcs`` and ``exterior_area_rate``, and both arguments of
-``outside_area_rate`` also see
-objects that are not reals (and ``SearchBox`` intervals that are not (lo,
-hi) pairs, or lambda intervals outside [0, 1]), which they must refuse;
-over seeded boxes of ordinary, edge and junk ends, ``SearchBox`` accepts
-exactly those whose two extreme corners ``BoundParams`` accepts.
-``rng.mix64`` works in place on uint64 arrays, so it sees instead a
-float, an integer and a read-only array, a list, a scalar and a 0-d
-array, each of which must be a DomainError.
+starts heavy work.  ``optimize`` sees point boxes only, which it settles
+in one evaluation.
+
+One rule covers wrong types, for every argument of every entry point: from
+a call that succeeds, each argument in turn is swapped for junk, and the
+call must raise DomainError.  A real argument gets NON_REALS and HUGE_INTS,
+a count NON_REALS, and a record (a triangle, a BoundParams, a DerivedParams,
+a SearchBox, a list of checks) JUNK_RECORDS; an argument's own default is
+not junk.  ``SearchBox`` also sees intervals that are not (lo, hi) pairs,
+and lambda intervals outside [0, 1], which it must refuse; over seeded
+boxes of ordinary, edge and junk ends, it accepts exactly those whose two
+extreme corners ``BoundParams`` accepts.  ``rng.mix64`` works in place on
+uint64 arrays, so it sees instead a float, an integer and a read-only
+array, a list, a scalar and a 0-d array, each of which must be a
+DomainError.
 
 Each numeric flag of each CLI mode, the same key in a config file, and
 KAKEYA_SEED get the same kinds of values as text, plus a non-number and
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import inspect
 import itertools
 import math
 import random
@@ -55,10 +57,16 @@ VALUES = (
 HUGE_INTS = (10**400, 10**5000, -10**5000)
 COUNTS = VALUES + (-1, 0, 1, 100) + HUGE_INTS
 MAX_COMBINATIONS = 2000
+CONVENTIONS = (RLAMBDA_REPRODUCING, RLAMBDA_PAPER_LITERAL)
 
-TRIANGLE = {"alpha": 0.3, "delta": 0.05, "t": 0.5}
-TRI = geom.make_triangle(**TRIANGLE)
+TRI = geom.make_triangle(0.3, 0.05, 0.5)
 DERIVED = bounds.derive_params(THEOREM_DEFAULTS)
+POINT_BOX = optimizer.SearchBox((0.06, 0.06), (0.25, 0.25), (0.9, 0.9))
+
+
+class Records(tuple):
+    """An argument pool of valid records; the wrong-type rule swaps in JUNK_RECORDS."""
+
 
 # objects that are not reals, intervals that are not (lo, hi) pairs of
 # finite reals, and lambda intervals that leave [0, 1]
@@ -67,7 +75,12 @@ INTERVALS = (0.06, (0.06, 0.065, 0.07), (0.06, "x"), ("x", 0.07), (0.06,), None,
              (0.06, None), (0.06, 10**400), (0.06, 1j))
 LAMBDA_OUTSIDE = ((-0.5, 0.6), (0.5, 1.5), (-1e300, 0.5), (0.9, 1e300), (-1.0, 2.0))
 BOX = {"a": (0.06, 0.066), "r0": (0.22, 0.24), "lam": (0.88, 0.93)}
-PARAMS = {"a": 0.06, "r0": 0.25, "p": 0.5, "lam": 0.9}
+# objects in place of a record: no record, a number, a tuple of its fields,
+# and each record of another kind
+JUNK_RECORDS = (None, "x", 0.25, (0.06, 0.25, 0.5, 0.9), object())
+RECORDS = (TRI, THEOREM_DEFAULTS, DERIVED, POINT_BOX)
+# the values the wrong-type rule tries, in order, to find a call that succeeds
+ORDINARY = (0.06, 0.1, 0.25, 0.9, 100)
 
 
 def _refused(value):
@@ -85,65 +98,40 @@ def _nonnegative(value):
 ENTRY_POINTS = {
     # bounds
     "outside_area_rate": (bounds.outside_area_rate, (VALUES, VALUES)),
-    "outside_area_rate(r object)": (
-        lambda r, a: _refused(bounds.outside_area_rate(r, a)), (NON_REALS, VALUES)
-    ),
-    "outside_area_rate(a object)": (
-        lambda r, a: _refused(bounds.outside_area_rate(r, a)), (VALUES, NON_REALS)
-    ),
-    "direction_ratio_cap": (lambda r: bounds.direction_ratio_cap(r, DERIVED), (VALUES,)),
+    "direction_ratio_cap": (bounds.direction_ratio_cap, (VALUES, Records((DERIVED,)))),
+    "BoundParams": (BoundParams, (VALUES,) * 4),
     "derive_params": (
         lambda a, r0, p, lam: [
-            bounds.derive_params(BoundParams(a, r0, p, lam), convention)
-            for convention in (RLAMBDA_REPRODUCING, RLAMBDA_PAPER_LITERAL)
+            bounds.derive_params(BoundParams(a, r0, p, lam), convention) for convention in CONVENTIONS
         ],
         (VALUES,) * 4,
     ),
-    "active_g_branch": (lambda r: bounds.active_g_branch(r, DERIVED), (VALUES,)),
+    "derive_params(params)": (
+        bounds.derive_params, (Records((THEOREM_DEFAULTS,)), CONVENTIONS)
+    ),
+    "active_g_branch": (bounds.active_g_branch, (VALUES, Records((DERIVED,)))),
     "bound_terms": (
         lambda a, r0, p, lam: [
-            bounds.bound_terms(BoundParams(a, r0, p, lam), convention)
-            for convention in (RLAMBDA_REPRODUCING, RLAMBDA_PAPER_LITERAL)
+            bounds.bound_terms(BoundParams(a, r0, p, lam), convention) for convention in CONVENTIONS
         ],
         (VALUES,) * 4,
     ),
+    "bound_terms(params)": (bounds.bound_terms, (Records((THEOREM_DEFAULTS,)), CONVENTIONS)),
     "theorem_bound": (
         lambda a, r0, p, lam: bounds.theorem_bound(BoundParams(a, r0, p, lam)), (VALUES,) * 4
     ),
-    "theorem_bound(tol)": (lambda tol: bounds.theorem_bound(THEOREM_DEFAULTS, tol), (VALUES,)),
-    "theorem_bound(tol object)": (
-        lambda tol: _refused(bounds.theorem_bound(THEOREM_DEFAULTS, tol)), (NON_REALS,)
-    ),
-    "case_i_integral(tol)": (lambda tol: bounds.case_i_integral(THEOREM_DEFAULTS, tol), (VALUES,)),
-    "case_i_integral(tol object)": (
-        lambda tol: _refused(bounds.case_i_integral(THEOREM_DEFAULTS, tol)), (NON_REALS,)
-    ),
-    "BoundParams(object)": (
-        lambda name, value: _refused(BoundParams(**{**PARAMS, name: value})),
-        (tuple(PARAMS), NON_REALS),
-    ),
+    "theorem_bound(tol)": (bounds.theorem_bound, (Records((THEOREM_DEFAULTS,)), VALUES)),
+    "case_i_integral(tol)": (bounds.case_i_integral, (Records((THEOREM_DEFAULTS,)), VALUES)),
     "g_branch_kinks": (
-        lambda lo, hi: bounds.g_branch_kinks(THEOREM_DEFAULTS, RLAMBDA_REPRODUCING, lo, hi),
-        (VALUES, VALUES),
+        bounds.g_branch_kinks, (Records((THEOREM_DEFAULTS,)), (RLAMBDA_REPRODUCING,), VALUES, VALUES)
     ),
     # geom
     "make_triangle": (geom.make_triangle, (VALUES,) * 3),
-    "make_triangle(object)": (
-        lambda name, value: _refused(geom.make_triangle(**{**TRIANGLE, name: value})),
-        (tuple(TRIANGLE), NON_REALS + HUGE_INTS),
-    ),
-    "exterior_area": (lambda r: geom.exterior_area(TRI, r), (VALUES,)),
-    "exterior_area(r object)": (lambda r: _refused(geom.exterior_area(TRI, r)), (NON_REALS,)),
-    "intersection_arcs": (lambda r: geom.intersection_arcs(TRI, r), (VALUES,)),
-    "intersection_arcs(r object)": (
-        lambda r: _refused(geom.intersection_arcs(TRI, r)), (NON_REALS,)
-    ),
+    "exterior_area": (geom.exterior_area, (Records((TRI,)), VALUES)),
+    "intersection_arcs": (geom.intersection_arcs, (Records((TRI,)), VALUES)),
     "exterior_area_isosceles": (geom.exterior_area_isosceles, (VALUES, VALUES)),
     "exterior_angle_ratio": (geom.exterior_angle_ratio, (VALUES, VALUES)),
     "exterior_area_rate": (geom.exterior_area_rate, (VALUES,)),
-    "exterior_area_rate(r object)": (
-        lambda r: _refused(geom.exterior_area_rate(r)), (NON_REALS,)
-    ),
     "theta_isosceles": (
         lambda delta, r: _nonnegative(geom.theta_isosceles(delta, r)), (VALUES, VALUES)
     ),
@@ -168,31 +156,25 @@ ENTRY_POINTS = {
         lambda a, r0, lam: optimizer.optimize(optimizer.SearchBox((a, a), (r0, r0), (lam, lam))),
         (VALUES,) * 3,
     ),
+    "optimize(box)": (optimizer.optimize, (Records((POINT_BOX,)), CONVENTIONS)),
     "refine_iterative": (
-        lambda n, tol: optimizer.refine_iterative(THEOREM_DEFAULTS, n, tol), (COUNTS, VALUES)
-    ),
-    "refine_iterative(tol object)": (
-        lambda tol: _refused(optimizer.refine_iterative(THEOREM_DEFAULTS, 3, tol)), (NON_REALS,)
+        optimizer.refine_iterative, (Records((THEOREM_DEFAULTS,)), COUNTS, VALUES)
     ),
     # oracle
     "run_check(samples)": (
-        lambda n: [oracle.run_check(check, samples=n) for check in oracle.CheckId], (COUNTS,)
+        # samples=None, the default, runs each check at full size: not junk
+        lambda samples=None: [oracle.run_check(check, samples) for check in oracle.CheckId],
+        (COUNTS,),
     ),
     "run_check(seed)": (
         lambda seed: oracle.run_check(oracle.CheckId.C_MIN, samples=100, seed=seed), (COUNTS,)
     ),
+    "run_checks": (
+        lambda checks: oracle.run_checks(checks, samples=100), (Records(([oracle.CheckId.C_MIN],)),)
+    ),
     "find_h_threshold(tol)": (lambda tol: oracle.find_h_threshold(0.1, 0.2, tol), (VALUES,)),
     "find_h_threshold(lo, hi)": (
         lambda lo, hi: oracle.find_h_threshold(lo, hi, 1e-2), (VALUES, VALUES)
-    ),
-    "find_h_threshold(lo object)": (
-        lambda lo: _refused(oracle.find_h_threshold(lo, 0.2, 1e-2)), (NON_REALS,)
-    ),
-    "find_h_threshold(hi object)": (
-        lambda hi: _refused(oracle.find_h_threshold(0.1, hi, 1e-2)), (NON_REALS,)
-    ),
-    "find_h_threshold(tol object)": (
-        lambda tol: _refused(oracle.find_h_threshold(0.1, 0.2, tol)), (NON_REALS,)
     ),
     # rng
     "CounterRng(seed)": (lambda seed: rng.CounterRng(seed).uniforms(3), (COUNTS,)),
@@ -203,13 +185,37 @@ ENTRY_POINTS = {
     "uniform": (
         lambda lo, hi: rng.CounterRng(7).uniform(lo, hi, 10), (VALUES + HUGE_INTS,) * 2
     ),
-    "uniform(lo object)": (
-        lambda lo, hi: _refused(rng.CounterRng(7).uniform(lo, hi, 3)), (NON_REALS, VALUES)
-    ),
-    "uniform(hi object)": (
-        lambda lo, hi: _refused(rng.CounterRng(7).uniform(lo, hi, 3)), (VALUES, NON_REALS)
-    ),
 }
+
+
+def _junk(pool, default):
+    """The wrong-type arguments for a pool, less the argument's own default:
+    junk records for records, NON_REALS for counts, NON_REALS and HUGE_INTS
+    for reals, and none for other pools (names, conventions, intervals)."""
+    if isinstance(pool, Records):
+        junk = JUNK_RECORDS + tuple(r for r in RECORDS if type(r) is not type(pool[0]))
+    elif pool is COUNTS:
+        junk = NON_REALS
+    elif all(type(x) in (int, float) for x in pool):
+        junk = NON_REALS + HUGE_INTS
+    else:
+        return ()
+    return tuple(x for x in junk if x is not default)
+
+
+def _wrong_type_cases():
+    """{'<entry>(<argument> object)': (entry, argument index, junk values)}."""
+    cases = {}
+    for name, (func, pools) in ENTRY_POINTS.items():
+        parameters = list(inspect.signature(func).parameters.values())
+        for index, pool in enumerate(pools):
+            junk = _junk(pool, parameters[index].default)
+            if junk:
+                cases[f"{name.split('(')[0]}({parameters[index].name} object)"] = (name, index, junk)
+    return cases
+
+
+WRONG_TYPE_CASES = _wrong_type_cases()
 
 
 def _numbers(value):
@@ -237,8 +243,42 @@ def _arguments(pools, rnd):
     return [tuple(rnd.choice(pool) for pool in pools) for _ in range(MAX_COMBINATIONS)]
 
 
-@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def _succeeding_call(func, pools):
+    """The first arguments, from ORDINARY values and the pools' records and
+    names, with which ``func`` returns."""
+    candidates = [ORDINARY if _junk(pool, None) and not isinstance(pool, Records) else pool
+                  for pool in pools]
+    for args in itertools.product(*candidates):
+        try:
+            func(*args)
+        except KakeyaError:
+            continue
+        return args
+    raise AssertionError("no call from ordinary values succeeds")
+
+
+def _check_wrong_types(name, index, junk):
+    func, pools = ENTRY_POINTS[name]
+    args = _succeeding_call(func, pools)
+    bad = []
+    for value in junk:
+        call = args[:index] + (value,) + args[index + 1:]
+        try:
+            got = func(*call)
+        except DomainError:
+            continue
+        except Exception as exc:  # any other error, typed or not, fails the rule
+            bad.append((call, f"{type(exc).__name__}: {exc}"))
+            continue
+        bad.append((call, f"accepted, returned {got!r}"))
+    assert not bad, f"{len(bad)} bad calls, first ones: {bad[:5]}"
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS) + sorted(WRONG_TYPE_CASES))
 def test_entry_point_gives_finite_values_or_a_typed_error(name):
+    if name in WRONG_TYPE_CASES:
+        _check_wrong_types(*WRONG_TYPE_CASES[name])
+        return
     func, pools = ENTRY_POINTS[name]
     rnd = random.Random(f"{SEED}:{name}")
     bad = []

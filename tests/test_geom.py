@@ -302,6 +302,17 @@ def test_direction_ratio_domain():
         geom.direction_ratio(0.1, -0.25)
 
 
+@pytest.mark.parametrize(
+    "func", [geom.exterior_area_isosceles, geom.exterior_angle_ratio, geom.far_endpoint_distance]
+)
+def test_a_radius_whose_square_overflows_a_float_is_a_domain_error(func):
+    # 10**200 fits a float, but r * r, an int, does not once it meets
+    # delta * delta; the guard raised a raw OverflowError
+    for delta in (0.1, 1e200):
+        with pytest.raises(DomainError, match="squares fit a float"):
+            func(delta, 10**200)
+
+
 def test_direction_ratio_rejects_unresolved_central_angles():
     # at subnormal heights asin and atan keep few significant bits: the
     # angle rounded to 0 (a raw ZeroDivisionError) or the ratio exceeded

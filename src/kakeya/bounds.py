@@ -340,9 +340,13 @@ def case_i_integral(
     _check_tol(tol)
     if derived is None:
         derived = derive_params(params, convention)
+    try:  # read here too, since a caller that passes ``derived`` skips derive_params
+        lo, hi = params.a + 0.0, params.r0 + 0.0  # + 0.0 refuses fields that are not reals
+    except (TypeError, OverflowError, AttributeError):
+        raise wrong_type("params must be a BoundParams", params) from None
     return sum(
         _antiderivative(branch, x1, derived.g_mid) - _antiderivative(branch, x0, derived.g_mid)
-        for x0, x1, branch in _g_pieces(params.a, params.r0, derived)
+        for x0, x1, branch in _g_pieces(lo, hi, derived)
     )
 
 

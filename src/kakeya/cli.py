@@ -192,7 +192,9 @@ def _round_down(value: float, digits: int) -> str:
 # Argument and config-file parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(commands=tuple(_MODES)) -> argparse.ArgumentParser:
+    """The parser, with the flags of ``commands`` only: a run needs its own,
+    and all four commands' flags take twice as long to build as one's."""
     parser = argparse.ArgumentParser(
         prog="kakeya",
         description="Lower bounds for star-shaped Kakeya sets: evaluate, optimize, verify, scan.",
@@ -206,6 +208,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         # no prefix matching: `verify --a` must not turn into `--all`
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        if name not in commands:
+            continue
         if name == "scan":
             p.add_argument("function", choices=tuple(_MODES["scan"]))
         for flag, spec in _FLAGS.items():
@@ -591,8 +595,11 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse's command is the first word without a leading "-", or an error
+    command = next((word for word in argv if not word.startswith("-")), None)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser((command,)).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

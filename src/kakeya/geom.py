@@ -96,7 +96,7 @@ def make_triangle(alpha: float, delta: float, t: float) -> NeedleTriangle:
         alpha += math.pi
     if alpha >= math.pi:  # fmod can round up to pi for inputs just below a multiple
         alpha = 0.0
-    return NeedleTriangle(alpha=alpha, delta=delta, t=t)
+    return NeedleTriangle(alpha, delta, t)  # positional: cheaper than keywords
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +119,8 @@ def _polar_chart(tri: NeedleTriangle, r: float) -> tuple[float, float, float, fl
         delta, t = tri.delta, tri.t
         core = math.acos(delta / r) if delta < r else 0.0  # delta / r refuses a too-wide int
         return tri.alpha + 0.5 * math.pi, math.atan2(t, delta), math.atan2(1.0 - t, delta), core
-    except (TypeError, OverflowError, AttributeError):
-        raise wrong_type("tri must be a NeedleTriangle and r a real", tri, r) from None
+    except (TypeError, OverflowError, AttributeError, ValueError):  # acos of a negative delta / r
+        raise wrong_type("tri must be a NeedleTriangle with delta >= 0, and r a real", tri, r) from None
 
 
 def exterior_area(tri: NeedleTriangle, r: float) -> float:
@@ -137,12 +137,15 @@ def exterior_area(tri: NeedleTriangle, r: float) -> float:
     """
     _, span_a, span_b, core = _polar_chart(tri, r)
     delta, t = tri.delta, tri.t
-    h = r * math.sin(core)
-    inner = 0.5 * delta * (min(t, h) + min(1.0 - t, h))
-    for span in (span_a, span_b):
-        if span > core:  # tested first: r may be inf where the sector is empty
-            inner += 0.5 * r * (r * (span - core))  # r^2 alone may overflow
-    return max(0.0, 0.5 * delta - inner)
+    h, u = r * math.sin(core), 1.0 - t
+    # min(t, h) and max(0.0, x) spelt out, with the builtins' ties: the first wins
+    inner = 0.5 * delta * ((h if h < t else t) + (h if h < u else u))
+    if span_a > core:  # tested first: r may be inf where the sector is empty
+        inner += 0.5 * r * (r * (span_a - core))  # r^2 alone may overflow
+    if span_b > core:
+        inner += 0.5 * r * (r * (span_b - core))
+    outer = 0.5 * delta - inner
+    return outer if outer > 0.0 else 0.0
 
 
 def exterior_area_isosceles(delta: float, r: float) -> float:
@@ -285,7 +288,8 @@ def angular_gap(alpha1: float, alpha2: float) -> float:
         raise wrong_type("directions must be finite reals", alpha1, alpha2) from None
     if not g < math.inf:
         raise DomainError(f"directions must not be NaN, got {shown(alpha1)}, {shown(alpha2)}")
-    return min(g, math.pi - g)
+    h = math.pi - g
+    return h if h < g else g  # min(g, h), with its tie rule: the first wins
 
 
 def exterior_disjoint_criterion(
@@ -325,15 +329,14 @@ def intersection_arcs(tri: NeedleTriangle, r: float) -> list[tuple[float, float]
     psi, span_a, span_b, core = _polar_chart(tri, r)
     if tri.delta <= 0.0:
         return []  # degenerate segment: the intersection has measure zero
+    b_lo, a_hi = psi - span_b, psi + span_a
     if core <= 0.0:
-        arcs = [(psi - span_b, psi + span_a)]
-    else:
-        arcs = []
-        if span_b > core:
-            arcs.append((psi - span_b, psi - core))
-        if span_a > core:
-            arcs.append((psi + core, psi + span_a))
-    return [(lo, hi) for lo, hi in arcs if hi > lo]
+        return [(b_lo, a_hi)] if a_hi > b_lo else []
+    # rounding is monotone, so b_hi > b_lo implies span_b > core, and so for A
+    b_hi, a_lo = psi - core, psi + core
+    if b_hi > b_lo:
+        return [(b_lo, b_hi), (a_lo, a_hi)] if a_hi > a_lo else [(b_lo, b_hi)]
+    return [(a_lo, a_hi)] if a_hi > a_lo else []
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,37 @@ def test_usage_error_exit_code(capsys):
     assert run_cli() == 2
 
 
+class _Parsed(Exception):
+    """Raised in place of running a command, with the parsed arguments."""
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--preset", "sec41", "--refine", "10"], ["scan", "f", "--from", "0.2"], ["verify", "--all"],
+    ["bound", "--a", "0.1", "--config", "x.cfg"],
+    # help and usage errors, where argparse's command is not the first word
+    # without a leading "-"
+    [], ["-h"], ["--", "bound"], ["-h", "optimize"], ["bound", "-h"], ["bogus"], ["-1", "bound"], ["-", "scan", "f"],
+    ["--a=0.1", "bound", "--preset", "theorem"], ["verify", "--a", "1"], ["scan"],
+    ["optimize", "--preset", "nope"],
+])
+def test_main_parses_as_the_parser_with_every_commands_flags(monkeypatch, capsys, argv):
+    # main builds only the run command's flags
+    every = cli._build_parser
+
+    def stop(args):
+        raise _Parsed(vars(args))
+
+    def outcome(build):
+        monkeypatch.setattr(cli, "_build_parser", build)
+        try:
+            return cli.main(argv), capsys.readouterr()
+        except _Parsed as parsed:
+            return parsed.args[0], capsys.readouterr()
+
+    monkeypatch.setattr(cli, "_resolve_config", stop)
+    assert outcome(lambda commands: every()) == outcome(every)
+
+
 def test_scan_f_has_its_peak_at_one_sixth(tmp_path, capsys):
     code = run_cli(
         "scan", "f", "--from", "0.15", "--to", "0.5", "--steps", "100",

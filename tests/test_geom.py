@@ -432,3 +432,106 @@ def test_arc_interiors_lie_inside_the_triangle():
         # just past either endpoint the circle leaves the triangle
         assert not _point_on_circle_in_triangle(tri, r, start - 1e-6)
         assert not _point_on_circle_in_triangle(tri, r, end + 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# The straight-line bodies of exterior_area and intersection_arcs
+# ---------------------------------------------------------------------------
+
+# exterior_area and intersection_arcs as they read with a loop over the
+# spans, the min and max builtins and a filtering comprehension, kept as
+# references: the library's branches must give the same floats.
+
+def _reference_exterior_area(tri, r):
+    _, span_a, span_b, core = geom._polar_chart(tri, r)
+    delta, t = tri.delta, tri.t
+    h = r * math.sin(core)
+    inner = 0.5 * delta * (min(t, h) + min(1.0 - t, h))
+    for span in (span_a, span_b):
+        if span > core:
+            inner += 0.5 * r * (r * (span - core))
+    return max(0.0, 0.5 * delta - inner)
+
+
+def _reference_intersection_arcs(tri, r):
+    psi, span_a, span_b, core = geom._polar_chart(tri, r)
+    if tri.delta <= 0.0:
+        return []
+    if core <= 0.0:
+        arcs = [(psi - span_b, psi + span_a)]
+    else:
+        arcs = []
+        if span_b > core:
+            arcs.append((psi - span_b, psi - core))
+        if span_a > core:
+            arcs.append((psi + core, psi + span_a))
+    return [(lo, hi) for lo, hi in arcs if hi > lo]
+
+
+def _outcome(func, tri, r):
+    """``repr`` of what ``func(tri, r)`` returns, or the type of what it raises."""
+    try:
+        return repr(func(tri, r))
+    except DomainError as exc:
+        return type(exc).__name__
+
+
+def _radius_near(alpha, delta, t, r, holds):
+    """The float nearest ``r`` at which the chart of (alpha, delta, t) satisfies
+    ``holds(psi, span_a, span_b, core)``, within 64 steps below or above it."""
+    tri = geom.make_triangle(alpha, delta, t)
+    for towards in (0.0, math.inf):
+        x = r
+        for _ in range(64):
+            if holds(*geom._polar_chart(tri, x)):
+                return x
+            x = math.nextafter(x, towards)
+    raise AssertionError(f"no radius near {r!r}")
+
+
+def _edge_rows():
+    """(alpha, delta, t, r) at the branches' edges."""
+    rows = [(0.3, 0.05, t, r) for t in (0.0, -0.0, 1.0) for r in (0.04, 0.05, 0.25, 2.0)]
+    rows += [(0.3, 0.0, 0.5, 0.25), (0.3, 0.0, 0.0, 0.25), (0.3, -0.0, 0.5, 0.25)]  # delta = 0
+    rows += [(0.3, 0.25, 0.5, 0.25), (1.1, 0.4, 0.2, 0.3)]  # delta >= r
+    rows += [(0.3, 0.05, 0.4, math.inf), (0.3, 0.0, 0.4, math.inf), (0.3, 1e250, 0.5, 1e200)]
+    rows.append((0.3, 1e300, 0.5, 1.0))  # no core, spans below psi's ulp: hi == lo
+    # span_a equal to the core: S_r through vertex A to the last bit
+    r_a = _radius_near(0.3, 0.125, 0.25, math.hypot(0.25, 0.125), lambda p, a, b, core: a == core)
+    # a tangency: span_b past the core by less than psi's ulp, so hi == lo
+    r_b = _radius_near(
+        3.0, 0.125, 0.25, math.hypot(0.75, 0.125), lambda p, a, b, core: b > core and p - b == p - core
+    )
+    return rows + [(0.3, 0.125, 0.25, r_a), (3.0, 0.125, 0.25, r_b)]
+
+
+def test_the_branches_give_the_reference_bodies_floats_bit_for_bit():
+    # radii past the far vertex and heights past the radius, so that every
+    # arc count and both sides of each branch occur
+    rng = CounterRng(2030, stream=7)
+    n = 12_000
+    rows = list(zip(
+        rng.uniform(0.0, math.pi, n).tolist(), rng.uniform(0.0, 0.6, n).tolist(),
+        rng.uniforms(n).tolist(), rng.uniform(0.01, 1.2, n).tolist(),
+    ))
+    triangles = [(geom.make_triangle(alpha, delta, t), r) for alpha, delta, t, r in rows + _edge_rows()]
+    # hand-built records the constructor would refuse: NaN and infinite fields
+    triangles += [(geom.NeedleTriangle(*fields), 0.25) for fields in (
+        (math.nan, 0.05, 0.5), (0.3, math.nan, 0.5), (0.3, 0.05, math.nan), (math.inf, 0.05, 0.5),
+        (0.3, 0.05, 2.0), (0.3, 0.05, -1.0), (0.3, -1.0, 0.5),
+    )]
+    seen = set()
+    for tri, r in triangles:
+        assert _outcome(geom.exterior_area, tri, r) == _outcome(_reference_exterior_area, tri, r), (tri, r)
+        arcs = _outcome(geom.intersection_arcs, tri, r)
+        assert arcs == _outcome(_reference_intersection_arcs, tri, r), (tri, r)
+        seen.add(arcs if arcs in ("[]", "DomainError") else arcs.count("("))
+    assert seen == {"[]", 1, 2, "DomainError"}  # every arc count, and a refused record
+
+
+def test_a_hand_built_triangle_whose_height_is_past_minus_r_is_a_domain_error():
+    # delta / r below -1 is outside acos's domain: typed, not a math domain error
+    tri = geom.NeedleTriangle(0.3, -1.0, 0.5)
+    for func in (geom.exterior_area, geom.intersection_arcs):
+        with pytest.raises(DomainError, match="NeedleTriangle with delta >= 0"):
+            func(tri, 0.3)

@@ -26,6 +26,7 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -642,11 +643,25 @@ def test_all_checks_give_the_in_process_records_on_a_pool(monkeypatch, workers):
     assert gc.get_freeze_count() == 0  # the parent's objects are collectable again
 
 
+def test_the_claim_order_is_a_permutation_of_the_checks():
+    assert sorted(oracle._CHECKS, key=list(CheckId).index) == list(CheckId)
+
+
 def test_run_checks_reports_in_the_given_order():
     order = [CheckId.SECTOR_MEASURE, CheckId.C_MIN, CheckId.F_ARGMAX, CheckId.H_MIN_AT_ZERO]
     reports = oracle.run_checks(order, samples=500, seed=3)
     assert [r.id for r in reports] == order
     assert reports == [oracle.run_check(c, samples=500, seed=3) for c in order]
+
+
+def test_a_pool_reports_checks_listed_against_the_claim_order_in_the_given_order(monkeypatch):
+    order = list(reversed(oracle._CHECKS))[::2]  # every other check, shortest first
+    monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: 1)
+    want = oracle.run_checks(order, samples=500, seed=3)
+    monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: 2)
+    got = oracle.run_checks(order, samples=500, seed=3)
+    assert [r.id for r in got] == order and got == want
+    _assert_no_child_left()
 
 
 def test_run_checks_rejects_a_bad_count_before_drawing_or_forking(monkeypatch):
@@ -1081,6 +1096,73 @@ def test_numpy_arc_fold_is_the_per_row_fold_bit_for_bit():
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
     assert np.isnan(got[0][-3:-1]).all() and np.isnan(got[1][-3:-1].real).all()
+
+
+def _arc_totals_by_probing_full_table(vertices, r):
+    """ArcConsistency's probe before it kept only the real arcs: every row
+    of the (n, 6) root table probed and placed, masked columns included."""
+    roots = np.full((r.shape[0], 2 * len(oracle._EDGES)), math.inf)
+    for k, (i, j) in enumerate(oracle._EDGES):
+        px, py = vertices[:, i, 0], vertices[:, i, 1]
+        dx, dy = vertices[:, j, 0] - px, vertices[:, j, 1] - py
+        qa = dx * dx + dy * dy
+        qb = 2.0 * (px * dx + py * dy)
+        qc = px * px + py * py - r * r
+        disc = qb * qb - 4.0 * qa * qc
+        crosses = (qa != 0.0) & (disc > 0.0)
+        sq = np.sqrt(np.where(crosses, disc, 0.0))
+        denom = np.where(crosses, 2.0 * qa, 1.0)
+        for m, u in enumerate(((-qb - sq) / denom, (-qb + sq) / denom)):
+            on_edge = crosses & (0.0 < u) & (u < 1.0)
+            roots[:, 2 * k + m] = np.where(on_edge, np.arctan2(py + u * dy, px + u * dx), math.inf)
+    roots.sort(axis=1)
+    count = np.count_nonzero(roots < math.inf, axis=1)
+    roots[count == 0, 0] = -math.pi
+    count = np.maximum(count, 1)
+    col = np.arange(roots.shape[1])
+    arc = col < count[:, None]
+    ends = np.where(col == (count - 1)[:, None], roots[:, :1] + TWO_PI, np.roll(roots, -1, axis=1))
+    starts, ends = np.where(arc, roots, 0.0), np.where(arc, ends, 0.0)
+    inside = oracle._circle_points_in_triangles(vertices[:, None], r[:, None], 0.5 * (starts + ends))
+    moments = np.sum(np.exp(1j * ends) - np.exp(1j * starts), axis=1, where=inside)
+    return np.sum(ends - starts, axis=1, where=inside), moments
+
+
+def _roots_and_arcs(corners, r):
+    """How many edge roots the per-row loop finds for one triangle, and how
+    many of the arcs between them it counts (0 for the bare circle)."""
+    angles = sorted(chain.from_iterable(
+        _circle_edge_angles(*p, *q, r) for p, q in zip(corners, corners[1:] + corners[:1])
+    ))
+    ends = angles[1:] + [a + TWO_PI for a in angles[:1]]
+    return len(angles), sum(
+        end > start and _point_on_circle_in_triangle(corners, r, 0.5 * (start + end))
+        for start, end in zip(angles, ends)
+    )
+
+
+def test_arc_only_probing_is_the_full_table_probing_bit_for_bit():
+    # ArcConsistency's triangles, radii out past the far vertex, and tables
+    # with up to six roots from edges that do not end at O (the probe still
+    # reads the first corner as O); then rows with NaN corners
+    rng = CounterRng(2031, stream=6)
+    n = 6000
+    r = np.concatenate((rng.uniform(0.05, 0.5, n), rng.uniform(0.01, 1.2, n), rng.uniform(0.2, 1.0, n)))
+    delta = rng.uniforms(2 * n) * np.minimum(oracle._HEIGHT_CAP, 0.9 * r[:2 * n])
+    corners = np.concatenate((
+        oracle._triangle_corners(rng.uniform(0.0, TWO_PI, 2 * n), delta, rng.uniforms(2 * n)),
+        rng.uniform(-1.0, 1.0, 6 * n).reshape(n, 3, 2),
+    ))
+    corners[:10, 1, 0] = math.nan
+    corners[10:20, 2] = math.nan
+    corners[20:30] = math.nan
+    roots, arcs = zip(*map(_roots_and_arcs, corners[30:].tolist(), r[30:].tolist()))
+    # a closed triangle in general position crosses the circle an even number of times
+    assert set(roots) == {0, 2, 4, 6} and set(arcs) == {0, 1, 2}
+    got, want = oracle._arc_totals_by_probing(corners, r), _arc_totals_by_probing_full_table(corners, r)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert (got[0][20:30] == TWO_PI).all()  # all corners NaN: no root, and the probe reads "inside"
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,17 @@ optimizer's balanced split and its iterative refinement all read that
 record.
 
 Arguments are checked by the idiom of :mod:`kakeya.errors`, each guard in
-one place: ``BoundParams`` checks the four parameters, ``derive_params``
-the record every bound function reads first, and ``_branch_values`` the
-radius of ``direction_ratio_cap`` and ``active_g_branch``.
+one place: ``BoundParams`` and ``DerivedParams`` check their own fields
+when they are built, so no unchecked record exists; ``derive_params``
+refuses junk in place of the record every bound function reads first,
+and ``_branch_values`` checks the radius of ``direction_ratio_cap`` and
+``active_g_branch``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import geom
 from .errors import CaseIIInfeasible, DomainError, shown, wrong_type
@@ -71,8 +72,7 @@ R_STAR = 0.23529881692067725
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(namedtuple("BoundParams", "a r0 p lam")):
     """User parameters of the two-case split.
 
     ``a``: cap on the needle height, in (0, 1/2).
@@ -81,54 +81,70 @@ class BoundParams:
     ``lam``: interpolation weight for r_lambda, in [0, 1].
     """
 
-    a: float
-    r0: float
-    p: float
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a: float, r0: float, p: float, lam: float):
         try:
-            for name in ("a", "r0", "p", "lam"):
-                if not math.isfinite(getattr(self, name)):
+            for name, value in zip(cls._fields, (a, r0, p, lam)):
+                if not math.isfinite(value):
                     raise DomainError(f"{name} must be finite")
         except (TypeError, OverflowError):
-            raise wrong_type("a, r0, p and lam must be reals", self.a, self.r0, self.p, self.lam) from None
-        if not self.a < self.r0:
-            raise DomainError(f"a must be < r0, got a={shown(self.a)}, r0={shown(self.r0)}")
-        if not 0.0 < self.a < 0.5:
-            raise DomainError(f"a must lie in (0, 1/2), got {shown(self.a)}")
-        if not self.r0 < 0.5:
-            raise DomainError(f"r0 must be < 1/2, got {shown(self.r0)}")
-        if not 0.0 <= self.p <= 1.0:
-            raise DomainError(f"p must lie in [0, 1], got {shown(self.p)}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise DomainError(f"lambda must lie in [0, 1], got {shown(self.lam)}")
+            raise wrong_type("a, r0, p and lam must be reals", a, r0, p, lam) from None
+        if not a < r0:
+            raise DomainError(f"a must be < r0, got a={shown(a)}, r0={shown(r0)}")
+        if not 0.0 < a < 0.5:
+            raise DomainError(f"a must lie in (0, 1/2), got {shown(a)}")
+        if not r0 < 0.5:
+            raise DomainError(f"r0 must be < 1/2, got {shown(r0)}")
+        if not 0.0 <= p <= 1.0:
+            raise DomainError(f"p must lie in [0, 1], got {shown(p)}")
+        if not 0.0 <= lam <= 1.0:
+            raise DomainError(f"lambda must lie in [0, 1], got {shown(lam)}")
+        return tuple.__new__(cls, (a, r0, p, lam))
+
+    @classmethod
+    def _make(cls, fields):
+        """The parameters of an iterable of fields, checked: ``_replace`` builds through it."""
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Quantities derived from BoundParams under an r_lambda convention."""
+class DerivedParams(namedtuple("DerivedParams", "r_lambda delta1 r1 g_mid")):
+    """Quantities derived from BoundParams under an r_lambda convention.
 
-    r_lambda: float
-    delta1: float
-    r1: float
-    g_mid: float
+    Each field is a finite real in the range ``derive_params`` gives it:
+    0 < r_lambda < 1/2, 0 <= delta1 < r_lambda, r1 >= 1 and g_mid >= 1;
+    DomainError otherwise.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, r_lambda: float, delta1: float, r1: float, g_mid: float):
+        try:
+            # + 0.0 refuses an int too wide for a float, which compares below inf
+            if not (0.0 < r_lambda < 0.5 and 0.0 <= delta1 < r_lambda
+                    and 1.0 <= r1 + 0.0 < math.inf and 1.0 <= g_mid + 0.0 < math.inf):
+                got = ", ".join(map(shown, (r_lambda, delta1, r1, g_mid)))
+                raise DomainError(f"need 0 < r_lambda < 1/2, 0 <= delta1 < r_lambda, "
+                                  f"and finite r1 >= 1 and g_mid >= 1, got {got}")
+        except (TypeError, OverflowError):
+            raise wrong_type("r_lambda, delta1, r1 and g_mid must be reals", r_lambda, delta1, r1, g_mid) from None
+        return tuple.__new__(cls, (r_lambda, delta1, r1, g_mid))
+
+    @classmethod
+    def _make(cls, fields):
+        """The record of an iterable of fields, checked: ``_replace`` builds through it."""
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class BoundBreakdown:
+class BoundBreakdown(namedtuple(
+    "BoundBreakdown", "case_i case_ii half_a final integral_value f_r0 c_r1m1"
+)):
     """Case I / Case II / final values, all as coefficients of pi."""
 
-    case_i: float
-    case_ii: float
-    half_a: float
-    final: float
-    integral_value: float
-    f_r0: float
-    c_r1m1: float
+    __slots__ = ()
 
 
-class BoundTerms(NamedTuple):
+class BoundTerms(namedtuple("BoundTerms", "k0 k1 k2 half_a q f_r0 integral c_r1m1")):
     """The p-free terms of the bound at one (a, r0, lambda) point.
 
     With the split p, case_i = k0 + p*k1 and case_ii = (1 - p)*k2 (see
@@ -142,14 +158,7 @@ class BoundTerms(NamedTuple):
     reports.  All but ``q`` are coefficients of pi.
     """
 
-    k0: float
-    k1: float
-    k2: float
-    half_a: float
-    q: float
-    f_r0: float
-    integral: float
-    c_r1m1: float
+    __slots__ = ()
 
     def split(self, p: float) -> tuple[float, float]:
         """(case_i, case_ii) at the split p."""
@@ -221,12 +230,7 @@ def derive_params(
     delta1 = geom.outside_distance_cap(r_lambda, params.a)
     r1 = geom.far_endpoint_distance(delta1, r_lambda)
     g_mid = (1.0 + 2.0 * r_lambda) / (1.0 - 2.0 * r_lambda)
-    return DerivedParams(
-        r_lambda=r_lambda,
-        delta1=delta1,
-        r1=r1,
-        g_mid=g_mid,
-    )
+    return DerivedParams(r_lambda, delta1, r1, g_mid)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +345,7 @@ def case_i_integral(
     if derived is None:
         derived = derive_params(params, convention)
     try:  # read here too, since a caller that passes ``derived`` skips derive_params
-        lo, hi = params.a + 0.0, params.r0 + 0.0  # + 0.0 refuses fields that are not reals
+        lo, hi = params.a + 0.0, params.r0 + 0.0  # + 0.0 refuses a SearchBox's pairs
     except (TypeError, OverflowError, AttributeError):
         raise wrong_type("params must be a BoundParams", params) from None
     return sum(

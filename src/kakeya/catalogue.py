@@ -15,11 +15,11 @@ __all__ = ["DEFAULT_SEED", "MAX_SAMPLES", "CheckId"]
 DEFAULT_SEED = 7
 
 # Largest accepted ``samples``.  Traced peak bytes per sample at 10**5
-# (tracemalloc, serial, in-process): ArcConsistency 967, ExtDisjoint 368,
-# IntDisjoint 216, IsoscelesMinimality 171, FArgmax 64, JGammaRatio 40,
+# (tracemalloc, serial, in-process): ArcConsistency 724, ExtDisjoint 368,
+# IntDisjoint 216, IsoscelesMinimality 155, FArgmax 64, JGammaRatio 40,
 # SectorMeasure 19 (its sorted disk angles and one block of its cloud; 9
 # at 10**6) and the grid checks HMinAtZero and CMin under 1.  They grow
-# linearly, so at the limit ArcConsistency traces about 3.9 GB and
+# linearly, so at the limit ArcConsistency traces about 2.9 GB and
 # ExtDisjoint about 1.5 GB in their worker processes.
 MAX_SAMPLES = 4_000_000
 

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from collections import namedtuple
 from pathlib import Path
 
 from . import bounds, geom, optimizer
@@ -132,13 +132,10 @@ def _dest(flag: str) -> str:
     return _FLAGS[flag].get("dest", flag.replace("-", "_"))
 
 
-@dataclass(frozen=True)
-class OutputTable:
+class OutputTable(namedtuple("OutputTable", "columns rows caption")):
     """Rectangular numeric table with named columns and a caption."""
 
-    columns: tuple[str, ...]
-    rows: list[tuple]
-    caption: str
+    __slots__ = ()
 
     def render(self, digits: int, round_down: bool = False) -> str:
         """The table as text, floats to ``digits`` significant digits.
@@ -299,7 +296,7 @@ def _resolve_config(args) -> argparse.Namespace:
         setattr(ns, _dest(flag), value)
     if "r0" in reads:  # a parameter the mode does not read keeps its theorem value
         given = {_dest(flag): getattr(ns, _dest(flag)) for flag in _PARAMS}
-        ns.params = replace(THEOREM_DEFAULTS, **{k: v for k, v in given.items() if v is not None})
+        ns.params = THEOREM_DEFAULTS._replace(**{k: v for k, v in given.items() if v is not None})
     if formats:
         emit = ns.emit if ns.emit is not None else ",".join(f for f in formats if f != "svg")
         ns.emit = frozenset(tok.strip() for tok in emit.split(",") if tok.strip())
@@ -434,7 +431,7 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
         path = _write_json(ns, "bound.json", {
             "params": _params_json(params),
             "convention": ns.rlambda_convention,
-            **asdict(breakdown),
+            **breakdown._asdict(),
         })
         print(f"wrote {path}")
     return 0
@@ -457,7 +454,7 @@ def _cmd_optimize(ns: argparse.Namespace) -> int:
         "box": {"a": box.a, "r0": box.r0, "lambda": box.lam},
         "best": _params_json(best),
         "balanced_p": best.p,
-        "breakdown": asdict(result.breakdown),
+        "breakdown": result.breakdown._asdict(),
         "trace": [{**_params_json(pt), "value": value} for pt, value in result.trace],
     }
     if ns.refine:

@@ -17,8 +17,10 @@ criterion.  All functions are pure and operate in binary64.
 
 Arguments are checked by the idiom of :mod:`kakeya.errors`: each guard
 lives in one place, inside a ``try`` that turns a wrong type into
-DomainError.  ``_polar_chart`` checks the radius and the triangle of
-``exterior_area`` and ``intersection_arcs``; ``_require_height_below_radius``
+DomainError.  ``NeedleTriangle`` checks its own fields when it is built,
+so no unchecked triangle exists; ``_polar_chart`` checks the radius of
+``exterior_area`` and ``intersection_arcs``, and that their triangle is
+a record at all; ``_require_height_below_radius``
 checks a height and its radius for the central angle and the
 disjointness criterion, and ``_require_circle_cuts_needle`` adds, for the
 isosceles closed forms and |OB|, that S_r meets the needle.
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, shown, wrong_type
 
@@ -53,8 +55,7 @@ __all__ = [
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NeedleTriangle:
+class NeedleTriangle(namedtuple("NeedleTriangle", "alpha delta t")):
     """Closed triangle spanned by the origin and a unit needle, as its chart.
 
     ``alpha`` is the needle direction u = (cos alpha, sin alpha) with
@@ -64,39 +65,39 @@ class NeedleTriangle:
     the needle, measured from endpoint A = f - t*u toward endpoint
     B = f + (1 - t)*u.  ``t = 1/2`` is the isosceles configuration;
     ``delta = 0`` degenerates to a segment through O with zero area.
-    """
 
-    alpha: float
-    delta: float
-    t: float
-
-
-# ---------------------------------------------------------------------------
-# Triangle construction
-# ---------------------------------------------------------------------------
-
-def make_triangle(alpha: float, delta: float, t: float) -> NeedleTriangle:
-    """Build the needle triangle for direction alpha, height delta, foot t.
-
-    Raises DomainError for inputs that are not finite reals, negative
+    Raises DomainError for fields that are not finite reals, negative
     delta, or t outside [0, 1].  ``alpha`` is stored reduced mod pi.
     """
-    try:
-        if not (math.isfinite(alpha) and math.isfinite(delta) and math.isfinite(t)):
-            got = ", ".join(map(shown, (alpha, delta, t)))
-            raise DomainError(f"triangle parameters must be finite, got {got}")
-        if delta < 0.0:
-            raise DomainError(f"delta must be >= 0, got {shown(delta)}")
-        if not 0.0 <= t <= 1.0:
-            raise DomainError(f"t must lie in [0, 1], got {shown(t)}")
-    except (TypeError, OverflowError):
-        raise wrong_type("triangle parameters must be reals", alpha, delta, t) from None
-    alpha = math.fmod(alpha, math.pi)
-    if alpha < 0.0:
-        alpha += math.pi
-    if alpha >= math.pi:  # fmod can round up to pi for inputs just below a multiple
-        alpha = 0.0
-    return NeedleTriangle(alpha, delta, t)  # positional: cheaper than keywords
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: float, delta: float, t: float):
+        try:
+            if not (math.isfinite(alpha) and math.isfinite(delta) and math.isfinite(t)):
+                got = ", ".join(map(shown, (alpha, delta, t)))
+                raise DomainError(f"triangle parameters must be finite, got {got}")
+            if delta < 0.0:
+                raise DomainError(f"delta must be >= 0, got {shown(delta)}")
+            if not 0.0 <= t <= 1.0:
+                raise DomainError(f"t must lie in [0, 1], got {shown(t)}")
+        except (TypeError, OverflowError):
+            raise wrong_type("triangle parameters must be reals", alpha, delta, t) from None
+        alpha = math.fmod(alpha, math.pi)
+        if alpha < 0.0:
+            alpha += math.pi
+        if alpha >= math.pi:  # fmod can round up to pi for inputs just below a multiple
+            alpha = 0.0
+        return tuple.__new__(cls, (alpha, delta, t))
+
+    @classmethod
+    def _make(cls, fields):
+        """The triangle of an iterable of fields, checked: ``_replace`` builds through it."""
+        return cls(*fields)
+
+
+# The needle triangle for direction alpha, height delta, foot t: the constructor itself.
+make_triangle = NeedleTriangle
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +120,8 @@ def _polar_chart(tri: NeedleTriangle, r: float) -> tuple[float, float, float, fl
         delta, t = tri.delta, tri.t
         core = math.acos(delta / r) if delta < r else 0.0  # delta / r refuses a too-wide int
         return tri.alpha + 0.5 * math.pi, math.atan2(t, delta), math.atan2(1.0 - t, delta), core
-    except (TypeError, OverflowError, AttributeError, ValueError):  # acos of a negative delta / r
-        raise wrong_type("tri must be a NeedleTriangle with delta >= 0, and r a real", tri, r) from None
+    except (TypeError, OverflowError, AttributeError):
+        raise wrong_type("tri must be a NeedleTriangle and r a real", tri, r) from None
 
 
 def exterior_area(tri: NeedleTriangle, r: float) -> float:

@@ -25,10 +25,10 @@ solves for p and searches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import bounds
-from .bounds import RLAMBDA_REPRODUCING, BoundBreakdown, BoundParams
+from .bounds import RLAMBDA_REPRODUCING, BoundParams
 from .errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet, as_integer, shown, wrong_type
 
 __all__ = ["SearchBox", "OptimizationResult", "optimize", "refine_iterative"]
@@ -37,8 +37,7 @@ __all__ = ["SearchBox", "OptimizationResult", "optimize", "refine_iterative"]
 _STEP_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SearchBox:
+class SearchBox(namedtuple("SearchBox", "a r0 lam")):
     """Closed intervals for (a, r0, lambda); a point interval fixes its axis.
 
     Each is a (lo, hi) pair with lo <= hi.  The box is valid when
@@ -47,33 +46,34 @@ class SearchBox:
     in the bound's domain; DomainError otherwise.
     """
 
-    a: tuple[float, float]
-    r0: tuple[float, float]
-    lam: tuple[float, float]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a: tuple[float, float], r0: tuple[float, float], lam: tuple[float, float]):
         try:
-            (a_lo, a_hi), (r0_lo, r0_hi), (lam_lo, lam_hi) = self.a, self.r0, self.lam
+            (a_lo, a_hi), (r0_lo, r0_hi), (lam_lo, lam_hi) = a, r0, lam
         except (TypeError, ValueError):
-            raise wrong_type("each interval must be a pair (lo, hi)", self) from None
+            raise wrong_type("each interval must be a pair (lo, hi)", a, r0, lam) from None
         BoundParams(a=a_hi, r0=r0_lo, p=0.0, lam=lam_lo)
         BoundParams(a=a_lo, r0=r0_hi, p=0.0, lam=lam_hi)
         for name, lo, hi in (("a", a_lo, a_hi), ("r0", r0_lo, r0_hi), ("lambda", lam_lo, lam_hi)):
             if not lo <= hi:
                 raise DomainError(f"{name} interval ({shown(lo)}, {shown(hi)}) has lo > hi")
+        return tuple.__new__(cls, (a, r0, lam))
+
+    @classmethod
+    def _make(cls, fields):
+        """The box of an iterable of intervals, checked: ``_replace`` builds through it."""
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(namedtuple("OptimizationResult", "best breakdown trace")):
     """The best point the search found, its bound and the search's trace.
 
     ``best.p`` is the balanced split at the best (a, r0, lambda);
     ``trace`` holds (point, objective) pairs as ``optimize`` describes.
     """
 
-    best: BoundParams
-    breakdown: BoundBreakdown
-    trace: list[tuple[BoundParams, float]] = field(default_factory=list)
+    __slots__ = ()
 
 
 def _balanced_point(a, r0, lam, convention):

@@ -30,7 +30,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 
 import numpy as np
@@ -55,16 +55,10 @@ _HEIGHT_CAP = bounds.THEOREM_DEFAULTS.a
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "id samples grid_spec max_violation tolerance seed")):
     """Outcome of one verification run; ``passed`` iff violation <= tol."""
 
-    id: CheckId
-    samples: int
-    grid_spec: str
-    max_violation: float
-    tolerance: float
-    seed: int
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -153,7 +147,7 @@ def _check_isosceles_minimality(samples, rng):
     alpha = rng.uniform(0.0, math.pi, samples)
     t = rng.uniforms(samples)
     r, delta = r.tolist(), delta.tolist()
-    triangles = map(geom.make_triangle, alpha.tolist(), delta, t.tolist())
+    triangles = map(geom.NeedleTriangle, alpha.tolist(), delta, t.tolist())
     worst = _largest(map(
         operator.sub, map(geom.exterior_area_isosceles, delta, r), map(geom.exterior_area, triangles, r)
     ))
@@ -549,9 +543,9 @@ def _check_arc_consistency(samples, rng):
     delta = rng.uniforms(samples) * np.minimum(_HEIGHT_CAP, 0.9 * r)
     alpha = rng.uniform(0.0, math.pi, samples)
     t = rng.uniforms(samples)
-    # alpha lies in [0, pi), where make_triangle's reduction mod pi is the
+    # alpha lies in [0, pi), where NeedleTriangle's reduction mod pi is the
     # identity: both sides see the same triangle
-    triangles = map(geom.make_triangle, alpha.tolist(), delta.tolist(), t.tolist())
+    triangles = map(geom.NeedleTriangle, alpha.tolist(), delta.tolist(), t.tolist())
     totals, moments = _fold_arcs(list(map(geom.intersection_arcs, triangles, r.tolist())))
     probed_totals, probed_moments = _arc_totals_by_probing(_triangle_corners(alpha, delta, t), r)
     worst = _largest((np.max(np.abs(totals - probed_totals)), np.max(np.abs(moments - probed_moments))))

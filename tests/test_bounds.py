@@ -4,7 +4,6 @@ kink-split adaptive rule), and the breakdown contracts."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 
@@ -451,7 +450,7 @@ def test_bound_terms_feed_the_breakdown_bit_for_bit():
             assert terms.q == inner * (params.a / derived.r1) ** 2
             assert inner >= 0.18
             # p is not read
-            assert bounds.bound_terms(dataclasses.replace(params, p=0.0), convention) == terms
+            assert bounds.bound_terms(params._replace(p=0.0), convention) == terms
 
 
 def test_paper_literal_convention_breaks_case_ii():

@@ -17,7 +17,11 @@ a call that succeeds, each argument in turn is swapped for junk, and the
 call must raise DomainError.  A real argument gets NON_REALS and HUGE_INTS,
 a count NON_REALS, and a record (a triangle, a BoundParams, a DerivedParams,
 a SearchBox, a list of checks) JUNK_RECORDS; an argument's own default is
-not junk.  ``SearchBox`` also sees intervals that are not (lo, hi) pairs,
+not junk.  Junk may also sit inside a record: each field of a triangle, a
+BoundParams, a DerivedParams and a SearchBox gets NaN, +-inf, NON_REALS,
+HUGE_INTS and values past its range, and the record must refuse each
+when it is built, directly, by ``_make`` or by ``_replace``.
+``SearchBox`` also sees intervals that are not (lo, hi) pairs,
 and lambda intervals outside [0, 1], which it must refuse; over seeded
 boxes of ordinary, edge and junk ends, it accepts exactly those whose two
 extreme corners ``BoundParams`` accepts.  ``rng.mix64`` works in place on
@@ -34,7 +38,6 @@ no scan count lies between 10**4 and 10**6, so every run stays cheap.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import inspect
 import itertools
@@ -223,7 +226,7 @@ WRONG_TYPE_CASES = _wrong_type_cases()
 
 
 def _numbers(value):
-    """Every number inside a result: scalars, arrays, sequences, dataclasses."""
+    """Every number inside a result: scalars, arrays and sequences, records among them."""
     if value is None or isinstance(value, (str, bool, enum.Enum)):
         return
     if isinstance(value, np.ndarray):
@@ -234,11 +237,58 @@ def _numbers(value):
     elif isinstance(value, (list, tuple)):
         for item in value:
             yield from _numbers(item)
-    elif dataclasses.is_dataclass(value):
-        for item in dataclasses.fields(value):
-            yield from _numbers(getattr(value, item.name))
     else:
         raise AssertionError(f"unexpected result type {type(value).__name__}")
+
+
+# Junk inside a record a caller passes back in: for each field, each value
+# of JUNK_FIELDS and each value past the field's range.  A SearchBox field
+# is an interval, which gets each such value at either end.
+JUNK_FIELDS = (math.nan, math.inf, -math.inf) + NON_REALS + HUGE_INTS
+RECORD_FIELDS = [(record, name, out_of_range) for record, fields in (
+    (TRI, {"alpha": (), "delta": (-0.1,), "t": (-0.1, 1.5)}),
+    (THEOREM_DEFAULTS, {"a": (0.0, 0.3), "r0": (0.05, 0.5), "p": (-0.1, 1.5), "lam": (-0.1, 1.5)}),
+    (DERIVED, {"r_lambda": (0.0, 0.5), "delta1": (-0.1, 0.3), "r1": (0.5,), "g_mid": (0.5,)}),
+    (POINT_BOX, {"a": (0.0, 0.3), "r0": (0.05, 0.5), "lam": (-0.1, 1.5)}),
+) for name, out_of_range in fields.items()]
+
+
+@pytest.mark.parametrize("record, name, out_of_range", RECORD_FIELDS,
+                         ids=[f"{type(record).__name__}.{name}" for record, name, _ in RECORD_FIELDS])
+def test_a_record_with_junk_in_a_field_is_refused_when_built(record, name, out_of_range):
+    # built directly, from an iterable and by replacing one field of a good record
+    cls, index = type(record), record._fields.index(name)
+    values = JUNK_FIELDS + out_of_range
+    if cls is optimizer.SearchBox:
+        lo, hi = record[index]
+        values = [(v, hi) for v in values] + [(lo, v) for v in values]
+    bad = []
+    for value in values:
+        fields = record[:index] + (value,) + record[index + 1:]
+        for how, build in (("direct", lambda: cls(*fields)), ("_make", lambda: cls._make(fields)),
+                           ("_replace", lambda: record._replace(**{name: value}))):
+            try:
+                got = build()
+            except DomainError:
+                continue
+            except Exception as exc:  # any other error, typed or not, fails the rule
+                bad.append((how, value, f"{type(exc).__name__}: {exc}"))
+                continue
+            bad.append((how, value, f"accepted, built {got!r}"))
+    assert not bad, f"{len(bad)} bad builds, first ones: {bad[:5]}"
+
+
+def test_the_records_that_once_let_junk_through_refuse_it():
+    # hand-built records whose junk reached a result or a raw TypeError
+    for build in (
+        lambda: geom.exterior_area(geom.NeedleTriangle(math.nan, 0.1, 0.5), 0.3),
+        lambda: geom.intersection_arcs(geom.NeedleTriangle(math.inf, 0.1, 0.5), 0.3),
+        lambda: bounds.active_g_branch(0.2, bounds.DerivedParams(0.2, 0.01, 1.1, math.nan)),
+        lambda: bounds.direction_ratio_cap(0.2, bounds.DerivedParams(0.2, 0.01, 1.1, "x")),
+        lambda: TRI._replace(t=7.0),
+    ):
+        with pytest.raises(DomainError):
+            build()
 
 
 def _arguments(pools, rnd):

@@ -515,11 +515,15 @@ def test_the_branches_give_the_reference_bodies_floats_bit_for_bit():
         rng.uniforms(n).tolist(), rng.uniform(0.01, 1.2, n).tolist(),
     ))
     triangles = [(geom.make_triangle(alpha, delta, t), r) for alpha, delta, t, r in rows + _edge_rows()]
-    # hand-built records the constructor would refuse: NaN and infinite fields
-    triangles += [(geom.NeedleTriangle(*fields), 0.25) for fields in (
+    # no triangle holds NaN or infinite fields: the constructor refuses them
+    for fields in (
         (math.nan, 0.05, 0.5), (0.3, math.nan, 0.5), (0.3, 0.05, math.nan), (math.inf, 0.05, 0.5),
         (0.3, 0.05, 2.0), (0.3, 0.05, -1.0), (0.3, -1.0, 0.5),
-    )]
+    ):
+        with pytest.raises(DomainError):
+            geom.NeedleTriangle(*fields)
+    # radii the chart refuses
+    triangles += [(geom.make_triangle(0.3, 0.05, 0.5), r) for r in (0.0, -0.1, math.nan)]
     seen = set()
     for tri, r in triangles:
         assert _outcome(geom.exterior_area, tri, r) == _outcome(_reference_exterior_area, tri, r), (tri, r)
@@ -530,8 +534,8 @@ def test_the_branches_give_the_reference_bodies_floats_bit_for_bit():
 
 
 def test_a_hand_built_triangle_whose_height_is_past_minus_r_is_a_domain_error():
-    # delta / r below -1 is outside acos's domain: typed, not a math domain error
-    tri = geom.NeedleTriangle(0.3, -1.0, 0.5)
-    for func in (geom.exterior_area, geom.intersection_arcs):
-        with pytest.raises(DomainError, match="NeedleTriangle with delta >= 0"):
-            func(tri, 0.3)
+    # delta / r below -1 would be outside acos's domain: no such triangle is built
+    with pytest.raises(DomainError, match="delta must be >= 0"):
+        geom.NeedleTriangle(0.3, -1.0, 0.5)
+    with pytest.raises(DomainError, match="delta must be >= 0"):
+        geom.make_triangle(0.3, 0.05, 0.5)._replace(delta=-1.0)

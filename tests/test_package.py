@@ -4,7 +4,6 @@ runtime dependencies."""
 from __future__ import annotations
 
 import ast
-import dataclasses
 import importlib
 import inspect
 import math
@@ -61,7 +60,7 @@ def test_removed_names_are_gone(name):
 
 
 def _field_names(cls):
-    return tuple(f.name for f in dataclasses.fields(cls))
+    return cls._fields
 
 
 def test_removed_members_are_gone():
@@ -162,6 +161,29 @@ def test_only_the_oracle_and_its_generator_load_numpy_at_import():
     }
 
 
+RECORDS = (
+    geom.NeedleTriangle, bounds.BoundParams, bounds.DerivedParams, bounds.BoundBreakdown,
+    bounds.BoundTerms, optimizer.SearchBox, optimizer.OptimizationResult, oracle.CheckReport,
+    cli.OutputTable,
+)
+
+
+def test_records_are_namedtuples_and_no_module_imports_dataclasses_or_typing():
+    # dataclasses, and the inspect it loads, cost a third of importing the
+    # package; every record is one kind, an immutable namedtuple
+    for cls in RECORDS:
+        assert issubclass(cls, tuple) and cls._fields and "__dict__" not in dir(cls), cls
+    src = Path(kakeya.__file__).parent
+    imports = [
+        (path.name, node.lineno)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name in ("dataclasses", "typing") for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module in ("dataclasses", "typing")
+    ]
+    assert imports == []
+
+
 def _child_words(code):
     """The words ``python -c code`` prints, run in a child interpreter."""
     # the child imports the same package as this process, installed or not
@@ -189,6 +211,13 @@ def test_runtime_needs_numpy_but_not_mpmath_or_pytest(tmp_path):
         "    code = kakeya.cli.main(['verify', '--check', 'CMin', '--samples', '100'] + out)\n"
         f"print(code); {loaded}\n"
     ) == ["0", "0", "0", "none", "0", "numpy"]
+
+
+def test_importing_the_package_and_its_command_loads_neither_dataclasses_nor_inspect():
+    assert _child_words(
+        "import sys, kakeya, kakeya.cli; "
+        "print(*[m for m in ('dataclasses', 'inspect') if m in sys.modules] or ['none'])"
+    ) == ["none"]
 
 
 def test_the_oracle_names_of_the_package_resolve_on_first_access():

@@ -329,25 +329,21 @@ def case_i_integral(
     params: BoundParams,
     tol: float = 1e-10,
     convention: str = RLAMBDA_REPRODUCING,
-    *,
-    derived: DerivedParams | None = None,
 ) -> float:
     """Integral of r / g(r) over [a, r0], in closed form.
 
     The interval is split where the active branch of g switches, and each
     piece is the difference of that branch's elementary antiderivative.
     The value is exact up to rounding, so ``tol`` does not change it; it
-    is accepted for callers that pass one and must be > 0.  ``derived``
-    is ``derive_params(params, convention)``, for a caller that holds it
-    already.
+    is accepted for callers that pass one and must be > 0.
     """
     _check_tol(tol)
-    if derived is None:
-        derived = derive_params(params, convention)
-    try:  # read here too, since a caller that passes ``derived`` skips derive_params
-        lo, hi = params.a + 0.0, params.r0 + 0.0  # + 0.0 refuses a SearchBox's pairs
-    except (TypeError, OverflowError, AttributeError):
-        raise wrong_type("params must be a BoundParams", params) from None
+    derived = derive_params(params, convention)  # refuses junk before params.a is read
+    return _integral(params.a, params.r0, derived)
+
+
+def _integral(lo: float, hi: float, derived: DerivedParams) -> float:
+    """Integral of r / g(r) over [lo, hi], one antiderivative difference per piece."""
     return sum(
         _antiderivative(branch, x1, derived.g_mid) - _antiderivative(branch, x0, derived.g_mid)
         for x0, x1, branch in _g_pieces(lo, hi, derived)
@@ -369,7 +365,7 @@ def bound_terms(params: BoundParams, convention: str = RLAMBDA_REPRODUCING) -> B
     if params.r0 < 0.15:
         raise DomainError(f"r0 must be >= 0.15 for the outer-area rate, got {shown(params.r0)}")
     f_r0 = geom.exterior_area_rate(params.r0)
-    integral = case_i_integral(params, convention=convention, derived=derived)
+    integral = _integral(params.a, params.r0, derived)
     # the weight of an inner bound at r0; >= 0.18 for r0 >= 0.15
     inner = 1.0 - f_r0 / (2.0 * params.r0 * params.r0)
     if not derived.r1 - 1.0 > params.a:

@@ -5,7 +5,8 @@ failure, 2 usage or domain error, 3 infeasibility, 4 a verification
 worker process that died (killed, say, for memory; no verdict and no
 ``verify.json``).  All file outputs (CSV per RFC 4180, JSON with fixed
 field names, static SVG 1.1 plots) are byte-identical across runs for
-identical configuration and seed.
+identical configuration and seed; ``_save`` alone writes them, after the
+command has printed its results.
 Each run has a mode, its preset or scan function: ``_MODES`` gives the flags
 each mode reads and the files it can write; any other flag or format is an error.
 ``_FLAGS`` gives each flag's default and integer limits.
@@ -156,15 +157,11 @@ class OutputTable(namedtuple("OutputTable", "columns rows caption")):
             lines.append("  ".join(cells))
         return "\n".join(lines)
 
-    def write_csv(self, path: Path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow(
-                    [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]
-                )
+    def write_csv(self, fh) -> None:
+        writer = csv.writer(fh)
+        writer.writerow(self.columns)
+        for row in self.rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row])
 
 
 def _round_down(value: float, digits: int) -> str:
@@ -306,11 +303,29 @@ def _resolve_config(args) -> argparse.Namespace:
     return ns
 
 
-def _write_json(ns: argparse.Namespace, name: str, payload: dict) -> Path:
-    ns.output_dir.mkdir(parents=True, exist_ok=True)
-    path = ns.output_dir / name
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+def _json(payload: dict):
+    """A writer of ``payload`` as JSON, indented, keys sorted, newline-terminated.
+
+    The text goes out in one ``write``; ``json.dump`` would write it token
+    by token, which is slower for no saving at these files' few kB.
+    """
+    return lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _save(ns: argparse.Namespace, files: dict) -> None:
+    """Write a command's ``files``, {name: writer of an open handle}, to --output-dir.
+
+    A mode that reads --emit keeps the files whose suffix it names; any
+    other mode keeps all of its files.  This is the one place the command
+    line writes to the file system, after the command has computed everything.
+    """
+    for name, write in files.items():
+        if ns.emit is None or name.rsplit(".", 1)[1] in ns.emit:
+            ns.output_dir.mkdir(parents=True, exist_ok=True)
+            path = ns.output_dir / name
+            with path.open("w", encoding="utf-8", newline="") as fh:
+                write(fh)
+            print(f"wrote {path}")
 
 
 def _params_json(params: BoundParams) -> dict:
@@ -321,13 +336,15 @@ def _params_json(params: BoundParams) -> dict:
 # SVG plotting
 # ---------------------------------------------------------------------------
 
-def _write_svg(path: Path, xs, ys, x_label: str, y_label: str, title: str) -> None:
+def _write_svg(table: OutputTable, title: str, fh) -> None:
+    """Plot the table's second column over its first; the scan refuses a one-row
+    table, so the first column spans a range."""
     width, height = 640, 420
     m_left, m_right, m_top, m_bottom = 70, 20, 34, 50
+    x_label, y_label = table.columns[:2]
+    xs, ys = zip(*(row[:2] for row in table.rows))
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
 
@@ -375,15 +392,17 @@ def _write_svg(path: Path, xs, ys, x_label: str, y_label: str, title: str) -> No
         f'font-size="12" transform="rotate(-90 16 {(m_top + height - m_bottom) / 2:.2f})">{y_label}</text>'
     )
     parts.append("</svg>")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    fh.write("\n".join(parts) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_bound(ns: argparse.Namespace) -> int:
+# Each command prints its results and returns (exit code, files), the files
+# as {name: writer} for _save.
+
+def _cmd_bound(ns: argparse.Namespace) -> tuple[int, dict]:
     digits = ns.digits
     if ns.preset == "cunningham":
         coeff = bounds.cunningham_bound()
@@ -391,14 +410,11 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
         print(f"coefficient_of_pi = {coeff:.17g}")
         print(f"absolute_area = {coeff * math.pi:.17g}")
         print(f"equals 1/108 within {abs(coeff - 1.0 / 108.0):.3g}")
-        if "json" in ns.emit:
-            path = _write_json(ns, "bound.json", {
-                "preset": "cunningham",
-                "coefficient_of_pi": coeff,
-                "absolute_area": coeff * math.pi,
-            })
-            print(f"wrote {path}")
-        return 0
+        return 0, {"bound.json": _json({
+            "preset": "cunningham",
+            "coefficient_of_pi": coeff,
+            "absolute_area": coeff * math.pi,
+        })}
 
     params = ns.params
     breakdown = bounds.theorem_bound(params, convention=ns.rlambda_convention)
@@ -422,22 +438,18 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
         caption="lower-bound breakdown (final = min of the three terms)",
     )
     print(table.render(digits, round_down=True))  # every term is a lower bound
-    rel = ">=" if breakdown.final >= 1.0 / 98.0 else "<"
-    print(f"final {rel} 1/98  ({breakdown.final:.17g} vs {1.0 / 98.0:.17g})")
-    if "csv" in ns.emit:
-        table.write_csv(ns.output_dir / "bound.csv")
-        print(f"wrote {ns.output_dir / 'bound.csv'}")
-    if "json" in ns.emit:
-        path = _write_json(ns, "bound.json", {
-            "params": _params_json(params),
-            "convention": ns.rlambda_convention,
-            **breakdown._asdict(),
-        })
-        print(f"wrote {path}")
-    return 0
+    terms = table.rows[:3]
+    margins = "  ".join(f"{name} {coeff - 1.0 / 98.0:+.2e}" for name, coeff, _ in terms)
+    print(f"binding term: {min(terms, key=lambda row: row[1])[0]}; each term - 1/98 in "
+          f"binary64 (a float comparison, not a proof): {margins}")
+    return 0, {"bound.csv": table.write_csv, "bound.json": _json({
+        "params": _params_json(params),
+        "convention": ns.rlambda_convention,
+        **breakdown._asdict(),
+    })}
 
 
-def _cmd_optimize(ns: argparse.Namespace) -> int:
+def _cmd_optimize(ns: argparse.Namespace) -> tuple[int, dict]:
     if ns.preset == "sec41":
         box = SearchBox(**_SEC41_BOX)
     else:
@@ -461,12 +473,10 @@ def _cmd_optimize(ns: argparse.Namespace) -> int:
         seq = optimizer.refine_iterative(best, ns.refine, convention=ns.rlambda_convention)
         payload["refine"] = seq
         print("refine sequence:", " ".join(f"{v:.12g}" for v in seq))
-    path = _write_json(ns, "optimize.json", payload)
-    print(f"wrote {path}")
-    return 0
+    return 0, {"optimize.json": _json(payload)}
 
 
-def _cmd_verify(ns: argparse.Namespace) -> int:
+def _cmd_verify(ns: argparse.Namespace) -> tuple[int, dict]:
     if ns.all and ns.check:
         raise DomainError("--all and --check cannot be combined")
     # the checks load numpy; every other command runs without it
@@ -481,13 +491,11 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
             f"(tolerance {rep.tolerance:.6g}, samples {rep.samples}, seed {rep.seed})"
         )
     all_pass = all(rep.passed for rep in reports)
-    path = _write_json(ns, "verify.json", {
+    return 0 if all_pass else 1, {"verify.json": _json({
         "seed": ns.seed,
         "all_pass": all_pass,
         "checks": [rep.as_dict() for rep in reports],
-    })
-    print(f"wrote {path}")
-    return 0 if all_pass else 1
+    })}
 
 
 def _grid(lo: float, hi: float, steps: int, name: str, rows: int = 1) -> list[float]:
@@ -518,7 +526,7 @@ def _scan_range(ns: argparse.Namespace, domain_lo, domain_hi, what) -> list[floa
     return _grid(lo, hi, ns.steps, "r")
 
 
-def _cmd_scan(ns: argparse.Namespace) -> int:
+def _cmd_scan(ns: argparse.Namespace) -> tuple[int, dict]:
     params = ns.params
     fn = ns.function
     caption = f"scan of {fn}"
@@ -578,17 +586,8 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     if "svg" in ns.emit and len(table.rows) < 2:
         raise DomainError(f"scan {fn} has one row; --emit svg needs a range of two or more points")
     print(table.render(ns.digits))
-    if "csv" in ns.emit:
-        path = ns.output_dir / f"scan_{fn}.csv"
-        table.write_csv(path)
-        print(f"wrote {path}")
-    if "svg" in ns.emit:
-        xs = [row[0] for row in table.rows]
-        ys = [row[1] for row in table.rows]
-        path = ns.output_dir / f"scan_{fn}.svg"
-        _write_svg(path, xs, ys, table.columns[0], table.columns[1], caption)
-        print(f"wrote {path}")
-    return 0
+    return 0, {f"scan_{fn}.csv": table.write_csv,
+               f"scan_{fn}.svg": lambda fh: _write_svg(table, caption, fh)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -603,7 +602,9 @@ def main(argv: list[str] | None = None) -> int:
         ns = _resolve_config(args)
         run = {"bound": _cmd_bound, "optimize": _cmd_optimize, "verify": _cmd_verify,
                "scan": _cmd_scan}[ns.command]
-        return run(ns)
+        code, files = run(ns)
+        _save(ns, files)
+        return code
     except (CaseIIInfeasible, EmptyFeasibleSet) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3

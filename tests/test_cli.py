@@ -14,6 +14,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -28,6 +29,16 @@ BREAKDOWN_KEYS = {"case_i", "case_ii", "half_a", "final", "integral_value", "f_r
 
 def run_cli(*args):
     return cli.main(list(args))
+
+
+def test_bound_verdict_line_names_the_binding_term_and_each_margin(tmp_path, capsys):
+    assert run_cli("bound", "--output-dir", str(tmp_path)) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("binding term")]
+    # half_a = a/(2 pi) is 1/98 in binary64 at a = pi/49; the margins are case_i's and case_ii's
+    assert lines == [
+        "binding term: half_a; each term - 1/98 in binary64 (a float comparison, not a proof): "
+        "case_i +1.35e-06  case_ii +5.14e-04  half_a +0.00e+00"
+    ]
 
 
 def test_bound_theorem_preset(tmp_path, capsys):
@@ -638,6 +649,14 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert payload["params"]["r0"] == 0.23  # flag wins over file
 
 
+def test_config_file_skips_blank_and_comment_only_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n# the point\n   \na = 0.06  # height cap\n\t# indented comment\nr0 = 0.24\n")
+    assert run_cli("bound", "--config", str(cfg), "--output-dir", str(tmp_path)) == 0
+    payload = json.loads((tmp_path / "bound.json").read_text())
+    assert (payload["params"]["a"], payload["params"]["r0"]) == (0.06, 0.24)
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
     for line, name in (("lamda = 0.5", "lamda"), ("quad-tol = 1e-10", "quad-tol")):
@@ -860,6 +879,19 @@ def test_svg_output_is_well_formed(tmp_path):
     assert svg.startswith("<svg")
     assert "polyline" in svg
     assert svg.rstrip().endswith("</svg>")
+
+
+def test_flat_scan_svg_is_well_formed(tmp_path):
+    # g is g_mid at every r of this range, so the y axis has no height of its own
+    code = run_cli("scan", "g", "--from", "0.1", "--to", "0.2", "--emit", "svg",
+                   "--output-dir", str(tmp_path))
+    assert code == 0
+    root = ElementTree.parse(tmp_path / "scan_g.svg").getroot()
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    points = root.find("{http://www.w3.org/2000/svg}polyline").get("points").split()
+    assert len(points) == 100
+    assert len({point.split(",")[1] for point in points}) == 1  # one height: a flat line
+    assert [path.name for path in tmp_path.iterdir()] == ["scan_g.svg"]
 
 
 def test_module_entry_point_runs(tmp_path):

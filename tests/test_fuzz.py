@@ -125,10 +125,6 @@ ENTRY_POINTS = {
     ),
     "theorem_bound(tol)": (bounds.theorem_bound, (Records((THEOREM_DEFAULTS,)), VALUES)),
     "case_i_integral(tol)": (bounds.case_i_integral, (Records((THEOREM_DEFAULTS,)), VALUES)),
-    # with derived given, derive_params is skipped: params is read in case_i_integral
-    "case_i_integral(derived)": (
-        lambda params: bounds.case_i_integral(params, derived=DERIVED), (Records((THEOREM_DEFAULTS,)),)
-    ),
     "g_branch_kinks": (
         bounds.g_branch_kinks, (Records((THEOREM_DEFAULTS,)), (RLAMBDA_REPRODUCING,), VALUES, VALUES)
     ),

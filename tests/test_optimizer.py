@@ -72,7 +72,7 @@ def test_optimize_beats_the_default_point_objective():
 def test_optimize_derives_once_per_evaluation(monkeypatch):
     box = SearchBox(a=(0.06, 0.066), r0=(0.22, 0.24), lam=(0.88, 0.93))
     expected = optimizer.optimize(box)
-    calls = {"evaluations": 0, "derive_params": 0, "case_i_integral": 0}
+    calls = {"evaluations": 0, "derive_params": 0, "_integral": 0}
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -83,14 +83,14 @@ def test_optimize_derives_once_per_evaluation(monkeypatch):
 
     monkeypatch.setattr(optimizer, "_balanced_point", counted("evaluations", optimizer._balanced_point))
     monkeypatch.setattr(bounds, "derive_params", counted("derive_params", bounds.derive_params))
-    monkeypatch.setattr(bounds, "case_i_integral", counted("case_i_integral", bounds.case_i_integral))
+    monkeypatch.setattr(bounds, "_integral", counted("_integral", bounds._integral))
     result = optimizer.optimize(box)
     assert result == expected
     # the centre, then a first round that probes each of the three axes
     assert calls["evaluations"] >= 1 + 3
     # one of each per evaluation, plus one each for the final breakdown
     assert calls["derive_params"] == calls["evaluations"] + 1
-    assert calls["case_i_integral"] == calls["evaluations"] + 1
+    assert calls["_integral"] == calls["evaluations"] + 1
 
 
 SEC41_BOX = SearchBox(a=(0.06473, 0.06474), r0=(0.22785, 0.22786), lam=(0.90696, 0.90697))
@@ -252,7 +252,7 @@ def test_refine_iterative_rejects_bad_inputs(max_iter, tol):
 
 def test_refine_iterative_reads_one_term_record(monkeypatch):
     expected = optimizer.refine_iterative(THEOREM_DEFAULTS, 10)
-    calls = {"derive_params": 0, "case_i_integral": 0, "theorem_bound": 0}
+    calls = {"derive_params": 0, "_integral": 0, "theorem_bound": 0}
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -264,7 +264,7 @@ def test_refine_iterative_reads_one_term_record(monkeypatch):
     for key in calls:
         monkeypatch.setattr(bounds, key, counted(key, getattr(bounds, key)))
     assert optimizer.refine_iterative(THEOREM_DEFAULTS, 10) == expected
-    assert calls == {"derive_params": 1, "case_i_integral": 1, "theorem_bound": 0}
+    assert calls == {"derive_params": 1, "_integral": 1, "theorem_bound": 0}
 
 
 def test_refine_iterative_stops_when_converged():

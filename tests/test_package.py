@@ -290,6 +290,27 @@ def test_arguments_are_checked_by_one_idiom_without_the_numbers_abcs():
     assert uses == []
 
 
+def _file_system_writes(tree: ast.AST, where: str = "<module>"):
+    """(enclosing function, line) of each call to open, .open, .write_text or .mkdir."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _file_system_writes(node, node.name)
+            continue
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "open"
+            or isinstance(node.func, ast.Attribute) and node.func.attr in ("open", "write_text", "mkdir")
+        ):
+            yield where, node.lineno
+        yield from _file_system_writes(node, where)
+
+
+def test_only_save_writes_files_in_the_command_line_module():
+    # each command returns its files as writers; _save alone opens them
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    calls = list(_file_system_writes(tree))
+    assert {where for where, _ in calls} == {"_save"}, calls
+
+
 def test_code_line_counter_skips_docstrings_comments_and_blank_lines(tmp_path):
     # the rule behind the code-line counts quoted in ROADMAP and CHANGES.md
     (tmp_path / "mod.py").write_text(

@@ -9,12 +9,14 @@ identical configuration and seed; ``_save`` alone writes them, after the
 command has printed its results.
 Each run has a mode, its preset or scan function: ``_MODES`` gives the flags
 each mode reads and the files it can write; any other flag or format is an error.
-``_FLAGS`` gives each flag's default and integer limits.
+``_FLAGS`` gives each flag's type, default and integer limits.  ``_parse``
+reads ``kakeya COMMAND [FUNCTION] --flag VALUE | --flag=VALUE ...`` from
+these two tables alone, and ``_from_text`` converts and checks every value,
+whether it comes from the command line, a config file or ``KAKEYA_SEED``.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import math
@@ -22,14 +24,10 @@ import os
 import sys
 from collections import namedtuple
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import bounds, geom, optimizer
-from .bounds import (
-    RLAMBDA_PAPER_LITERAL,
-    RLAMBDA_REPRODUCING,
-    BoundParams,
-    THEOREM_DEFAULTS,
-)
+from .bounds import RLAMBDA_PAPER_LITERAL, RLAMBDA_REPRODUCING, THEOREM_DEFAULTS, BoundParams
 from .catalogue import DEFAULT_SEED, MAX_SAMPLES, CheckId
 from .errors import CaseIIInfeasible, DomainError, EmptyFeasibleSet, WorkerLost, as_integer
 from .optimizer import SearchBox
@@ -46,44 +44,56 @@ _SEC41_BOX = dict(
     lam=(0.90696, 0.90697),
 )
 
-# Every flag but --preset and --config, by long name.  Besides argparse's
-# keys, an entry may give the flag's ``default``, the integer limits ``lo``
-# and ``hi``, and the environment variable ``env`` read after a config file.
+
+def _formats(text: str) -> frozenset:
+    """The formats of a comma list, blanks dropped; ValueError if it names none."""
+    formats = frozenset(filter(None, (token.strip() for token in text.split(","))))
+    if not formats:
+        raise ValueError(text)
+    return formats
+
+
+# Every flag, by long name.  An entry may give the ``type`` its text converts
+# to (str when absent; bool for a switch, which takes no value), the
+# integer limits ``lo`` and ``hi``, ``repeat`` (the flag may
+# repeat and its values form a list; any other flag given twice keeps the
+# last), its ``default``, the environment variable ``env`` read after a
+# config file, ``dest``, its namespace name when not the flag's own with "_"
+# for "-", and ``help``.
 _FLAGS = {
+    "preset": {},
+    "config": dict(help="a file of flat 'key = value' lines, keys named like the flags"),
     "a": dict(type=float, default=THEOREM_DEFAULTS.a, help="needle-height cap, in (0, 1/2)"),
     "r0": dict(type=float, default=THEOREM_DEFAULTS.r0, help="cutoff radius, in (a, 1/2)"),
-    "p": dict(type=float, default=THEOREM_DEFAULTS.p,
-              help="direction-proportion split, in [0, 1]"),
+    "p": dict(type=float, default=THEOREM_DEFAULTS.p, help="direction-proportion split, in [0, 1]"),
     "lambda": dict(dest="lam", type=float, default=THEOREM_DEFAULTS.lam,
                    help="interpolation weight for r_lambda, in [0, 1]"),
     "seed": dict(type=int, default=DEFAULT_SEED, env="KAKEYA_SEED",
-                 help="master seed (default: KAKEYA_SEED env var, else 7)"),
-    "rlambda-convention": dict(choices=(RLAMBDA_REPRODUCING, RLAMBDA_PAPER_LITERAL),
-                               default=RLAMBDA_REPRODUCING),
-    "output-dir": dict(type=Path, default=Path(".")),
-    "emit": dict(type=str, help="comma list of the formats this mode writes"),
-    "digits": dict(type=int, default=6, lo=1, hi=17,
-                   help="significant digits for printed numbers, 1 to 17"),
-    "refine": dict(type=int, metavar="N", lo=0,
-                   help="append N steps of the iterative inner-bound refinement"),
-    "all": dict(action="store_true", help="run every check"),
-    "check": dict(action="append", choices=sorted(c.value for c in CheckId),
-                  help="run one named check (repeatable)"),
-    "samples": dict(type=int, help="override the per-check sample/grid size "
-                                   f"(100 to {MAX_SAMPLES})"),
-    "from": dict(dest="r_from", type=float),
-    "to": dict(dest="r_to", type=float),
-    "steps": dict(type=int, default=100, lo=2, help="default 100"),
-    "a-from": dict(type=float),
-    "a-to": dict(type=float),
+                 help="master seed (default: the KAKEYA_SEED environment variable, else 7)"),
+    "rlambda-convention": dict(default=RLAMBDA_REPRODUCING,
+                               help=f"{RLAMBDA_REPRODUCING} (default) or {RLAMBDA_PAPER_LITERAL}"),
+    "output-dir": dict(type=Path, default=Path("."), help="directory to write into (default .)"),
+    "emit": dict(type=_formats, help="comma list of the formats to write"),
+    "digits": dict(type=int, default=6, lo=1, hi=17, help="significant digits printed, 1 to 17"),
+    "refine": dict(type=int, lo=0, help="append N steps of the iterative inner-bound refinement"),
+    "all": dict(type=bool, help="run every check"),
+    "check": dict(type=CheckId, repeat=True, help="a check to run, by name; repeats"),
+    "samples": dict(type=int, help=f"each check's sample or grid size, 100 to {MAX_SAMPLES}"),
+    "from": dict(dest="r_from", type=float, help="first r of the scan"),
+    "to": dict(dest="r_to", type=float, help="last r of the scan"),
+    "steps": dict(type=int, default=100, lo=2, help="points of the scan, default 100"),
+    "a-from": dict(type=float, help="first a of the scan"),
+    "a-to": dict(type=float, help="last a of the scan"),
     # the a and r0 counts default to 50 in _cmd_scan, which must tell a
     # given count from a default one
-    "a-steps": dict(type=int, lo=2, help="default 50"),
-    "r0-from": dict(type=float),
-    "r0-to": dict(type=float),
-    "r0-steps": dict(type=int, lo=2, help="default 50"),
+    "a-steps": dict(type=int, lo=2, help="a values of the scan, default 50"),
+    "r0-from": dict(type=float, help="first r0 of the scan"),
+    "r0-to": dict(type=float, help="last r0 of the scan"),
+    "r0-steps": dict(type=int, lo=2, help="r0 values of the scan, default 50"),
 }
-_TABLE_ONLY = ("default", "lo", "hi", "env")
+# What a value of each type must be, for the message that refuses one.
+_KINDS = {int: "an integer", float: "a number", _formats: "a comma list of formats",
+          Path: "a directory", str: "a name", CheckId: f"one of {', '.join(c.value for c in CheckId)}"}
 # A scan evaluates at most this many points (a-steps x r0-steps for a scan
 # over (a, r0)); a larger request is a DomainError before any evaluation.
 MAX_SCAN_POINTS = 10**6
@@ -96,8 +106,9 @@ _CONFIG_KEYS = frozenset(
 
 
 def _mode(*flags, emit=()):
-    """A mode's flags, --output-dir and (if it emits files) --emit; its formats."""
-    return frozenset((*flags, "output-dir", *(("emit",) if emit else ()))), emit
+    """A mode's flags, with --preset, --config, --output-dir and (if it emits
+    files) --emit; its formats."""
+    return frozenset((*flags, "preset", "config", "output-dir", *(("emit",) if emit else ()))), emit
 
 
 # Formats other than svg are written by default.  The presets of bound and
@@ -186,35 +197,65 @@ def _round_down(value: float, digits: int) -> str:
 # Argument and config-file parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser(commands=tuple(_MODES)) -> argparse.ArgumentParser:
-    """The parser, with the flags of ``commands`` only: a run needs its own,
-    and all four commands' flags take twice as long to build as one's."""
-    parser = argparse.ArgumentParser(
-        prog="kakeya",
-        description="Lower bounds for star-shaped Kakeya sets: evaluate, optimize, verify, scan.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, summary in (
-        ("bound", "evaluate the lower bound at one parameter point"),
-        ("optimize", "search (a, r0, lambda) with balanced p"),
-        ("verify", "run brute-force geometry checks"),
-        ("scan", "tabulate a bound function over a range"),
-    ):
-        # no prefix matching: `verify --a` must not turn into `--all`
-        p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        if name not in commands:
+def _usage(expected: str, word) -> DomainError:
+    """A malformed command line: what was ``expected``, and the word found (None: none left)."""
+    return DomainError(f"expected {expected}, got {'nothing' if word is None else repr(word)}")
+
+
+def _parse(argv: list[str]) -> dict:
+    """``kakeya COMMAND [FUNCTION] --flag VALUE | --flag=VALUE ...``, parsed.
+
+    The dict holds ``command``, scan's ``function``, and each given flag's
+    value under its long name, from ``_from_text``.  Names match exactly; a
+    switch takes no value; the word after a flag is its value unless it
+    starts with "--".  A later flag wins, but a ``repeat`` flag collects its
+    values.  Any other word is a DomainError that names it.  Whether the
+    run's mode reads a flag is ``_resolve_config``'s check.
+    """
+    words = iter(argv)
+    command = next(words, None)
+    if command not in _MODES:
+        raise _usage(f"a command ({', '.join(_MODES)})", command)
+    args = {"command": command}
+    if command == "scan":
+        args["function"] = next(words, None)
+        if args["function"] not in _MODES["scan"]:
+            raise _usage(f"a scan function ({', '.join(_MODES['scan'])})", args["function"])
+    for word in words:
+        name, eq, text = word.partition("=")
+        flag = name[2:] if name.startswith("--") else None
+        spec = _FLAGS.get(flag)
+        if spec is None:
+            raise _usage(f"a flag (kakeya {command} -h lists them)", word)
+        if spec.get("type") is bool:
+            if eq:
+                raise _usage(f"{name} with no value", word)
+            args[flag] = True
             continue
-        if name == "scan":
-            p.add_argument("function", choices=tuple(_MODES["scan"]))
-        for flag, spec in _FLAGS.items():
-            if any(flag in reads for reads, _ in _MODES[name].values()):
-                # default None tells a given flag from an absent one
-                argparse_keys = {k: v for k, v in spec.items() if k not in _TABLE_ONLY}
-                p.add_argument(f"--{flag}", **argparse_keys, default=None)
-        if _PRESETS[name]:
-            p.add_argument("--preset", choices=_PRESETS[name], default=None)
-        p.add_argument("--config", type=str, default=None, help="flat key = value config file")
-    return parser
+        if not eq:
+            text = next(words, None)
+            if text is None or text.startswith("--"):
+                raise _usage(f"a value after {name}", text)
+        value = _from_text(flag, text, name)
+        args[flag] = [*args.get(flag, ()), value] if spec.get("repeat") else value
+    return args
+
+
+def _help(command: str) -> str:
+    """How to call ``command``, from the tables; how to call kakeya if it is none."""
+    if command not in _MODES:
+        return ("usage: kakeya COMMAND [FUNCTION] [--flag VALUE | --flag=VALUE ...]\n"
+                f"Lower bounds for star-shaped Kakeya sets; COMMAND is {', '.join(_MODES)}.\n"
+                "kakeya COMMAND -h lists the command's modes and flags.")
+    lines = [f"usage: kakeya {command} {'FUNCTION ' * (command == 'scan')}[--flag VALUE ...]",
+             "Modes, and the flags each reads besides --config and --output-dir:"]
+    for mode, (reads, formats) in _MODES[command].items():
+        name = mode if command == "scan" else f"--preset {mode}" if mode else command
+        own = [f"--{flag}" for flag in _FLAGS if flag in reads - {"preset", "config", "output-dir", "emit"}]
+        own += [f"--emit {','.join(formats)}"] if formats else []
+        lines.append(f"  {name}: {' '.join(own)}")
+    read = set().union(*(reads for reads, _ in _MODES[command].values())) - {"preset"}
+    return "\n".join(lines + [f"  --{flag:18} {_FLAGS[flag]['help']}" for flag in _FLAGS if flag in read])
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -233,70 +274,73 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def _from_text(flag: str, text: str, name: str):
-    """A config-file or environment value of ``flag``, converted and checked like the flag.
+    """A value of ``flag``, converted from its text and checked: the one path
+    for the command line, a config file and the environment alike.
 
-    ``name`` says where the text came from; a value that does not convert
-    or lies outside the flag's limits is a DomainError naming it.
+    ``name`` says where the text came from; text that is blank, does not
+    convert or lies outside the flag's integer limits is a DomainError
+    naming it.
     """
     spec = _FLAGS[flag]
     kind = spec.get("type", str)
     try:
+        if not text.strip():
+            raise ValueError(text)
         value = kind(text)
     except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise DomainError(f"{name} must be {what}, got {text!r}") from None
+        raise DomainError(f"{name} must be {_KINDS[kind]}, got {text!r}") from None
     if kind is int:
         as_integer(value, name, spec.get("lo"), spec.get("hi"))
     return value
 
 
-def _resolve_config(args) -> argparse.Namespace:
-    """The run's one namespace of options.
+def _resolve_config(args: dict) -> SimpleNamespace:
+    """The run's one namespace of options, from ``_parse``'s dict.
 
     Each flag's value comes from the command line, else the config file
     (which the theorem preset ignores for the parameter point), else the
     flag's ``env`` variable, else its ``_FLAGS`` default; it is None when
     the mode (see ``_MODES``) does not read the flag.  The namespace also
-    holds ``command``, ``function`` (scan's), ``preset`` and ``params``, the
+    holds ``command``, ``function`` (scan's) and ``params``, the
     BoundParams of a mode that reads r0, else None: scan c reads a alone,
     since no r0 caps c(r, a).
     """
-    fileconf = _load_config_file(args.config) if args.config else {}
-    # verify has no --preset flag, but a config file may still name one
-    preset = getattr(args, "preset", None) or fileconf.get("preset")
-    if preset is not None and preset not in _PRESETS[args.command]:
+    command, function, config = args["command"], args.get("function"), args.get("config")
+    fileconf = _load_config_file(config) if config is not None else {}
+
+    def value(flag):
+        if flag in args:
+            return args[flag]
+        if flag in fileconf:
+            return _from_text(flag, fileconf[flag], f"{config}: {flag}")
+        env = _FLAGS[flag].get("env")
+        if env and os.environ.get(env):
+            return _from_text(flag, os.environ[env], env)
+        return _FLAGS[flag].get("default")
+
+    preset = value("preset")
+    if preset is not None and preset not in _PRESETS[command]:
         if not any(preset in names for names in _PRESETS.values()):
             raise DomainError(f"unknown preset {preset!r}")
-        raise DomainError(f"preset {preset!r} does not apply to {args.command}")
-    function = getattr(args, "function", None)
-    mode = function or preset or next(iter(_MODES[args.command]))
-    where = f"scan {mode}" if function else f"preset {preset}" if preset else args.command
-    reads, formats = _MODES[args.command][mode]
+        source = "--preset" if "preset" in args else "preset"
+        raise DomainError(f"{source} {preset!r} does not apply to {command}")
+    mode = function or preset or next(iter(_MODES[command]))
+    where = f"scan {mode}" if function else f"preset {preset}" if preset else command
+    reads, formats = _MODES[command][mode]
     if preset == "theorem":  # the preset fixes the parameter point; flags still win
-        fileconf = {key: value for key, value in fileconf.items() if key not in _PARAMS}
-    ns = argparse.Namespace(command=args.command, function=function, preset=preset, params=None)
-    for flag, spec in _FLAGS.items():
-        value = getattr(args, _dest(flag), None)
-        if value is not None:
-            if spec.get("type") is int:
-                as_integer(value, f"--{flag}", spec.get("lo"), spec.get("hi"))
-            if flag not in reads:
-                raise DomainError(f"--{flag} does not apply to {where}")
-        elif flag in reads:
-            env = spec.get("env")
-            if flag in fileconf:
-                value = _from_text(flag, fileconf[flag], f"{args.config}: {flag}")
-            elif env and os.environ.get(env):
-                value = _from_text(flag, os.environ[env], env)
-            else:
-                value = spec.get("default")
-        setattr(ns, _dest(flag), value)
+        for key in _PARAMS:
+            fileconf.pop(key, None)
+    ns = SimpleNamespace(command=command, function=function, params=None)
+    for flag in _FLAGS:
+        if flag in args and flag not in reads:
+            raise DomainError(f"--{flag} does not apply to {where}")
+        setattr(ns, _dest(flag), value(flag) if flag in reads else None)
     if "r0" in reads:  # a parameter the mode does not read keeps its theorem value
         given = {_dest(flag): getattr(ns, _dest(flag)) for flag in _PARAMS}
         ns.params = THEOREM_DEFAULTS._replace(**{k: v for k, v in given.items() if v is not None})
     if formats:
-        emit = ns.emit if ns.emit is not None else ",".join(f for f in formats if f != "svg")
-        ns.emit = frozenset(tok.strip() for tok in emit.split(",") if tok.strip())
+        if ns.emit is None:
+            ns.emit = frozenset(f for f in formats if f != "svg")
         bad = ",".join(sorted(ns.emit - set(formats)))
         if bad:
             raise DomainError(f"{where} cannot emit {bad}; --emit takes {','.join(formats)}")
@@ -312,7 +356,7 @@ def _json(payload: dict):
     return lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _save(ns: argparse.Namespace, files: dict) -> None:
+def _save(ns: SimpleNamespace, files: dict) -> None:
     """Write a command's ``files``, {name: writer of an open handle}, to --output-dir.
 
     A mode that reads --emit keeps the files whose suffix it names; any
@@ -402,7 +446,7 @@ def _write_svg(table: OutputTable, title: str, fh) -> None:
 # Each command prints its results and returns (exit code, files), the files
 # as {name: writer} for _save.
 
-def _cmd_bound(ns: argparse.Namespace) -> tuple[int, dict]:
+def _cmd_bound(ns: SimpleNamespace) -> tuple[int, dict]:
     digits = ns.digits
     if ns.preset == "cunningham":
         coeff = bounds.cunningham_bound()
@@ -449,7 +493,7 @@ def _cmd_bound(ns: argparse.Namespace) -> tuple[int, dict]:
     })}
 
 
-def _cmd_optimize(ns: argparse.Namespace) -> tuple[int, dict]:
+def _cmd_optimize(ns: SimpleNamespace) -> tuple[int, dict]:
     if ns.preset == "sec41":
         box = SearchBox(**_SEC41_BOX)
     else:
@@ -476,13 +520,13 @@ def _cmd_optimize(ns: argparse.Namespace) -> tuple[int, dict]:
     return 0, {"optimize.json": _json(payload)}
 
 
-def _cmd_verify(ns: argparse.Namespace) -> tuple[int, dict]:
+def _cmd_verify(ns: SimpleNamespace) -> tuple[int, dict]:
     if ns.all and ns.check:
         raise DomainError("--all and --check cannot be combined")
     # the checks load numpy; every other command runs without it
     from . import oracle
 
-    selected = [CheckId(name) for name in ns.check or ()] or list(CheckId)
+    selected = ns.check or list(CheckId)
     reports = oracle.run_checks(selected, samples=ns.samples, seed=ns.seed)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
@@ -516,7 +560,7 @@ def _grid(lo: float, hi: float, steps: int, name: str, rows: int = 1) -> list[fl
     return [lo + (hi - lo) * k / (steps - 1) for k in range(steps - 1)] + [hi]
 
 
-def _scan_range(ns: argparse.Namespace, domain_lo, domain_hi, what) -> list[float]:
+def _scan_range(ns: SimpleNamespace, domain_lo, domain_hi, what) -> list[float]:
     lo = ns.r_from if ns.r_from is not None else domain_lo
     hi = ns.r_to if ns.r_to is not None else domain_hi
     if not all(domain_lo <= end <= domain_hi for end in (lo, hi)):
@@ -526,7 +570,7 @@ def _scan_range(ns: argparse.Namespace, domain_lo, domain_hi, what) -> list[floa
     return _grid(lo, hi, ns.steps, "r")
 
 
-def _cmd_scan(ns: argparse.Namespace) -> tuple[int, dict]:
+def _cmd_scan(ns: SimpleNamespace) -> tuple[int, dict]:
     params = ns.params
     fn = ns.function
     caption = f"scan of {fn}"
@@ -592,14 +636,11 @@ def _cmd_scan(ns: argparse.Namespace) -> tuple[int, dict]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # argparse's command is the first word without a leading "-", or an error
-    command = next((word for word in argv if not word.startswith("-")), None)
+    if "-h" in argv or "--help" in argv:
+        print(_help(argv[0]))
+        return 0
     try:
-        args = _build_parser((command,)).parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        ns = _resolve_config(args)
+        ns = _resolve_config(_parse(argv))
         run = {"bound": _cmd_bound, "optimize": _cmd_optimize, "verify": _cmd_verify,
                "scan": _cmd_scan}[ns.command]
         code, files = run(ns)

@@ -103,7 +103,8 @@ def optimize(
     step up and, unless that moves, one step down, each probe clipped to
     its interval, and moves to a probe whose key (objective, balanced
     value) is strictly larger.  A probe that equals the current point (a
-    fixed axis, a box edge) is skipped unevaluated.  A round without a
+    fixed axis, a box edge) is skipped unevaluated, and no point is
+    evaluated twice in one search.  A round without a
     move halves every step; the search ends once every step is at most
     1e-10.  The trace holds the start point (when feasible), then the
     point at each halving after the objective rose.  An infeasible point (Case II
@@ -113,12 +114,16 @@ def optimize(
     propagates.
     """
 
+    seen = {}  # point: (key, p); a round re-probes points an earlier round evaluated
+
     def evaluate(point):
-        try:
-            phi, value, p = _balanced_point(*point, convention)
-        except CaseIIInfeasible:
-            return (-math.inf, -math.inf), None
-        return (phi, value), p
+        if point not in seen:
+            try:
+                phi, value, p = _balanced_point(*point, convention)
+                seen[point] = (phi, value), p
+            except CaseIIInfeasible:
+                seen[point] = (-math.inf, -math.inf), None
+        return seen[point]
 
     try:
         intervals = (box.a, box.r0, box.lam)

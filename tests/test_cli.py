@@ -92,31 +92,46 @@ class _Parsed(Exception):
     """Raised in place of running a command, with the parsed arguments."""
 
 
-@pytest.mark.parametrize("argv", [
-    ["optimize", "--preset", "sec41", "--refine", "10"], ["scan", "f", "--from", "0.2"], ["verify", "--all"],
-    ["bound", "--a", "0.1", "--config", "x.cfg"],
-    # help and usage errors, where argparse's command is not the first word
-    # without a leading "-"
-    [], ["-h"], ["--", "bound"], ["-h", "optimize"], ["bound", "-h"], ["bogus"], ["-1", "bound"], ["-", "scan", "f"],
-    ["--a=0.1", "bound", "--preset", "theorem"], ["verify", "--a", "1"], ["scan"],
-    ["optimize", "--preset", "nope"],
-])
-def test_main_parses_as_the_parser_with_every_commands_flags(monkeypatch, capsys, argv):
-    # main builds only the run command's flags
-    every = cli._build_parser
+# (argv, what main does with it): the dict _resolve_config receives, or the
+# exit code and a text of the output (stdout for help, else stderr)
+_ARGV_OUTCOMES = [
+    (["optimize", "--preset", "sec41", "--refine", "10"],
+     {"command": "optimize", "preset": "sec41", "refine": 10}),
+    (["scan", "f", "--from", "0.2"], {"command": "scan", "function": "f", "from": 0.2}),
+    (["verify", "--all"], {"command": "verify", "all": True}),
+    (["bound", "--a", "0.1", "--config", "x.cfg"], {"command": "bound", "a": 0.1, "config": "x.cfg"}),
+    # help anywhere, and usage errors that name the offending word
+    ([], (2, "got nothing")), (["-h"], (0, "usage: kakeya COMMAND")), (["--", "bound"], (2, "'--'")),
+    (["-h", "optimize"], (0, "usage: kakeya COMMAND")), (["bound", "-h"], (0, "usage: kakeya bound")),
+    (["bogus"], (2, "'bogus'")), (["-1", "bound"], (2, "'-1'")), (["-", "scan", "f"], (2, "'-'")),
+    (["--a=0.1", "bound", "--preset", "theorem"], (2, "'--a=0.1'")),
+    (["verify", "--a", "1"], (2, "--a does not apply to verify")), (["scan"], (2, "a scan function")),
+    (["optimize", "--preset", "nope"], (2, "'nope'")), (["bound", "--a"], (2, "after --a")),
+    (["bound", "--a", "-inf"], (2, "a must be finite")), (["verify", "--all=1"], (2, "'--all=1'")),
+    (["verify", "--al"], (2, "'--al'")),
+]
 
-    def stop(args):
-        raise _Parsed(vars(args))
 
-    def outcome(build):
-        monkeypatch.setattr(cli, "_build_parser", build)
-        try:
-            return cli.main(argv), capsys.readouterr()
-        except _Parsed as parsed:
-            return parsed.args[0], capsys.readouterr()
+@pytest.mark.parametrize("argv, outcome", _ARGV_OUTCOMES,
+                         ids=[f"argv{i}" for i in range(len(_ARGV_OUTCOMES))])
+def test_main_parses_as_the_parser_with_every_commands_flags(monkeypatch, tmp_path, capsys, argv,
+                                                              outcome):
+    # the parser reads every command's flags from cli's tables
+    monkeypatch.chdir(tmp_path)
+    if isinstance(outcome, dict):
+        def stop(args):
+            raise _Parsed(args)
 
-    monkeypatch.setattr(cli, "_resolve_config", stop)
-    assert outcome(lambda commands: every()) == outcome(every)
+        monkeypatch.setattr(cli, "_resolve_config", stop)
+        with pytest.raises(_Parsed) as parsed:
+            cli.main(argv)
+        assert parsed.value.args[0] == outcome
+        return
+    code, text = outcome
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert text in (out if code == 0 else err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scan_f_has_its_peak_at_one_sixth(tmp_path, capsys):
@@ -848,6 +863,25 @@ def test_point_preset_rejects_parameter_flags(command, flag, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("words, line, name", [
+    (("bound", "--output-dir="), None, "--output-dir"),
+    (("bound", "--output-dir", ""), None, "--output-dir"),
+    (("scan", "f", "--emit="), None, "--emit"),
+    (("scan", "f", "--emit", ","), None, "--emit"),
+    (("bound",), "output-dir =", "output-dir"),
+    (("bound",), "emit = ,", "emit"),
+], ids=["output-dir=", "output-dir-blank", "emit=", "emit-comma", "config-output-dir", "config-emit"])
+def test_empty_value_exits_2(words, line, name, tmp_path, monkeypatch, capsys):
+    # an empty directory once meant the current one, and an empty format list wrote nothing
+    monkeypatch.chdir(tmp_path)
+    if line is not None:
+        (tmp_path / "run.cfg").write_text(line + "\n")
+        words += ("--config", "run.cfg")
+    assert run_cli(*words) == 2
+    assert f"{name} must be " in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"] * (line is not None)
+
+
 def test_verify_ignores_bound_parameters_in_a_config_file(tmp_path):
     # the config keys are shared: verify accepts and ignores a key bound reads
     cfg = tmp_path / "run.cfg"
@@ -863,10 +897,9 @@ def test_readme_examples_parse():
     lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
     commands = [words for words in lines if words[:1] == ["kakeya"]]
     assert len(commands) >= 5
-    parser = cli._build_parser()
     for words in commands:
-        # argparse alone accepts a flag that the example's mode does not read
-        cli._resolve_config(parser.parse_args(words[1:]))
+        # the parser alone accepts a flag that the example's mode does not read
+        cli._resolve_config(cli._parse(words[1:]))
 
 
 def test_svg_output_is_well_formed(tmp_path):

@@ -460,7 +460,7 @@ def test_cli_numeric_inputs_exit_0_2_or_3(command, mode, numeric, tmp_path, monk
     runs = []  # (argv, config line, KAKEYA_SEED)
     for flag in numeric:
         for value in CLI_VALUES:
-            # --flag=value hands "-inf" and "" to the flag's type, not to argparse
+            # --flag=value hands every value, "" included, to the flag's conversion
             runs.append((_mode_argv(command, mode, flag) + [f"--{flag}={value}"], None, None))
             if flag in cli._CONFIG_KEYS:
                 runs.append((_mode_argv(command, mode, None), f"{flag} = {value}", None))

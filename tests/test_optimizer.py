@@ -153,8 +153,8 @@ def test_search_finds_the_plain_optimum_of_a_wide_box():
     assert (best.a, best.r0, best.lam) == pytest.approx((0.064851, 0.23763, 0.80332), abs=1e-5)
 
 
-def test_sec41_search_costs_at_most_112_evaluations(monkeypatch):
-    # 112 is what corner seeding plus golden-section passes spent on this box
+def test_sec41_search_costs_at_most_72_evaluations(monkeypatch):
+    # the compass search probes 72 distinct points of this box, and evaluates each once
     calls = []
     balanced_point = optimizer._balanced_point
 
@@ -164,7 +164,8 @@ def test_sec41_search_costs_at_most_112_evaluations(monkeypatch):
 
     monkeypatch.setattr(optimizer, "_balanced_point", counted)
     optimizer.optimize(SEC41_BOX)
-    assert len(calls) <= 112
+    assert len(calls) <= 72
+    assert len(set(calls)) == len(calls)
 
 
 def test_optimize_moves_off_an_infeasible_start(monkeypatch):

@@ -198,10 +198,13 @@ def _child_words(code):
 
 
 def test_runtime_needs_numpy_but_not_mpmath_or_pytest(tmp_path):
-    # exit codes and loaded modules after bound, optimize and scan, then after verify
-    loaded = "print(*[m for m in ('mpmath', 'pytest', 'numpy') if m in sys.modules] or ['none'])"
+    # loaded modules after importing the command line; exit codes and loaded
+    # modules after bound, optimize and scan, then after verify
+    names = ("mpmath", "pytest", "numpy", "argparse", "gettext", "locale")
+    loaded = f"print(*[m for m in {names!r} if m in sys.modules] or ['none'])"
     assert _child_words(
         "import contextlib, io, sys, kakeya, kakeya.cli\n"
+        f"{loaded}\n"
         f"out = ['--output-dir', {str(tmp_path)!r}]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [kakeya.cli.main(argv + out) for argv in (\n"
@@ -210,7 +213,7 @@ def test_runtime_needs_numpy_but_not_mpmath_or_pytest(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = kakeya.cli.main(['verify', '--check', 'CMin', '--samples', '100'] + out)\n"
         f"print(code); {loaded}\n"
-    ) == ["0", "0", "0", "none", "0", "numpy"]
+    ) == ["none", "0", "0", "0", "none", "0", "numpy"]
 
 
 def test_importing_the_package_and_its_command_loads_neither_dataclasses_nor_inspect():

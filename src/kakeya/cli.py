@@ -11,8 +11,9 @@ Each run has a mode, its preset or scan function: ``_MODES`` gives the flags
 each mode reads and the files it can write; any other flag or format is an error.
 ``_FLAGS`` gives each flag's type, default and integer limits.  ``_parse``
 reads ``kakeya COMMAND [FUNCTION] --flag VALUE | --flag=VALUE ...`` from
-these two tables alone, and ``_from_text`` converts and checks every value,
-whether it comes from the command line, a config file or ``KAKEYA_SEED``.
+these two tables alone, and ``_from_text`` converts and checks every value.
+The command line is a run's only source of settings: a flag not given
+takes its ``_FLAGS`` default.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -57,19 +57,16 @@ def _formats(text: str) -> frozenset:
 # to (str when absent; bool for a switch, which takes no value), the
 # integer limits ``lo`` and ``hi``, ``repeat`` (the flag may
 # repeat and its values form a list; any other flag given twice keeps the
-# last), its ``default``, the environment variable ``env`` read after a
-# config file, ``dest``, its namespace name when not the flag's own with "_"
-# for "-", and ``help``.
+# last), its ``default``, ``dest``, its namespace name when not the flag's
+# own with "_" for "-", and ``help``.
 _FLAGS = {
     "preset": {},
-    "config": dict(help="a file of flat 'key = value' lines, keys named like the flags"),
     "a": dict(type=float, default=THEOREM_DEFAULTS.a, help="needle-height cap, in (0, 1/2)"),
     "r0": dict(type=float, default=THEOREM_DEFAULTS.r0, help="cutoff radius, in (a, 1/2)"),
     "p": dict(type=float, default=THEOREM_DEFAULTS.p, help="direction-proportion split, in [0, 1]"),
     "lambda": dict(dest="lam", type=float, default=THEOREM_DEFAULTS.lam,
                    help="interpolation weight for r_lambda, in [0, 1]"),
-    "seed": dict(type=int, default=DEFAULT_SEED, env="KAKEYA_SEED",
-                 help="master seed (default: the KAKEYA_SEED environment variable, else 7)"),
+    "seed": dict(type=int, default=DEFAULT_SEED, help=f"master seed (default {DEFAULT_SEED})"),
     "rlambda-convention": dict(default=RLAMBDA_REPRODUCING,
                                help=f"{RLAMBDA_REPRODUCING} (default) or {RLAMBDA_PAPER_LITERAL}"),
     "output-dir": dict(type=Path, default=Path("."), help="directory to write into (default .)"),
@@ -97,18 +94,14 @@ _KINDS = {int: "an integer", float: "a number", _formats: "a comma list of forma
 # A scan evaluates at most this many points (a-steps x r0-steps for a scan
 # over (a, r0)); a larger request is a DomainError before any evaluation.
 MAX_SCAN_POINTS = 10**6
-# Keys a config file may set, named like the flags.  The set is shared:
-# a key that only another command reads is accepted.
+# The flags of the bound's parameter point.
 _PARAMS = ("a", "r0", "p", "lambda")
-_CONFIG_KEYS = frozenset(
-    ("preset", *_PARAMS, "seed", "rlambda-convention", "output-dir", "emit", "digits")
-)
 
 
 def _mode(*flags, emit=()):
-    """A mode's flags, with --preset, --config, --output-dir and (if it emits
-    files) --emit; its formats."""
-    return frozenset((*flags, "preset", "config", "output-dir", *(("emit",) if emit else ()))), emit
+    """A mode's flags, with --preset, --output-dir and (if it emits files)
+    --emit; its formats."""
+    return frozenset((*flags, "preset", "output-dir", *(("emit",) if emit else ()))), emit
 
 
 # Formats other than svg are written by default.  The presets of bound and
@@ -194,7 +187,7 @@ def _round_down(value: float, digits: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Argument and config-file parsing
+# Argument parsing
 # ---------------------------------------------------------------------------
 
 def _usage(expected: str, word) -> DomainError:
@@ -236,7 +229,7 @@ def _parse(argv: list[str]) -> dict:
             text = next(words, None)
             if text is None or text.startswith("--"):
                 raise _usage(f"a value after {name}", text)
-        value = _from_text(flag, text, name)
+        value = _from_text(flag, text)
         args[flag] = [*args.get(flag, ()), value] if spec.get("repeat") else value
     return args
 
@@ -248,40 +241,23 @@ def _help(command: str) -> str:
                 f"Lower bounds for star-shaped Kakeya sets; COMMAND is {', '.join(_MODES)}.\n"
                 "kakeya COMMAND -h lists the command's modes and flags.")
     lines = [f"usage: kakeya {command} {'FUNCTION ' * (command == 'scan')}[--flag VALUE ...]",
-             "Modes, and the flags each reads besides --config and --output-dir:"]
+             "Modes, and the flags each reads besides --output-dir:"]
     for mode, (reads, formats) in _MODES[command].items():
         name = mode if command == "scan" else f"--preset {mode}" if mode else command
-        own = [f"--{flag}" for flag in _FLAGS if flag in reads - {"preset", "config", "output-dir", "emit"}]
+        own = [f"--{flag}" for flag in _FLAGS if flag in reads - {"preset", "output-dir", "emit"}]
         own += [f"--emit {','.join(formats)}"] if formats else []
         lines.append(f"  {name}: {' '.join(own)}")
     read = set().union(*(reads for reads, _ in _MODES[command].values())) - {"preset"}
     return "\n".join(lines + [f"  --{flag:18} {_FLAGS[flag]['help']}" for flag in _FLAGS if flag in read])
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"config line is not 'key = value': {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise DomainError(f"unknown config key {key!r} in {path}")
-        values[key] = value
-    return values
+def _from_text(flag: str, text: str):
+    """A value of ``flag``, converted from its text and checked.
 
-
-def _from_text(flag: str, text: str, name: str):
-    """A value of ``flag``, converted from its text and checked: the one path
-    for the command line, a config file and the environment alike.
-
-    ``name`` says where the text came from; text that is blank, does not
-    convert or lies outside the flag's integer limits is a DomainError
-    naming it.
+    Text that is blank, does not convert or lies outside the flag's integer
+    limits is a DomainError naming ``--flag``.
     """
-    spec = _FLAGS[flag]
+    spec, name = _FLAGS[flag], f"--{flag}"
     kind = spec.get("type", str)
     try:
         if not text.strip():
@@ -297,44 +273,25 @@ def _from_text(flag: str, text: str, name: str):
 def _resolve_config(args: dict) -> SimpleNamespace:
     """The run's one namespace of options, from ``_parse``'s dict.
 
-    Each flag's value comes from the command line, else the config file
-    (which the theorem preset ignores for the parameter point), else the
-    flag's ``env`` variable, else its ``_FLAGS`` default; it is None when
-    the mode (see ``_MODES``) does not read the flag.  The namespace also
-    holds ``command``, ``function`` (scan's) and ``params``, the
-    BoundParams of a mode that reads r0, else None: scan c reads a alone,
-    since no r0 caps c(r, a).
+    Each flag's value is the command line's, else its ``_FLAGS`` default;
+    it is None when the mode (see ``_MODES``) does not read the flag.  The
+    namespace also holds ``command``, ``function`` (scan's) and ``params``,
+    the BoundParams of a mode that reads r0, else None: scan c reads a
+    alone, since no r0 caps c(r, a).
     """
-    command, function, config = args["command"], args.get("function"), args.get("config")
-    fileconf = _load_config_file(config) if config is not None else {}
-
-    def value(flag):
-        if flag in args:
-            return args[flag]
-        if flag in fileconf:
-            return _from_text(flag, fileconf[flag], f"{config}: {flag}")
-        env = _FLAGS[flag].get("env")
-        if env and os.environ.get(env):
-            return _from_text(flag, os.environ[env], env)
-        return _FLAGS[flag].get("default")
-
-    preset = value("preset")
+    command, function, preset = args["command"], args.get("function"), args.get("preset")
     if preset is not None and preset not in _PRESETS[command]:
         if not any(preset in names for names in _PRESETS.values()):
             raise DomainError(f"unknown preset {preset!r}")
-        source = "--preset" if "preset" in args else "preset"
-        raise DomainError(f"{source} {preset!r} does not apply to {command}")
+        raise DomainError(f"--preset {preset!r} does not apply to {command}")
     mode = function or preset or next(iter(_MODES[command]))
     where = f"scan {mode}" if function else f"preset {preset}" if preset else command
     reads, formats = _MODES[command][mode]
-    if preset == "theorem":  # the preset fixes the parameter point; flags still win
-        for key in _PARAMS:
-            fileconf.pop(key, None)
     ns = SimpleNamespace(command=command, function=function, params=None)
     for flag in _FLAGS:
         if flag in args and flag not in reads:
             raise DomainError(f"--{flag} does not apply to {where}")
-        setattr(ns, _dest(flag), value(flag) if flag in reads else None)
+        setattr(ns, _dest(flag), args.get(flag, _FLAGS[flag].get("default")) if flag in reads else None)
     if "r0" in reads:  # a parameter the mode does not read keeps its theorem value
         given = {_dest(flag): getattr(ns, _dest(flag)) for flag in _PARAMS}
         ns.params = THEOREM_DEFAULTS._replace(**{k: v for k, v in given.items() if v is not None})
@@ -497,7 +454,7 @@ def _cmd_optimize(ns: SimpleNamespace) -> tuple[int, dict]:
     if ns.preset == "sec41":
         box = SearchBox(**_SEC41_BOX)
     else:
-        # no preset: collapse the box to the configured parameter point
+        # no preset: collapse the box to the point of --a, --r0 and --lambda
         box = SearchBox(a=(ns.a, ns.a), r0=(ns.r0, ns.r0), lam=(ns.lam, ns.lam))
     result = optimizer.optimize(box, ns.rlambda_convention)
     best = result.best
@@ -582,6 +539,8 @@ def _cmd_scan(ns: SimpleNamespace) -> tuple[int, dict]:
             caption=caption,
         )
     elif fn == "c":
+        if not ns.a <= 4.0:  # c's r range ends at 4.0, so a must too
+            raise DomainError(f"--a must be <= 4.0, the end of c's r range, for scan c; got {ns.a}")
         grid = _scan_range(ns, ns.a, 4.0, "the needle-outside rate")
         table = OutputTable(
             columns=("r", "c"),
@@ -653,11 +612,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:
-        # DomainError subclasses ValueError; OSError covers an unreadable
-        # --config or an unusable --output-dir
+        # DomainError subclasses ValueError; OSError covers an unusable
+        # --output-dir
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,5 +1,5 @@
-"""CLI tests: exit-code contract, presets, config-file precedence, emitted
-artifacts and their byte determinism."""
+"""CLI tests: exit-code contract, presets, flag checks, emitted artifacts
+and their byte determinism."""
 
 from __future__ import annotations
 
@@ -99,7 +99,7 @@ _ARGV_OUTCOMES = [
      {"command": "optimize", "preset": "sec41", "refine": 10}),
     (["scan", "f", "--from", "0.2"], {"command": "scan", "function": "f", "from": 0.2}),
     (["verify", "--all"], {"command": "verify", "all": True}),
-    (["bound", "--a", "0.1", "--config", "x.cfg"], {"command": "bound", "a": 0.1, "config": "x.cfg"}),
+    (["bound", "--a", "0.1", "--config", "x.cfg"], (2, "'--config'")),
     # help anywhere, and usage errors that name the offending word
     ([], (2, "got nothing")), (["-h"], (0, "usage: kakeya COMMAND")), (["--", "bound"], (2, "'--'")),
     (["-h", "optimize"], (0, "usage: kakeya COMMAND")), (["bound", "-h"], (0, "usage: kakeya bound")),
@@ -109,6 +109,8 @@ _ARGV_OUTCOMES = [
     (["optimize", "--preset", "nope"], (2, "'nope'")), (["bound", "--a"], (2, "after --a")),
     (["bound", "--a", "-inf"], (2, "a must be finite")), (["verify", "--all=1"], (2, "'--all=1'")),
     (["verify", "--al"], (2, "'--al'")),
+    # c's r range ends at 4.0, so scan c refuses a larger a by that end
+    (["scan", "c", "--a", "5"], (2, "--a must be <= 4.0")),
 ]
 
 
@@ -598,11 +600,9 @@ def test_case_ii_infeasible_point_exits_3(command, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["optimize", "bound"])
 def test_domain_errors_at_the_point_exit_2_not_3(command, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("rlambda-convention = reproduce\n")
     out = tmp_path / "out"
     preset = ("--preset", "sec41") if command == "optimize" else ()
-    assert run_cli(command, *preset, "--config", str(cfg), "--output-dir", str(out)) == 2
+    assert run_cli(command, *preset, "--rlambda-convention", "reproduce", "--output-dir", str(out)) == 2
     assert "unknown r_lambda convention: 'reproduce'" in capsys.readouterr().err
     assert run_cli(command, "--a", "0.05", "--r0", "0.12", "--output-dir", str(out)) == 2
     assert "r0 must be >= 0.15" in capsys.readouterr().err
@@ -652,37 +652,6 @@ def test_optimize_point_box(tmp_path, capsys):
     assert all(set(entry) == PARAM_KEYS | {"value"} for entry in payload["trace"])
 
 
-def test_config_file_with_flag_override(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("a = 0.06\nr0 = 0.24\nseed = 99  # comment\ndigits = 9\n")
-    code = run_cli(
-        "bound", "--config", str(cfg), "--r0", "0.23", "--output-dir", str(tmp_path)
-    )
-    assert code == 0
-    payload = json.loads((tmp_path / "bound.json").read_text())
-    assert payload["params"]["a"] == 0.06
-    assert payload["params"]["r0"] == 0.23  # flag wins over file
-
-
-def test_config_file_skips_blank_and_comment_only_lines(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("\n# the point\n   \na = 0.06  # height cap\n\t# indented comment\nr0 = 0.24\n")
-    assert run_cli("bound", "--config", str(cfg), "--output-dir", str(tmp_path)) == 0
-    payload = json.loads((tmp_path / "bound.json").read_text())
-    assert (payload["params"]["a"], payload["params"]["r0"]) == (0.06, 0.24)
-
-
-def test_config_file_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "typo.cfg"
-    for line, name in (("lamda = 0.5", "lamda"), ("quad-tol = 1e-10", "quad-tol")):
-        cfg.write_text(f"a = 0.06\n{line}\n")
-        assert run_cli("bound", "--config", str(cfg), "--output-dir", str(tmp_path)) == 2
-        assert f"unknown config key '{name}'" in capsys.readouterr().err
-    cfg.write_text("preset = theorm\n")
-    assert run_cli("bound", "--config", str(cfg), "--output-dir", str(tmp_path)) == 2
-    assert "unknown preset 'theorm'" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command, preset", [
     (("bound",), "sec41"),
     (("optimize",), "cunningham"),
@@ -691,12 +660,8 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
 ])
 def test_preset_of_another_command_exits_2(command, preset, tmp_path, capsys):
     out = tmp_path / "out"
-    assert run_cli(*command, "--preset", preset, "--output-dir", str(out)) == 2
-    assert "--preset" in capsys.readouterr().err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"preset = {preset}\n")
-    assert run_cli(*command, "--config", str(cfg), "--output-dir", str(out)) == 2
-    assert f"preset '{preset}' does not apply to {command[0]}" in capsys.readouterr().err
+    assert run_cli(*command, f"--preset={preset}", "--output-dir", str(out)) == 2
+    assert f"--preset '{preset}' does not apply to {command[0]}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -718,12 +683,9 @@ def test_negative_refine_exits_2_before_optimizing(tmp_path, capsys):
 
 def test_digits_above_17_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("digits = 18\n")
     # 2**31 - 1 digits once asked the float formatter for about 2 GB
-    for source in (("--digits", "18"), ("--digits", str(2**31 - 1)),
-                   ("--digits", str(10**12)), ("--config", str(cfg))):
-        assert run_cli("bound", *source, "--output-dir", str(out)) == 2
+    for digits in ("18", str(2**31 - 1), str(10**12)):
+        assert run_cli("bound", f"--digits={digits}", "--output-dir", str(out)) == 2
         assert "digits must be <= 17" in capsys.readouterr().err
         assert not out.exists()
     assert run_cli("bound", "--digits", "17", "--output-dir", str(out)) == 0
@@ -740,14 +702,11 @@ def test_scan_counts_below_two_exit_2(flag, tmp_path, capsys):
         assert f"{flag} must be >= 2" in capsys.readouterr().err
 
 
-def test_seeds_outside_0_to_2_pow_64_exit_2(tmp_path, monkeypatch, capsys):
+def test_seeds_outside_0_to_2_pow_64_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     argv = ("verify", "--check", "CMin", "--samples", "100", "--output-dir", str(out))
     for seed in ("-1", str(1 << 64), str((1 << 64) + 7)):
-        assert run_cli(*argv, "--seed", seed) == 2
-        monkeypatch.setenv("KAKEYA_SEED", seed)
-        assert run_cli(*argv) == 2
-        monkeypatch.delenv("KAKEYA_SEED")
+        assert run_cli(*argv, f"--seed={seed}") == 2
         assert "seed must be" in capsys.readouterr().err
         assert not out.exists()
     for seed in ("0", str((1 << 64) - 1)):
@@ -770,53 +729,33 @@ def test_unusable_output_dir_exits_2(command, tmp_path, capsys):
     assert str(blocker) in err
 
 
-def test_missing_config_file_exits_2(tmp_path, capsys):
-    code = run_cli("bound", "--config", str(tmp_path / "absent.cfg"))
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_env_seed_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("KAKEYA_SEED", "31")
-    code = run_cli("verify", "--check", "CMin", "--output-dir", str(tmp_path))
-    assert code == 0
-    payload = json.loads((tmp_path / "verify.json").read_text())
-    assert payload["seed"] == 31
-    assert payload["checks"][0]["seed"] == 31
-
-
-def test_malformed_numeric_inputs_exit_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("KAKEYA_SEED", "not-a-number")
-    assert run_cli("verify", "--check", "CMin", "--output-dir", str(tmp_path)) == 2
-    assert "KAKEYA_SEED must be an integer, got 'not-a-number'" in capsys.readouterr().err
-    # an explicit flag wins before the broken environment value is touched
-    assert run_cli(
-        "verify", "--check", "CMin", "--seed", "5", "--output-dir", str(tmp_path)
-    ) == 0
-    monkeypatch.delenv("KAKEYA_SEED")
-    cfg = tmp_path / "bad.cfg"
-    # a malformed value names its key and the file
-    for command, line, message in (
-        (("bound",), "a = zero point one", "a must be a number, got 'zero point one'"),
-        (("bound",), "digits = 6.5", "digits must be an integer, got '6.5'"),
-        (("verify", "--check", "CMin"), "seed =", "seed must be an integer, got ''"),
+def test_malformed_numeric_inputs_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    # a malformed value names its flag
+    for command, flag, text, message in (
+        (("bound",), "--a", "zero point one", "--a must be a number, got 'zero point one'"),
+        (("bound",), "--digits", "6.5", "--digits must be an integer, got '6.5'"),
+        (("verify", "--check", "CMin"), "--seed", "not-a-number",
+         "--seed must be an integer, got 'not-a-number'"),
+        (("verify", "--check", "CMin"), "--seed", "", "--seed must be an integer, got ''"),
     ):
-        cfg.write_text(line + "\n")
-        assert run_cli(*command, "--config", str(cfg), "--output-dir", str(tmp_path / "out")) == 2
-        assert f"error: {cfg}: {message}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-    cfg.write_text("just words without an equals sign\n")
-    assert run_cli("bound", "--config", str(cfg)) == 2
+        assert run_cli(*command, f"{flag}={text}", "--output-dir", str(out)) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [
     ("bound", "--preset", "theorem"),
     ("scan", "f", "--steps", "5"),
     ("optimize",),
-], ids=["bound", "scan", "optimize"])
+    ("verify", "--check", "CMin", "--samples", "100"),
+], ids=["bound", "scan", "optimize", "verify"])
 def test_seed_is_read_by_verify_alone(command, tmp_path, monkeypatch):
+    # from --seed alone: no command reads a seed from the environment
     monkeypatch.setenv("KAKEYA_SEED", "oops")
     assert run_cli(*command, "--output-dir", str(tmp_path)) == 0
+    if command[0] == "verify":
+        assert json.loads((tmp_path / "verify.json").read_text())["seed"] == 7
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -863,32 +802,21 @@ def test_point_preset_rejects_parameter_flags(command, flag, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("words, line, name", [
-    (("bound", "--output-dir="), None, "--output-dir"),
-    (("bound", "--output-dir", ""), None, "--output-dir"),
-    (("scan", "f", "--emit="), None, "--emit"),
-    (("scan", "f", "--emit", ","), None, "--emit"),
-    (("bound",), "output-dir =", "output-dir"),
-    (("bound",), "emit = ,", "emit"),
-], ids=["output-dir=", "output-dir-blank", "emit=", "emit-comma", "config-output-dir", "config-emit"])
-def test_empty_value_exits_2(words, line, name, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("words, name", [
+    (("bound", "--output-dir="), "--output-dir"),
+    (("bound", "--output-dir", ""), "--output-dir"),
+    (("bound", "--output-dir=  "), "--output-dir"),
+    (("scan", "f", "--emit="), "--emit"),
+    (("scan", "f", "--emit", ","), "--emit"),
+    (("scan", "f", "--emit= , "), "--emit"),
+], ids=["output-dir=", "output-dir-blank", "output-dir-spaces", "emit=", "emit-comma",
+        "emit-comma-spaces"])
+def test_empty_value_exits_2(words, name, tmp_path, monkeypatch, capsys):
     # an empty directory once meant the current one, and an empty format list wrote nothing
     monkeypatch.chdir(tmp_path)
-    if line is not None:
-        (tmp_path / "run.cfg").write_text(line + "\n")
-        words += ("--config", "run.cfg")
     assert run_cli(*words) == 2
     assert f"{name} must be " in capsys.readouterr().err
-    assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"] * (line is not None)
-
-
-def test_verify_ignores_bound_parameters_in_a_config_file(tmp_path):
-    # the config keys are shared: verify accepts and ignores a key bound reads
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("a = 0.7\nlambda = 3\nseed = 11\n")
-    code = run_cli("verify", "--check", "CMin", "--config", str(cfg), "--output-dir", str(tmp_path))
-    assert code == 0
-    assert json.loads((tmp_path / "verify.json").read_text())["seed"] == 11
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_readme_examples_parse():

@@ -293,6 +293,26 @@ def test_arguments_are_checked_by_one_idiom_without_the_numbers_abcs():
     assert uses == []
 
 
+_ENVIRONMENT = ("environ", "environb", "getenv", "getenvb")
+
+
+def _environment_reads(path: Path):
+    """Line numbers where the file names os.environ or os.getenv (or their bytes forms)."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT:
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in _ENVIRONMENT for alias in node.names):
+                yield node.lineno
+
+
+def test_no_module_reads_the_environment():
+    # the command line is a run's only source of settings
+    src = Path(kakeya.__file__).parent
+    reads = [(path.name, line) for path in sorted(src.glob("*.py")) for line in _environment_reads(path)]
+    assert reads == []
+
+
 def _file_system_writes(tree: ast.AST, where: str = "<module>"):
     """(enclosing function, line) of each call to open, .open, .write_text or .mkdir."""
     for node in ast.iter_child_nodes(tree):

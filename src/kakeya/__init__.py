@@ -14,8 +14,8 @@ Library layout:
   :mod:`kakeya.workers` runs them on forked worker processes.
 - :mod:`kakeya.cli`: the ``kakeya`` command.
 
-Importing the package loads no numpy.  The names backed by
-:mod:`kakeya.oracle`, which does, resolve on first access.
+Importing the package loads no numpy.  The checks need it, so they run
+from :mod:`kakeya.oracle`, which the package does not import.
 """
 
 from .bounds import (
@@ -48,7 +48,6 @@ __all__ = [
     "BracketError",
     "CaseIIInfeasible",
     "CheckId",
-    "CheckReport",
     "DerivedParams",
     "DomainError",
     "EmptyFeasibleSet",
@@ -61,22 +60,8 @@ __all__ = [
     "THEOREM_DEFAULTS",
     "case_i_integral",
     "cunningham_bound",
-    "find_h_threshold",
     "make_triangle",
     "optimize",
     "refine_iterative",
-    "run_check",
     "theorem_bound",
 ]
-
-_ORACLE_NAMES = frozenset(("CheckReport", "find_h_threshold", "run_check"))
-
-
-def __getattr__(name):
-    # PEP 562: the oracle, and numpy with it, loads when one of its names is first read
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        value = globals()[name] = getattr(oracle, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -304,19 +304,12 @@ def _check_tol(tol: float) -> None:
         raise wrong_type("tol must be a real", tol) from None
 
 
-def g_branch_kinks(
-    params: BoundParams,
-    convention: str = RLAMBDA_REPRODUCING,
-    lo: float | None = None,
-    hi: float | None = None,
-) -> list[float]:
+def g_branch_kinks(params: BoundParams, convention: str, lo: float, hi: float) -> list[float]:
     """Radii in (lo, hi) where the active branch of the g-cap switches.
 
-    The range defaults to (a, r0) and must satisfy 0 < lo <= hi < 1/2.
+    The range must satisfy 0 < lo <= hi < 1/2.
     """
     derived = derive_params(params, convention)
-    lo = params.a if lo is None else lo
-    hi = params.r0 if hi is None else hi
     try:
         if not 0.0 < lo <= hi < 0.5:
             raise DomainError(f"need 0 < lo <= hi < 1/2, got [{shown(lo)}, {shown(hi)}]")

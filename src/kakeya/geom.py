@@ -20,10 +20,12 @@ lives in one place, inside a ``try`` that turns a wrong type into
 DomainError.  ``NeedleTriangle`` checks its own fields when it is built,
 so no unchecked triangle exists; ``_polar_chart`` checks the radius of
 ``exterior_area`` and ``intersection_arcs``, and that their triangle is
-a record at all; ``_require_height_below_radius``
-checks a height and its radius for the central angle and the
-disjointness criterion, and ``_require_circle_cuts_needle`` adds, for the
-isosceles closed forms and |OB|, that S_r meets the needle.
+a record at all; ``_require_height_below_radius`` checks a height and
+its radius for ``direction_ratio`` and the disjointness criterion, which
+also cap r at 1/2 themselves, so the private ``_central_angle`` takes its
+arguments unchecked; ``_angular_gap`` checks the directions the criterion
+passes it; and ``_require_circle_cuts_needle`` adds, for the isosceles
+closed forms and |OB|, that S_r meets the needle.
 """
 
 from __future__ import annotations
@@ -41,11 +43,9 @@ __all__ = [
     "exterior_area_isosceles",
     "exterior_angle_ratio",
     "exterior_area_rate",
-    "theta_isosceles",
     "direction_ratio",
     "far_endpoint_distance",
     "outside_distance_cap",
-    "angular_gap",
     "exterior_disjoint_criterion",
     "intersection_arcs",
 ]
@@ -66,8 +66,8 @@ class NeedleTriangle(namedtuple("NeedleTriangle", "alpha delta t")):
     B = f + (1 - t)*u.  ``t = 1/2`` is the isosceles configuration;
     ``delta = 0`` degenerates to a segment through O with zero area.
 
-    Raises DomainError for fields that are not finite reals, negative
-    delta, or t outside [0, 1].  ``alpha`` is stored reduced mod pi.
+    Raises DomainError for fields that are not finite reals, alpha
+    outside [0, pi), negative delta, or t outside [0, 1].
     """
 
     __slots__ = ()
@@ -77,18 +77,15 @@ class NeedleTriangle(namedtuple("NeedleTriangle", "alpha delta t")):
             if not (math.isfinite(alpha) and math.isfinite(delta) and math.isfinite(t)):
                 got = ", ".join(map(shown, (alpha, delta, t)))
                 raise DomainError(f"triangle parameters must be finite, got {got}")
+            if not 0.0 <= alpha < math.pi:
+                raise DomainError(f"alpha must lie in [0, pi), got {shown(alpha)}")
             if delta < 0.0:
                 raise DomainError(f"delta must be >= 0, got {shown(delta)}")
             if not 0.0 <= t <= 1.0:
                 raise DomainError(f"t must lie in [0, 1], got {shown(t)}")
         except (TypeError, OverflowError):
             raise wrong_type("triangle parameters must be reals", alpha, delta, t) from None
-        alpha = math.fmod(alpha, math.pi)
-        if alpha < 0.0:
-            alpha += math.pi
-        if alpha >= math.pi:  # fmod can round up to pi for inputs just below a multiple
-            alpha = 0.0
-        return tuple.__new__(cls, (alpha, delta, t))
+        return tuple.__new__(cls, (float(alpha), delta, t))  # arcs are floats for a numpy alpha
 
     @classmethod
     def _make(cls, fields):
@@ -163,7 +160,7 @@ def exterior_area_isosceles(delta: float, r: float) -> float:
         return 0.0
     return 0.5 * delta - (
         delta * math.sqrt(r * r - delta * delta)
-        + (math.asin(delta / r) - math.atan(2.0 * delta)) * r * r
+        + _central_angle(delta, r) * r * r
     )
 
 
@@ -200,17 +197,15 @@ def exterior_area_rate(r: float) -> float:
 # Central angles and cross-section geometry
 # ---------------------------------------------------------------------------
 
-def theta_isosceles(delta0: float, r: float) -> float:
-    """Central angle cut on S_r by the isosceles triangle at height delta0:
+def _central_angle(delta: float, r: float) -> float:
+    """Central angle cut on S_r by the isosceles triangle at height delta:
 
-        theta = asin(delta0/r) - atan(2*delta0)
+        theta = asin(delta/r) - atan(2*delta)
 
-    Nonnegative and increasing in delta0 for r <= 1/2, the radii it accepts.
+    Nonnegative and increasing in delta for 0 <= delta < r <= 1/2.
+    Unchecked: each caller checks its own domain first.
     """
-    _require_height_below_radius(delta0, r)
-    if r > 0.5:
-        raise DomainError(f"r must be <= 1/2, got {shown(r)}")
-    return math.asin(delta0 / r) - math.atan(2.0 * delta0)
+    return math.asin(delta / r) - math.atan(2.0 * delta)
 
 
 def direction_ratio(delta0: float, r: float) -> float:
@@ -220,8 +215,11 @@ def direction_ratio(delta0: float, r: float) -> float:
     isosceles triangle at height delta0 form an interval centered on the
     arc midpoint direction, of width
 
-        2*asin(delta0/r) - theta_isosceles(delta0, r)
-        = asin(delta0/r) + atan(2*delta0).
+        2*asin(delta0/r) - theta
+        = asin(delta0/r) + atan(2*delta0),
+
+    where theta = asin(delta0/r) - atan(2*delta0) is the central angle
+    that triangle cuts on S_r.
 
     The ratio is (asin(x) + atan(2*delta0)) / (asin(x) - atan(2*delta0))
     with x = delta0/r; bounded by (1 + 2r)/(1 - 2r) for all
@@ -231,9 +229,12 @@ def direction_ratio(delta0: float, r: float) -> float:
     subnormal delta0, whose asin and atan keep too few significant bits,
     and wherever the angle rounds to zero or below (r at or near 1/2).
     """
-    theta = theta_isosceles(delta0, r)  # checks 0 <= delta0 < r <= 1/2
+    _require_height_below_radius(delta0, r)
+    if r > 0.5:
+        raise DomainError(f"r must be <= 1/2, got {shown(r)}")
     if delta0 < sys.float_info.min:
         raise DomainError(f"delta0 must be > 0 and not subnormal, got {shown(delta0)}")
+    theta = _central_angle(delta0, r)
     if not theta > 0.0:
         raise DomainError(f"central angle {shown(theta)} is not positive at r={shown(r)}")
     width = math.asin(delta0 / r) + math.atan(2.0 * delta0)
@@ -280,7 +281,7 @@ def outside_distance_cap(r: float, a: float) -> float:
 # Disjointness
 # ---------------------------------------------------------------------------
 
-def angular_gap(alpha1: float, alpha2: float) -> float:
+def _angular_gap(alpha1: float, alpha2: float) -> float:
     """Distance between two directions on the circle of lines R/(pi Z)."""
     try:
         # fmod refuses a complex, an int too wide for a float, and inf
@@ -310,7 +311,7 @@ def exterior_disjoint_criterion(
     if r > 0.5:
         raise DomainError(f"r must be <= 1/2, got {shown(r)}")
     need = math.asin(delta1 / r) + math.asin(delta2 / r)
-    return angular_gap(alpha1, alpha2) >= need
+    return _angular_gap(alpha1, alpha2) >= need
 
 
 # ---------------------------------------------------------------------------

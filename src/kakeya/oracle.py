@@ -543,8 +543,6 @@ def _check_arc_consistency(samples, rng):
     delta = rng.uniforms(samples) * np.minimum(_HEIGHT_CAP, 0.9 * r)
     alpha = rng.uniform(0.0, math.pi, samples)
     t = rng.uniforms(samples)
-    # alpha lies in [0, pi), where NeedleTriangle's reduction mod pi is the
-    # identity: both sides see the same triangle
     triangles = map(geom.NeedleTriangle, alpha.tolist(), delta.tolist(), t.tolist())
     totals, moments = _fold_arcs(list(map(geom.intersection_arcs, triangles, r.tolist())))
     probed_totals, probed_moments = _arc_totals_by_probing(_triangle_corners(alpha, delta, t), r)

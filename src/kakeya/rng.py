@@ -6,16 +6,17 @@ and the generator is trivial to port bit-for-bit to other languages:
 
     output(i) = mix64(base + i * GOLDEN)          (all arithmetic mod 2**64)
 
-where ``mix64`` is the SplitMix64 finalizer (Steele, Lea & Flood 2014) and
-``base`` encodes the (seed, stream) pair.  Uniform doubles take the top 53
-bits of the output, giving values in [0, 1).
+where ``mix64``, this module's ``_mix64``, is the SplitMix64 finalizer
+(Steele, Lea & Flood 2014) and ``base`` encodes the (seed, stream) pair.
+Uniform doubles take the top 53 bits of the output, giving values in
+[0, 1).
 
 A generator reads its stream sequentially from counter 0; ``seek`` moves
 it to any counter, so a draw is addressable by (seed, stream, counter) and
 a consumer may read a stretch of the stream in any order of pieces.
 
 ``raw`` is that formula in one numpy pass: the counters 0..n-1 as an
-array, times GOLDEN, plus base + counter * GOLDEN, then ``mix64`` over the
+array, times GOLDEN, plus base + counter * GOLDEN, then ``_mix64`` over the
 words in place.  The checks draw at most a few times 10**4 words per call
 at their default sizes, and SectorMeasure draws its cloud 2**14 words at
 a time; at those sizes a draw costs about 9 ns per uniform, a small share
@@ -42,16 +43,13 @@ _MASK = (1 << 64) - 1
 _INV_2_53 = float(2.0**-53)
 
 
-def mix64(z: np.ndarray) -> np.ndarray:
+def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer applied elementwise to a uint64 array.
 
-    Works in place: ``z`` is overwritten with the result, which is also
-    returned.  Anything but a writeable uint64 array of at least one
-    dimension is a DomainError.
+    Works in place: ``z``, a writeable uint64 array of at least one
+    dimension that the caller has just built, is overwritten with the
+    result, which is also returned.
     """
-    if not (isinstance(z, np.ndarray) and z.dtype == np.uint64 and z.ndim
-            and z.flags.writeable):
-        raise DomainError("mix64 takes a writeable uint64 array of at least one dimension")
     t = z >> _U64(30)
     z ^= t
     z *= _MIX1
@@ -81,7 +79,7 @@ class CounterRng:
         # warn on the wrapping multiply
         offset = (self.stream * _GOLDEN) & _MASK
         base = np.array([(self.seed + offset) & _MASK], dtype=np.uint64)
-        self._base = int(mix64(base)[0])
+        self._base = int(_mix64(base)[0])
         self._counter = 0
 
     def seek(self, counter: int) -> None:
@@ -100,7 +98,7 @@ class CounterRng:
         words *= GOLDEN
         words += _U64((self._base + self._counter * _GOLDEN) & _MASK)
         self._counter += n
-        return mix64(words)
+        return _mix64(words)
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next ``n`` doubles, uniform on [0, 1), as a float64 array."""

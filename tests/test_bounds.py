@@ -364,7 +364,8 @@ def test_active_g_branch_names_the_largest_branch():
 
 
 def test_g_branch_kinks_located_by_bisection():
-    kinks = bounds.g_branch_kinks(THEOREM_DEFAULTS)
+    a, r0 = THEOREM_DEFAULTS.a, THEOREM_DEFAULTS.r0
+    kinks = bounds.g_branch_kinks(THEOREM_DEFAULTS, RLAMBDA_REPRODUCING, a, r0)
     assert len(kinks) == 2
     assert kinks[0] == pytest.approx(0.22157448183881665, abs=1e-11)
     assert kinks[1] == pytest.approx(0.23529881692067726, abs=1e-11)
@@ -374,7 +375,7 @@ def test_g_branch_kinks_located_by_bisection():
             params = BoundParams(a=a, r0=r0, p=0.5, lam=lam)
             r_lambda = bounds.derive_params(params, convention).r_lambda
             expected = [x for x, _ in bisect_kinks(a, r0, r_lambda)]
-            assert bounds.g_branch_kinks(params, convention) == pytest.approx(
+            assert bounds.g_branch_kinks(params, convention, a, r0) == pytest.approx(
                 expected, abs=1e-14
             )
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -111,6 +112,9 @@ _ARGV_OUTCOMES = [
     (["verify", "--al"], (2, "'--al'")),
     # c's r range ends at 4.0, so scan c refuses a larger a by that end
     (["scan", "c", "--a", "5"], (2, "--a must be <= 4.0")),
+    # the SVG plots one curve, so a scan over (a, r0) refuses it, as a one-row scan does
+    (["scan", "final", "--a-from", "0.05", "--a-to", "0.07", "--a-steps", "3", "--r0-from", "0.2",
+      "--r0-to", "0.3", "--r0-steps", "3", "--emit", "csv,svg"], (2, "--emit svg plots one curve")),
 ]
 
 
@@ -133,6 +137,22 @@ def test_main_parses_as_the_parser_with_every_commands_flags(monkeypatch, tmp_pa
     assert cli.main(argv) == code
     out, err = capsys.readouterr()
     assert text in (out if code == 0 else err)
+    assert list(tmp_path.iterdir()) == []
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone, as under ``kakeya -h | head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", (["-h"], ["scan", "g", "--steps", "50"]))
+def test_a_closed_stdout_exits_2_with_a_one_line_error(monkeypatch, tmp_path, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -2,9 +2,10 @@
 
 Each function of ``bounds``, ``geom``, ``optimizer``, ``oracle`` and ``rng``
 that takes numbers is called with NaN, +-inf, +-0, a subnormal, negative and huge
-arguments (and a few ordinary ones).  Every call must return only finite
-numbers or raise a KakeyaError; a NaN argument must always raise, and a
-finite ``geom.theta_isosceles`` angle must not be negative.  One- to
+arguments (and a few ordinary ones), and so is ``geom._angular_gap``, whose
+guard checks the directions the disjointness criterion passes it.  Every
+call must return only finite numbers or raise a KakeyaError; a NaN
+argument must always raise.  One- to
 three-argument functions see every combination of the values; wider ones
 see a seeded sample.  Sample counts are floats, which are rejected,
 integers of at most 100, or ints too wide for a float or for ``str``
@@ -24,10 +25,7 @@ when it is built, directly, by ``_make`` or by ``_replace``.
 ``SearchBox`` also sees intervals that are not (lo, hi) pairs,
 and lambda intervals outside [0, 1], which it must refuse; over seeded
 boxes of ordinary, edge and junk ends, it accepts exactly those whose two
-extreme corners ``BoundParams`` accepts.  ``rng.mix64`` works in place on
-uint64 arrays, so it sees instead a float, an integer and a read-only
-array, a list, a scalar and a 0-d array, each of which must be a
-DomainError.
+extreme corners ``BoundParams`` accepts.
 
 Each numeric flag of each CLI mode gets the same kinds of values as text,
 plus a non-number and an empty string, each as ``--flag=value``;
@@ -91,13 +89,6 @@ def _refused(value):
     raise AssertionError(f"accepted, returned {value!r}")
 
 
-def _nonnegative(value):
-    """Pass a result on, failing the call if it is finite and negative."""
-    if math.isfinite(value) and value < 0.0:
-        raise AssertionError(f"negative result {value!r}")
-    return value
-
-
 ENTRY_POINTS = {
     # bounds
     "outside_area_rate": (bounds.outside_area_rate, (VALUES, VALUES)),
@@ -135,13 +126,10 @@ ENTRY_POINTS = {
     "exterior_area_isosceles": (geom.exterior_area_isosceles, (VALUES, VALUES)),
     "exterior_angle_ratio": (geom.exterior_angle_ratio, (VALUES, VALUES)),
     "exterior_area_rate": (geom.exterior_area_rate, (VALUES,)),
-    "theta_isosceles": (
-        lambda delta, r: _nonnegative(geom.theta_isosceles(delta, r)), (VALUES, VALUES)
-    ),
     "direction_ratio": (geom.direction_ratio, (VALUES, VALUES)),
     "far_endpoint_distance": (geom.far_endpoint_distance, (VALUES, VALUES)),
     "outside_distance_cap": (geom.outside_distance_cap, (VALUES, VALUES)),
-    "angular_gap": (geom.angular_gap, (VALUES, VALUES)),
+    "angular_gap": (geom._angular_gap, (VALUES, VALUES)),
     "exterior_disjoint_criterion": (geom.exterior_disjoint_criterion, (VALUES,) * 5),
     # optimizer
     "SearchBox": (
@@ -346,27 +334,6 @@ def test_entry_point_gives_finite_values_or_a_typed_error(name):
             elif not all(math.isfinite(x) for x in _numbers(got)):
                 bad.append((args, f"non-finite result {got!r}"))
     assert not bad, f"{len(bad)} bad calls, first ones: {bad[:5]}"
-
-
-def _read_only(z):
-    z.flags.writeable = False
-    return z
-
-
-MIX64_REJECTED = {
-    "float64 array": np.zeros(3),
-    "int64 array": np.zeros(3, dtype=np.int64),
-    "read-only uint64 array": _read_only(np.zeros(3, dtype=np.uint64)),
-    "list": [1, 2, 3],
-    "numpy scalar": np.uint64(3),
-    "0-d uint64 array": np.array(3, dtype=np.uint64),
-}
-
-
-@pytest.mark.parametrize("name", sorted(MIX64_REJECTED))
-def test_mix64_rejects_anything_but_a_writeable_uint64_array(name):
-    with pytest.raises(DomainError):
-        rng.mix64(MIX64_REJECTED[name])
 
 
 # interval ends per axis: ordinary values, the domain's edges and their

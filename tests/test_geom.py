@@ -76,9 +76,14 @@ def test_vertices_recompute_height_and_base_length():
     assert dist == pytest.approx(0.05, abs=1e-12)
 
 
-def test_alpha_stored_mod_pi():
-    assert geom.make_triangle(math.pi + 0.3, 0.01, 0.5).alpha == pytest.approx(0.3)
-    assert geom.make_triangle(-0.3, 0.01, 0.5).alpha == pytest.approx(math.pi - 0.3)
+def test_alpha_outside_0_pi_is_refused():
+    # alpha + pi reverses the needle and mirrors the triangle through O, so
+    # no direction is reduced mod pi
+    for alpha in (math.pi, math.pi + 0.3, -0.3, -1e-20):
+        with pytest.raises(DomainError, match=r"alpha must lie in \[0, pi\)"):
+            geom.make_triangle(alpha, 0.01, 0.5)
+    below_pi = math.nextafter(math.pi, 0.0)
+    assert geom.make_triangle(below_pi, 0.01, 0.5).alpha == below_pi
 
 
 def test_foot_half_iff_isosceles():
@@ -259,14 +264,14 @@ def test_angle_ratio_minimized_in_the_flat_limit():
 # ---------------------------------------------------------------------------
 
 def test_theta_isosceles_values_and_monotonicity():
-    assert geom.theta_isosceles(0.0, 0.25) == 0.0
+    assert geom._central_angle(0.0, 0.25) == 0.0
     frozen = 0.10168926829916876
     assert mp_theta_isosceles(0.05, 0.25) == pytest.approx(frozen, abs=1e-14)
-    assert geom.theta_isosceles(0.05, 0.25) == pytest.approx(frozen, abs=1e-14)
+    assert geom._central_angle(0.05, 0.25) == pytest.approx(frozen, abs=1e-14)
     for r in (0.2, 0.25, 0.4):
         top = r / math.sqrt(1.0 + 4.0 * r * r)
         grid = np.linspace(0.0, 0.999 * top, 200)
-        vals = [geom.theta_isosceles(d, r) for d in grid]
+        vals = [geom._central_angle(d, r) for d in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -280,7 +285,7 @@ def test_direction_ratio_matches_the_arcsin_arctan_quotient():
     assert geom.direction_ratio(0.05, 0.25) == pytest.approx(num / den, abs=1e-13)
     assert geom.direction_ratio(0.05, 0.25) == pytest.approx(2.9602590156895985, abs=1e-12)
     # the ratio's numerator is the admissible width asin(x) + atan(2*delta0)
-    width = geom.direction_ratio(0.05, 0.25) * geom.theta_isosceles(0.05, 0.25)
+    width = geom.direction_ratio(0.05, 0.25) * geom._central_angle(0.05, 0.25)
     assert width == pytest.approx(num, abs=1e-14)
 
 
@@ -300,6 +305,8 @@ def test_direction_ratio_domain():
         geom.direction_ratio(0.25, 0.25)
     with pytest.raises(DomainError, match="r must be > 0"):
         geom.direction_ratio(0.1, -0.25)
+    with pytest.raises(DomainError, match="r must be <= 1/2"):
+        geom.direction_ratio(0.1, 0.6)
 
 
 @pytest.mark.parametrize(
@@ -392,7 +399,7 @@ def test_arcs_isosceles_match_the_central_angle_formula():
     delta, r = 0.05, 0.25
     arcs = geom.intersection_arcs(geom.make_triangle(1.1, delta, 0.5), r)
     assert len(arcs) == 2
-    theta = geom.theta_isosceles(delta, r)
+    theta = geom._central_angle(delta, r)
     for start, end in arcs:
         assert end - start == pytest.approx(theta, abs=1e-12)
 

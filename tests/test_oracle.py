@@ -34,7 +34,7 @@ import pytest
 from kakeya import bounds, geom, oracle
 from kakeya.errors import BracketError, DomainError, WorkerLost
 from kakeya.oracle import CheckId
-from kakeya.rng import CounterRng, mix64
+from kakeya.rng import CounterRng, _mix64
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ def test_rng_seek_agrees_with_sequential_draws():
 
 def test_rng_mix64_works_in_place():
     z = np.array([1, 0], dtype=np.uint64)
-    assert mix64(z) is z
+    assert _mix64(z) is z
     assert [int(w) for w in z] == [0x5692161D100B05E5, 0]
 
 
@@ -1228,7 +1228,7 @@ MUTANTS = {
     "exterior_disjoint_criterion gap x 0.97": (
         geom, "exterior_disjoint_criterion",
         lambda real: lambda a1, d1, a2, d2, r: real(a1, d1, a2, d2, r) or (
-            geom.angular_gap(a1, a2) >= 0.97 * (math.asin(d1 / r) + math.asin(d2 / r))
+            geom._angular_gap(a1, a2) >= 0.97 * (math.asin(d1 / r) + math.asin(d2 / r))
         ),
         CheckId.EXT_DISJOINT),
     # NaN on part of the domain, so that a fold's first value is usually a
